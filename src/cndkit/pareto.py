@@ -205,14 +205,27 @@ def pareto_front(records: list[ModelMeasurement]) -> list[ModelMeasurement]:
     return front
 
 
+def _csv_cell(text: str) -> str:
+    """Quote a cell RFC 4180 style when it holds a comma, quote or line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def export_plot_data(records: list[ModelMeasurement], config: QuadrantConfig) -> str:
     """CSV of (model, test_acc, avg_mem_mb, quadrant, on_front) rows plus
-    comment lines carrying both frontier values."""
+    comment lines carrying both frontier values.
+
+    Model names are the only free-text cell and are quoted when needed.
+    Front membership is by identity against ``pareto_front(records)``:
+    equal records always land in the same front group, so this matches
+    equality and keeps the export O(n log n).
+    """
     if records:
         frontier_mem = resolve_memory_frontier(records, config)
     else:
         frontier_mem = config.memory_frontier if config.memory_frontier is not None else float("nan")
-    front = pareto_front(records)
+    on_front_ids = {id(r) for r in pareto_front(records)}
     lines = [
         f"# accuracy_frontier={config.accuracy_frontier:g}",
         f"# memory_frontier={frontier_mem:g}",
@@ -220,8 +233,8 @@ def export_plot_data(records: list[ModelMeasurement], config: QuadrantConfig) ->
     ]
     for record in records:
         quadrant = classify_quadrant(record, config, frontier_mem)
-        on_front = "true" if record in front else "false"
+        on_front = "true" if id(record) in on_front_ids else "false"
         lines.append(
-            f"{record.model},{record.test_acc:g},{record.avg_mem_mb:g},{quadrant.value},{on_front}"
+            f"{_csv_cell(record.model)},{record.test_acc:g},{record.avg_mem_mb:g},{quadrant.value},{on_front}"
         )
     return "\n".join(lines) + "\n"

@@ -93,7 +93,13 @@ def _parse_node(entry: dict, index: int) -> g.LayerNode:
 
 
 def deserialize(text: str) -> g.ModelGraph:
-    """Parse schema-v1 JSON text into a validated graph."""
+    """Parse schema-v1 JSON text into a validated graph.
+
+    One sweep over the node list parses each entry and checks it against the
+    ids seen so far (duplicate id, unknown or forward input, arity), so a
+    rejection names the first bad entry as ``field="nodes[i]"``. The sweep
+    is O(V + E); the graph is built once after it and then validated.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -117,13 +123,20 @@ def deserialize(text: str) -> g.ModelGraph:
         shape = g.TensorShape(*shape_raw)
     except CndkitError as exc:
         raise ParseError(str(exc), field="input_shape") from exc
-    model = g.ModelGraph(name=name, input_shape=shape, num_classes=num_classes, metadata=dict(metadata))
+    ids: set[str] = set()
+    nodes: list[g.LayerNode] = []
     for i, entry in enumerate(nodes_raw):
         node = _parse_node(entry, i)
         try:
-            model = g.add_layer(model, node)
+            g.check_append(ids, node)
         except CndkitError as exc:
             raise ParseError(str(exc), field=f"nodes[{i}]") from exc
+        ids.add(node.id)
+        nodes.append(node)
+    model = g.ModelGraph(
+        name=name, input_shape=shape, num_classes=num_classes, nodes=tuple(nodes),
+        metadata=dict(metadata),
+    )
     try:
         g.validate(model)
     except CndkitError as exc:

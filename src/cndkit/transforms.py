@@ -132,9 +132,14 @@ def strategy1_replace_kernels(graph: ModelGraph) -> tuple[ModelGraph, PassReport
 _REWRITABLE_KINDS = (Conv2D, SeparableConv2D, MaxPool, BatchNorm, Activation, Add)
 
 
-def _module_structure(graph: ModelGraph, ids: list[str], module: str):
-    """Pick apart one tagged module: input, main convs, pool, add, projection."""
-    by_id = graph.node_map()
+def _module_structure(
+    by_id: dict[str, LayerNode], consumers: dict[str, list[str]], ids: list[str], module: str
+):
+    """Pick apart one tagged module: input, main convs, pool, add, projection.
+
+    ``by_id`` and ``consumers`` are the graph's ``node_map()`` and
+    ``consumers()``, built once by the caller for all its modules.
+    """
     id_set = set(ids)
     nodes = [by_id[i] for i in ids]
     for node in nodes:
@@ -169,7 +174,6 @@ def _module_structure(graph: ModelGraph, ids: list[str], module: str):
             f"module {module!r} has more than one pool or add; cannot rewrite"
         )
 
-    consumers = graph.consumers()
     tails = [n.id for n in nodes if not any(c in id_set for c in consumers[n.id])]
     if len(tails) != 1:
         raise ModuleStructureError(f"module {module!r} must have a single output, found {tails}")
@@ -196,7 +200,9 @@ def strategy2_insert_fire(
         return graph, PassReport("strategy2_insert_fire", (), params_before, params_before)
 
     shapes = infer_shapes(graph)
-    existing_ids = {n.id for n in graph.nodes}
+    by_id = graph.node_map()
+    consumers = graph.consumers()
+    existing_ids = set(by_id)
     remap: dict[str, str] = {}
     changed: list[NodeChange] = []
     new_nodes: list[LayerNode] = []
@@ -211,7 +217,7 @@ def strategy2_insert_fire(
 
     def rebuild(module: str, spec: FireModuleSpec) -> None:
         module_input, main_convs, pool, add_node, proj, proj_bn, old_tail = _module_structure(
-            graph, groups[module], module
+            by_id, consumers, groups[module], module
         )
         source = remap.get(module_input, module_input)
         in_shape = shapes[module_input]
@@ -261,7 +267,6 @@ def strategy2_insert_fire(
         else:
             remap[old_tail] = main_tail
 
-    by_id = graph.node_map()
     for node_id in topo_sort(graph):
         node = by_id[node_id]
         module = module_of(node.tag)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
+from cndkit.errors import CycleDetectedError
 from cndkit.graph import (
     Activation,
     Add,
@@ -126,6 +127,22 @@ def random_graph(
     return validate(graph)
 
 
+def random_wiring(rng: random.Random, max_nodes: int = 30, name: str = "wiring") -> ModelGraph:
+    """A random DAG stored in dependency order, for order and wiring tests.
+
+    Each node takes 0-2 inputs drawn from earlier nodes, repeats allowed, so
+    there are several roots and long parallel branches. Kinds only match the
+    arity (Input, Conv2D, Add); shapes are not meant to check out.
+    """
+    nodes: list[LayerNode] = []
+    for i in range(rng.randint(1, max_nodes)):
+        arity = rng.choice((0, 1, 1, 2, 2)) if i else 0
+        inputs = tuple(f"w{rng.randrange(i)}" for _ in range(arity))
+        kind = (Input(), Conv2D(4, 1), Add())[arity]
+        nodes.append(LayerNode(f"w{i}", kind, inputs))
+    return ModelGraph(name=name, input_shape=TensorShape(8, 8, 3), num_classes=2, nodes=tuple(nodes))
+
+
 # -- oracles ---------------------------------------------------------------------
 
 
@@ -182,6 +199,28 @@ def oracle_shapes(graph: ModelGraph) -> dict[str, tuple[int, int, int]]:
         else:
             raise AssertionError(f"oracle: unhandled kind {kind}")
     return shapes
+
+
+def oracle_topo_sort(graph: ModelGraph) -> list[str]:
+    """Topological order by the quadratic rule: at each step place the first
+    stored node whose id is unplaced and whose inputs are all placed.
+
+    Raises CycleDetectedError with the unplaced ids in stored order when no
+    node is ready before every node is placed.
+    """
+    placed: set[str] = set()
+    order: list[str] = []
+    nodes = list(graph.nodes)
+    while len(order) < len(nodes):
+        ready = next(
+            (n for n in nodes if n.id not in placed and all(i in placed for i in n.inputs)),
+            None,
+        )
+        if ready is None:
+            raise CycleDetectedError([n.id for n in nodes if n.id not in placed])
+        placed.add(ready.id)
+        order.append(ready.id)
+    return order
 
 
 def oracle_node_params(node: LayerNode, in_shape: tuple[int, int, int] | None) -> int:

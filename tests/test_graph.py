@@ -1,6 +1,9 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cndkit.errors import (
     ArityError,
@@ -29,7 +32,7 @@ from cndkit.graph import (
     topo_sort,
     validate,
 )
-from graphgen import random_graph
+from graphgen import oracle_topo_sort, random_graph, random_wiring
 
 
 def _empty(h=8, w=8, c=3):
@@ -139,6 +142,93 @@ class TestTopoSort:
             for node in graph.nodes:
                 for src in node.inputs:
                     assert position[src] < position[node.id]
+
+
+def _sort_outcome(sort, graph):
+    """``("order", ids)`` or ``("cycle", node_ids)`` for one sort of ``graph``."""
+    try:
+        return "order", sort(graph)
+    except CycleDetectedError as exc:
+        return "cycle", exc.node_ids
+
+
+def _descendants(graph, node_id):
+    consumers = graph.consumers()
+    seen, stack = {node_id}, [node_id]
+    while stack:
+        for nxt in consumers[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+@st.composite
+def _stored_graphs(draw, mutation=None):
+    """A generated layer graph or DAG, its nodes stored in a drawn order, and
+    optionally broken: one input pointed back at a descendant (a cycle), at
+    an id no node has (dangling), or one node renamed to another's id.
+
+    Returns the graph and the ids the break must leave unplaced."""
+    make = draw(st.sampled_from((random_graph, random_wiring)))
+    graph = make(random.Random(draw(st.integers(0, 2**32 - 1))))
+    nodes = list(graph.nodes)
+    mutation = mutation or draw(st.sampled_from(("none", "cycle", "dangling", "duplicate")))
+    consumers_of = [i for i, n in enumerate(nodes) if n.inputs]
+    culprits: set[str] = set()
+    if mutation == "cycle" and consumers_of:
+        i = draw(st.sampled_from(consumers_of))
+        back = draw(st.sampled_from(sorted(_descendants(graph, nodes[i].id))))
+        slot = draw(st.integers(0, len(nodes[i].inputs) - 1))
+        inputs = list(nodes[i].inputs)
+        inputs[slot] = back
+        nodes[i] = dataclasses.replace(nodes[i], inputs=tuple(inputs))
+        culprits = {nodes[i].id, back}
+    elif mutation == "dangling" and consumers_of:
+        i = draw(st.sampled_from(consumers_of))
+        nodes[i] = dataclasses.replace(nodes[i], inputs=("ghost",) + nodes[i].inputs[1:])
+        culprits = {nodes[i].id}
+    elif mutation == "duplicate" and len(nodes) > 1:
+        i, j = draw(st.lists(st.integers(0, len(nodes) - 1), min_size=2, max_size=2, unique=True))
+        nodes[i] = dataclasses.replace(nodes[i], id=nodes[j].id)
+    nodes = draw(st.permutations(nodes))
+    return dataclasses.replace(graph, nodes=tuple(nodes)), culprits
+
+
+class TestTopoSortProperties:
+    """topo_sort against the quadratic first-ready-in-stored-order rule."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_stored_graphs())
+    def test_matches_quadratic_rule(self, case):
+        graph, _culprits = case
+        assert _sort_outcome(topo_sort, graph) == _sort_outcome(oracle_topo_sort, graph)
+
+    @settings(deadline=None)
+    @given(st.one_of(_stored_graphs(mutation="cycle"), _stored_graphs(mutation="dangling")))
+    def test_break_lists_unplaced_ids_in_stored_order(self, case):
+        graph, culprits = case
+        assume(culprits)
+        with pytest.raises(CycleDetectedError) as exc:
+            topo_sort(graph)
+        unplaced = exc.value.node_ids
+        assert culprits <= set(unplaced)
+        assert list(unplaced) == [n.id for n in graph.nodes if n.id in set(unplaced)]
+        assert _sort_outcome(oracle_topo_sort, graph) == ("cycle", unplaced)
+
+    def test_ties_follow_stored_order_not_id(self):
+        graph = ModelGraph(
+            name="ties",
+            input_shape=TensorShape(8, 8, 3),
+            num_classes=2,
+            nodes=(
+                LayerNode("z", Conv2D(4, 1), ("a",)),
+                LayerNode("y", Add(), ("z", "x")),
+                LayerNode("x", Conv2D(4, 1), ("a",)),
+                LayerNode("a", Input()),
+            ),
+        )
+        assert topo_sort(graph) == ["a", "z", "x", "y"]
 
 
 class TestInferShapes:

@@ -1,3 +1,4 @@
+import csv
 import random
 
 import pytest
@@ -218,3 +219,42 @@ class TestExportPlotData:
         rows = export_plot_data(records, cfg).strip().splitlines()[3:]
         for record, row in zip(records, rows):
             assert classify_quadrant(record, cfg, frontier).value == row.split(",")[3]
+
+    def test_model_cell_quoted_only_when_needed(self):
+        records = [
+            _record(model="resnet,v2", acc=80, mem=10),
+            _record(model='say "hi"', acc=60, mem=20),
+            _record(model="plain", acc=50, mem=30),
+        ]
+        rows = export_plot_data(records, QuadrantConfig()).splitlines()[3:]
+        assert rows[0] == '"resnet,v2",80,10,HighAccLowMem,true'
+        assert rows[1] == '"say ""hi""",60,20,LowAccLowMem,false'
+        assert rows[2] == "plain,50,30,LowAccHighMem,false"
+        cells = list(csv.reader(rows))
+        assert [len(c) for c in cells] == [5, 5, 5]
+        assert [c[0] for c in cells] == ["resnet,v2", 'say "hi"', "plain"]
+
+    def test_fixture_rows_unchanged(self):
+        cfg = QuadrantConfig()
+        for name in ("caltech101", "pcb_scratch", "pcb_pretrained"):
+            records = load_fixture(name)
+            frontier = resolve_memory_frontier(records, cfg)
+            front = oracle_pareto_front(records)
+            rows = export_plot_data(records, cfg).splitlines()[3:]
+            assert rows == [
+                f"{r.model},{r.test_acc:g},{r.avg_mem_mb:g},"
+                f"{classify_quadrant(r, cfg, frontier).value},{'true' if r in front else 'false'}"
+                for r in records
+            ]
+
+    def test_on_front_matches_equality_with_duplicates(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            records = [
+                _record(model=f"m{rng.randint(0, 3)}", acc=rng.choice((40, 60, 80)),
+                        mem=rng.choice((10, 20, 30)))
+                for _ in range(rng.randint(1, 30))
+            ]
+            front = oracle_pareto_front(records)
+            rows = export_plot_data(records, QuadrantConfig()).splitlines()[3:]
+            assert [row.split(",")[4] == "true" for row in rows] == [r in front for r in records]

@@ -65,3 +65,85 @@ def test_dangling_input_rejected(xception):
     doc["nodes"][1]["inputs"] = ["nowhere"]
     with pytest.raises(ParseError):
         deserialize(json.dumps(doc))
+
+
+def test_zoo_text_round_trip(xception, optimized, mobilenet):
+    for graph in (xception, optimized, mobilenet):
+        text = serialize(graph)
+        assert serialize(deserialize(text)) == text
+
+
+def _rejection(doc: dict) -> ParseError:
+    with pytest.raises(ParseError) as exc:
+        deserialize(json.dumps(doc))
+    return exc.value
+
+
+def test_duplicate_id_rejected_at_entry(xception):
+    doc = json.loads(serialize(xception))
+    doc["nodes"][2]["id"] = "stem_conv1"
+    err = _rejection(doc)
+    assert err.field == "nodes[2]"
+    assert str(err) == "node id 'stem_conv1' already present (field 'nodes[2]')"
+
+
+def test_unknown_input_rejected_at_entry(xception):
+    doc = json.loads(serialize(xception))
+    doc["nodes"][3]["inputs"] = ["nowhere"]
+    err = _rejection(doc)
+    assert err.field == "nodes[3]"
+    assert str(err) == (
+        "node 'stem_conv1_act' references unknown input 'nowhere' (field 'nodes[3]')"
+    )
+
+
+def test_forward_input_rejected_at_entry(xception):
+    doc = json.loads(serialize(xception))
+    doc["nodes"][1]["inputs"] = ["stem_conv2"]
+    err = _rejection(doc)
+    assert err.field == "nodes[1]"
+    assert str(err) == (
+        "node 'stem_conv1' references unknown input 'stem_conv2' (field 'nodes[1]')"
+    )
+
+
+def test_self_input_rejected_at_entry(xception):
+    doc = json.loads(serialize(xception))
+    doc["nodes"][4]["inputs"] = ["stem_conv2"]
+    err = _rejection(doc)
+    assert err.field == "nodes[4]"
+    assert "references unknown input 'stem_conv2'" in str(err)
+
+
+def test_wrong_arity_rejected_at_entry(xception):
+    doc = json.loads(serialize(xception))
+    doc["nodes"][1]["inputs"] = ["input", "input"]
+    err = _rejection(doc)
+    assert err.field == "nodes[1]"
+    assert str(err) == "node 'stem_conv1' (Conv2D) needs 1 input(s), got 2 (field 'nodes[1]')"
+
+    doc = json.loads(serialize(xception))
+    add = next(i for i, n in enumerate(doc["nodes"]) if n["kind"] == "Add")
+    doc["nodes"][add]["inputs"] = doc["nodes"][add]["inputs"][:1]
+    err = _rejection(doc)
+    assert err.field == f"nodes[{add}]"
+    assert str(err) == (
+        f"node 'entry_m2_add' (Add) needs 2 input(s), got 1 (field 'nodes[{add}]')"
+    )
+
+
+def test_first_bad_entry_is_reported(xception):
+    doc = json.loads(serialize(xception))
+    doc["nodes"][5]["id"] = "input"  # duplicate at 5
+    doc["nodes"][3]["inputs"] = ["input", "input"]  # arity at 3
+    doc["nodes"][7]["kind"] = "FancyConv"  # parse error after both
+    assert _rejection(doc).field == "nodes[3]"
+
+
+def test_duplicate_checked_before_inputs(xception):
+    doc = json.loads(serialize(xception))
+    doc["nodes"][2]["id"] = "input"
+    doc["nodes"][2]["inputs"] = ["nowhere"]
+    err = _rejection(doc)
+    assert err.field == "nodes[2]"
+    assert str(err) == "node id 'input' already present (field 'nodes[2]')"
