@@ -8,9 +8,11 @@ memory) Pareto analysis over measurement data.
 
 from .analyzer import (
     LayerParams,
+    LayerRow,
     MemoryEstimate,
     ParamReport,
     activation_sizes,
+    analyze,
     count_params,
     count_params_layer,
     flops_estimate,
@@ -80,8 +82,9 @@ __all__ = [
     "validate", "serialize", "deserialize", "save_model", "load_model",
     "FireModuleSpec", "OptimizedConfig", "DEFAULT_OPTIMIZED_CONFIG",
     "build_xception", "build_optimized_xception", "build_mobilenet_v2", "make_fire_module",
-    "LayerParams", "ParamReport", "MemoryEstimate", "count_params", "count_params_layer",
-    "flops_estimate", "activation_sizes", "memory_estimate", "round_params_millions",
+    "LayerParams", "LayerRow", "ParamReport", "MemoryEstimate", "analyze", "count_params",
+    "count_params_layer", "flops_estimate", "activation_sizes", "memory_estimate",
+    "round_params_millions",
     "PassReport", "DownsampleAudit", "strategy1_replace_kernels", "strategy2_insert_fire",
     "strategy3_audit", "validate_fire_constraints", "diff", "structurally_equal",
     "ModelMeasurement", "Quadrant", "QuadrantConfig", "load_measurements", "load_fixture",

@@ -1,15 +1,20 @@
 """Static resource analysis: parameters, FLOPs, activations, memory.
 
-Parameter accounting per layer kind (C = input channels, M = filters,
-K = kernel elements, i.e. 1 or 9):
+Every analysis here is a fold over ``analyze(graph)``: one row per node, in
+topological order, holding the node, its input and output shapes and its
+parameter entry. Per layer kind (C = input channels, M = filters, K = kernel
+elements, i.e. 1 or 9):
 
-    Conv2D            kernel = C*M*K            aux = M if bias else 0
-    SeparableConv2D   kernel = C*K + C*M        aux = 0 (never biased)
-    BatchNorm         kernel = 0                aux = 4C (2C trainable + 2C stats)
-    Dense             kernel = units*C_flat     aux = units if bias else 0
-    Pool/Add/Act/...  0
+    kind              kernel params       aux params               MACs
+    Conv2D            C*M*K               M if bias else 0         H'W' * C*M*K
+    SeparableConv2D   C*K + C*M           0 (never biased)         H'W' * (C*K + C*M)
+    BatchNorm         0                   4C (2C train + 2C stats) 0
+    Dense             units*C_flat        units if bias else 0     units*C_flat
+    Pool/Add/Act/...  0                   0                        0
 
-Dense flattens its input, so C_flat = H*W*C of the incoming shape.
+Dense flattens its input, so C_flat = H*W*C of the incoming shape. MACs are
+``H'W' * kernel params`` for every kind, H'W' being the output area: a
+Dense output is 1x1, and a bias adds no multiply.
 
 The memory model is deliberately coarse: 4 bytes per scalar, gradients and
 optimizer state sized by trainable params (momentum 1x, adaptive 2x), training
@@ -23,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .graph import (
@@ -34,7 +40,6 @@ from .graph import (
     SeparableConv2D,
     TensorShape,
     infer_shapes,
-    topo_sort,
 )
 
 BYTES_PER_SCALAR = 4
@@ -98,54 +103,60 @@ def _layer_input_channels(kind, shape_in: TensorShape | None) -> int:
     return shape_in.channels
 
 
-def count_params(graph: ModelGraph) -> ParamReport:
-    """Parameter report over the whole graph, per-layer entries in topo order."""
+class LayerRow(NamedTuple):
+    """One node of ``analyze``: its shapes and parameter entry."""
+
+    node: LayerNode
+    shape_in: TensorShape | None  # first input's shape; None for the Input node
+    shape_out: TensorShape
+    params: LayerParams
+
+    @property
+    def macs(self) -> int:
+        return self.shape_out.area * self.params.kernel_params
+
+
+def analyze(graph: ModelGraph) -> list[LayerRow]:
+    """One row per node, in topological order, from a single shape inference.
+
+    ``infer_shapes`` keys its result in topological order, so the rows need
+    no second sort.
+    """
     shapes = infer_shapes(graph)
     by_id = graph.node_map()
-    per_layer: list[LayerParams] = []
-    total = 0
-    non_trainable = 0
-    for node_id in topo_sort(graph):
+    rows: list[LayerRow] = []
+    for node_id, shape_out in shapes.items():
         node = by_id[node_id]
         shape_in = shapes[node.inputs[0]] if node.inputs else None
         entry = count_params_layer(node, _layer_input_channels(node.kind, shape_in))
-        per_layer.append(entry)
-        total += entry.total
-        if isinstance(node.kind, BatchNorm):
-            non_trainable += 2 * entry.channels_in  # moving statistics
-    return ParamReport(tuple(per_layer), total, total - non_trainable)
+        rows.append(LayerRow(node, shape_in, shape_out, entry))
+    return rows
+
+
+def total_params(rows: list[LayerRow]) -> int:
+    return sum(row.params.total for row in rows)
+
+
+def count_params(graph: ModelGraph) -> ParamReport:
+    """Parameter report over the whole graph, per-layer entries in topo order."""
+    rows = analyze(graph)
+    total = total_params(rows)
+    moving_stats = sum(2 * r.params.channels_in for r in rows if isinstance(r.node.kind, BatchNorm))
+    return ParamReport(tuple(row.params for row in rows), total, total - moving_stats)
 
 
 def flops_estimate(graph: ModelGraph, input_shape: TensorShape | None = None) -> int:
     """Multiply-accumulate count for one forward pass at batch 1."""
     if input_shape is not None and input_shape != graph.input_shape:
         graph = dataclasses.replace(graph, input_shape=input_shape)
-    shapes = infer_shapes(graph)
-    by_id = graph.node_map()
-    macs = 0
-    for node_id in topo_sort(graph):
-        node = by_id[node_id]
-        kind = node.kind
-        if not node.inputs:
-            continue
-        out = shapes[node_id]
-        shape_in = shapes[node.inputs[0]]
-        if isinstance(kind, Conv2D):
-            macs += out.area * kind.filters * shape_in.channels * kind.kernel * kind.kernel
-        elif isinstance(kind, SeparableConv2D):
-            c = shape_in.channels
-            macs += out.area * (c * kind.kernel * kind.kernel + c * kind.filters)
-        elif isinstance(kind, Dense):
-            macs += kind.units * shape_in.elements
-    return macs
+    return sum(row.macs for row in analyze(graph))
 
 
 def activation_sizes(graph: ModelGraph, batch: int = 1) -> list[tuple[str, int]]:
     """Output element count (batch * H * W * C) per node, in topo order."""
     if batch < 1:
         raise ValidationError(f"batch must be >= 1, got {batch}")
-    shapes = infer_shapes(graph)
-    return [(node_id, batch * shapes[node_id].elements) for node_id in topo_sort(graph)]
+    return [(row.node.id, batch * row.shape_out.elements) for row in analyze(graph)]
 
 
 @dataclass(frozen=True)
@@ -168,21 +179,8 @@ class MemoryEstimate:
     assumptions: MemoryAssumptions
 
     def as_dict(self) -> dict:
-        return {
-            "weights_bytes": self.weights_bytes,
-            "gradients_bytes": self.gradients_bytes,
-            "optimizer_state_bytes": self.optimizer_state_bytes,
-            "activations_bytes": self.activations_bytes,
-            "total_bytes": self.total_bytes,
-            "assumptions": {
-                "bytes_per_scalar": self.assumptions.bytes_per_scalar,
-                "optimizer": self.assumptions.optimizer,
-                "optimizer_state_multiplier": self.assumptions.optimizer_state_multiplier,
-                "batch_size": self.assumptions.batch_size,
-                "mode": self.assumptions.mode,
-                "overhead_bytes": self.assumptions.overhead_bytes,
-            },
-        }
+        """Fields by name, in declaration order, with ``assumptions`` nested."""
+        return dataclasses.asdict(self)
 
 
 def memory_estimate(
@@ -217,25 +215,13 @@ def memory_estimate(
         gradients = 0
         optimizer_state = 0
         by_node = dict(sizes)
-        peak = 0
-        for node in graph.nodes:
-            footprint = by_node[node.id] + sum(by_node[i] for i in node.inputs)
-            peak = max(peak, footprint)
+        peak = max(
+            (by_node[n.id] + sum(by_node[i] for i in n.inputs) for n in graph.nodes), default=0
+        )
         activations = peak * BYTES_PER_SCALAR
 
     total = weights + gradients + optimizer_state + activations + overhead_bytes
-    return MemoryEstimate(
-        weights_bytes=weights,
-        gradients_bytes=gradients,
-        optimizer_state_bytes=optimizer_state,
-        activations_bytes=activations,
-        total_bytes=total,
-        assumptions=MemoryAssumptions(
-            bytes_per_scalar=BYTES_PER_SCALAR,
-            optimizer=optimizer,
-            optimizer_state_multiplier=multiplier,
-            batch_size=batch,
-            mode=mode,
-            overhead_bytes=overhead_bytes,
-        ),
+    assumptions = MemoryAssumptions(
+        BYTES_PER_SCALAR, optimizer, multiplier, batch, mode, overhead_bytes
     )
+    return MemoryEstimate(weights, gradients, optimizer_state, activations, total, assumptions)

@@ -128,10 +128,6 @@ def cmd_build(model, classes, input_spec, config_path, out_path):
         )
 
 
-def _load_graph(path: str) -> ModelGraph:
-    return load_model(path)
-
-
 @main.command("transform")
 @click.option("--in", "in_path", required=True, help="Input model JSON.")
 @click.option("--pass", "pass_name", type=click.Choice(["strategy1", "strategy2", "all"]),
@@ -143,7 +139,7 @@ def _load_graph(path: str) -> ModelGraph:
 def cmd_transform(in_path, pass_name, specs_path, out_path, report_path):
     """Run parameter-reduction passes over a model."""
     with _handled():
-        graph = _load_graph(in_path)
+        graph = load_model(in_path)
         specs = _load_specs_map(specs_path) if specs_path else {}
         reports = []
         if pass_name in ("strategy1", "all"):
@@ -228,7 +224,7 @@ def _analysis_table(payload: dict) -> str:
 def cmd_analyze(in_path, fmt, batch, mode, optimizer):
     """Print parameter, FLOP, and memory analysis for a model."""
     with _handled():
-        graph = _load_graph(in_path)
+        graph = load_model(in_path)
         optimizer_name = "sgd_momentum" if optimizer == "sgd" else optimizer
         payload = _analysis_payload(graph, batch, mode, optimizer_name)
         if fmt == "json":
@@ -243,8 +239,8 @@ def cmd_analyze(in_path, fmt, batch, mode, optimizer):
 def cmd_diff(a_path, b_path):
     """Show a per-module comparison of two models."""
     with _handled():
-        a = _load_graph(a_path)
-        b = _load_graph(b_path)
+        a = load_model(a_path)
+        b = load_model(b_path)
         click.echo(transforms.diff(a, b), nl=False)
 
 
@@ -269,16 +265,13 @@ def cmd_pareto(csv_path, accuracy_frontier, memory_frontier_opt, out_path):
                     f"--memory-frontier must be 'auto' or a number, got {memory_frontier_opt!r}"
                 ) from exc
         config = pareto.QuadrantConfig(accuracy_frontier=accuracy_frontier, memory_frontier=explicit)
-        frontier_mem = pareto.resolve_memory_frontier(records, config) if records else float("nan")
-        front = pareto.pareto_front(records)
+        frontier_mem, front, placements = pareto.place_records(records, config)
         click.echo(f"accuracy_frontier={config.accuracy_frontier:g}")
         click.echo(f"memory_frontier={frontier_mem:g}")
-        for record in records:
-            quadrant = pareto.classify_quadrant(record, config, frontier_mem)
-            on_front = "true" if record in front else "false"
+        for record, quadrant, on_front in placements:
             click.echo(
                 f"{record.model}: test_acc={record.test_acc:g} mem={record.avg_mem_mb:g} "
-                f"quadrant={quadrant.value} on_front={on_front}"
+                f"quadrant={quadrant.value} on_front={'true' if on_front else 'false'}"
             )
         click.echo("pareto_front: " + ", ".join(r.model for r in front))
         if out_path:

@@ -346,7 +346,7 @@ def _window_dim(dim: int, window: int, stride: int, padding: str, node_id: str) 
 
 
 def infer_shapes(graph: ModelGraph) -> dict[str, TensorShape]:
-    """Output shape of every node, keyed by node id.
+    """Output shape of every node, keyed by node id in ``topo_sort`` order.
 
     Same padding: ceil(dim/stride). Valid padding: floor((dim-k)/stride)+1.
     Dense and GlobalAvgPool collapse spatial dims to 1x1.
@@ -397,31 +397,22 @@ def infer_shapes(graph: ModelGraph) -> dict[str, TensorShape]:
 def validate(graph: ModelGraph) -> ModelGraph:
     """Check all structural invariants; return the graph unchanged.
 
-    Validates: unique ids, existing inputs, per-kind arity, exactly one
-    Input node, acyclicity, exactly one terminal node, and shape
-    consistency (including Add input equality).
+    The nodes must be stored in dependency order: each one passes
+    ``check_append`` against the nodes before it (new id, known inputs,
+    arity of its kind). A list with no forward reference is acyclic, so a
+    cycle is reported as an unknown input of its first stored node. Then:
+    exactly one Input node, positive ``num_classes``, exactly one terminal
+    node, and shape consistency (including Add input equality).
     """
-    seen: set[str] = set()
+    ids: set[str] = set()
     for node in graph.nodes:
-        if node.id in seen:
-            raise DuplicateIdError(f"node id {node.id!r} appears more than once")
-        seen.add(node.id)
-    for node in graph.nodes:
-        for src in node.inputs:
-            if src not in seen:
-                raise UnknownInputError(f"node {node.id!r} references unknown input {src!r}")
-        want = expected_arity(node.kind)
-        if len(node.inputs) != want:
-            raise ArityError(
-                f"node {node.id!r} ({type(node.kind).__name__}) needs {want} input(s), "
-                f"got {len(node.inputs)}"
-            )
+        check_append(ids, node)
+        ids.add(node.id)
     inputs = [n.id for n in graph.nodes if isinstance(n.kind, Input)]
     if len(inputs) != 1:
         raise ValidationError(f"graph must have exactly one Input node, found {inputs}")
     if graph.num_classes < 1:
         raise ValidationError(f"num_classes must be positive, got {graph.num_classes}")
-    topo_sort(graph)
     graph.terminal_id()
     infer_shapes(graph)
     return graph

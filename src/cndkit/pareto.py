@@ -17,6 +17,8 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
 
@@ -61,6 +63,10 @@ class ModelMeasurement:
                 raise MeasurementRangeError(
                     f"{self.model!r}: {name}={v} outside [0, 100]"
                 )
+        if not math.isfinite(self.avg_mem_mb):
+            raise MeasurementRangeError(
+                f"{self.model!r}: avg_mem_mb={self.avg_mem_mb} must be finite"
+            )
         if self.avg_mem_mb <= 0:
             raise MeasurementRangeError(
                 f"{self.model!r}: avg_mem_mb={self.avg_mem_mb} must be positive"
@@ -77,6 +83,9 @@ class QuadrantConfig:
             raise MeasurementRangeError(
                 f"accuracy_frontier={self.accuracy_frontier} outside (0, 100)"
             )
+        mem = self.memory_frontier
+        if mem is not None and not (math.isfinite(mem) and mem > 0):
+            raise MeasurementRangeError(f"memory_frontier={mem} must be positive and finite")
 
 
 def _parse_float(value: str, row: int, column: str) -> float:
@@ -212,29 +221,43 @@ def _csv_cell(text: str) -> str:
     return text
 
 
+def place_records(
+    records: list[ModelMeasurement], config: QuadrantConfig
+) -> tuple[float, list[ModelMeasurement], Iterator[tuple[ModelMeasurement, Quadrant, bool]]]:
+    """The memory frontier, ``pareto_front(records)`` and, lazily, one
+    ``(record, quadrant, on_front)`` per record in input order.
+
+    Without records the frontier is the explicit one, else NaN. Front
+    membership is by identity: equal records always land in the same front
+    group, so this matches equality and keeps the sweep O(n log n).
+    """
+    if records or config.memory_frontier is not None:
+        frontier_mem = resolve_memory_frontier(records, config)
+    else:
+        frontier_mem = float("nan")
+    front = pareto_front(records)
+    on_front_ids = {id(r) for r in front}
+    placements = (
+        (r, classify_quadrant(r, config, frontier_mem), id(r) in on_front_ids) for r in records
+    )
+    return frontier_mem, front, placements
+
+
 def export_plot_data(records: list[ModelMeasurement], config: QuadrantConfig) -> str:
     """CSV of (model, test_acc, avg_mem_mb, quadrant, on_front) rows plus
     comment lines carrying both frontier values.
 
     Model names are the only free-text cell and are quoted when needed.
-    Front membership is by identity against ``pareto_front(records)``:
-    equal records always land in the same front group, so this matches
-    equality and keeps the export O(n log n).
     """
-    if records:
-        frontier_mem = resolve_memory_frontier(records, config)
-    else:
-        frontier_mem = config.memory_frontier if config.memory_frontier is not None else float("nan")
-    on_front_ids = {id(r) for r in pareto_front(records)}
+    frontier_mem, _front, placements = place_records(records, config)
     lines = [
         f"# accuracy_frontier={config.accuracy_frontier:g}",
         f"# memory_frontier={frontier_mem:g}",
         "model,test_acc,avg_mem_mb,quadrant,on_front",
     ]
-    for record in records:
-        quadrant = classify_quadrant(record, config, frontier_mem)
-        on_front = "true" if id(record) in on_front_ids else "false"
+    for record, quadrant, on_front in placements:
         lines.append(
-            f"{_csv_cell(record.model)},{record.test_acc:g},{record.avg_mem_mb:g},{quadrant.value},{on_front}"
+            f"{_csv_cell(record.model)},{record.test_acc:g},{record.avg_mem_mb:g},"
+            f"{quadrant.value},{'true' if on_front else 'false'}"
         )
     return "\n".join(lines) + "\n"

@@ -37,7 +37,6 @@ from .graph import (
     ModelGraph,
     SeparableConv2D,
     TensorShape,
-    infer_shapes,
     is_conv,
     module_groups,
     module_of,
@@ -91,33 +90,28 @@ def strategy1_replace_kernels(graph: ModelGraph) -> tuple[ModelGraph, PassReport
     touched, which makes the pass idempotent. Filters, stride, and padding
     are untouched.
     """
-    order = {node_id: i for i, node_id in enumerate(topo_sort(graph))}
-    by_id = graph.node_map()
-    targets: list[str] = []
-    for ids in module_groups(graph).values():
-        seps = sorted(
-            (i for i in ids if isinstance(by_id[i].kind, SeparableConv2D)),
-            key=order.__getitem__,
-        )
-        if seps and by_id[seps[0]].kind.kernel == 3:
-            targets.append(seps[0])
+    rows = analyzer.analyze(graph)
+    leading: dict[str, LayerNode] = {}
+    for row in rows:
+        module = module_of(row.node.tag)
+        if module is not None and isinstance(row.node.kind, SeparableConv2D):
+            leading.setdefault(module, row.node)
+    targets = {node.id for node in leading.values() if node.kind.kernel == 3}
 
-    params_before = analyzer.count_params(graph).total
+    params_before = analyzer.total_params(rows)
     if not targets:
         return graph, PassReport("strategy1_replace_kernels", (), params_before, params_before)
 
     changed: list[NodeChange] = []
     new_nodes: list[LayerNode] = []
-    target_set = set(targets)
-    for node in graph.nodes:
-        if node.id in target_set:
+    for row in rows:
+        node = row.node
+        if node.id in targets:
             new_kind = dataclasses.replace(node.kind, kernel=1)
             changed.append(NodeChange(node.id, _describe(node.kind), _describe(new_kind)))
-            new_nodes.append(dataclasses.replace(node, kind=new_kind))
-        else:
-            new_nodes.append(node)
+            node = dataclasses.replace(node, kind=new_kind)
+        new_nodes.append(node)
     result = dataclasses.replace(graph, nodes=tuple(new_nodes))
-    changed.sort(key=lambda c: order[c.node_id])
     report = PassReport(
         "strategy1_replace_kernels",
         tuple(changed),
@@ -195,11 +189,12 @@ def strategy2_insert_fire(
         if tag not in groups:
             raise UnknownModuleTagError(f"no module tagged {tag!r} in graph {graph.name!r}")
         check_fire_spec(spec, module=tag)
-    params_before = analyzer.count_params(graph).total
+    rows = analyzer.analyze(graph)
+    params_before = analyzer.total_params(rows)
     if not specs:
         return graph, PassReport("strategy2_insert_fire", (), params_before, params_before)
 
-    shapes = infer_shapes(graph)
+    shapes = {row.node.id: row.shape_out for row in rows}
     by_id = graph.node_map()
     consumers = graph.consumers()
     existing_ids = set(by_id)
@@ -267,8 +262,8 @@ def strategy2_insert_fire(
         else:
             remap[old_tail] = main_tail
 
-    for node_id in topo_sort(graph):
-        node = by_id[node_id]
+    for row in rows:
+        node = row.node
         module = module_of(node.tag)
         if module in specs:
             if module not in emitted:
@@ -322,24 +317,14 @@ def strategy3_audit(graph: ModelGraph) -> DownsampleAudit:
     nodes in the first half. Global average pooling is head collapse, not
     downsampling, and is excluded.
     """
-    shapes = infer_shapes(graph)
-    order = topo_sort(graph)
-    by_id = graph.node_map()
-    denom = max(len(order) - 1, 1)
-
-    entries: list[DownsampleEntry] = []
-    for pos, node_id in enumerate(order):
-        node = by_id[node_id]
-        kind = node.kind
-        if isinstance(kind, MaxPool) or (is_conv(kind) and kind.stride == 2):
-            entries.append(
-                DownsampleEntry(
-                    node_id=node_id,
-                    depth_fraction=pos / denom,
-                    input_shape=shapes[node.inputs[0]],
-                    output_shape=shapes[node_id],
-                )
-            )
+    rows = analyzer.analyze(graph)
+    denom = max(len(rows) - 1, 1)
+    entries = [
+        DownsampleEntry(row.node.id, pos / denom, row.shape_in, row.shape_out)
+        for pos, row in enumerate(rows)
+        if isinstance(row.node.kind, MaxPool)
+        or (is_conv(row.node.kind) and row.node.kind.stride == 2)
+    ]
 
     early = sum(1 for e in entries if e.depth_fraction < 0.5)
     flag = False
@@ -411,18 +396,17 @@ def structurally_equal(a: ModelGraph, b: ModelGraph) -> bool:
     return canon(a) == canon(b)
 
 
-def _module_summary(graph: ModelGraph, report) -> dict[str, dict]:
-    params_by_node = {entry.node_id: entry.total for entry in report.per_layer}
-    by_id = graph.node_map()
+def _module_summary(rows: list[analyzer.LayerRow]) -> dict[str, dict]:
     out: dict[str, dict] = {}
     untagged_params = 0
-    for node in graph.nodes:
+    for row in rows:
+        node = row.node
         module = module_of(node.tag)
         if module is None:
-            untagged_params += params_by_node[node.id]
+            untagged_params += row.params.total
             continue
         info = out.setdefault(module, {"kernels": [], "filters": [], "params": 0})
-        info["params"] += params_by_node[node.id]
+        info["params"] += row.params.total
         if is_conv(node.kind) and role_of(node.tag) != "residual":
             info["kernels"].append(node.kind.kernel)
             info["filters"].append(node.kind.filters)
@@ -439,10 +423,12 @@ def percentage_reduction(params_before: int, params_after: int) -> float:
 
 def diff(original: ModelGraph, transformed: ModelGraph) -> str:
     """Side-by-side per-module comparison of kernels, filters, and params."""
-    rep_a = analyzer.count_params(original)
-    rep_b = analyzer.count_params(transformed)
-    mods_a = _module_summary(original, rep_a)
-    mods_b = _module_summary(transformed, rep_b)
+    rows_a = analyzer.analyze(original)
+    rows_b = analyzer.analyze(transformed)
+    total_a = analyzer.total_params(rows_a)
+    total_b = analyzer.total_params(rows_b)
+    mods_a = _module_summary(rows_a)
+    mods_b = _module_summary(rows_b)
     modules = list(mods_a)
     for m in mods_b:
         if m not in modules:
@@ -469,11 +455,11 @@ def diff(original: ModelGraph, transformed: ModelGraph) -> str:
             f"{module:<18} {fmt(a, 'kernels'):>10} {fmt(a, 'filters'):>16} {fmt(a, 'params'):>12} "
             f"{fmt(b, 'kernels'):>10} {fmt(b, 'filters'):>16} {fmt(b, 'params'):>12} {delta:>+12,}"
         )
-    reduction = percentage_reduction(rep_a.total, rep_b.total)
+    reduction = percentage_reduction(total_a, total_b)
     lines.append("-" * len(header))
     lines.append(
-        f"{'total':<18} {'':>10} {'':>16} {rep_a.total:>12,} {'':>10} {'':>16} {rep_b.total:>12,} "
-        f"{rep_b.total - rep_a.total:>+12,}"
+        f"{'total':<18} {'':>10} {'':>16} {total_a:>12,} {'':>10} {'':>16} {total_b:>12,} "
+        f"{total_b - total_a:>+12,}"
     )
     lines.append(f"parameter reduction: {reduction:.1f}%")
     return "\n".join(lines) + "\n"

@@ -261,6 +261,28 @@ def oracle_params(graph: ModelGraph) -> tuple[dict[str, int], int]:
     return per_node, total
 
 
+def oracle_macs(graph: ModelGraph) -> int:
+    """Multiply-accumulates per kind over oracle_shapes: one per kernel weight
+    per output position for convs, one per weight for Dense, none elsewhere."""
+    shapes = oracle_shapes(graph)
+    total = 0
+    for node in graph.nodes:
+        kind = node.kind
+        if not node.inputs:
+            continue
+        out_h, out_w, _ = shapes[node.id]
+        in_h, in_w, c = shapes[node.inputs[0]]
+        if isinstance(kind, Conv2D):
+            total += out_h * out_w * kind.filters * c * kind.kernel * kind.kernel
+        elif isinstance(kind, SeparableConv2D):
+            depthwise = c * kind.kernel * kind.kernel
+            pointwise = c * kind.filters
+            total += out_h * out_w * (depthwise + pointwise)
+        elif isinstance(kind, Dense):
+            total += kind.units * in_h * in_w * c
+    return total
+
+
 def oracle_pareto_front(records):
     """O(n^2) brute-force non-dominated filtering, sorted like pareto_front."""
     front = []

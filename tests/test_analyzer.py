@@ -1,5 +1,14 @@
+import dataclasses
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cndkit.graph
 from cndkit.analyzer import (
     activation_sizes,
+    analyze,
     count_params,
     count_params_layer,
     flops_estimate,
@@ -16,7 +25,10 @@ from cndkit.graph import (
     TensorShape,
     add_layer,
     is_conv,
+    validate,
 )
+from cndkit.transforms import strategy3_audit
+from graphgen import oracle_macs, random_graph
 
 
 def _tiny(h, w, c, *nodes):
@@ -148,3 +160,62 @@ class TestMemoryEstimate:
             memory_estimate(small, batch=2).total_bytes
             < memory_estimate(large, batch=2).total_bytes
         )
+
+
+class TestAnalyzeTable:
+    def test_flops_match_oracle_on_random_graphs(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            graph = random_graph(rng)
+            assert flops_estimate(graph) == oracle_macs(graph)
+
+    def test_flops_match_oracle_on_zoo(self, xception, optimized, mobilenet):
+        for graph in (xception, optimized, mobilenet):
+            assert flops_estimate(graph) == oracle_macs(graph)
+
+    def test_rows_follow_topological_order(self):
+        graph = random_graph(random.Random(5), max_layers=12)
+        shuffled = list(graph.nodes)
+        random.Random(6).shuffle(shuffled)
+        rows = analyze(dataclasses.replace(graph, nodes=tuple(shuffled)))
+        position = {row.node.id: i for i, row in enumerate(rows)}
+        assert sorted(position) == sorted(n.id for n in graph.nodes)
+        for row in rows:
+            assert all(position[src] < position[row.node.id] for src in row.node.inputs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+    def test_results_ignore_stored_order(self, seed, shuffler):
+        graph = random_graph(random.Random(seed), max_layers=12)
+        nodes = list(graph.nodes)
+        shuffler.shuffle(nodes)
+        permuted = dataclasses.replace(graph, nodes=tuple(nodes))
+
+        def results(g):
+            report = count_params(g)
+            return (
+                report.total,
+                report.total_trainable,
+                sorted(report.per_layer, key=lambda e: e.node_id),
+                flops_estimate(g),
+                memory_estimate(g, batch=3, mode="training"),
+                memory_estimate(g, batch=3, mode="inference"),
+                strategy3_audit(g),
+            )
+
+        assert results(permuted) == results(graph)
+
+    @pytest.mark.parametrize(
+        "analysis", [count_params, flops_estimate, activation_sizes, strategy3_audit, validate]
+    )
+    def test_one_topological_sort_per_analysis(self, analysis, xception, monkeypatch):
+        calls = []
+        real = cndkit.graph.topo_sort
+
+        def counting(graph):
+            calls.append(graph.name)
+            return real(graph)
+
+        monkeypatch.setattr(cndkit.graph, "topo_sort", counting)
+        analysis(xception)
+        assert calls == [xception.name]

@@ -267,3 +267,29 @@ class TestPareto:
         )
         result = runner.invoke(main, ["pareto", "--csv", str(bad)])
         assert result.exit_code == 1
+
+
+class TestParetoNonFinite:
+    def _csv(self, tmp_path, mem_cell):
+        path = tmp_path / "m.csv"
+        path.write_text(
+            "model,experiment,train_acc,test_acc,avg_mem_mb,avg_epoch_time_s,avg_inf_time_ms,params\n"
+            f"a,e,50,60,100,,,\nb,e,50,70,{mem_cell},,,\n"
+        )
+        return str(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_nonfinite_memory_cell_exits_1(self, runner, tmp_path, cell):
+        result = runner.invoke(main, ["pareto", "--csv", self._csv(tmp_path, cell)])
+        assert result.exit_code == 1
+        assert "error: row 3: 'b': avg_mem_mb=" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-5", "0"])
+    def test_bad_explicit_memory_frontier_exits_1(self, runner, value):
+        result = runner.invoke(
+            main, ["pareto", "--csv", fixture_path("caltech101"), "--memory-frontier", value]
+        )
+        assert result.exit_code == 1
+        assert "error: memory_frontier=" in result.output
+        assert isinstance(result.exception, SystemExit)

@@ -39,6 +39,11 @@ def _empty(h=8, w=8, c=3):
     return ModelGraph(name="t", input_shape=TensorShape(h, w, c), num_classes=2)
 
 
+def _stored(*nodes):
+    """A graph holding ``nodes`` as given, without add_layer's checks."""
+    return dataclasses.replace(_empty(), nodes=nodes)
+
+
 def _chain(*nodes):
     graph = _empty()
     for node in nodes:
@@ -308,6 +313,34 @@ class TestValidate:
         rng = random.Random(11)
         for _ in range(25):
             validate(random_graph(rng))
+
+    def test_nodes_must_be_stored_in_dependency_order(self):
+        graph = _stored(
+            LayerNode("d", Dense(2), ("c",)),
+            LayerNode("c", GlobalAvgPool(), ("in",)),
+            LayerNode("in", Input()),
+        )
+        assert topo_sort(graph) == ["in", "c", "d"]
+        with pytest.raises(UnknownInputError, match="node 'd' references unknown input 'c'"):
+            validate(graph)
+
+    def test_cycle_reported_as_unknown_input(self):
+        graph = _stored(
+            LayerNode("in", Input()),
+            LayerNode("b", Conv2D(4, 1), ("c",)),
+            LayerNode("c", Conv2D(4, 1), ("b",)),
+        )
+        with pytest.raises(UnknownInputError, match="node 'b' references unknown input 'c'"):
+            validate(graph)
+
+    def test_first_bad_node_wins(self):
+        graph = _stored(
+            LayerNode("in", Input()),
+            LayerNode("a", Conv2D(4, 1), ("in", "in")),
+            LayerNode("in", Conv2D(4, 1), ("a",)),
+        )
+        with pytest.raises(ArityError, match="node 'a'"):
+            validate(graph)
 
 
 class TestTags:

@@ -16,6 +16,7 @@ from cndkit.pareto import (
     load_measurements,
     memory_frontier,
     pareto_front,
+    place_records,
     resolve_memory_frontier,
 )
 from graphgen import oracle_pareto_front
@@ -52,6 +53,13 @@ class TestLoading:
         with pytest.raises(MeasurementRangeError):
             load_measurements(text)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_nonfinite_memory_rejected_with_row(self, cell):
+        text = HEADER_LINE + f"\na,e,50,60,100,,,\nb,e,50,60,{cell},,,\n"
+        finite = r"^row 3: 'b': avg_mem_mb=.* must be finite"
+        with pytest.raises(MeasurementRangeError, match=finite):
+            load_measurements(text)
+
     def test_header_only(self):
         assert load_measurements(HEADER_LINE + "\n") == []
 
@@ -84,6 +92,11 @@ class TestMemoryFrontier:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             memory_frontier([])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -5.0])
+    def test_explicit_frontier_must_be_positive_and_finite(self, value):
+        with pytest.raises(MeasurementRangeError, match="memory_frontier"):
+            QuadrantConfig(memory_frontier=value)
 
     def test_explicit_config_wins(self):
         cfg = QuadrantConfig(memory_frontier=123.0)
@@ -258,3 +271,24 @@ class TestExportPlotData:
             front = oracle_pareto_front(records)
             rows = export_plot_data(records, QuadrantConfig()).splitlines()[3:]
             assert [row.split(",")[4] == "true" for row in rows] == [r in front for r in records]
+
+
+class TestPlaceRecords:
+    def test_matches_separate_derivations(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            records = [
+                _record(model=f"m{i}", acc=rng.choice((40, 60, 80)), mem=rng.choice((10, 20, 30)))
+                for i in range(rng.randint(1, 20))
+            ]
+            cfg = QuadrantConfig()
+            frontier, front, placements = place_records(records, cfg)
+            assert frontier == memory_frontier(records)
+            assert front == pareto_front(records)
+            assert list(placements) == [
+                (r, classify_quadrant(r, cfg, frontier), r in front) for r in records
+            ]
+
+    def test_empty_records_use_explicit_frontier(self):
+        frontier, front, placements = place_records([], QuadrantConfig(memory_frontier=500.0))
+        assert (frontier, front, list(placements)) == (500.0, [], [])

@@ -1,9 +1,13 @@
+import dataclasses
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cndkit.errors import ParseError, SchemaVersionError
+from cndkit.errors import ParseError, SchemaVersionError, UnknownInputError, ValidationError
+from cndkit.graph import Dense, GlobalAvgPool, Input, LayerNode, ModelGraph, TensorShape
 from cndkit.serialize import deserialize, serialize
 from graphgen import random_graph
 
@@ -147,3 +151,31 @@ def test_duplicate_checked_before_inputs(xception):
     err = _rejection(doc)
     assert err.field == "nodes[2]"
     assert str(err) == "node id 'input' already present (field 'nodes[2]')"
+
+
+def test_out_of_order_graph_not_serialized():
+    graph = ModelGraph(
+        name="backwards",
+        input_shape=TensorShape(8, 8, 3),
+        num_classes=2,
+        nodes=(
+            LayerNode("d", Dense(2), ("c",)),
+            LayerNode("c", GlobalAvgPool(), ("in",)),
+            LayerNode("in", Input()),
+        ),
+    )
+    with pytest.raises(UnknownInputError, match="node 'd' references unknown input 'c'"):
+        serialize(graph)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+def test_serialized_text_always_reads_back(seed, shuffler):
+    graph = random_graph(random.Random(seed))
+    nodes = list(graph.nodes)
+    shuffler.shuffle(nodes)
+    try:
+        text = serialize(dataclasses.replace(graph, nodes=tuple(nodes)))
+    except ValidationError:
+        return
+    assert serialize(deserialize(text)) == text
