@@ -55,8 +55,10 @@ from .pareto import (
 from .serialize import deserialize, load_model, save_model, serialize
 from .transforms import (
     DownsampleAudit,
+    FireModuleSpec,
     PassReport,
     diff,
+    make_fire_module,
     strategy1_replace_kernels,
     strategy2_insert_fire,
     strategy3_audit,
@@ -65,12 +67,10 @@ from .transforms import (
 )
 from .zoo import (
     DEFAULT_OPTIMIZED_CONFIG,
-    FireModuleSpec,
     OptimizedConfig,
     build_mobilenet_v2,
     build_optimized_xception,
     build_xception,
-    make_fire_module,
 )
 
 __version__ = "0.1.0"

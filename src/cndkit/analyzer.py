@@ -2,7 +2,7 @@
 
 Every analysis here is a fold over ``analyze(graph)``: one row per node, in
 topological order, holding the node, its input and output shapes and its
-parameter entry. Per layer kind (C = input channels, M = filters, K = kernel
+parameter entry (``activation_sizes`` needs only the shapes). Per layer kind (C = input channels, M = filters, K = kernel
 elements, i.e. 1 or 9):
 
     kind              kernel params       aux params               MACs
@@ -137,12 +137,16 @@ def total_params(rows: list[LayerRow]) -> int:
     return sum(row.params.total for row in rows)
 
 
+def _moving_stats(rows: list[LayerRow]) -> int:
+    """BatchNorm mean and variance: counted in the total, never trained."""
+    return sum(2 * r.params.channels_in for r in rows if isinstance(r.node.kind, BatchNorm))
+
+
 def count_params(graph: ModelGraph) -> ParamReport:
     """Parameter report over the whole graph, per-layer entries in topo order."""
     rows = analyze(graph)
     total = total_params(rows)
-    moving_stats = sum(2 * r.params.channels_in for r in rows if isinstance(r.node.kind, BatchNorm))
-    return ParamReport(tuple(row.params for row in rows), total, total - moving_stats)
+    return ParamReport(tuple(row.params for row in rows), total, total - _moving_stats(rows))
 
 
 def flops_estimate(graph: ModelGraph, input_shape: TensorShape | None = None) -> int:
@@ -156,7 +160,7 @@ def activation_sizes(graph: ModelGraph, batch: int = 1) -> list[tuple[str, int]]
     """Output element count (batch * H * W * C) per node, in topo order."""
     if batch < 1:
         raise ValidationError(f"batch must be >= 1, got {batch}")
-    return [(row.node.id, batch * row.shape_out.elements) for row in analyze(graph)]
+    return [(node_id, batch * shape.elements) for node_id, shape in infer_shapes(graph).items()]
 
 
 @dataclass(frozen=True)
@@ -202,14 +206,16 @@ def memory_estimate(
     if overhead_bytes < 0:
         raise ValidationError(f"overhead_bytes must be >= 0, got {overhead_bytes}")
 
-    report = count_params(graph)
-    weights = report.total * BYTES_PER_SCALAR
+    rows = analyze(graph)
+    total = total_params(rows)
+    weights = total * BYTES_PER_SCALAR
     multiplier = OPTIMIZER_STATE_MULTIPLIER[optimizer]
     sizes = activation_sizes(graph, batch)
 
     if mode == "training":
-        gradients = report.total_trainable * BYTES_PER_SCALAR
-        optimizer_state = multiplier * report.total_trainable * BYTES_PER_SCALAR
+        trainable = total - _moving_stats(rows)
+        gradients = trainable * BYTES_PER_SCALAR
+        optimizer_state = multiplier * trainable * BYTES_PER_SCALAR
         activations = 2 * sum(elems for _, elems in sizes) * BYTES_PER_SCALAR
     else:
         gradients = 0

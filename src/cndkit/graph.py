@@ -48,7 +48,7 @@ class TensorShape:
     def __post_init__(self):
         for name in ("height", "width", "channels"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:
                 raise ValidationError(f"TensorShape.{name} must be a positive integer, got {v!r}")
 
     @property
@@ -60,13 +60,20 @@ class TensorShape:
         return self.height * self.width * self.channels
 
 
+# Sizes must be exact ints: 1.0 and True compare equal to 1, but would make
+# parameter counts floats.
+def _check_positive(owner: str, name: str, value: int) -> None:
+    if type(value) is not int or value < 1:
+        raise ValidationError(f"{owner} {name} must be a positive integer, got {value!r}")
+
+
 def _check_kernel(kernel: int) -> None:
-    if kernel not in VALID_KERNELS:
+    if type(kernel) is not int or kernel not in VALID_KERNELS:
         raise ValidationError(f"kernel size must be one of {VALID_KERNELS}, got {kernel}")
 
 
 def _check_stride(stride: int) -> None:
-    if stride not in VALID_STRIDES:
+    if type(stride) is not int or stride not in VALID_STRIDES:
         raise ValidationError(f"stride must be one of {VALID_STRIDES}, got {stride}")
 
 
@@ -89,8 +96,7 @@ class Conv2D:
     has_bias: bool = False
 
     def __post_init__(self):
-        if self.filters < 1:
-            raise ValidationError(f"Conv2D filters must be positive, got {self.filters}")
+        _check_positive("Conv2D", "filters", self.filters)
         _check_kernel(self.kernel)
         _check_stride(self.stride)
         _check_padding(self.padding)
@@ -106,8 +112,7 @@ class SeparableConv2D:
     padding: str = PADDING_SAME
 
     def __post_init__(self):
-        if self.filters < 1:
-            raise ValidationError(f"SeparableConv2D filters must be positive, got {self.filters}")
+        _check_positive("SeparableConv2D", "filters", self.filters)
         _check_kernel(self.kernel)
         _check_stride(self.stride)
         _check_padding(self.padding)
@@ -155,8 +160,7 @@ class Dense:
     has_bias: bool = True
 
     def __post_init__(self):
-        if self.units < 1:
-            raise ValidationError(f"Dense units must be positive, got {self.units}")
+        _check_positive("Dense", "units", self.units)
 
 
 LayerKind = Union[

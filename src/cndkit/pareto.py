@@ -63,14 +63,16 @@ class ModelMeasurement:
                 raise MeasurementRangeError(
                     f"{self.model!r}: {name}={v} outside [0, 100]"
                 )
-        if not math.isfinite(self.avg_mem_mb):
-            raise MeasurementRangeError(
-                f"{self.model!r}: avg_mem_mb={self.avg_mem_mb} must be finite"
-            )
+        for name in ("avg_mem_mb", "avg_epoch_time_s", "avg_inf_time_ms"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise MeasurementRangeError(f"{self.model!r}: {name}={v} must be finite")
         if self.avg_mem_mb <= 0:
             raise MeasurementRangeError(
                 f"{self.model!r}: avg_mem_mb={self.avg_mem_mb} must be positive"
             )
+        if self.params is not None and self.params < 0:
+            raise MeasurementRangeError(f"{self.model!r}: params={self.params} must not be negative")
 
 
 @dataclass(frozen=True)

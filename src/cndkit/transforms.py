@@ -7,8 +7,12 @@ Two rewrite passes are provided, applied per tagged module:
   * fire insertion: a module's conv stack is replaced by a squeeze 1x1 ->
     expand 1x1 -> expand 3x3 triplet, so the 3x3 layer sees the narrow
     expand1 width instead of the module's full input width. Pooling and
-    residual structure are preserved; the residual projection is resized
-    (or inserted) when the module's output width changes.
+    residual structure are preserved; the residual projection is resized,
+    or inserted when the new output width differs from the module's input
+    width as earlier rewrites left it.
+
+``cndkit.zoo.build_optimized_xception`` is both passes applied to
+``build_xception``, so fire-module and residual wiring lives only here.
 
 Both passes are total: a graph with no matching modules comes back unchanged
 with an empty report.
@@ -22,12 +26,15 @@ from dataclasses import dataclass
 
 from . import analyzer
 from .errors import (
+    InvalidFireSpecError,
     ModuleStructureError,
     ResidualShapeBrokenError,
     ShapeMismatchError,
     UnknownModuleTagError,
+    ValidationError,
 )
 from .graph import (
+    PADDING_SAME,
     Activation,
     Add,
     BatchNorm,
@@ -44,7 +51,6 @@ from .graph import (
     topo_sort,
     validate,
 )
-from .zoo import FireModuleSpec, check_fire_spec, make_fire_module
 
 
 @dataclass(frozen=True)
@@ -104,24 +110,95 @@ def strategy1_replace_kernels(graph: ModelGraph) -> tuple[ModelGraph, PassReport
 
     changed: list[NodeChange] = []
     new_nodes: list[LayerNode] = []
+    params_after = params_before
+    shapes_kept = True
     for row in rows:
         node = row.node
         if node.id in targets:
             new_kind = dataclasses.replace(node.kind, kernel=1)
             changed.append(NodeChange(node.id, _describe(node.kind), _describe(new_kind)))
             node = dataclasses.replace(node, kind=new_kind)
+            params_after += (
+                analyzer.count_params_layer(node, row.params.channels_in).total - row.params.total
+            )
+            shapes_kept = shapes_kept and new_kind.padding == PADDING_SAME
         new_nodes.append(node)
     result = dataclasses.replace(graph, nodes=tuple(new_nodes))
-    report = PassReport(
-        "strategy1_replace_kernels",
-        tuple(changed),
-        params_before,
-        analyzer.count_params(result).total,
-    )
-    return result, report
+    if not shapes_kept:
+        # Under valid padding the 1x1 kernel widens the output map, which can
+        # change a flattening Dense further down or break an Add.
+        params_after = analyzer.count_params(result).total
+    return result, PassReport("strategy1_replace_kernels", tuple(changed), params_before, params_after)
 
 
 # -- strategy 2: fire-module insertion -----------------------------------------
+
+@dataclass(frozen=True)
+class FireModuleSpec:
+    """Squeeze/expand filter counts of one fire module.
+
+    A usable spec keeps the squeeze width below the combined expand width
+    (s1x1 < e1x1 + e3x3); construction allows any positive counts so that
+    validators and passes can report the violation themselves.
+    """
+
+    s1x1: int
+    e1x1: int
+    e3x3: int
+
+    def __post_init__(self):
+        for name in ("s1x1", "e1x1", "e3x3"):
+            v = getattr(self, name)
+            if type(v) is not int or v < 1:
+                raise ValidationError(f"FireModuleSpec.{name} must be a positive integer, got {v!r}")
+
+    def is_valid(self) -> bool:
+        return self.s1x1 < self.e1x1 + self.e3x3
+
+
+def check_fire_spec(spec: FireModuleSpec, module: str | None = None) -> None:
+    if not spec.is_valid():
+        raise InvalidFireSpecError(
+            f"squeeze filters must stay below the expand total: "
+            f"s1x1={spec.s1x1} is not < e1x1+e3x3={spec.e1x1 + spec.e3x3}",
+            module=module,
+        )
+
+
+def make_fire_module(
+    input_id: str,
+    spec: FireModuleSpec,
+    stride_out: int = 1,
+    *,
+    id_prefix: str | None = None,
+    module_tag: str = "fire/m1",
+) -> list[LayerNode]:
+    """Nodes of one fire module: squeeze 1x1 -> expand 1x1 -> expand 3x3.
+
+    Every conv is separable and followed by BatchNorm + relu. ``stride_out``
+    is applied to the final 3x3 expand so a module can downsample in place.
+    Returns the nodes in wiring order; the last node is the module output.
+    """
+    check_fire_spec(spec, module=module_tag)
+    prefix = id_prefix if id_prefix is not None else module_tag.replace("/", "_")
+    plan = (
+        ("squeeze", SeparableConv2D(spec.s1x1, 1)),
+        ("expand1", SeparableConv2D(spec.e1x1, 1)),
+        ("expand3", SeparableConv2D(spec.e3x3, 3, stride=stride_out)),
+    )
+    nodes: list[LayerNode] = []
+    source = input_id
+    for role, kind in plan:
+        base = f"{prefix}_{role}"
+        tag = f"{module_tag}/{role}"
+        nodes.append(LayerNode(id=base, kind=kind, inputs=(source,), tag=tag))
+        nodes.append(LayerNode(id=f"{base}_bn", kind=BatchNorm(), inputs=(base,), tag=f"{tag}_bn"))
+        nodes.append(
+            LayerNode(id=f"{base}_act", kind=Activation("relu"), inputs=(f"{base}_bn",), tag=f"{tag}_act")
+        )
+        source = f"{base}_act"
+    return nodes
+
 
 _REWRITABLE_KINDS = (Conv2D, SeparableConv2D, MaxPool, BatchNorm, Activation, Add)
 
@@ -199,6 +276,7 @@ def strategy2_insert_fire(
     consumers = graph.consumers()
     existing_ids = set(by_id)
     remap: dict[str, str] = {}
+    widths: dict[str, int] = {}  # old tail id -> output width of its rewritten module
     changed: list[NodeChange] = []
     new_nodes: list[LayerNode] = []
     emitted: set[str] = set()
@@ -216,6 +294,7 @@ def strategy2_insert_fire(
         )
         source = remap.get(module_input, module_input)
         in_shape = shapes[module_input]
+        in_channels = widths.get(module_input, in_shape.channels)
         out_shape = shapes[old_tail]
         downsamples = out_shape.height < in_shape.height or out_shape.width < in_shape.width
         stride_out = 1 if pool is not None or not downsamples else 2
@@ -247,7 +326,7 @@ def strategy2_insert_fire(
                 if proj_bn is not None:
                     new_nodes.append(dataclasses.replace(proj_bn, inputs=(proj.id,)))
                     res_tail = proj_bn.id
-            elif spec.e3x3 == in_shape.channels and not downsamples:
+            elif spec.e3x3 == in_channels and not downsamples:
                 res_tail = source
             else:
                 res_id = fresh(module.replace("/", "_") + "_res")
@@ -261,6 +340,7 @@ def strategy2_insert_fire(
             remap[old_tail] = add_node.id
         else:
             remap[old_tail] = main_tail
+        widths[old_tail] = spec.e3x3
 
     for row in rows:
         node = row.node
@@ -270,9 +350,8 @@ def strategy2_insert_fire(
                 emitted.add(module)
                 rebuild(module, specs[module])
             continue
-        new_nodes.append(
-            dataclasses.replace(node, inputs=tuple(remap.get(i, i) for i in node.inputs))
-        )
+        inputs = tuple(remap.get(i, i) for i in node.inputs)
+        new_nodes.append(node if inputs == node.inputs else dataclasses.replace(node, inputs=inputs))
 
     result = dataclasses.replace(graph, nodes=tuple(new_nodes))
     try:

@@ -1,8 +1,9 @@
 """Builders for the architectures the toolkit analyzes.
 
 Three graphs are provided: the 36-conv/14-module separable-convolution
-baseline (Xception layout), a squeeze/expand-optimized variant of it, and an
-inverted-residual reference (MobileNetV2 layout, width 1.0).
+baseline (Xception layout), a squeeze/expand-optimized variant of it (the
+baseline run through both rewrite passes of :mod:`cndkit.transforms`), and
+an inverted-residual reference (MobileNetV2 layout, width 1.0).
 
 Conventions shared by all builders:
   * convolutions carry no bias (a BatchNorm follows each); the classifier
@@ -14,9 +15,10 @@ Conventions shared by all builders:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
-from .errors import InvalidFireSpecError, ValidationError
+from .errors import ValidationError
 from .graph import (
     Activation,
     Add,
@@ -34,6 +36,7 @@ from .graph import (
     make_tag,
     validate,
 )
+from .transforms import FireModuleSpec, strategy1_replace_kernels, strategy2_insert_fire
 
 STEM_FILTERS = (32, 64)
 ENTRY_MODULE_FILTERS = (128, 256, 728)
@@ -43,43 +46,11 @@ EXIT_FILTERS = (728, 1024, 1536, 2048)
 
 
 @dataclass(frozen=True)
-class FireModuleSpec:
-    """Squeeze/expand filter counts of one fire module.
-
-    A usable spec keeps the squeeze width below the combined expand width
-    (s1x1 < e1x1 + e3x3); construction allows any positive counts so that
-    validators and passes can report the violation themselves.
-    """
-
-    s1x1: int
-    e1x1: int
-    e3x3: int
-
-    def __post_init__(self):
-        for name in ("s1x1", "e1x1", "e3x3"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ValidationError(f"FireModuleSpec.{name} must be a positive integer, got {v!r}")
-
-    def is_valid(self) -> bool:
-        return self.s1x1 < self.e1x1 + self.e3x3
-
-
-def check_fire_spec(spec: FireModuleSpec, module: str | None = None) -> None:
-    if not spec.is_valid():
-        raise InvalidFireSpecError(
-            f"squeeze filters must stay below the expand total: "
-            f"s1x1={spec.s1x1} is not < e1x1+e3x3={spec.e1x1 + spec.e3x3}",
-            module=module,
-        )
-
-
-@dataclass(frozen=True)
 class OptimizedConfig:
     """Fire-module widths for the optimized build.
 
     One spec per entry-flow residual module (3) and per middle-flow module
-    (8); the exit flow keeps its original filter counts.
+    (8), plus the widths of the exit flow's four separable convs.
     """
 
     entry_fire: tuple[FireModuleSpec, ...]
@@ -102,10 +73,6 @@ class OptimizedConfig:
             )
         if len(self.exit_filters) != 4:
             raise ValidationError(f"exit_filters needs 4 counts, got {len(self.exit_filters)}")
-        for i, spec in enumerate(self.entry_fire):
-            check_fire_spec(spec, module=f"entry_flow/m{i + 2}")
-        for i, spec in enumerate(self.middle_fire):
-            check_fire_spec(spec, module=f"middle_flow/m{i + 5}")
 
 
 # Widths picked so the optimized build totals 15,798,273 params (~25% below
@@ -162,41 +129,6 @@ def _check_head(num_classes: int) -> None:
         raise ValidationError(f"classifier head needs at least 2 classes, got {num_classes}")
 
 
-def make_fire_module(
-    input_id: str,
-    spec: FireModuleSpec,
-    stride_out: int = 1,
-    *,
-    id_prefix: str | None = None,
-    module_tag: str = "fire/m1",
-) -> list[LayerNode]:
-    """Nodes of one fire module: squeeze 1x1 -> expand 1x1 -> expand 3x3.
-
-    Every conv is separable and followed by BatchNorm + relu. ``stride_out``
-    is applied to the final 3x3 expand so a module can downsample in place.
-    Returns the nodes in wiring order; the last node is the module output.
-    """
-    check_fire_spec(spec, module=module_tag)
-    prefix = id_prefix if id_prefix is not None else module_tag.replace("/", "_")
-    plan = (
-        ("squeeze", SeparableConv2D(spec.s1x1, 1)),
-        ("expand1", SeparableConv2D(spec.e1x1, 1)),
-        ("expand3", SeparableConv2D(spec.e3x3, 3, stride=stride_out)),
-    )
-    nodes: list[LayerNode] = []
-    source = input_id
-    for role, kind in plan:
-        base = f"{prefix}_{role}"
-        tag = f"{module_tag}/{role}"
-        nodes.append(LayerNode(id=base, kind=kind, inputs=(source,), tag=tag))
-        nodes.append(LayerNode(id=f"{base}_bn", kind=BatchNorm(), inputs=(base,), tag=f"{tag}_bn"))
-        nodes.append(
-            LayerNode(id=f"{base}_act", kind=Activation("relu"), inputs=(f"{base}_bn",), tag=f"{tag}_act")
-        )
-        source = f"{base}_act"
-    return nodes
-
-
 def _stem(asm: _Assembler) -> str:
     x = asm.conv_unit(
         "stem_conv1", Conv2D(STEM_FILTERS[0], 3, stride=2, padding="valid"), "input",
@@ -226,10 +158,16 @@ def _head(asm: _Assembler, source: str, flow: str, mod: str) -> str:
 
 
 def build_xception(
-    input_shape: TensorShape = TensorShape(299, 299, 3), num_classes: int = 101
+    input_shape: TensorShape = TensorShape(299, 299, 3),
+    num_classes: int = 101,
+    exit_filters: tuple[int, int, int, int] = EXIT_FILTERS,
 ) -> ModelGraph:
     """Baseline graph: 36 convs in 14 modules, residuals around all but the
     first and last, downsampling in the entry flow and once in the exit flow.
+
+    ``exit_filters`` are the widths of the exit flow's four separable convs
+    (m13 sep1, sep2; m14 sep1, sep2); the m13 residual projection matches
+    the second.
     """
     _check_head(num_classes)
     asm = _Assembler("xception", input_shape, num_classes,
@@ -256,7 +194,7 @@ def build_xception(
             )
         x = asm.add(f"{prefix}_add", Add(), (tail, x), make_tag("middle_flow", mod, "add"))
 
-    f1, f2, f3, f4 = EXIT_FILTERS
+    f1, f2, f3, f4 = exit_filters
     a = asm.conv_unit("exit_m13_sep1", SeparableConv2D(f1, 3), x, make_tag("exit_flow", "m13", "sep1"))
     b = asm.conv_unit("exit_m13_sep2", SeparableConv2D(f2, 3), a, make_tag("exit_flow", "m13", "sep2"))
     x = _pool_residual_tail(asm, "exit_m13", "exit_flow", "m13", b, x, f2)
@@ -271,53 +209,19 @@ def build_optimized_xception(
     num_classes: int = 101,
     config: OptimizedConfig = DEFAULT_OPTIMIZED_CONFIG,
 ) -> ModelGraph:
-    """Optimized variant: fire modules in the entry and middle flows, exit
-    flow kept at its original widths but with each module's leading separable
-    conv switched to a 1x1 kernel. Macro structure (residuals, pooling
-    positions, head) matches :func:`build_xception`.
+    """Optimized variant: :func:`build_xception` with ``config.exit_filters``,
+    then :func:`strategy1_replace_kernels` (each module's leading separable
+    conv gets a 1x1 kernel) and :func:`strategy2_insert_fire` (a fire module
+    in each entry and middle module, widths from ``config``).
     """
-    _check_head(num_classes)
     config.check()
-    asm = _Assembler("optimized-xception", input_shape, num_classes,
-                     {"family": "xception", "variant": "optimized"})
-    x = _stem(asm)
-    channels = STEM_FILTERS[1]
-
-    for i, spec in enumerate(config.entry_fire):
-        mod = f"m{i + 2}"
-        module_tag = f"entry_flow/{mod}"
-        fire = make_fire_module(x, spec, id_prefix=f"entry_{mod}", module_tag=module_tag)
-        for node in fire:
-            asm.nodes.append(node)
-        x = _pool_residual_tail(asm, f"entry_{mod}", "entry_flow", mod, fire[-1].id, x, spec.e3x3)
-        channels = spec.e3x3
-
-    for i, spec in enumerate(config.middle_fire):
-        mod = f"m{i + 5}"
-        module_tag = f"middle_flow/{mod}"
-        prefix = f"middle_{mod}"
-        fire = make_fire_module(x, spec, id_prefix=prefix, module_tag=module_tag)
-        for node in fire:
-            asm.nodes.append(node)
-        if spec.e3x3 == channels:
-            residual = x
-        else:
-            residual = asm.conv_unit(
-                f"{prefix}_res", Conv2D(spec.e3x3, 1), x,
-                make_tag("middle_flow", mod, "residual"), activation=None,
-            )
-        x = asm.add(f"{prefix}_add", Add(), (fire[-1].id, residual),
-                    make_tag("middle_flow", mod, "add"))
-        channels = spec.e3x3
-
-    f1, f2, f3, f4 = config.exit_filters
-    a = asm.conv_unit("exit_m13_sep1", SeparableConv2D(f1, 1), x, make_tag("exit_flow", "m13", "sep1"))
-    b = asm.conv_unit("exit_m13_sep2", SeparableConv2D(f2, 3), a, make_tag("exit_flow", "m13", "sep2"))
-    x = _pool_residual_tail(asm, "exit_m13", "exit_flow", "m13", b, x, f2)
-    x = asm.conv_unit("exit_m14_sep1", SeparableConv2D(f3, 1), x, make_tag("exit_flow", "m14", "sep1"))
-    x = asm.conv_unit("exit_m14_sep2", SeparableConv2D(f4, 3), x, make_tag("exit_flow", "m14", "sep2"))
-    _head(asm, x, "exit_flow", "m14")
-    return asm.build()
+    graph = build_xception(input_shape, num_classes, exit_filters=config.exit_filters)
+    graph, _ = strategy1_replace_kernels(graph)
+    specs = {f"entry_flow/m{i + 2}": spec for i, spec in enumerate(config.entry_fire)}
+    specs.update({f"middle_flow/m{i + 5}": spec for i, spec in enumerate(config.middle_fire)})
+    graph, _ = strategy2_insert_fire(graph, specs)
+    return dataclasses.replace(graph, name="optimized-xception",
+                               metadata={"family": "xception", "variant": "optimized"})
 
 
 # (expansion factor, output channels, repeats, first stride) per stage

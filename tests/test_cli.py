@@ -129,6 +129,22 @@ class TestTransform:
         ).exit_code == 0
         assert combined.read_text() == stage2.read_text()
 
+    def test_optimized_build_is_pass_all(self, runner, tmp_path, baseline_path):
+        specs = tmp_path / "specs.json"
+        specs.write_text(default_specs_json())
+        built = tmp_path / "built.json"
+        passed = tmp_path / "passed.json"
+        assert runner.invoke(main, ["build", "optimized-xception", "--out", str(built)]).exit_code == 0
+        assert runner.invoke(
+            main, ["transform", "--in", str(baseline_path), "--pass", "all",
+                   "--specs", str(specs), "--out", str(passed)],
+        ).exit_code == 0
+        a, b = json.loads(built.read_text()), json.loads(passed.read_text())
+        assert (a.pop("name"), b.pop("name")) == ("optimized-xception", "xception")
+        assert a.pop("metadata") == {"family": "xception", "variant": "optimized"}
+        b.pop("metadata")
+        assert a == b
+
     def test_parse_error_exits_3(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
@@ -283,6 +299,17 @@ class TestParetoNonFinite:
         result = runner.invoke(main, ["pareto", "--csv", self._csv(tmp_path, cell)])
         assert result.exit_code == 1
         assert "error: row 3: 'b': avg_mem_mb=" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_bad_optional_cell_exits_1(self, runner, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(
+            "model,experiment,train_acc,test_acc,avg_mem_mb,avg_epoch_time_s,avg_inf_time_ms,params\n"
+            "m,e,50,60,100,nan,inf,-7\n"
+        )
+        result = runner.invoke(main, ["pareto", "--csv", str(path)])
+        assert result.exit_code == 1
+        assert "error: row 2: 'm': avg_epoch_time_s=nan must be finite" in result.output
         assert isinstance(result.exception, SystemExit)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-5", "0"])

@@ -57,6 +57,10 @@ class TestTensorShape:
             TensorShape(0, 4, 4)
         with pytest.raises(ValidationError):
             TensorShape(4, 4, -1)
+        with pytest.raises(ValidationError):
+            TensorShape(True, 4, 4)
+        with pytest.raises(ValidationError):
+            TensorShape(4, 4.0, 4)
 
     def test_elements(self):
         assert TensorShape(299, 299, 3).elements == 268203

@@ -60,6 +60,17 @@ class TestLoading:
         with pytest.raises(MeasurementRangeError, match=finite):
             load_measurements(text)
 
+    @pytest.mark.parametrize("cells, message", [
+        ("nan,inf,-7", "avg_epoch_time_s=nan must be finite"),
+        ("1,inf,", "avg_inf_time_ms=inf must be finite"),
+        ("-inf,,", "avg_epoch_time_s=-inf must be finite"),
+        ("1,2,-7", "params=-7 must not be negative"),
+    ])
+    def test_bad_optional_cell_rejected_with_row(self, cells, message):
+        text = HEADER_LINE + f"\na,e,50,60,100,,,\nb,e,50,60,100,{cells}\n"
+        with pytest.raises(MeasurementRangeError, match=rf"^row 3: 'b': {message}$"):
+            load_measurements(text)
+
     def test_header_only(self):
         assert load_measurements(HEADER_LINE + "\n") == []
 

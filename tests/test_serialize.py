@@ -83,6 +83,22 @@ def _rejection(doc: dict) -> ParseError:
     return exc.value
 
 
+@pytest.mark.parametrize("kind, attr, value", [
+    ("SeparableConv2D", "kernel", 1.0),
+    ("SeparableConv2D", "filters", True),
+    ("SeparableConv2D", "stride", True),
+    ("MaxPool", "pool_size", 3.0),
+    ("Dense", "units", True),
+])
+def test_non_integer_layer_attr_rejected(xception, kind, attr, value):
+    # 1.0 and True equal 1 in Python; accepted, they would make the counts floats.
+    doc = json.loads(serialize(xception))
+    index = next(i for i, n in enumerate(doc["nodes"]) if n["kind"] == kind)
+    doc["nodes"][index]["attrs"][attr] = value
+    err = _rejection(doc)
+    assert err.field == f"nodes[{index}].attrs"
+
+
 def test_duplicate_id_rejected_at_entry(xception):
     doc = json.loads(serialize(xception))
     doc["nodes"][2]["id"] = "stem_conv1"

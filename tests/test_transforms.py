@@ -8,6 +8,7 @@ from cndkit.graph import (
     Add,
     BatchNorm,
     Conv2D,
+    Dense,
     Input,
     LayerNode,
     MaxPool,
@@ -92,6 +93,17 @@ class TestStrategy1:
         _, report = strategy1_replace_kernels(xception)
         assert len(report.nodes_changed) == 13  # every module but the stem
         assert report.params_after < report.params_before
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_params_after_counts_the_result(self, padding):
+        # Under valid padding the 1x1 kernel widens the map the Dense flattens.
+        graph = ModelGraph(name="flat", input_shape=TensorShape(8, 8, 4), num_classes=2)
+        graph = add_layer(graph, LayerNode("in", Input()))
+        graph = add_layer(graph, LayerNode(
+            "sep1", SeparableConv2D(8, 3, padding=padding), ("in",), "flow/m1/sep1"))
+        graph = add_layer(graph, LayerNode("head", Dense(2), ("sep1",)))
+        out, report = strategy1_replace_kernels(graph)
+        assert report.params_after == count_params(out).total
 
     def test_preserves_macro_structure(self, xception):
         out, _ = strategy1_replace_kernels(xception)
@@ -188,11 +200,21 @@ class TestStrategy2:
         widths = [total(s) for s in (64, 128, 256, 414)]
         assert widths == sorted(widths)
 
-    def test_composition_matches_builder(self, xception, optimized):
-        step1, _ = strategy1_replace_kernels(xception)
-        step2, _ = strategy2_insert_fire(step1, default_specs())
-        assert structurally_equal(step2, optimized)
-        assert count_params(step2).total == count_params(optimized).total
+    def test_residual_follows_width_of_rewritten_input(self, xception):
+        # m6's input is m5's new 512-wide output, not the 728 it had before.
+        specs = {
+            "middle_flow/m5": FireModuleSpec(414, 600, 512),
+            "middle_flow/m6": FireModuleSpec(414, 600, 728),
+        }
+        out, report = strategy2_insert_fire(xception, specs)
+        projs = {n.tag: n.kind.filters for n in out.nodes
+                 if is_conv(n.kind) and n.tag.startswith("middle_flow") and n.tag.endswith("/residual")}
+        assert projs == {"middle_flow/m5/residual": 512, "middle_flow/m6/residual": 728}
+        assert count_params(out).total == report.params_after
+
+    def test_untouched_nodes_kept(self, xception):
+        out, _ = strategy2_insert_fire(xception, {"middle_flow/m5": FireModuleSpec(414, 600, 728)})
+        assert out.node("exit_m14_sep2") is xception.node("exit_m14_sep2")
 
     def test_preserves_macro_structure(self, xception):
         out, _ = strategy2_insert_fire(xception, default_specs())

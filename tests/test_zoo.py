@@ -1,6 +1,6 @@
 import pytest
 
-from cndkit.analyzer import count_params, round_params_millions
+from cndkit.analyzer import count_params, flops_estimate, round_params_millions
 from cndkit.errors import InvalidFireSpecError, ValidationError
 from cndkit.graph import (
     Add,
@@ -15,6 +15,7 @@ from cndkit.graph import (
     role_of,
     topo_sort,
 )
+from cndkit.transforms import make_fire_module
 from cndkit.zoo import (
     DEFAULT_OPTIMIZED_CONFIG,
     FireModuleSpec,
@@ -22,7 +23,6 @@ from cndkit.zoo import (
     build_mobilenet_v2,
     build_optimized_xception,
     build_xception,
-    make_fire_module,
 )
 
 XCEPTION_TOTAL = 21_068_429
@@ -94,6 +94,23 @@ class TestOptimizedXception:
     def test_residual_add_count_preserved(self, xception, optimized):
         count = lambda g: sum(1 for n in g.nodes if isinstance(n.kind, Add))
         assert count(optimized) == count(xception) == 12
+
+    # Counts of each config wired by hand (fire modules and residual
+    # projections placed directly, not by the passes) at 299x299x3, 101 classes.
+    @pytest.mark.parametrize("config, params, macs, nodes", [
+        (OptimizedConfig(DEFAULT_OPTIMIZED_CONFIG.entry_fire,
+                         (FireModuleSpec(414, 600, 512),) + DEFAULT_OPTIMIZED_CONFIG.middle_fire[1:]),
+         16_328_601, 6_241_591_748, 149),
+        (OptimizedConfig(DEFAULT_OPTIMIZED_CONFIG.entry_fire,
+                         tuple(FireModuleSpec(300, 400, 512 if i % 2 == 0 else 728) for i in range(8))),
+         15_309_585, 5_872_918_332, 161),
+        (OptimizedConfig(DEFAULT_OPTIMIZED_CONFIG.entry_fire, DEFAULT_OPTIMIZED_CONFIG.middle_fire,
+                         exit_filters=(512, 768, 1024, 1536)),
+         12_677_577, 5_611_884_756, 145),
+    ], ids=["m5-e3x3-512", "middle-alternating", "narrow-exit"])
+    def test_non_default_configs_match_hand_wired_counts(self, config, params, macs, nodes):
+        graph = build_optimized_xception(config=config)
+        assert (count_params(graph).total, flops_estimate(graph), len(graph.nodes)) == (params, macs, nodes)
 
     def test_eq2_boundary_rejected(self):
         bad = OptimizedConfig(
