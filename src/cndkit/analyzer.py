@@ -1,9 +1,10 @@
 """Static resource analysis: parameters, FLOPs, activations, memory.
 
 Every analysis here is a fold over ``analyze(graph)``: one row per node, in
-topological order, holding the node, its input and output shapes and its
-parameter entry (``activation_sizes`` needs only the shapes). Per layer kind (C = input channels, M = filters, K = kernel
-elements, i.e. 1 or 9):
+stored order (which ``topo_sort`` checks is a dependency order), holding the
+node, its input and output shapes and its parameter entry
+(``activation_sizes`` needs only the shapes). Per layer kind (C = input
+channels, M = filters, K = kernel elements, i.e. 1 or 9):
 
     kind              kernel params       aux params               MACs
     Conv2D            C*M*K               M if bias else 0         H'W' * C*M*K
@@ -117,19 +118,13 @@ class LayerRow(NamedTuple):
 
 
 def analyze(graph: ModelGraph) -> list[LayerRow]:
-    """One row per node, in topological order, from a single shape inference.
-
-    ``infer_shapes`` keys its result in topological order, so the rows need
-    no second sort.
-    """
+    """One row per node, in stored order, from a single shape inference."""
     shapes = infer_shapes(graph)
-    by_id = graph.node_map()
     rows: list[LayerRow] = []
-    for node_id, shape_out in shapes.items():
-        node = by_id[node_id]
+    for node in graph.nodes:
         shape_in = shapes[node.inputs[0]] if node.inputs else None
         entry = count_params_layer(node, _layer_input_channels(node.kind, shape_in))
-        rows.append(LayerRow(node, shape_in, shape_out, entry))
+        rows.append(LayerRow(node, shape_in, shapes[node.id], entry))
     return rows
 
 
@@ -143,7 +138,7 @@ def _moving_stats(rows: list[LayerRow]) -> int:
 
 
 def count_params(graph: ModelGraph) -> ParamReport:
-    """Parameter report over the whole graph, per-layer entries in topo order."""
+    """Parameter report over the whole graph, per-layer entries in stored order."""
     rows = analyze(graph)
     total = total_params(rows)
     return ParamReport(tuple(row.params for row in rows), total, total - _moving_stats(rows))
@@ -157,7 +152,7 @@ def flops_estimate(graph: ModelGraph, input_shape: TensorShape | None = None) ->
 
 
 def activation_sizes(graph: ModelGraph, batch: int = 1) -> list[tuple[str, int]]:
-    """Output element count (batch * H * W * C) per node, in topo order."""
+    """Output element count (batch * H * W * C) per node, in stored order."""
     if batch < 1:
         raise ValidationError(f"batch must be >= 1, got {batch}")
     return [(node_id, batch * shape.elements) for node_id, shape in infer_shapes(graph).items()]

@@ -186,13 +186,13 @@ def _analysis_payload(graph: ModelGraph, batch: int, mode: str, optimizer: str) 
 
 
 def _analysis_table(payload: dict) -> str:
+    listed = [e for e in payload["params"]["per_layer"] if e["kernel_params"] or e["aux_params"]]
+    width = max([28] + [len(e["id"]) for e in listed])
     lines = [f"model: {payload['name']}"]
-    lines.append(f"{'id':<28} {'in_ch':>7} {'filters':>8} {'kernel':>7} {'params':>12} {'aux':>8}")
-    for e in payload["params"]["per_layer"]:
-        if e["kernel_params"] == 0 and e["aux_params"] == 0:
-            continue
+    lines.append(f"{'id':<{width}} {'in_ch':>7} {'filters':>8} {'kernel':>7} {'params':>12} {'aux':>8}")
+    for e in listed:
         lines.append(
-            f"{e['id']:<28} {e['channels_in']:>7} {e['filters']:>8} {e['kernel_elems']:>7} "
+            f"{e['id']:<{width}} {e['channels_in']:>7} {e['filters']:>8} {e['kernel_elems']:>7} "
             f"{e['kernel_params']:>12,} {e['aux_params']:>8,}"
         )
     p = payload["params"]

@@ -23,16 +23,6 @@ class ArityError(ValidationError):
     pass
 
 
-class CycleDetectedError(ValidationError):
-    """``topo_sort`` could not place ``node_ids``: a cycle or an input that
-    names no node. ``validate`` reports the same faults as an
-    ``UnknownInputError``, since it needs inputs stored before their consumer."""
-
-    def __init__(self, node_ids: list[str] | tuple[str, ...]):
-        self.node_ids = tuple(node_ids)
-        super().__init__("cycle involving nodes: " + ", ".join(self.node_ids))
-
-
 class ShapeMismatchError(ValidationError):
     pass
 

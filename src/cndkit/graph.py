@@ -1,9 +1,9 @@
 """Layer-graph intermediate representation for convolutional networks.
 
-A model is a directed acyclic graph of typed layer nodes; tensor shapes are
-inferred along the edges rather than stored. Graphs are immutable values:
-every operation returns a new graph and never mutates its argument, so they
-are safe to share across threads.
+A model is a directed acyclic graph of typed layer nodes, each stored after
+its inputs; tensor shapes are inferred along the edges rather than stored.
+Graphs are immutable values: every operation returns a new graph and never
+mutates its argument, so they are safe to share across threads.
 
 Tags follow a ``flow/module/role`` convention, e.g. ``entry_flow/m2/sep1``:
 the first two components name the architectural module a node belongs to and
@@ -16,13 +16,11 @@ the ``residual`` role and are not counted as part of a module's main stack.
 from __future__ import annotations
 
 import dataclasses
-import heapq
 from dataclasses import dataclass, field
 from typing import Union
 
 from .errors import (
     ArityError,
-    CycleDetectedError,
     DuplicateIdError,
     NonPositiveDimError,
     ShapeMismatchError,
@@ -298,42 +296,19 @@ def check_append(ids: set[str], node: LayerNode) -> None:
 
 
 def topo_sort(graph: ModelGraph) -> list[str]:
-    """Topological order of node ids; ties broken by insertion order.
+    """Node ids in stored order, checked to be a topological order.
 
-    Each step places the earliest-stored node whose id is still unplaced and
-    whose inputs are all placed. Kahn's algorithm yields that order with
-    O(V + E) work on in-degrees plus a min-heap of the stored positions of
-    ready nodes, which costs O(log R) per node for R nodes ready at once (a
-    handful on layer graphs, so the sort is linear in practice). Raises
-    ``CycleDetectedError`` with the unplaced ids, in stored order, when a
-    cycle or an input that names no node leaves nodes unplaced.
+    Every node must be stored after its inputs: each one passes
+    ``check_append`` against the nodes before it (new id, known inputs,
+    arity of its kind). Raises that ``ValidationError`` for the first stored
+    node at fault. A list with no forward reference is acyclic, so a cycle
+    shows as an unknown input of its first stored node. Nothing is reordered.
     """
-    nodes = graph.nodes
-    waiting: list[int] = []  # per position: distinct inputs not yet placed
-    waiters: dict[str, list[int]] = {}
-    ready: list[int] = []  # built in ascending order, so already a heap
-    for pos, node in enumerate(nodes):
-        srcs = set(node.inputs)
-        waiting.append(len(srcs))
-        if not srcs:
-            ready.append(pos)
-        for src in srcs:
-            waiters.setdefault(src, []).append(pos)
-    placed: set[str] = set()
-    order: list[str] = []
-    while ready:
-        node_id = nodes[heapq.heappop(ready)].id
-        if node_id in placed:  # a duplicate id never becomes ready again
-            continue
-        placed.add(node_id)
-        order.append(node_id)
-        for pos in waiters.get(node_id, ()):
-            waiting[pos] -= 1
-            if not waiting[pos]:
-                heapq.heappush(ready, pos)
-    if len(order) < len(nodes):
-        raise CycleDetectedError([n.id for n in nodes if n.id not in placed])
-    return order
+    ids: set[str] = set()
+    for node in graph.nodes:
+        check_append(ids, node)
+        ids.add(node.id)
+    return [node.id for node in graph.nodes]
 
 
 # -- shape inference -----------------------------------------------------------
@@ -350,16 +325,16 @@ def _window_dim(dim: int, window: int, stride: int, padding: str, node_id: str) 
 
 
 def infer_shapes(graph: ModelGraph) -> dict[str, TensorShape]:
-    """Output shape of every node, keyed by node id in ``topo_sort`` order.
+    """Output shape of every node, keyed by node id in stored order.
 
-    Same padding: ceil(dim/stride). Valid padding: floor((dim-k)/stride)+1.
-    Dense and GlobalAvgPool collapse spatial dims to 1x1.
+    ``topo_sort`` checks that order first. Same padding: ceil(dim/stride).
+    Valid padding: floor((dim-k)/stride)+1. Dense and GlobalAvgPool collapse
+    spatial dims to 1x1.
     """
+    topo_sort(graph)
     shapes: dict[str, TensorShape] = {}
-    by_id = graph.node_map()
-    for node_id in topo_sort(graph):
-        node = by_id[node_id]
-        kind = node.kind
+    for node in graph.nodes:
+        node_id, kind = node.id, node.kind
         ins = [shapes[i] for i in node.inputs]
         if isinstance(kind, Input):
             shapes[node_id] = graph.input_shape
@@ -401,22 +376,15 @@ def infer_shapes(graph: ModelGraph) -> dict[str, TensorShape]:
 def validate(graph: ModelGraph) -> ModelGraph:
     """Check all structural invariants; return the graph unchanged.
 
-    The nodes must be stored in dependency order: each one passes
-    ``check_append`` against the nodes before it (new id, known inputs,
-    arity of its kind). A list with no forward reference is acyclic, so a
-    cycle is reported as an unknown input of its first stored node. Then:
-    exactly one Input node, positive ``num_classes``, exactly one terminal
-    node, and shape consistency (including Add input equality).
+    ``infer_shapes`` checks the stored order (see ``topo_sort``) and shape
+    consistency, including Add input equality. Then: exactly one Input node,
+    positive ``num_classes`` and exactly one terminal node.
     """
-    ids: set[str] = set()
-    for node in graph.nodes:
-        check_append(ids, node)
-        ids.add(node.id)
+    infer_shapes(graph)
     inputs = [n.id for n in graph.nodes if isinstance(n.kind, Input)]
     if len(inputs) != 1:
         raise ValidationError(f"graph must have exactly one Input node, found {inputs}")
     if graph.num_classes < 1:
         raise ValidationError(f"num_classes must be positive, got {graph.num_classes}")
     graph.terminal_id()
-    infer_shapes(graph)
     return graph

@@ -39,6 +39,7 @@ from .graph import (
     Add,
     BatchNorm,
     Conv2D,
+    GlobalAvgPool,
     LayerNode,
     MaxPool,
     ModelGraph,
@@ -201,6 +202,7 @@ def make_fire_module(
 
 
 _REWRITABLE_KINDS = (Conv2D, SeparableConv2D, MaxPool, BatchNorm, Activation, Add)
+_WIDTH_KEEPING_KINDS = (BatchNorm, Activation, MaxPool, Add, GlobalAvgPool)
 
 
 def _module_structure(
@@ -276,7 +278,7 @@ def strategy2_insert_fire(
     consumers = graph.consumers()
     existing_ids = set(by_id)
     remap: dict[str, str] = {}
-    widths: dict[str, int] = {}  # old tail id -> output width of its rewritten module
+    widths: dict[str, int] = {}  # old id -> new width: rewritten tails and what passes them on
     changed: list[NodeChange] = []
     new_nodes: list[LayerNode] = []
     emitted: set[str] = set()
@@ -352,6 +354,8 @@ def strategy2_insert_fire(
             continue
         inputs = tuple(remap.get(i, i) for i in node.inputs)
         new_nodes.append(node if inputs == node.inputs else dataclasses.replace(node, inputs=inputs))
+        if isinstance(node.kind, _WIDTH_KEEPING_KINDS) and node.inputs[0] in widths:
+            widths[node.id] = widths[node.inputs[0]]
 
     result = dataclasses.replace(graph, nodes=tuple(new_nodes))
     try:
@@ -457,9 +461,8 @@ def structurally_equal(a: ModelGraph, b: ModelGraph) -> bool:
         table: dict[tuple, int] = {}
         assigned: dict[str, int] = {}
         keys = []
-        by_id = graph.node_map()
-        for node_id in topo_sort(graph):
-            node = by_id[node_id]
+        topo_sort(graph)
+        for node in graph.nodes:
             attrs = tuple(sorted(dataclasses.asdict(node.kind).items()))
             key = (
                 type(node.kind).__name__,
@@ -467,7 +470,7 @@ def structurally_equal(a: ModelGraph, b: ModelGraph) -> bool:
                 node.tag,
                 tuple(assigned[i] for i in node.inputs),
             )
-            assigned[node_id] = table.setdefault(key, len(table))
+            assigned[node.id] = table.setdefault(key, len(table))
             keys.append(key)
         terminal = assigned[graph.terminal_id()]
         return (graph.input_shape, graph.num_classes, sorted(keys), terminal)

@@ -7,10 +7,10 @@ materializing each kernel's index set and counting its elements one by one.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from itertools import product
 
-from cndkit.errors import CycleDetectedError
 from cndkit.graph import (
     Activation,
     Add,
@@ -143,6 +143,32 @@ def random_wiring(rng: random.Random, max_nodes: int = 30, name: str = "wiring")
     return ModelGraph(name=name, input_shape=TensorShape(8, 8, 3), num_classes=2, nodes=tuple(nodes))
 
 
+def random_topological_order(graph: ModelGraph, rng: random.Random) -> ModelGraph:
+    """``graph`` with its nodes re-stored in a random dependency order.
+
+    Each step stores a node drawn at random from those whose inputs are all
+    stored already. Expects a valid graph: unique ids, no cycle.
+    """
+    pending = list(graph.nodes)
+    stored: list[LayerNode] = []
+    placed: set[str] = set()
+    while pending:
+        ready = [i for i, n in enumerate(pending) if all(src in placed for src in n.inputs)]
+        node = pending.pop(rng.choice(ready))
+        placed.add(node.id)
+        stored.append(node)
+    return dataclasses.replace(graph, nodes=tuple(stored))
+
+
+def rename_ids(graph: ModelGraph, names: dict[str, str]) -> ModelGraph:
+    """``graph`` with every node id and input reference mapped through ``names``."""
+    nodes = tuple(
+        dataclasses.replace(n, id=names[n.id], inputs=tuple(names[i] for i in n.inputs))
+        for n in graph.nodes
+    )
+    return dataclasses.replace(graph, nodes=nodes)
+
+
 # -- oracles ---------------------------------------------------------------------
 
 
@@ -205,8 +231,8 @@ def oracle_topo_sort(graph: ModelGraph) -> list[str]:
     """Topological order by the quadratic rule: at each step place the first
     stored node whose id is unplaced and whose inputs are all placed.
 
-    Raises CycleDetectedError with the unplaced ids in stored order when no
-    node is ready before every node is placed.
+    Stops when no node is ready, so a cycle, an input that names no node or a
+    repeated id leaves the result shorter than the node list.
     """
     placed: set[str] = set()
     order: list[str] = []
@@ -217,7 +243,7 @@ def oracle_topo_sort(graph: ModelGraph) -> list[str]:
             None,
         )
         if ready is None:
-            raise CycleDetectedError([n.id for n in nodes if n.id not in placed])
+            break
         placed.add(ready.id)
         order.append(ready.id)
     return order

@@ -28,7 +28,7 @@ from cndkit.graph import (
     validate,
 )
 from cndkit.transforms import strategy3_audit
-from graphgen import oracle_macs, random_graph
+from graphgen import oracle_macs, random_graph, random_topological_order, rename_ids
 
 
 def _tiny(h, w, c, *nodes):
@@ -175,21 +175,18 @@ class TestAnalyzeTable:
 
     def test_rows_follow_topological_order(self):
         graph = random_graph(random.Random(5), max_layers=12)
-        shuffled = list(graph.nodes)
-        random.Random(6).shuffle(shuffled)
-        rows = analyze(dataclasses.replace(graph, nodes=tuple(shuffled)))
+        graph = random_topological_order(graph, random.Random(6))
+        rows = analyze(graph)
+        assert [row.node for row in rows] == list(graph.nodes)
         position = {row.node.id: i for i, row in enumerate(rows)}
-        assert sorted(position) == sorted(n.id for n in graph.nodes)
         for row in rows:
             assert all(position[src] < position[row.node.id] for src in row.node.inputs)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
-    def test_results_ignore_stored_order(self, seed, shuffler):
+    def test_results_ignore_stored_order(self, seed, rng):
         graph = random_graph(random.Random(seed), max_layers=12)
-        nodes = list(graph.nodes)
-        shuffler.shuffle(nodes)
-        permuted = dataclasses.replace(graph, nodes=tuple(nodes))
+        reordered = random_topological_order(graph, rng)
 
         def results(g):
             report = count_params(g)
@@ -203,7 +200,33 @@ class TestAnalyzeTable:
                 strategy3_audit(g),
             )
 
-        assert results(permuted) == results(graph)
+        assert results(reordered) == results(graph)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+    def test_results_ignore_id_renaming(self, seed, rng):
+        graph = random_graph(random.Random(seed), max_layers=12)
+        fresh = [f"r{i}" for i in range(len(graph.nodes))]
+        rng.shuffle(fresh)
+        names = {n.id: new for n, new in zip(graph.nodes, fresh)}
+        renamed = rename_ids(graph, names)
+
+        def results(g, name_of):
+            report = count_params(g)
+            audit = strategy3_audit(g)
+            return (
+                report.total,
+                report.total_trainable,
+                [dataclasses.replace(e, node_id=name_of(e.node_id)) for e in report.per_layer],
+                flops_estimate(g),
+                memory_estimate(g, batch=3, mode="training"),
+                memory_estimate(g, batch=3, mode="inference"),
+                audit.early_pool_count,
+                audit.late_downsample_flag,
+                [dataclasses.replace(e, node_id=name_of(e.node_id)) for e in audit.entries],
+            )
+
+        assert results(renamed, lambda i: i) == results(graph, names.get)
 
     @pytest.mark.parametrize(
         "analysis", [count_params, flops_estimate, activation_sizes, strategy3_audit, validate]

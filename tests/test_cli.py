@@ -204,6 +204,18 @@ class TestAnalyze:
         result = runner.invoke(main, ["analyze", "--in", str(bad)])
         assert result.exit_code == 3
 
+    def test_table_columns_line_up_on_long_ids(self, runner, tmp_path):
+        path = tmp_path / "opt.json"
+        assert runner.invoke(main, ["build", "optimized-xception", "--out", str(path)]).exit_code == 0
+        lines = runner.invoke(main, ["analyze", "--in", str(path)]).output.splitlines()
+        header = lines[1]
+        rows = lines[2:next(i for i, line in enumerate(lines) if line.startswith("total params"))]
+        in_ch_end = header.index("in_ch") + len("in_ch")
+        assert max(len(row.split()[0]) for row in rows) > 28
+        for row in rows:
+            node_id, in_ch = row.split()[:2]
+            assert row.index(in_ch, len(node_id)) + len(in_ch) == in_ch_end, row
+
 
 class TestDiff:
     def test_reduction_line(self, runner, tmp_path):

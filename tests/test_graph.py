@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cndkit.analyzer import analyze
 from cndkit.errors import (
     ArityError,
-    CycleDetectedError,
     DuplicateIdError,
     NonPositiveDimError,
     ShapeMismatchError,
@@ -32,7 +32,7 @@ from cndkit.graph import (
     topo_sort,
     validate,
 )
-from graphgen import oracle_topo_sort, random_graph, random_wiring
+from graphgen import oracle_topo_sort, random_graph, random_topological_order, random_wiring
 
 
 def _empty(h=8, w=8, c=3):
@@ -137,9 +137,8 @@ class TestTopoSort:
                 LayerNode("c", Conv2D(4, 1), ("b",)),
             ),
         )
-        with pytest.raises(CycleDetectedError) as exc:
+        with pytest.raises(UnknownInputError, match="node 'b' references unknown input 'c'"):
             topo_sort(graph)
-        assert set(exc.value.node_ids) == {"b", "c"}
 
     def test_respects_edges_on_random_graphs(self):
         rng = random.Random(7)
@@ -151,14 +150,6 @@ class TestTopoSort:
             for node in graph.nodes:
                 for src in node.inputs:
                     assert position[src] < position[node.id]
-
-
-def _sort_outcome(sort, graph):
-    """``("order", ids)`` or ``("cycle", node_ids)`` for one sort of ``graph``."""
-    try:
-        return "order", sort(graph)
-    except CycleDetectedError as exc:
-        return "cycle", exc.node_ids
 
 
 def _descendants(graph, node_id):
@@ -174,13 +165,17 @@ def _descendants(graph, node_id):
 
 @st.composite
 def _stored_graphs(draw, mutation=None):
-    """A generated layer graph or DAG, its nodes stored in a drawn order, and
-    optionally broken: one input pointed back at a descendant (a cycle), at
-    an id no node has (dangling), or one node renamed to another's id.
+    """A generated layer graph or DAG, optionally broken: one input pointed
+    back at a descendant (a cycle), at an id no node has (dangling), or one
+    node renamed to another's id. Its nodes are then stored as generated, in
+    a random dependency order, or in any order.
 
     Returns the graph and the ids the break must leave unplaced."""
     make = draw(st.sampled_from((random_graph, random_wiring)))
-    graph = make(random.Random(draw(st.integers(0, 2**32 - 1))))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    graph = make(rng)
+    if draw(st.booleans()):
+        graph = random_topological_order(graph, rng)
     nodes = list(graph.nodes)
     mutation = mutation or draw(st.sampled_from(("none", "cycle", "dangling", "duplicate")))
     consumers_of = [i for i, n in enumerate(nodes) if n.inputs]
@@ -200,8 +195,20 @@ def _stored_graphs(draw, mutation=None):
     elif mutation == "duplicate" and len(nodes) > 1:
         i, j = draw(st.lists(st.integers(0, len(nodes) - 1), min_size=2, max_size=2, unique=True))
         nodes[i] = dataclasses.replace(nodes[i], id=nodes[j].id)
-    nodes = draw(st.permutations(nodes))
+    if draw(st.booleans()):
+        nodes = draw(st.permutations(nodes))
     return dataclasses.replace(graph, nodes=tuple(nodes)), culprits
+
+
+def _first_stored_at_fault(graph):
+    """Id of the first stored node that repeats an id or names an input not
+    stored before it, or None."""
+    seen: set[str] = set()
+    for node in graph.nodes:
+        if node.id in seen or any(src not in seen for src in node.inputs):
+            return node.id
+        seen.add(node.id)
+    return None
 
 
 class TestTopoSortProperties:
@@ -211,33 +218,36 @@ class TestTopoSortProperties:
     @given(_stored_graphs())
     def test_matches_quadratic_rule(self, case):
         graph, _culprits = case
-        assert _sort_outcome(topo_sort, graph) == _sort_outcome(oracle_topo_sort, graph)
+        stored = [n.id for n in graph.nodes]
+        if oracle_topo_sort(graph) == stored:
+            assert topo_sort(graph) == stored
+        else:
+            with pytest.raises(ValidationError):
+                topo_sort(graph)
 
     @settings(deadline=None)
     @given(st.one_of(_stored_graphs(mutation="cycle"), _stored_graphs(mutation="dangling")))
-    def test_break_lists_unplaced_ids_in_stored_order(self, case):
+    def test_break_names_first_stored_node_at_fault(self, case):
         graph, culprits = case
         assume(culprits)
-        with pytest.raises(CycleDetectedError) as exc:
+        position = {n.id: i for i, n in enumerate(graph.nodes)}
+        placed = set(oracle_topo_sort(graph))
+        assert culprits.isdisjoint(placed)
+        at_fault = _first_stored_at_fault(graph)
+        assert position[at_fault] <= min(position[c] for c in culprits)
+        with pytest.raises(UnknownInputError, match=f"^node {at_fault!r} references"):
             topo_sort(graph)
-        unplaced = exc.value.node_ids
-        assert culprits <= set(unplaced)
-        assert list(unplaced) == [n.id for n in graph.nodes if n.id in set(unplaced)]
-        assert _sort_outcome(oracle_topo_sort, graph) == ("cycle", unplaced)
 
     def test_ties_follow_stored_order_not_id(self):
-        graph = ModelGraph(
-            name="ties",
-            input_shape=TensorShape(8, 8, 3),
-            num_classes=2,
-            nodes=(
-                LayerNode("z", Conv2D(4, 1), ("a",)),
-                LayerNode("y", Add(), ("z", "x")),
-                LayerNode("x", Conv2D(4, 1), ("a",)),
-                LayerNode("a", Input()),
-            ),
+        nodes = (
+            LayerNode("z", Conv2D(4, 1), ("a",)),
+            LayerNode("y", Add(), ("z", "x")),
+            LayerNode("x", Conv2D(4, 1), ("a",)),
+            LayerNode("a", Input()),
         )
-        assert topo_sort(graph) == ["a", "z", "x", "y"]
+        with pytest.raises(UnknownInputError, match="node 'z' references unknown input 'a'"):
+            topo_sort(_stored(*nodes))
+        assert topo_sort(_stored(nodes[3], nodes[0], nodes[2], nodes[1])) == ["a", "z", "x", "y"]
 
 
 class TestInferShapes:
@@ -324,9 +334,9 @@ class TestValidate:
             LayerNode("c", GlobalAvgPool(), ("in",)),
             LayerNode("in", Input()),
         )
-        assert topo_sort(graph) == ["in", "c", "d"]
-        with pytest.raises(UnknownInputError, match="node 'd' references unknown input 'c'"):
-            validate(graph)
+        for check in (topo_sort, infer_shapes, analyze, validate):
+            with pytest.raises(UnknownInputError, match="node 'd' references unknown input 'c'"):
+                check(graph)
 
     def test_cycle_reported_as_unknown_input(self):
         graph = _stored(

@@ -5,6 +5,7 @@ import pytest
 from cndkit.analyzer import count_params
 from cndkit.errors import InvalidFireSpecError, UnknownModuleTagError
 from cndkit.graph import (
+    Activation,
     Add,
     BatchNorm,
     Conv2D,
@@ -210,6 +211,26 @@ class TestStrategy2:
         projs = {n.tag: n.kind.filters for n in out.nodes
                  if is_conv(n.kind) and n.tag.startswith("middle_flow") and n.tag.endswith("/residual")}
         assert projs == {"middle_flow/m5/residual": 512, "middle_flow/m6/residual": 728}
+        assert count_params(out).total == report.params_after
+
+    def test_width_passes_through_untagged_nodes(self):
+        # in -> m1 (sep + Add) -> relu -> m2 (sep + Add): m2 is fed m1's new
+        # width (48) through the untagged relu, not the 64 it had before.
+        graph = ModelGraph(name="two", input_shape=TensorShape(16, 16, 64), num_classes=2)
+        for node in (
+            LayerNode("in", Input()),
+            LayerNode("s1", SeparableConv2D(64, 3), ("in",), "flow/m1/sep1"),
+            LayerNode("a1", Add(), ("s1", "in"), "flow/m1/add"),
+            LayerNode("relu", Activation("relu"), ("a1",)),
+            LayerNode("s2", SeparableConv2D(64, 3), ("relu",), "flow/m2/sep1"),
+            LayerNode("a2", Add(), ("s2", "relu"), "flow/m2/add"),
+        ):
+            graph = add_layer(graph, node)
+        specs = {"flow/m1": FireModuleSpec(16, 32, 48), "flow/m2": FireModuleSpec(16, 32, 64)}
+        out, report = strategy2_insert_fire(graph, specs)
+        projs = {n.tag: n.kind.filters for n in out.nodes if n.tag and n.tag.endswith("/residual")}
+        assert projs == {"flow/m1/residual": 48, "flow/m2/residual": 64}
+        assert infer_shapes(out)["a2"] == TensorShape(16, 16, 64)
         assert count_params(out).total == report.params_after
 
     def test_untouched_nodes_kept(self, xception):
