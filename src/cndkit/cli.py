@@ -1,7 +1,13 @@
 """Command-line entry point wiring builders, passes, analysis, and Pareto.
 
 Exit codes: 0 success, 1 validation/constraint failure, 2 I/O error,
-3 parse/schema error.
+3 parse/schema error. Click also exits 2 on a usage error (an unknown
+option, a bad choice or a malformed ``--input``), so 2 alone does not tell
+the two apart; a usage error prints ``Usage:`` and ``Error:`` lines.
+
+Only ``click``, the standard library and ``errors`` are imported here. Each
+command imports the modules it uses, so a process loads no more of the
+package than its command needs.
 """
 
 from __future__ import annotations
@@ -11,13 +17,16 @@ import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
-from . import analyzer, pareto, transforms, zoo
 from .errors import CndkitError, ParseError, SchemaVersionError
-from .graph import ModelGraph, TensorShape
-from .serialize import load_model, save_model
+
+if TYPE_CHECKING:
+    from .graph import ModelGraph, TensorShape
+    from .transforms import FireModuleSpec
+    from .zoo import OptimizedConfig
 
 EXIT_OK = 0
 EXIT_CONSTRAINT = 1
@@ -45,6 +54,8 @@ def _handled():
 
 
 def _parse_input_shape(value: str) -> TensorShape:
+    from .graph import TensorShape
+
     parts = value.lower().split("x")
     if len(parts) != 3:
         raise click.BadParameter(f"expected HxWxC, got {value!r}")
@@ -54,11 +65,13 @@ def _parse_input_shape(value: str) -> TensorShape:
         raise click.BadParameter(str(exc)) from exc
 
 
-def _fire_spec_from_obj(obj, where: str) -> zoo.FireModuleSpec:
+def _fire_spec_from_obj(obj, where: str) -> FireModuleSpec:
+    from .transforms import FireModuleSpec
+
     if not isinstance(obj, dict) or set(obj) != {"s1x1", "e1x1", "e3x3"}:
         raise ParseError("fire spec must be an object with keys s1x1, e1x1, e3x3", field=where)
     try:
-        return zoo.FireModuleSpec(obj["s1x1"], obj["e1x1"], obj["e3x3"])
+        return FireModuleSpec(obj["s1x1"], obj["e1x1"], obj["e3x3"])
     except CndkitError as exc:
         raise ParseError(str(exc), field=where) from exc
 
@@ -70,7 +83,9 @@ def _load_json(path: str):
         raise ParseError(f"invalid JSON in {path}: {exc.msg}", line=exc.lineno) from exc
 
 
-def _load_optimized_config(path: str) -> zoo.OptimizedConfig:
+def _load_optimized_config(path: str) -> OptimizedConfig:
+    from . import zoo
+
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ParseError("config must be a JSON object", field="<root>")
@@ -88,7 +103,7 @@ def _load_optimized_config(path: str) -> zoo.OptimizedConfig:
     )
 
 
-def _load_specs_map(path: str) -> dict[str, zoo.FireModuleSpec]:
+def _load_specs_map(path: str) -> dict[str, FireModuleSpec]:
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ParseError("specs must be a JSON object mapping module tags to fire specs")
@@ -110,6 +125,9 @@ def main():
 @click.option("--out", "out_path", default=None, help="Write the model JSON here.")
 def cmd_build(model, classes, input_spec, config_path, out_path):
     """Build a zoo model and print a one-line parameter summary."""
+    from . import analyzer, zoo
+    from .serialize import save_model
+
     with _handled():
         shape = _parse_input_shape(input_spec)
         if model == "xception":
@@ -138,6 +156,9 @@ def cmd_build(model, classes, input_spec, config_path, out_path):
 @click.option("--report", "report_path", default=None, help="Write pass report JSON here.")
 def cmd_transform(in_path, pass_name, specs_path, out_path, report_path):
     """Run parameter-reduction passes over a model."""
+    from . import transforms
+    from .serialize import load_model, save_model
+
     with _handled():
         graph = load_model(in_path)
         specs = _load_specs_map(specs_path) if specs_path else {}
@@ -160,6 +181,8 @@ def cmd_transform(in_path, pass_name, specs_path, out_path, report_path):
 
 
 def _analysis_payload(graph: ModelGraph, batch: int, mode: str, optimizer: str) -> dict:
+    from . import analyzer
+
     report = analyzer.count_params(graph)
     memory = analyzer.memory_estimate(graph, batch=batch, mode=mode, optimizer=optimizer)
     return {
@@ -223,6 +246,8 @@ def _analysis_table(payload: dict) -> str:
               show_default=True)
 def cmd_analyze(in_path, fmt, batch, mode, optimizer):
     """Print parameter, FLOP, and memory analysis for a model."""
+    from .serialize import load_model
+
     with _handled():
         graph = load_model(in_path)
         optimizer_name = "sgd_momentum" if optimizer == "sgd" else optimizer
@@ -238,6 +263,9 @@ def cmd_analyze(in_path, fmt, batch, mode, optimizer):
 @click.option("--b", "b_path", required=True, help="Comparison model JSON.")
 def cmd_diff(a_path, b_path):
     """Show a per-module comparison of two models."""
+    from . import transforms
+    from .serialize import load_model
+
     with _handled():
         a = load_model(a_path)
         b = load_model(b_path)
@@ -252,6 +280,8 @@ def cmd_diff(a_path, b_path):
 @click.option("--out", "out_path", default=None, help="Write plot-data CSV here.")
 def cmd_pareto(csv_path, accuracy_frontier, memory_frontier_opt, out_path):
     """Quadrant and non-dominated-set analysis of measurement records."""
+    from . import pareto
+
     with _handled():
         text = Path(csv_path).read_text(encoding="utf-8")
         records = pareto.load_measurements(text)

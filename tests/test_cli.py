@@ -53,6 +53,14 @@ class TestBuild:
         )
         assert result.exit_code == 2
 
+    def test_malformed_input_is_usage_error_exit_2(self, runner):
+        # Click's usage errors share exit code 2 with I/O errors.
+        result = runner.invoke(main, ["build", "xception", "--input", "1x2"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Usage:" in result.output
+        assert "expected HxWxC, got '1x2'" in result.output
+
     def test_bad_config_is_parse_error(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")

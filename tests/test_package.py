@@ -1,0 +1,122 @@
+"""The public surface of ``import cndkit`` and what each entry point loads.
+
+The package exports its names lazily, and the CLI imports each command's
+modules inside the command. The child-process tests list the ``cndkit.*``
+modules a fresh interpreter has loaded, so a top-level import added later
+that loads a module a command does not use fails here.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cndkit
+from cndkit.serialize import save_model
+
+SRC = str(Path(cndkit.__file__).resolve().parent.parent)
+FIXTURE = str(Path(cndkit.__file__).resolve().parent / "fixtures" / "caltech101.csv")
+PUBLIC = [name for name in cndkit.__all__ if name != "__version__"]
+
+# Appended to a child's code: print the loaded ``cndkit`` modules last.
+LIST_LOADED = '\nimport sys; print(" ".join(m for m in sys.modules if m.startswith("cndkit")))'
+# Run the CLI as ``python -m cndkit.cli`` would.
+CLI_CHILD = """
+import runpy, sys
+sys.argv = ["cndkit", *sys.argv[1:]]
+try:
+    runpy.run_module("cndkit.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code in (0, None), exc.code""" + LIST_LOADED
+
+
+def child(code: str, *args: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def loaded_by(code: str, *args: str) -> set[str]:
+    return set(child(code, *args).splitlines()[-1].split())
+
+
+class TestPublicSurface:
+    def test_all_is_the_published_list(self):
+        assert cndkit.__all__ == [
+            "Activation", "Add", "BatchNorm", "Conv2D", "Dense", "GlobalAvgPool", "Input",
+            "LayerKind", "LayerNode", "MaxPool", "ModelGraph", "SeparableConv2D", "TensorShape",
+            "add_layer", "infer_shapes", "module_groups", "module_of", "role_of", "topo_sort",
+            "validate", "serialize", "deserialize", "save_model", "load_model",
+            "FireModuleSpec", "OptimizedConfig", "DEFAULT_OPTIMIZED_CONFIG",
+            "build_xception", "build_optimized_xception", "build_mobilenet_v2", "make_fire_module",
+            "LayerParams", "LayerRow", "ParamReport", "MemoryEstimate", "analyze", "count_params",
+            "count_params_layer", "flops_estimate", "activation_sizes", "memory_estimate",
+            "round_params_millions",
+            "PassReport", "DownsampleAudit", "strategy1_replace_kernels", "strategy2_insert_fire",
+            "strategy3_audit", "validate_fire_constraints", "diff", "structurally_equal",
+            "ModelMeasurement", "Quadrant", "QuadrantConfig", "load_measurements", "load_fixture",
+            "memory_frontier", "classify_quadrant", "pareto_front", "export_plot_data",
+            "__version__",
+        ]
+
+    @pytest.mark.parametrize("name", PUBLIC)
+    def test_name_resolves_to_its_home_module_attribute(self, name):
+        home = importlib.import_module(f"cndkit.{cndkit._HOME[name]}")
+        expected = getattr(home, name)
+        assert getattr(cndkit, name) is expected
+        assert cndkit.__getattr__(name) is expected
+        defined_in = getattr(expected, "__module__", None)
+        if defined_in and defined_in.startswith("cndkit."):
+            assert defined_in == home.__name__
+
+    def test_dir_covers_all(self):
+        assert set(cndkit.__all__) <= set(dir(cndkit))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cndkit.no_such_name  # noqa: B018
+        assert not hasattr(cndkit, "no_such_name")
+        with pytest.raises(ImportError):
+            from cndkit import no_such_name  # noqa: F401
+
+    def test_serialize_stays_the_function_after_submodule_import(self):
+        out = child("import cndkit.serialize; import cndkit, sys; "
+                    "print(cndkit.serialize is sys.modules['cndkit.serialize'].serialize)")
+        assert out.strip() == "True"
+
+    def test_star_import_binds_every_public_name(self):
+        out = child("from cndkit import *; print(sorted(n for n in __import__('cndkit').__all__ "
+                    "if n not in globals()))")
+        assert out.strip() == "[]"
+
+
+class TestLaziness:
+    def test_import_cndkit_loads_only_the_serialize_chain(self):
+        assert loaded_by("import cndkit" + LIST_LOADED) == {
+            "cndkit", "cndkit.errors", "cndkit.graph", "cndkit.serialize"}
+
+    def test_public_name_loads_its_home_module_on_first_access(self):
+        loaded = loaded_by("import cndkit; cndkit.QuadrantConfig" + LIST_LOADED)
+        assert "cndkit.pareto" in loaded
+        assert not loaded & {"cndkit.analyzer", "cndkit.transforms", "cndkit.zoo"}
+
+    def test_import_cli_loads_no_command_module(self):
+        loaded = loaded_by("import cndkit.cli" + LIST_LOADED)
+        assert "cndkit.cli" in loaded
+        assert not loaded & {"cndkit.analyzer", "cndkit.pareto", "cndkit.transforms", "cndkit.zoo"}
+
+    def test_pareto_command_loads_only_pareto(self):
+        loaded = loaded_by(CLI_CHILD, "pareto", "--csv", FIXTURE)
+        assert "cndkit.pareto" in loaded
+        assert not loaded & {"cndkit.analyzer", "cndkit.transforms", "cndkit.zoo"}
+
+    def test_analyze_command_loads_only_analyzer(self, tmp_path, mobilenet):
+        path = tmp_path / "m.json"
+        save_model(mobilenet, path)
+        loaded = loaded_by(CLI_CHILD, "analyze", "--in", str(path))
+        assert "cndkit.analyzer" in loaded
+        assert not loaded & {"cndkit.pareto", "cndkit.transforms", "cndkit.zoo"}
