@@ -53,7 +53,8 @@ def _handled():
         sys.exit(EXIT_CONSTRAINT)
 
 
-def _parse_input_shape(value: str) -> TensorShape:
+def _parse_input_shape(ctx, param, value: str) -> TensorShape:
+    """``--input`` callback, so click names the option in its usage error."""
     from .graph import TensorShape
 
     parts = value.lower().split("x")
@@ -118,18 +119,17 @@ def main():
 @main.command("build")
 @click.argument("model", type=click.Choice(["xception", "optimized-xception", "mobilenetv2"]))
 @click.option("--classes", default=101, show_default=True, help="Classifier output units.")
-@click.option("--input", "input_spec", default="299x299x3", show_default=True,
-              help="Input shape as HxWxC.")
+@click.option("--input", "shape", default="299x299x3", show_default=True,
+              callback=_parse_input_shape, help="Input shape as HxWxC.")
 @click.option("--config", "config_path", default=None,
               help="JSON fire-module config for optimized-xception.")
 @click.option("--out", "out_path", default=None, help="Write the model JSON here.")
-def cmd_build(model, classes, input_spec, config_path, out_path):
+def cmd_build(model, classes, shape, config_path, out_path):
     """Build a zoo model and print a one-line parameter summary."""
     from . import analyzer, zoo
     from .serialize import save_model
 
     with _handled():
-        shape = _parse_input_shape(input_spec)
         if model == "xception":
             graph = zoo.build_xception(shape, classes)
         elif model == "mobilenetv2":

@@ -374,17 +374,20 @@ def infer_shapes(graph: ModelGraph) -> dict[str, TensorShape]:
 # -- validation ----------------------------------------------------------------
 
 def validate(graph: ModelGraph) -> ModelGraph:
-    """Check all structural invariants; return the graph unchanged.
-
-    ``infer_shapes`` checks the stored order (see ``topo_sort``) and shape
-    consistency, including Add input equality. Then: exactly one Input node,
-    positive ``num_classes`` and exactly one terminal node.
-    """
+    """Check all structural invariants and return the graph unchanged:
+    ``infer_shapes`` (stored order, see ``topo_sort``, and shape consistency,
+    including Add input equality), then ``check_endpoints``."""
     infer_shapes(graph)
+    check_endpoints(graph)
+    return graph
+
+
+def check_endpoints(graph: ModelGraph) -> None:
+    """The checks of ``validate`` that need no shapes: exactly one Input
+    node, positive ``num_classes`` and exactly one terminal node."""
     inputs = [n.id for n in graph.nodes if isinstance(n.kind, Input)]
     if len(inputs) != 1:
         raise ValidationError(f"graph must have exactly one Input node, found {inputs}")
     if graph.num_classes < 1:
         raise ValidationError(f"num_classes must be positive, got {graph.num_classes}")
     graph.terminal_id()
-    return graph

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from . import analyzer
@@ -40,17 +41,18 @@ from .graph import (
     BatchNorm,
     Conv2D,
     GlobalAvgPool,
+    LayerKind,
     LayerNode,
     MaxPool,
     ModelGraph,
     SeparableConv2D,
     TensorShape,
+    check_endpoints,
     is_conv,
     module_groups,
     module_of,
     role_of,
     topo_sort,
-    validate,
 )
 
 
@@ -166,6 +168,17 @@ def check_fire_spec(spec: FireModuleSpec, module: str | None = None) -> None:
         )
 
 
+def conv_unit(nodes: list[LayerNode], base_id: str, kind: LayerKind, source: str, tag: str,
+              activation: str | None = "relu") -> str:
+    """Append conv -> BatchNorm [-> Activation] to ``nodes``, the last two with
+    ``_bn`` and ``_act`` added to ``base_id`` and ``tag``; return the tail id."""
+    nodes.append(LayerNode(base_id, kind, (source,), tag))
+    nodes.append(LayerNode(f"{base_id}_bn", BatchNorm(), (base_id,), f"{tag}_bn"))
+    if activation is not None:
+        nodes.append(LayerNode(f"{base_id}_act", Activation(activation), (f"{base_id}_bn",), f"{tag}_act"))
+    return nodes[-1].id
+
+
 def make_fire_module(
     input_id: str,
     spec: FireModuleSpec,
@@ -190,14 +203,7 @@ def make_fire_module(
     nodes: list[LayerNode] = []
     source = input_id
     for role, kind in plan:
-        base = f"{prefix}_{role}"
-        tag = f"{module_tag}/{role}"
-        nodes.append(LayerNode(id=base, kind=kind, inputs=(source,), tag=tag))
-        nodes.append(LayerNode(id=f"{base}_bn", kind=BatchNorm(), inputs=(base,), tag=f"{tag}_bn"))
-        nodes.append(
-            LayerNode(id=f"{base}_act", kind=Activation("relu"), inputs=(f"{base}_bn",), tag=f"{tag}_act")
-        )
-        source = f"{base}_act"
+        source = conv_unit(nodes, f"{prefix}_{role}", kind, source, f"{module_tag}/{role}")
     return nodes
 
 
@@ -205,16 +211,11 @@ _REWRITABLE_KINDS = (Conv2D, SeparableConv2D, MaxPool, BatchNorm, Activation, Ad
 _WIDTH_KEEPING_KINDS = (BatchNorm, Activation, MaxPool, Add, GlobalAvgPool)
 
 
-def _module_structure(
-    by_id: dict[str, LayerNode], consumers: dict[str, list[str]], ids: list[str], module: str
-):
-    """Pick apart one tagged module: input, main convs, pool, add, projection.
-
-    ``by_id`` and ``consumers`` are the graph's ``node_map()`` and
-    ``consumers()``, built once by the caller for all its modules.
-    """
-    id_set = set(ids)
-    nodes = [by_id[i] for i in ids]
+def _module_structure(nodes: list[LayerNode], module: str):
+    """Pick apart one tagged module, given its nodes: input, main convs,
+    pool, add, projection and tail (the one node no other node of the
+    module consumes)."""
+    id_set = {n.id for n in nodes}
     for node in nodes:
         if not isinstance(node.kind, _REWRITABLE_KINDS):
             raise ModuleStructureError(
@@ -247,7 +248,8 @@ def _module_structure(
             f"module {module!r} has more than one pool or add; cannot rewrite"
         )
 
-    tails = [n.id for n in nodes if not any(c in id_set for c in consumers[n.id])]
+    consumed = {src for n in nodes for src in n.inputs}
+    tails = [n.id for n in nodes if n.id not in consumed]
     if len(tails) != 1:
         raise ModuleStructureError(f"module {module!r} must have a single output, found {tails}")
     return module_input, main_convs, (pools[0] if pools else None), (adds[0] if adds else None), proj, proj_bn, tails[0]
@@ -275,7 +277,6 @@ def strategy2_insert_fire(
 
     shapes = {row.node.id: row.shape_out for row in rows}
     by_id = graph.node_map()
-    consumers = graph.consumers()
     existing_ids = set(by_id)
     remap: dict[str, str] = {}
     widths: dict[str, int] = {}  # old id -> new width: rewritten tails and what passes them on
@@ -292,7 +293,7 @@ def strategy2_insert_fire(
 
     def rebuild(module: str, spec: FireModuleSpec) -> None:
         module_input, main_convs, pool, add_node, proj, proj_bn, old_tail = _module_structure(
-            by_id, consumers, groups[module], module
+            [by_id[i] for i in groups[module]], module
         )
         source = remap.get(module_input, module_input)
         in_shape = shapes[module_input]
@@ -359,16 +360,17 @@ def strategy2_insert_fire(
 
     result = dataclasses.replace(graph, nodes=tuple(new_nodes))
     try:
-        validate(result)
+        rows_after = analyzer.analyze(result)
     except ShapeMismatchError as exc:
         raise ResidualShapeBrokenError(
             f"fire insertion broke residual shapes in {graph.name!r}: {exc}"
         ) from exc
+    check_endpoints(result)
     report = PassReport(
         "strategy2_insert_fire",
         tuple(changed),
         params_before,
-        analyzer.count_params(result).total,
+        analyzer.total_params(rows_after),
         violations=tuple(validate_fire_constraints(result)),
     )
     return result, report
@@ -460,20 +462,15 @@ def structurally_equal(a: ModelGraph, b: ModelGraph) -> bool:
     def canon(graph: ModelGraph):
         table: dict[tuple, int] = {}
         assigned: dict[str, int] = {}
-        keys = []
+        keys: Counter = Counter()
         topo_sort(graph)
         for node in graph.nodes:
-            attrs = tuple(sorted(dataclasses.asdict(node.kind).items()))
-            key = (
-                type(node.kind).__name__,
-                attrs,
-                node.tag,
-                tuple(assigned[i] for i in node.inputs),
-            )
+            # kinds are frozen dataclasses, equal by class and fields
+            key = (node.kind, node.tag, tuple(assigned[i] for i in node.inputs))
             assigned[node.id] = table.setdefault(key, len(table))
-            keys.append(key)
+            keys[key] += 1
         terminal = assigned[graph.terminal_id()]
-        return (graph.input_shape, graph.num_classes, sorted(keys), terminal)
+        return (graph.input_shape, graph.num_classes, keys, terminal)
 
     return canon(a) == canon(b)
 

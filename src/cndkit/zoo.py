@@ -10,6 +10,8 @@ Conventions shared by all builders:
     Dense carries bias,
   * each conv is emitted as conv -> BatchNorm -> relu unless noted
     (residual projections and inverted-residual bottlenecks skip the relu),
+    by :func:`cndkit.transforms.conv_unit`, which ``make_fire_module`` uses
+    too; each builder appends to a node list and ends with ``validate``,
   * module tags follow ``flow/mN/role`` (see graph module docstring).
 """
 
@@ -22,7 +24,6 @@ from .errors import ValidationError
 from .graph import (
     Activation,
     Add,
-    BatchNorm,
     Conv2D,
     Dense,
     GlobalAvgPool,
@@ -36,7 +37,7 @@ from .graph import (
     make_tag,
     validate,
 )
-from .transforms import FireModuleSpec, strategy1_replace_kernels, strategy2_insert_fire
+from .transforms import FireModuleSpec, conv_unit, strategy1_replace_kernels, strategy2_insert_fire
 
 STEM_FILTERS = (32, 64)
 ENTRY_MODULE_FILTERS = (128, 256, 728)
@@ -88,40 +89,10 @@ DEFAULT_OPTIMIZED_CONFIG = OptimizedConfig(
 )
 
 
-class _Assembler:
-    """Incremental graph builder used by the zoo; validates on build()."""
-
-    def __init__(self, name: str, input_shape: TensorShape, num_classes: int,
-                 metadata: dict[str, str] | None = None):
-        self.name = name
-        self.input_shape = input_shape
-        self.num_classes = num_classes
-        self.metadata = dict(metadata or {})
-        self.nodes: list[LayerNode] = []
-        self.add("input", Input(), (), None)
-
-    def add(self, node_id: str, kind: LayerKind, inputs: tuple[str, ...], tag: str | None) -> str:
-        self.nodes.append(LayerNode(id=node_id, kind=kind, inputs=tuple(inputs), tag=tag))
-        return node_id
-
-    def conv_unit(self, base_id: str, kind: LayerKind, source: str, tag: str,
-                  activation: str | None = "relu") -> str:
-        """conv -> BatchNorm [-> Activation]; returns the unit's tail id."""
-        out = self.add(base_id, kind, (source,), tag)
-        out = self.add(f"{base_id}_bn", BatchNorm(), (out,), f"{tag}_bn")
-        if activation is not None:
-            out = self.add(f"{base_id}_act", Activation(activation), (out,), f"{tag}_act")
-        return out
-
-    def build(self) -> ModelGraph:
-        graph = ModelGraph(
-            name=self.name,
-            input_shape=self.input_shape,
-            num_classes=self.num_classes,
-            nodes=tuple(self.nodes),
-            metadata=self.metadata,
-        )
-        return validate(graph)
+def _add(nodes: list[LayerNode], node_id: str, kind: LayerKind, inputs: tuple[str, ...],
+         tag: str) -> str:
+    nodes.append(LayerNode(node_id, kind, inputs, tag))
+    return node_id
 
 
 def _check_head(num_classes: int) -> None:
@@ -129,32 +100,32 @@ def _check_head(num_classes: int) -> None:
         raise ValidationError(f"classifier head needs at least 2 classes, got {num_classes}")
 
 
-def _stem(asm: _Assembler) -> str:
-    x = asm.conv_unit(
-        "stem_conv1", Conv2D(STEM_FILTERS[0], 3, stride=2, padding="valid"), "input",
+def _stem(nodes: list[LayerNode]) -> str:
+    x = conv_unit(
+        nodes, "stem_conv1", Conv2D(STEM_FILTERS[0], 3, stride=2, padding="valid"), "input",
         make_tag("entry_flow", "m1", "conv1"),
     )
-    return asm.conv_unit(
-        "stem_conv2", Conv2D(STEM_FILTERS[1], 3, padding="valid"), x,
+    return conv_unit(
+        nodes, "stem_conv2", Conv2D(STEM_FILTERS[1], 3, padding="valid"), x,
         make_tag("entry_flow", "m1", "conv2"),
     )
 
 
-def _pool_residual_tail(asm: _Assembler, prefix: str, flow: str, mod: str,
+def _pool_residual_tail(nodes: list[LayerNode], prefix: str, flow: str, mod: str,
                         main_tail: str, module_input: str, out_filters: int) -> str:
     """MaxPool on the main path + strided 1x1 projection, joined by Add."""
-    pool = asm.add(f"{prefix}_pool", MaxPool(3, 2), (main_tail,), make_tag(flow, mod, "pool"))
-    res = asm.conv_unit(
-        f"{prefix}_res", Conv2D(out_filters, 1, stride=2), module_input,
+    pool = _add(nodes, f"{prefix}_pool", MaxPool(3, 2), (main_tail,), make_tag(flow, mod, "pool"))
+    res = conv_unit(
+        nodes, f"{prefix}_res", Conv2D(out_filters, 1, stride=2), module_input,
         make_tag(flow, mod, "residual"), activation=None,
     )
-    return asm.add(f"{prefix}_add", Add(), (pool, res), make_tag(flow, mod, "add"))
+    return _add(nodes, f"{prefix}_add", Add(), (pool, res), make_tag(flow, mod, "add"))
 
 
-def _head(asm: _Assembler, source: str, flow: str, mod: str) -> str:
-    x = asm.add("gap", GlobalAvgPool(), (source,), make_tag(flow, mod, "gap"))
-    x = asm.add("classifier", Dense(asm.num_classes), (x,), make_tag(flow, mod, "head"))
-    return asm.add("predictions", Activation("softmax"), (x,), make_tag(flow, mod, "head_act"))
+def _head(nodes: list[LayerNode], source: str, num_classes: int, flow: str, mod: str) -> None:
+    x = _add(nodes, "gap", GlobalAvgPool(), (source,), make_tag(flow, mod, "gap"))
+    x = _add(nodes, "classifier", Dense(num_classes), (x,), make_tag(flow, mod, "head"))
+    _add(nodes, "predictions", Activation("softmax"), (x,), make_tag(flow, mod, "head_act"))
 
 
 def build_xception(
@@ -170,38 +141,38 @@ def build_xception(
     the second.
     """
     _check_head(num_classes)
-    asm = _Assembler("xception", input_shape, num_classes,
-                     {"family": "xception", "variant": "original"})
-    x = _stem(asm)
+    nodes = [LayerNode("input", Input())]
+    x = _stem(nodes)
 
     for i, filters in enumerate(ENTRY_MODULE_FILTERS):
         mod = f"m{i + 2}"
         prefix = f"entry_{mod}"
-        a = asm.conv_unit(f"{prefix}_sep1", SeparableConv2D(filters, 3), x,
-                          make_tag("entry_flow", mod, "sep1"))
-        b = asm.conv_unit(f"{prefix}_sep2", SeparableConv2D(filters, 3), a,
-                          make_tag("entry_flow", mod, "sep2"))
-        x = _pool_residual_tail(asm, prefix, "entry_flow", mod, b, x, filters)
+        a = conv_unit(nodes, f"{prefix}_sep1", SeparableConv2D(filters, 3), x,
+                      make_tag("entry_flow", mod, "sep1"))
+        b = conv_unit(nodes, f"{prefix}_sep2", SeparableConv2D(filters, 3), a,
+                      make_tag("entry_flow", mod, "sep2"))
+        x = _pool_residual_tail(nodes, prefix, "entry_flow", mod, b, x, filters)
 
     for i in range(MIDDLE_MODULE_COUNT):
         mod = f"m{i + 5}"
         prefix = f"middle_{mod}"
         tail = x
         for j in range(3):
-            tail = asm.conv_unit(
-                f"{prefix}_sep{j + 1}", SeparableConv2D(MIDDLE_FILTERS, 3), tail,
+            tail = conv_unit(
+                nodes, f"{prefix}_sep{j + 1}", SeparableConv2D(MIDDLE_FILTERS, 3), tail,
                 make_tag("middle_flow", mod, f"sep{j + 1}"),
             )
-        x = asm.add(f"{prefix}_add", Add(), (tail, x), make_tag("middle_flow", mod, "add"))
+        x = _add(nodes, f"{prefix}_add", Add(), (tail, x), make_tag("middle_flow", mod, "add"))
 
     f1, f2, f3, f4 = exit_filters
-    a = asm.conv_unit("exit_m13_sep1", SeparableConv2D(f1, 3), x, make_tag("exit_flow", "m13", "sep1"))
-    b = asm.conv_unit("exit_m13_sep2", SeparableConv2D(f2, 3), a, make_tag("exit_flow", "m13", "sep2"))
-    x = _pool_residual_tail(asm, "exit_m13", "exit_flow", "m13", b, x, f2)
-    x = asm.conv_unit("exit_m14_sep1", SeparableConv2D(f3, 3), x, make_tag("exit_flow", "m14", "sep1"))
-    x = asm.conv_unit("exit_m14_sep2", SeparableConv2D(f4, 3), x, make_tag("exit_flow", "m14", "sep2"))
-    _head(asm, x, "exit_flow", "m14")
-    return asm.build()
+    a = conv_unit(nodes, "exit_m13_sep1", SeparableConv2D(f1, 3), x, make_tag("exit_flow", "m13", "sep1"))
+    b = conv_unit(nodes, "exit_m13_sep2", SeparableConv2D(f2, 3), a, make_tag("exit_flow", "m13", "sep2"))
+    x = _pool_residual_tail(nodes, "exit_m13", "exit_flow", "m13", b, x, f2)
+    x = conv_unit(nodes, "exit_m14_sep1", SeparableConv2D(f3, 3), x, make_tag("exit_flow", "m14", "sep1"))
+    x = conv_unit(nodes, "exit_m14_sep2", SeparableConv2D(f4, 3), x, make_tag("exit_flow", "m14", "sep2"))
+    _head(nodes, x, num_classes, "exit_flow", "m14")
+    return validate(ModelGraph("xception", input_shape, num_classes, tuple(nodes),
+                               {"family": "xception", "variant": "original"}))
 
 
 def build_optimized_xception(
@@ -247,9 +218,8 @@ def build_mobilenet_v2(
     equivalence with a runtime implementation.
     """
     _check_head(num_classes)
-    asm = _Assembler("mobilenetv2", input_shape, num_classes,
-                     {"family": "mobilenetv2", "variant": "width-1.0"})
-    x = asm.conv_unit("stem_conv", Conv2D(32, 3, stride=2), "input", make_tag("stem", "m1", "conv"))
+    nodes = [LayerNode("input", Input())]
+    x = conv_unit(nodes, "stem_conv", Conv2D(32, 3, stride=2), "input", make_tag("stem", "m1", "conv"))
     channels = 32
 
     block = 2
@@ -260,20 +230,21 @@ def build_mobilenet_v2(
             prefix = f"block{block}"
             tail = x
             if expansion != 1:
-                tail = asm.conv_unit(
-                    f"{prefix}_expand", Conv2D(channels * expansion, 1), tail,
+                tail = conv_unit(
+                    nodes, f"{prefix}_expand", Conv2D(channels * expansion, 1), tail,
                     make_tag("blocks", mod, "expand"),
                 )
-            tail = asm.conv_unit(
-                f"{prefix}_sepconv", SeparableConv2D(out_channels, 3, stride=stride), tail,
+            tail = conv_unit(
+                nodes, f"{prefix}_sepconv", SeparableConv2D(out_channels, 3, stride=stride), tail,
                 make_tag("blocks", mod, "sepconv"), activation=None,
             )
             if stride == 1 and channels == out_channels:
-                tail = asm.add(f"{prefix}_add", Add(), (tail, x), make_tag("blocks", mod, "add"))
+                tail = _add(nodes, f"{prefix}_add", Add(), (tail, x), make_tag("blocks", mod, "add"))
             x = tail
             channels = out_channels
             block += 1
 
-    x = asm.conv_unit("head_conv", Conv2D(1280, 1), x, make_tag("head", f"m{block}", "conv"))
-    _head(asm, x, "head", f"m{block}")
-    return asm.build()
+    x = conv_unit(nodes, "head_conv", Conv2D(1280, 1), x, make_tag("head", f"m{block}", "conv"))
+    _head(nodes, x, num_classes, "head", f"m{block}")
+    return validate(ModelGraph("mobilenetv2", input_shape, num_classes, tuple(nodes),
+                               {"family": "mobilenetv2", "variant": "width-1.0"}))

@@ -59,7 +59,7 @@ class TestBuild:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "Usage:" in result.output
-        assert "expected HxWxC, got '1x2'" in result.output
+        assert "Invalid value for '--input': expected HxWxC, got '1x2'" in result.output
 
     def test_bad_config_is_parse_error(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,15 +1,23 @@
 import random
+import sys
 
 import pytest
 
+import cndkit.graph
 from cndkit.analyzer import count_params
-from cndkit.errors import InvalidFireSpecError, UnknownModuleTagError
+from cndkit.errors import (
+    InvalidFireSpecError,
+    ResidualShapeBrokenError,
+    UnknownModuleTagError,
+    ValidationError,
+)
 from cndkit.graph import (
     Activation,
     Add,
     BatchNorm,
     Conv2D,
     Dense,
+    GlobalAvgPool,
     Input,
     LayerNode,
     MaxPool,
@@ -29,7 +37,7 @@ from cndkit.transforms import (
     structurally_equal,
     validate_fire_constraints,
 )
-from cndkit.zoo import DEFAULT_OPTIMIZED_CONFIG, FireModuleSpec
+from cndkit.zoo import DEFAULT_OPTIMIZED_CONFIG, FireModuleSpec, build_optimized_xception
 
 
 def default_specs():
@@ -37,6 +45,22 @@ def default_specs():
     specs = {f"entry_flow/m{i + 2}": s for i, s in enumerate(cfg.entry_fire)}
     specs.update({f"middle_flow/m{i + 5}": s for i, s in enumerate(cfg.middle_fire)})
     return specs
+
+
+@pytest.fixture
+def inference_calls(monkeypatch):
+    """Names of the graphs ``infer_shapes`` runs on, whichever module calls it."""
+    calls = []
+    real = cndkit.graph.infer_shapes
+
+    def counting(graph):
+        calls.append(graph.name)
+        return real(graph)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cndkit.") and getattr(module, "infer_shapes", None) is real:
+            monkeypatch.setattr(module, "infer_shapes", counting)
+    return calls
 
 
 def _single_module_graph(kernels=(3, 3), filters=128, channels=64, with_residual=True):
@@ -233,6 +257,51 @@ class TestStrategy2:
         assert infer_shapes(out)["a2"] == TensorShape(16, 16, 64)
         assert count_params(out).total == report.params_after
 
+    def test_broken_residual_outside_module(self):
+        # The Add joining m1's output to its input is untagged, so the pass
+        # leaves it alone and its inputs end up 48 vs 64 channels wide.
+        graph = ModelGraph(name="outside", input_shape=TensorShape(16, 16, 64), num_classes=2)
+        for node in (
+            LayerNode("in", Input()),
+            LayerNode("s1", SeparableConv2D(64, 3), ("in",), "flow/m1/sep1"),
+            LayerNode("sum", Add(), ("s1", "in")),
+        ):
+            graph = add_layer(graph, node)
+        with pytest.raises(ResidualShapeBrokenError) as exc:
+            strategy2_insert_fire(graph, {"flow/m1": FireModuleSpec(16, 32, 48)})
+        assert str(exc.value) == (
+            "fire insertion broke residual shapes in 'outside': "
+            "Add node 'sum' inputs differ: 16x16x48 vs 16x16x64"
+        )
+
+    @pytest.mark.parametrize("num_classes, message", [
+        (2, "graph must have exactly one terminal node, found ['flow_m1_fire_expand3_act', 'side']"),
+        (0, "num_classes must be positive, got 0"),
+    ])
+    def test_result_checked_like_validate(self, num_classes, message):
+        # Two terminals, and with num_classes=0 a second fault that
+        # validate reports first.
+        graph = ModelGraph(name="ends", input_shape=TensorShape(16, 16, 64), num_classes=num_classes)
+        for node in (
+            LayerNode("in", Input()),
+            LayerNode("s1", SeparableConv2D(64, 3), ("in",), "flow/m1/sep1"),
+            LayerNode("side", Activation("relu"), ("in",)),
+        ):
+            graph = add_layer(graph, node)
+        with pytest.raises(ValidationError) as exc:
+            strategy2_insert_fire(graph, {"flow/m1": FireModuleSpec(16, 32, 48)})
+        assert str(exc.value) == message
+
+    def test_two_shape_inferences_per_call(self, xception, inference_calls):
+        # one of the input graph, one of the result
+        strategy2_insert_fire(xception, default_specs())
+        assert inference_calls == [xception.name, xception.name]
+
+    def test_optimized_build_infers_shapes_four_times(self, inference_calls):
+        # build_xception's validate, strategy1 and strategy2's two
+        build_optimized_xception()
+        assert len(inference_calls) == 4
+
     def test_untouched_nodes_kept(self, xception):
         out, _ = strategy2_insert_fire(xception, {"middle_flow/m5": FireModuleSpec(414, 600, 728)})
         assert out.node("exit_m14_sep2") is xception.node("exit_m14_sep2")
@@ -355,3 +424,24 @@ class TestStructuralEquality:
     def test_kind_change_detected(self, xception):
         out, _ = strategy1_replace_kernels(xception)
         assert not structurally_equal(out, xception)
+
+    @staticmethod
+    def _twins(prefix="", tag="flow/m1/act", fn="relu"):
+        """in -> relu (tagged) -> relu (untagged) -> gap -> dense: twin kinds."""
+        graph = ModelGraph(name="twins", input_shape=TensorShape(8, 8, 4), num_classes=2)
+        for node in (
+            LayerNode(f"{prefix}in", Input()),
+            LayerNode(f"{prefix}a", Activation(fn), (f"{prefix}in",), tag),
+            LayerNode(f"{prefix}b", Activation("relu"), (f"{prefix}a",)),
+            LayerNode(f"{prefix}gap", GlobalAvgPool(), (f"{prefix}b",)),
+            LayerNode(f"{prefix}fc", Dense(2), (f"{prefix}gap",)),
+        ):
+            graph = add_layer(graph, node)
+        return graph
+
+    def test_tagged_and_untagged_twins(self):
+        twins = self._twins()
+        assert structurally_equal(twins, twins)
+        assert structurally_equal(twins, self._twins(prefix="x_"))
+        assert not structurally_equal(twins, self._twins(tag="flow/m1/other"))
+        assert not structurally_equal(twins, self._twins(fn="sigmoid"))

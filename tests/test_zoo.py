@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from cndkit.analyzer import count_params, flops_estimate, round_params_millions
@@ -15,7 +17,8 @@ from cndkit.graph import (
     role_of,
     topo_sort,
 )
-from cndkit.transforms import make_fire_module
+from cndkit.serialize import serialize
+from cndkit.transforms import conv_unit, make_fire_module
 from cndkit.zoo import (
     DEFAULT_OPTIMIZED_CONFIG,
     FireModuleSpec,
@@ -35,6 +38,18 @@ def _module_conv_nodes(graph):
         n for n in graph.nodes
         if is_conv(n.kind) and module_of(n.tag) is not None and role_of(n.tag) != "residual"
     ]
+
+
+@pytest.mark.parametrize("build, size, digest", [
+    (build_xception, 30_691, "9c5ce2d698257659b5685ea1efd89ce0fdb95c93684a82beafa86cf3e25308a8"),
+    (build_optimized_xception, 35_593,
+     "814e405daae6950e512e0867cb215e719c4da0fab27a3a0a83d8cf3252cf30ff"),
+    (build_mobilenet_v2, 22_978, "8c141c07815c14413711633641f3f03301413c01aa378b8bd536ace6a482b3c4"),
+])
+def test_model_json_is_byte_stable(build, size, digest):
+    data = serialize(build()).encode("utf-8")
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestXception:
@@ -170,6 +185,24 @@ class TestMobileNetV2:
     def test_validates_and_infers_end_to_end(self, mobilenet):
         shapes = infer_shapes(mobilenet)
         assert shapes[mobilenet.terminal_id()] == TensorShape(1, 1, 101)
+
+
+class TestConvUnit:
+    def test_ids_tags_and_wiring(self):
+        nodes = []
+        tail = conv_unit(nodes, "c", SeparableConv2D(8, 3), "src", "f/m1/sep1")
+        assert tail == "c_act"
+        assert [(n.id, n.inputs, n.tag) for n in nodes] == [
+            ("c", ("src",), "f/m1/sep1"),
+            ("c_bn", ("c",), "f/m1/sep1_bn"),
+            ("c_act", ("c_bn",), "f/m1/sep1_act"),
+        ]
+
+    def test_no_activation_ends_at_batchnorm(self):
+        nodes = []
+        assert conv_unit(nodes, "r", SeparableConv2D(8, 1), "src", "f/m1/residual",
+                         activation=None) == "r_bn"
+        assert [n.id for n in nodes] == ["r", "r_bn"]
 
 
 class TestMakeFireModule:
