@@ -65,6 +65,13 @@ def _check_positive(owner: str, name: str, value: int) -> None:
         raise ValidationError(f"{owner} {name} must be a positive integer, got {value!r}")
 
 
+# Flags must be exact bools: 1, None or "no" would be read by truth value but
+# written back to model JSON as a number, null or string.
+def _check_bool(owner: str, name: str, value: bool) -> None:
+    if type(value) is not bool:
+        raise ValidationError(f"{owner} {name} must be a bool, got {value!r}")
+
+
 def _check_kernel(kernel: int) -> None:
     if type(kernel) is not int or kernel not in VALID_KERNELS:
         raise ValidationError(f"kernel size must be one of {VALID_KERNELS}, got {kernel}")
@@ -98,6 +105,7 @@ class Conv2D:
         _check_kernel(self.kernel)
         _check_stride(self.stride)
         _check_padding(self.padding)
+        _check_bool("Conv2D", "has_bias", self.has_bias)
 
 
 @dataclass(frozen=True)
@@ -159,6 +167,7 @@ class Dense:
 
     def __post_init__(self):
         _check_positive("Dense", "units", self.units)
+        _check_bool("Dense", "has_bias", self.has_bias)
 
 
 LayerKind = Union[

@@ -11,12 +11,19 @@ Attribute keys are exactly the dataclass fields of each layer kind; unknown
 attrs are rejected. Nodes must be listed in dependency order (every input
 precedes its consumer), which serialize always produces. Output is
 byte-stable for a given graph.
+
+``serialize`` writes exactly ``json.dumps(doc, indent=2)`` of that document
+plus a newline, but builds the text itself: CPython's C JSON encoder is used
+only when ``indent`` is None, so ``json.dumps(..., indent=2)`` runs the
+pure-Python encoder, and it cost most of a save. Strings still go through
+the C ``encode_basestring_ascii`` that ``json.dumps`` uses by default.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
 from . import graph as g
@@ -30,29 +37,59 @@ _ATTR_FIELDS = {
 }
 
 
-def _node_to_dict(node: g.LayerNode) -> dict:
-    attrs = {name: getattr(node.kind, name) for name in _ATTR_FIELDS[type(node.kind).__name__]}
-    return {
-        "id": node.id,
-        "kind": type(node.kind).__name__,
-        "attrs": attrs,
-        "inputs": list(node.inputs),
-        "tag": node.tag,
-    }
+def _block(open_: str, close: str, items: list[str], indent: str) -> str:
+    """A JSON array or object holding the rendered ``items``, laid out as
+    ``json.dumps(indent=2)`` lays it out when it opens at depth ``indent``."""
+    if not items:
+        return open_ + close
+    inner = "\n" + indent + "  "
+    return open_ + inner + ("," + inner).join(items) + "\n" + indent + close
+
+
+def _scalar(value: str | bool | int) -> str:
+    if isinstance(value, str):
+        return _string(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return int.__repr__(value)
+
+
+def _kind_text(kind: g.LayerKind) -> str:
+    """The text between a node's id and its input list: kind name and attrs."""
+    name = type(kind).__name__
+    attrs = [f"{_string(f)}: {_scalar(getattr(kind, f))}" for f in _ATTR_FIELDS[name]]
+    return (
+        f',\n      "kind": {_string(name)},\n      "attrs": {_block("{", "}", attrs, "      ")}'
+        ',\n      "inputs": '
+    )
 
 
 def serialize(graph: g.ModelGraph) -> str:
     """Render a validated graph as schema-v1 JSON text."""
     g.validate(graph)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "name": graph.name,
-        "input_shape": [graph.input_shape.height, graph.input_shape.width, graph.input_shape.channels],
-        "num_classes": graph.num_classes,
-        "metadata": dict(graph.metadata),
-        "nodes": [_node_to_dict(n) for n in graph.nodes],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    kind_texts: dict[g.LayerKind, str] = {}  # kinds are frozen: equal kinds share one text
+    nodes = []
+    for node in graph.nodes:
+        kind_text = kind_texts.get(node.kind)
+        if kind_text is None:
+            kind_text = kind_texts[node.kind] = _kind_text(node.kind)
+        inputs = _block("[", "]", [_string(i) for i in node.inputs], "      ")
+        tag = "null" if node.tag is None else _string(node.tag)
+        nodes.append(
+            f'{{\n      "id": {_string(node.id)}{kind_text}{inputs},\n      "tag": {tag}\n    }}'
+        )
+    shape = graph.input_shape
+    dims = [int.__repr__(shape.height), int.__repr__(shape.width), int.__repr__(shape.channels)]
+    metadata = [f"{_string(k)}: {_string(v)}" for k, v in graph.metadata.items()]
+    fields = [
+        f'"schema_version": {SCHEMA_VERSION}',
+        f'"name": {_string(graph.name)}',
+        f'"input_shape": {_block("[", "]", dims, "  ")}',
+        f'"num_classes": {int.__repr__(graph.num_classes)}',
+        f'"metadata": {_block("{", "}", metadata, "  ")}',
+        f'"nodes": {_block("[", "]", nodes, "  ")}',
+    ]
+    return _block("{", "}", fields, "") + "\n"
 
 
 def _expect(doc: dict, key: str, types, field: str):

@@ -457,20 +457,21 @@ def structurally_equal(a: ModelGraph, b: ModelGraph) -> bool:
     """True when two graphs match node-for-node up to a renaming of ids.
 
     Nodes are compared by kind (with attrs), tag, and canonicalized wiring;
-    name and metadata are ignored.
+    name, metadata and the stored order of the nodes are ignored.
     """
+    # One key -> number table for both graphs, so a structure gets the same
+    # number in either graph whatever order its nodes are stored in.
+    table: dict[tuple, int] = {}
+
     def canon(graph: ModelGraph):
-        table: dict[tuple, int] = {}
         assigned: dict[str, int] = {}
-        keys: Counter = Counter()
         topo_sort(graph)
         for node in graph.nodes:
             # kinds are frozen dataclasses, equal by class and fields
             key = (node.kind, node.tag, tuple(assigned[i] for i in node.inputs))
             assigned[node.id] = table.setdefault(key, len(table))
-            keys[key] += 1
         terminal = assigned[graph.terminal_id()]
-        return (graph.input_shape, graph.num_classes, keys, terminal)
+        return (graph.input_shape, graph.num_classes, Counter(assigned.values()), terminal)
 
     return canon(a) == canon(b)
 

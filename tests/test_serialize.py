@@ -6,9 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cndkit.errors import ParseError, SchemaVersionError, UnknownInputError, ValidationError
-from cndkit.graph import Dense, GlobalAvgPool, Input, LayerNode, ModelGraph, TensorShape
-from cndkit.serialize import deserialize, serialize
+from cndkit.errors import (
+    ParseError,
+    SchemaVersionError,
+    ShapeMismatchError,
+    UnknownInputError,
+    ValidationError,
+)
+from cndkit.graph import (
+    Activation,
+    Add,
+    Conv2D,
+    Dense,
+    GlobalAvgPool,
+    Input,
+    LayerNode,
+    ModelGraph,
+    TensorShape,
+)
+from cndkit.serialize import deserialize, save_model, serialize
+from cndkit.transforms import FireModuleSpec, strategy1_replace_kernels, strategy2_insert_fire
 from graphgen import random_graph
 
 
@@ -195,3 +212,91 @@ def test_serialized_text_always_reads_back(seed, shuffler):
     except ValidationError:
         return
     assert serialize(deserialize(text)) == text
+
+
+# -- the writer against json.dumps --------------------------------------------
+
+
+def _assert_json_dumps_layout(text: str) -> None:
+    """``serialize`` writes the text ``json.dumps(doc, indent=2)`` gives, plus a newline."""
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_writer_matches_json_dumps_on_random_graphs(seed):
+    _assert_json_dumps_layout(serialize(random_graph(random.Random(seed))))
+
+
+def test_writer_matches_json_dumps_on_zoo_and_pass_outputs(xception, optimized, mobilenet):
+    s1, _ = strategy1_replace_kernels(xception)
+    s2, _ = strategy2_insert_fire(xception, {"middle_flow/m5": FireModuleSpec(414, 600, 728)})
+    for graph in (xception, optimized, mobilenet, s1, strategy1_replace_kernels(mobilenet)[0], s2):
+        _assert_json_dumps_layout(serialize(graph))
+
+
+ODD = 'q"b\\s \u00e9 \u2028 \x01'  # quote, backslash, non-ASCII, line separator, control
+
+
+def _odd_graph(metadata: dict[str, str]) -> ModelGraph:
+    """in -> conv (bias) / conv (no bias) -> Add -> gap -> dense, odd strings everywhere."""
+    return ModelGraph(
+        name=f"name {ODD}",
+        input_shape=TensorShape(8, 6, 3),
+        num_classes=3,
+        metadata=metadata,
+        nodes=(
+            LayerNode(f"in {ODD}", Input()),
+            LayerNode(f"a {ODD}", Conv2D(4, 3, has_bias=True), (f"in {ODD}",), f"flow/m1/{ODD}"),
+            LayerNode("b", Conv2D(4, 1, stride=1, padding="valid"), (f"in {ODD}",), None),
+            LayerNode("sum", Add(), (f"a {ODD}", "b"), ODD),
+            LayerNode("act", Activation("sigmoid"), ("sum",)),
+            LayerNode("gap", GlobalAvgPool(), ("act",)),
+            LayerNode("fc", Dense(3, has_bias=False), ("gap",)),
+        ),
+    )
+
+
+@pytest.mark.parametrize("metadata", [{}, {f"k {ODD}": f"v {ODD}", "plain": ""}])
+def test_writer_escapes_strings_as_json_dumps(metadata):
+    graph = _odd_graph(metadata)
+    text = serialize(graph)
+    _assert_json_dumps_layout(text)
+    assert text.isascii()
+    assert r'"a q\"b\\s \u00e9 \u2028 \u0001"' in text
+    assert '"attrs": {},' in text and '"inputs": [],' in text
+    assert '"has_bias": true' in text and '"has_bias": false' in text
+    assert deserialize(text) == graph
+
+
+def test_invalid_graph_not_serialized_or_saved(tmp_path):
+    graph = ModelGraph(
+        name="mismatch",
+        input_shape=TensorShape(8, 8, 3),
+        num_classes=2,
+        nodes=(
+            LayerNode("in", Input()),
+            LayerNode("a", Conv2D(4, 1), ("in",)),
+            LayerNode("b", Conv2D(8, 1), ("in",)),
+            LayerNode("sum", Add(), ("a", "b")),
+            LayerNode("gap", GlobalAvgPool(), ("sum",)),
+            LayerNode("fc", Dense(2), ("gap",)),
+        ),
+    )
+    with pytest.raises(ShapeMismatchError, match="Add node 'sum' inputs differ"):
+        serialize(graph)
+    path = tmp_path / "mismatch.json"
+    with pytest.raises(ShapeMismatchError):
+        save_model(graph, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("kind, value", [("Conv2D", 1), ("Conv2D", None), ("Dense", 0), ("Dense", "yes")])
+def test_non_boolean_has_bias_rejected(xception, kind, value):
+    # Read by truth value, but written back as a number, null or string.
+    doc = json.loads(serialize(xception))
+    index = next(i for i, n in enumerate(doc["nodes"]) if n["kind"] == kind)
+    doc["nodes"][index]["attrs"]["has_bias"] = value
+    err = _rejection(doc)
+    assert err.field == f"nodes[{index}].attrs"
+    assert f"{kind} has_bias must be a bool, got {value!r}" in str(err)

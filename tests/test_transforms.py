@@ -2,6 +2,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cndkit.graph
 from cndkit.analyzer import count_params
@@ -38,6 +40,7 @@ from cndkit.transforms import (
     validate_fire_constraints,
 )
 from cndkit.zoo import DEFAULT_OPTIMIZED_CONFIG, FireModuleSpec, build_optimized_xception
+from graphgen import random_graph, random_topological_order
 
 
 def default_specs():
@@ -445,3 +448,31 @@ class TestStructuralEquality:
         assert structurally_equal(twins, self._twins(prefix="x_"))
         assert not structurally_equal(twins, self._twins(tag="flow/m1/other"))
         assert not structurally_equal(twins, self._twins(fn="sigmoid"))
+
+    @staticmethod
+    def _diamond(order):
+        """in -> relu a, in -> sigmoid b, Add(a, b) -> gap -> dense; in, a, b stored in ``order``."""
+        head = {
+            "in": LayerNode("in", Input()),
+            "a": LayerNode("a", Activation("relu"), ("in",)),
+            "b": LayerNode("b", Activation("sigmoid"), ("in",)),
+        }
+        tail = (
+            LayerNode("sum", Add(), ("a", "b")),
+            LayerNode("gap", GlobalAvgPool(), ("sum",)),
+            LayerNode("fc", Dense(2), ("gap",)),
+        )
+        return ModelGraph(
+            name="diamond", input_shape=TensorShape(8, 8, 4), num_classes=2,
+            nodes=tuple(head[i] for i in order) + tail,
+        )
+
+    def test_stored_order_is_ignored(self):
+        assert structurally_equal(self._diamond(("in", "a", "b")), self._diamond(("in", "b", "a")))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_stored_order_is_ignored(self, seed):
+        rng = random.Random(seed)
+        graph = random_graph(rng)
+        assert structurally_equal(graph, random_topological_order(graph, rng))
