@@ -6,16 +6,12 @@ analyzes parameters/FLOPs/memory, and runs dual-objective (accuracy vs.
 memory) Pareto analysis over measurement data.
 
 The public names are loaded on first access (PEP 562), so ``import cndkit``
-loads only ``errors``, ``graph`` and ``serialize``; ``cndkit.count_params``
-then imports ``cndkit.analyzer``.
+loads no submodule; ``cndkit.count_params`` then imports ``cndkit.analyzer``.
 """
 
 import importlib
-
-# ``serialize`` is both a submodule and a function. Importing the submodule
-# binds it to the package attribute, so the function is bound here, after
-# that import, and ``cndkit.serialize`` stays the function.
-from .serialize import deserialize, load_model, save_model, serialize
+import sys
+import types
 
 __version__ = "0.1.0"
 
@@ -60,3 +56,18 @@ def __getattr__(name: str):
 
 def __dir__():
     return sorted(set(globals()) | set(__all__))
+
+
+class _Package(types.ModuleType):
+    """``serialize`` is both a submodule and a public function. Importing the
+    submodule makes the import system bind it to the package attribute, which
+    would hide the function; that one binding is refused, so
+    ``cndkit.serialize`` resolves through ``__getattr__`` to the function."""
+
+    def __setattr__(self, name, value):
+        if name == "serialize" and isinstance(value, types.ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

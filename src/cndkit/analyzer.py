@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 from typing import NamedTuple
 
 from .errors import ValidationError
@@ -71,8 +70,11 @@ class ParamReport:
 
 
 def round_params_millions(total: int) -> float:
-    """Round a raw parameter count to 0.1M, half up (21_068_429 -> 21.1)."""
-    return float((Decimal(total) / Decimal(1_000_000)).quantize(Decimal("0.1"), ROUND_HALF_UP))
+    """Round a raw parameter count to 0.1M, half up (21_068_429 -> 21.1).
+
+    The rounding is exact integer arithmetic; the one division by 10 then
+    gives the double nearest the rounded value, for any ``total >= 0``."""
+    return (total + 50_000) // 100_000 / 10
 
 
 def count_params_layer(node: LayerNode, input_channels: int) -> LayerParams:

@@ -6,13 +6,12 @@ option, a bad choice or a malformed ``--input``), so 2 alone does not tell
 the two apart; a usage error prints ``Usage:`` and ``Error:`` lines.
 
 Only ``click``, the standard library and ``errors`` are imported here. Each
-command imports the modules it uses, so a process loads no more of the
-package than its command needs.
+command imports the modules it uses, ``json`` included, so a process loads
+no more than its command needs.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from contextlib import contextmanager
@@ -78,6 +77,8 @@ def _fire_spec_from_obj(obj, where: str) -> FireModuleSpec:
 
 
 def _load_json(path: str):
+    import json
+
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -171,6 +172,8 @@ def cmd_transform(in_path, pass_name, specs_path, out_path, report_path):
             reports.append(report)
         save_model(graph, out_path)
         if report_path:
+            import json
+
             payload = [r.as_dict() for r in reports]
             Path(report_path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         for report in reports:
@@ -253,6 +256,8 @@ def cmd_analyze(in_path, fmt, batch, mode, optimizer):
         optimizer_name = "sgd_momentum" if optimizer == "sgd" else optimizer
         payload = _analysis_payload(graph, batch, mode, optimizer_name)
         if fmt == "json":
+            import json
+
             click.echo(json.dumps(payload, indent=2))
         else:
             click.echo(_analysis_table(payload))

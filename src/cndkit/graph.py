@@ -199,8 +199,10 @@ class LayerNode:
     tag: str | None = None
 
     def __post_init__(self):
-        if not self.id:
-            raise ValidationError("node id must be a non-empty string")
+        if not isinstance(self.id, str) or not self.id:
+            raise ValidationError(f"node id must be a non-empty string, got {self.id!r}")
+        if self.tag is not None and not isinstance(self.tag, str):
+            raise ValidationError(f"node {self.id!r} tag must be a string or None, got {self.tag!r}")
         object.__setattr__(self, "inputs", tuple(self.inputs))
 
 
@@ -393,10 +395,18 @@ def validate(graph: ModelGraph) -> ModelGraph:
 
 def check_endpoints(graph: ModelGraph) -> None:
     """The checks of ``validate`` that need no shapes: exactly one Input
-    node, positive ``num_classes`` and exactly one terminal node."""
+    node, a string ``name``, ``metadata`` mapping strings to strings, an
+    exact-int positive ``num_classes`` and exactly one terminal node."""
     inputs = [n.id for n in graph.nodes if isinstance(n.kind, Input)]
     if len(inputs) != 1:
         raise ValidationError(f"graph must have exactly one Input node, found {inputs}")
+    if not isinstance(graph.name, str):
+        raise ValidationError(f"graph name must be a string, got {graph.name!r}")
+    if not isinstance(graph.metadata, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in graph.metadata.items()):
+        raise ValidationError(f"graph metadata must map strings to strings, got {graph.metadata!r}")
+    if type(graph.num_classes) is not int:
+        raise ValidationError(f"num_classes must be an int, got {graph.num_classes!r}")
     if graph.num_classes < 1:
         raise ValidationError(f"num_classes must be positive, got {graph.num_classes}")
     graph.terminal_id()

@@ -106,6 +106,8 @@ def _parse_node(entry: dict, index: int) -> g.LayerNode:
     if not isinstance(entry, dict):
         raise ParseError("node entry must be an object", field=where)
     node_id = _expect(entry, "id", str, f"{where}.id")
+    if not node_id:
+        raise ParseError("node id must be a non-empty string", field=f"{where}.id")
     kind_name = _expect(entry, "kind", str, f"{where}.kind")
     if kind_name not in _KIND_BY_NAME:
         raise ParseError(f"unknown layer kind {kind_name!r}", field=f"{where}.kind")

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +85,23 @@ class TestCountParams:
         assert round_params_millions(15_750_000) == 15.8
         assert round_params_millions(15_749_999) == 15.7
         assert round_params_millions(2_358_821) == 2.4
+
+    @staticmethod
+    def _decimal_oracle(total: int) -> float:
+        return float((Decimal(total) / Decimal(1_000_000)).quantize(Decimal("0.1"), ROUND_HALF_UP))
+
+    def test_rounding_matches_decimal_on_every_boundary(self):
+        # each x.x5M boundary below 10^8, and one count either side of it
+        for boundary in range(50_000, 10**8, 100_000):
+            for total in (boundary - 1, boundary, boundary + 1):
+                assert round_params_millions(total) == self._decimal_oracle(total), total
+
+    def test_rounding_matches_decimal_on_random_totals(self):
+        rng = random.Random(91)
+        for digits in range(1, 16):
+            for _ in range(2_000):
+                total = rng.randrange(10**digits)
+                assert round_params_millions(total) == self._decimal_oracle(total), total
 
 
 class TestFlops:

@@ -357,6 +357,41 @@ class TestValidate:
             validate(graph)
 
 
+class TestFieldTypes:
+    # Each of these would pass validate untyped and then make serialize raise
+    # a bare TypeError, or write a value deserialize rejects.
+
+    @pytest.mark.parametrize("node_id", [5, None, ("a",)])
+    def test_node_id_must_be_a_string(self, node_id):
+        with pytest.raises(ValidationError, match="node id must be a non-empty string"):
+            LayerNode(node_id, Input())
+
+    @pytest.mark.parametrize("tag", [3, b"m/x/y", ["flow", "m1", "conv"]])
+    def test_tag_must_be_a_string_or_none(self, tag):
+        with pytest.raises(ValidationError, match="node 'c' tag must be a string or None"):
+            LayerNode("c", Conv2D(4, 1), ("in",), tag)
+
+    def _graph(self, **fields):
+        graph = _chain(LayerNode("in", Input()), LayerNode("g", GlobalAvgPool(), ("in",)),
+                       LayerNode("d", Dense(2), ("g",)))
+        return dataclasses.replace(graph, **fields)
+
+    @pytest.mark.parametrize("name", [5, None, b"t"])
+    def test_name_must_be_a_string(self, name):
+        with pytest.raises(ValidationError, match="graph name must be a string"):
+            validate(self._graph(name=name))
+
+    @pytest.mark.parametrize("metadata", [{"a": 1}, {1: "a"}, {"a": None}, [("a", "b")]])
+    def test_metadata_must_map_strings_to_strings(self, metadata):
+        with pytest.raises(ValidationError, match="graph metadata must"):
+            validate(self._graph(metadata=metadata))
+
+    @pytest.mark.parametrize("num_classes", [2.0, True, "2", None])
+    def test_num_classes_must_be_an_exact_int(self, num_classes):
+        with pytest.raises(ValidationError, match="num_classes must be an int"):
+            validate(self._graph(num_classes=num_classes))
+
+
 class TestTags:
     def test_split(self):
         assert module_of("entry_flow/m2/sep1") == "entry_flow/m2"

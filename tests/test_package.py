@@ -2,8 +2,9 @@
 
 The package exports its names lazily, and the CLI imports each command's
 modules inside the command. The child-process tests list the ``cndkit.*``
-modules a fresh interpreter has loaded, so a top-level import added later
-that loads a module a command does not use fails here.
+modules (and ``json`` and ``decimal``) a fresh interpreter has loaded, so a
+top-level import added later that loads a module a command does not use
+fails here.
 """
 
 import importlib
@@ -21,8 +22,10 @@ SRC = str(Path(cndkit.__file__).resolve().parent.parent)
 FIXTURE = str(Path(cndkit.__file__).resolve().parent / "fixtures" / "caltech101.csv")
 PUBLIC = [name for name in cndkit.__all__ if name != "__version__"]
 
-# Appended to a child's code: print the loaded ``cndkit`` modules last.
-LIST_LOADED = '\nimport sys; print(" ".join(m for m in sys.modules if m.startswith("cndkit")))'
+# Appended to a child's code: print the loaded ``cndkit`` modules, ``json``
+# and ``decimal`` last.
+LIST_LOADED = ('\nimport sys; print(" ".join(m for m in sys.modules '
+               'if m.startswith("cndkit") or m in ("json", "decimal")))')
 # Run the CLI as ``python -m cndkit.cli`` would.
 CLI_CHILD = """
 import runpy, sys
@@ -88,6 +91,19 @@ class TestPublicSurface:
                     "print(cndkit.serialize is sys.modules['cndkit.serialize'].serialize)")
         assert out.strip() == "True"
 
+    @pytest.mark.parametrize("code", [
+        "import cndkit; serialize = cndkit.serialize; import cndkit.serialize",
+        "from cndkit import serialize",
+        "import cndkit.serialize; from cndkit import serialize",
+        "from cndkit.serialize import save_model; import cndkit; serialize = cndkit.serialize",
+        "from cndkit import *",
+    ], ids=["before-submodule", "from-import", "from-import-after-submodule",
+            "after-from-submodule-import", "star-import"])
+    def test_serialize_is_the_function_in_every_access_order(self, code):
+        out = child(code + "; import sys, cndkit; "
+                    "print(serialize is cndkit.serialize is sys.modules['cndkit.serialize'].serialize)")
+        assert out.strip() == "True"
+
     def test_star_import_binds_every_public_name(self):
         out = child("from cndkit import *; print(sorted(n for n in __import__('cndkit').__all__ "
                     "if n not in globals()))")
@@ -96,8 +112,7 @@ class TestPublicSurface:
 
 class TestLaziness:
     def test_import_cndkit_loads_only_the_serialize_chain(self):
-        assert loaded_by("import cndkit" + LIST_LOADED) == {
-            "cndkit", "cndkit.errors", "cndkit.graph", "cndkit.serialize"}
+        assert loaded_by("import cndkit" + LIST_LOADED) == {"cndkit"}
 
     def test_public_name_loads_its_home_module_on_first_access(self):
         loaded = loaded_by("import cndkit; cndkit.QuadrantConfig" + LIST_LOADED)
@@ -112,7 +127,8 @@ class TestLaziness:
     def test_pareto_command_loads_only_pareto(self):
         loaded = loaded_by(CLI_CHILD, "pareto", "--csv", FIXTURE)
         assert "cndkit.pareto" in loaded
-        assert not loaded & {"cndkit.analyzer", "cndkit.transforms", "cndkit.zoo"}
+        assert not loaded & {"cndkit.analyzer", "cndkit.transforms", "cndkit.zoo", "cndkit.graph",
+                             "cndkit.serialize", "json"}
 
     def test_analyze_command_loads_only_analyzer(self, tmp_path, mobilenet):
         path = tmp_path / "m.json"
@@ -120,3 +136,18 @@ class TestLaziness:
         loaded = loaded_by(CLI_CHILD, "analyze", "--in", str(path))
         assert "cndkit.analyzer" in loaded
         assert not loaded & {"cndkit.pareto", "cndkit.transforms", "cndkit.zoo"}
+
+    @pytest.mark.parametrize("command", ["build", "analyze", "transform", "diff", "pareto"])
+    def test_no_command_loads_decimal(self, command, tmp_path, mobilenet):
+        model = str(tmp_path / "m.json")
+        save_model(mobilenet, model)
+        args = {
+            "build": ["build", "mobilenetv2", "--out", str(tmp_path / "b.json")],
+            "analyze": ["analyze", "--in", model, "--format", "json"],
+            "transform": ["transform", "--in", model, "--out", str(tmp_path / "t.json"),
+                          "--report", str(tmp_path / "r.json")],
+            "diff": ["diff", "--a", model, "--b", model],
+            "pareto": ["pareto", "--csv", FIXTURE, "--out", str(tmp_path / "p.csv")],
+        }[command]
+        # the child asserts that the command succeeded
+        assert "decimal" not in loaded_by(CLI_CHILD, *args)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cndkit.analyzer import count_params, flops_estimate
 from cndkit.errors import (
     ParseError,
     SchemaVersionError,
@@ -26,6 +28,7 @@ from cndkit.graph import (
 )
 from cndkit.serialize import deserialize, save_model, serialize
 from cndkit.transforms import FireModuleSpec, strategy1_replace_kernels, strategy2_insert_fire
+from cndkit.zoo import build_mobilenet_v2, build_optimized_xception, build_xception
 from graphgen import random_graph
 
 
@@ -122,6 +125,13 @@ def test_duplicate_id_rejected_at_entry(xception):
     err = _rejection(doc)
     assert err.field == "nodes[2]"
     assert str(err) == "node id 'stem_conv1' already present (field 'nodes[2]')"
+
+
+def test_empty_id_rejected_at_entry(xception):
+    doc = json.loads(serialize(xception))
+    doc["nodes"][2]["id"] = ""
+    err = _rejection(doc)
+    assert str(err) == "node id must be a non-empty string (field 'nodes[2].id')"
 
 
 def test_unknown_input_rejected_at_entry(xception):
@@ -291,6 +301,16 @@ def test_invalid_graph_not_serialized_or_saved(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("num_classes", 2.0), ("num_classes", True), ("name", 5), ("metadata", {"a": 1}),
+])
+def test_mistyped_graph_field_not_serialized(mobilenet, field, value):
+    # serialize validates first, so these never reach the writer, which
+    # would raise a bare TypeError or, for num_classes=True, write 1.
+    with pytest.raises(ValidationError, match=field):
+        serialize(dataclasses.replace(mobilenet, **{field: value}))
+
+
 @pytest.mark.parametrize("kind, value", [("Conv2D", 1), ("Conv2D", None), ("Dense", 0), ("Dense", "yes")])
 def test_non_boolean_has_bias_rejected(xception, kind, value):
     # Read by truth value, but written back as a number, null or string.
@@ -300,3 +320,63 @@ def test_non_boolean_has_bias_rejected(xception, kind, value):
     err = _rejection(doc)
     assert err.field == f"nodes[{index}].attrs"
     assert f"{kind} has_bias must be a bool, got {value!r}" in str(err)
+
+
+# -- mutated documents ---------------------------------------------------------
+
+ODD_VALUES = (None, True, False, 0, -1, 1, 3, 2**70, 1.5, float("inf"), "", "x", "same", "relu",
+              "Dense", [], [1, 2, 3], ["n0", "n0"], {}, {"a": 1})
+
+
+def _paths(value, path=()):
+    """Every location below the root of a JSON value, as its key path."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield path + (key,)
+        yield from _paths(item, path + (key,))
+
+
+@functools.cache
+def _zoo_text(builder) -> str:
+    return serialize(builder())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([build_xception, build_optimized_xception, build_mobilenet_v2, None]),
+       st.integers(0, 2**32 - 1), st.sampled_from(["replace", "delete", "insert"]), st.data())
+def test_mutated_document_loads_with_int_counts_or_is_rejected(builder, seed, mutation, data):
+    # One field, value or type of a valid zoo or random document changed:
+    # deserialize returns a graph whose counts are exact ints, or raises
+    # ParseError or SchemaVersionError; nothing else.
+    text = _zoo_text(builder) if builder else serialize(random_graph(random.Random(seed)))
+    doc = json.loads(text)
+    # a field first (node and list positions aside), then one place it occurs
+    places: dict[tuple, list[tuple]] = {}
+    for path in _paths(doc):
+        places.setdefault(tuple(k if isinstance(k, str) else 0 for k in path), []).append(path)
+    path = data.draw(st.sampled_from(places[data.draw(st.sampled_from(list(places)))]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    ids = [n["id"] for n in doc["nodes"]]
+    value = data.draw(st.sampled_from(ODD_VALUES) | st.sampled_from(ids))
+    if mutation == "replace":
+        parent[key] = value
+    elif mutation == "delete":
+        del parent[key]
+    elif isinstance(parent, dict):
+        parent[f"{key}_extra"] = value
+    else:
+        parent.insert(key, value)
+    try:
+        loaded = deserialize(json.dumps(doc))
+    except (ParseError, SchemaVersionError):
+        return
+    assert type(count_params(loaded).total) is int
+    assert type(flops_estimate(loaded)) is int
