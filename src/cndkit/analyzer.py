@@ -3,8 +3,9 @@
 Every analysis here is a fold over ``analyze(graph)``: one row per node, in
 stored order (which ``topo_sort`` checks is a dependency order), holding the
 node, its input and output shapes and its parameter entry
-(``activation_sizes`` needs only the shapes). Per layer kind (C = input
-channels, M = filters, K = kernel elements, i.e. 1 or 9):
+(``activation_sizes`` needs only the shapes). Per layer kind, looked up by
+its exact class in ``_PARAM_RULES`` (C = input channels, M = filters,
+K = kernel elements, i.e. 1 or 9):
 
     kind              kernel params       aux params               MACs
     Conv2D            C*M*K               M if bias else 0         H'W' * C*M*K
@@ -28,14 +29,20 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import ValidationError
 from .graph import (
+    Activation,
+    Add,
     BatchNorm,
     Conv2D,
     Dense,
+    GlobalAvgPool,
+    Input,
     LayerNode,
+    MaxPool,
     ModelGraph,
     SeparableConv2D,
     TensorShape,
@@ -46,8 +53,7 @@ BYTES_PER_SCALAR = 4
 OPTIMIZER_STATE_MULTIPLIER = {"sgd_momentum": 1, "adam": 2}
 
 
-@dataclass(frozen=True)
-class LayerParams:
+class LayerParams(NamedTuple):
     """Per-layer parameter accounting entry."""
 
     node_id: str
@@ -77,33 +83,55 @@ def round_params_millions(total: int) -> float:
     return (total + 50_000) // 100_000 / 10
 
 
+# Param rules: (node id, kind, input channels) -> entry, one per formula of
+# the module docstring.
+
+def _conv_params(node_id: str, kind: Conv2D, c: int) -> LayerParams:
+    k = kind.kernel * kind.kernel
+    return LayerParams(node_id, c, kind.filters, k, c * kind.filters * k,
+                       kind.filters if kind.has_bias else 0)
+
+
+def _separable_params(node_id: str, kind: SeparableConv2D, c: int) -> LayerParams:
+    k = kind.kernel * kind.kernel
+    return LayerParams(node_id, c, kind.filters, k, c * k + c * kind.filters, 0)
+
+
+def _batchnorm_params(node_id: str, kind: BatchNorm, c: int) -> LayerParams:
+    return LayerParams(node_id, c, c, 0, 0, 4 * c)
+
+
+def _dense_params(node_id: str, kind: Dense, c: int) -> LayerParams:
+    return LayerParams(node_id, c, kind.units, 1, kind.units * c, kind.units if kind.has_bias else 0)
+
+
+def _no_params(node_id: str, kind, c: int) -> LayerParams:
+    return LayerParams(node_id, c, 0, 0, 0, 0)
+
+
+_CHANNELS = attrgetter("channels")
+_FLATTENED = attrgetter("elements")  # Dense reads H*W*C of its input
+
+# kind class -> (input channels from the first input's shape, param rule)
+_PARAM_RULES = {
+    Input: (_CHANNELS, _no_params),
+    Conv2D: (_CHANNELS, _conv_params),
+    SeparableConv2D: (_CHANNELS, _separable_params),
+    MaxPool: (_CHANNELS, _no_params),
+    GlobalAvgPool: (_CHANNELS, _no_params),
+    BatchNorm: (_CHANNELS, _batchnorm_params),
+    Activation: (_CHANNELS, _no_params),
+    Add: (_CHANNELS, _no_params),
+    Dense: (_FLATTENED, _dense_params),
+}
+
+
 def count_params_layer(node: LayerNode, input_channels: int) -> LayerParams:
     """Parameter entry for one node given its (flattened, for Dense) input channels."""
-    kind = node.kind
-    if isinstance(kind, Conv2D):
-        k = kind.kernel * kind.kernel
-        kernel = input_channels * kind.filters * k
-        aux = kind.filters if kind.has_bias else 0
-        return LayerParams(node.id, input_channels, kind.filters, k, kernel, aux)
-    if isinstance(kind, SeparableConv2D):
-        k = kind.kernel * kind.kernel
-        kernel = input_channels * k + input_channels * kind.filters
-        return LayerParams(node.id, input_channels, kind.filters, k, kernel, 0)
-    if isinstance(kind, BatchNorm):
-        return LayerParams(node.id, input_channels, input_channels, 0, 0, 4 * input_channels)
-    if isinstance(kind, Dense):
-        kernel = kind.units * input_channels
-        aux = kind.units if kind.has_bias else 0
-        return LayerParams(node.id, input_channels, kind.units, 1, kernel, aux)
-    return LayerParams(node.id, input_channels, 0, 0, 0, 0)
-
-
-def _layer_input_channels(kind, shape_in: TensorShape | None) -> int:
-    if shape_in is None:
-        return 0
-    if isinstance(kind, Dense):
-        return shape_in.elements
-    return shape_in.channels
+    rule = _PARAM_RULES.get(type(node.kind))
+    if rule is None:
+        raise ValidationError(f"node {node.id!r}: unknown layer kind {type(node.kind).__name__}")
+    return rule[1](node.id, node.kind, input_channels)
 
 
 class LayerRow(NamedTuple):
@@ -121,11 +149,17 @@ class LayerRow(NamedTuple):
 
 def analyze(graph: ModelGraph) -> list[LayerRow]:
     """One row per node, in stored order, from a single shape inference."""
-    shapes = infer_shapes(graph)
+    shapes = infer_shapes(graph)  # rejects a kind with no rule
     rows: list[LayerRow] = []
     for node in graph.nodes:
-        shape_in = shapes[node.inputs[0]] if node.inputs else None
-        entry = count_params_layer(node, _layer_input_channels(node.kind, shape_in))
+        kind = node.kind
+        channels_of, rule = _PARAM_RULES[type(kind)]
+        if node.inputs:
+            shape_in = shapes[node.inputs[0]]
+            entry = rule(node.id, kind, channels_of(shape_in))
+        else:
+            shape_in = None
+            entry = rule(node.id, kind, 0)
         rows.append(LayerRow(node, shape_in, shapes[node.id], entry))
     return rows
 
@@ -136,7 +170,7 @@ def total_params(rows: list[LayerRow]) -> int:
 
 def _moving_stats(rows: list[LayerRow]) -> int:
     """BatchNorm mean and variance: counted in the total, never trained."""
-    return sum(2 * r.params.channels_in for r in rows if isinstance(r.node.kind, BatchNorm))
+    return sum(2 * r.params.channels_in for r in rows if type(r.node.kind) is BatchNorm)
 
 
 def count_params(graph: ModelGraph) -> ParamReport:

@@ -11,6 +11,11 @@ the last one the node's role inside it (``sep1``, ``squeeze``, ``expand3``,
 ``residual``, ``pool``, ``add``, ...). ``module_of``/``role_of`` split a tag;
 untagged nodes belong to no module. Residual-projection convolutions carry
 the ``residual`` role and are not counted as part of a module's main stack.
+
+A node's kind is looked up by its exact class, in one table per concern
+(``_ARITY`` and ``_SHAPE_RULES`` here, ``analyzer._PARAM_RULES``), as
+``serialize`` looks it up by class name. Any other object, a subclass of a
+kind included, is rejected as an unknown layer kind.
 """
 
 from __future__ import annotations
@@ -179,12 +184,11 @@ KIND_CLASSES: tuple[type, ...] = (
 )
 
 
+_ARITY = {Input: 0, Add: 2}  # every other kind takes one input
+
+
 def expected_arity(kind: LayerKind) -> int:
-    if isinstance(kind, Input):
-        return 0
-    if isinstance(kind, Add):
-        return 2
-    return 1
+    return _ARITY.get(type(kind), 1)
 
 
 def is_conv(kind: LayerKind) -> bool:
@@ -203,7 +207,16 @@ class LayerNode:
             raise ValidationError(f"node id must be a non-empty string, got {self.id!r}")
         if self.tag is not None and not isinstance(self.tag, str):
             raise ValidationError(f"node {self.id!r} tag must be a string or None, got {self.tag!r}")
-        object.__setattr__(self, "inputs", tuple(self.inputs))
+        # tuple("in") would be ("i", "n"): a string is one id, not a sequence of them
+        if isinstance(self.inputs, str) or not hasattr(self.inputs, "__iter__"):
+            raise ValidationError(
+                f"node {self.id!r} inputs must be a sequence of node ids, got {self.inputs!r}"
+            )
+        inputs = tuple(self.inputs)
+        for src in inputs:
+            if not isinstance(src, str):
+                raise ValidationError(f"node {self.id!r} input ids must be strings, got {src!r}")
+        object.__setattr__(self, "inputs", inputs)
 
 
 @dataclass(frozen=True)
@@ -298,7 +311,7 @@ def check_append(ids: set[str], node: LayerNode) -> None:
     for src in node.inputs:
         if src not in ids:
             raise UnknownInputError(f"node {node.id!r} references unknown input {src!r}")
-    want = expected_arity(node.kind)
+    want = _ARITY.get(type(node.kind), 1)  # expected_arity, inlined: once per node per sweep
     if len(node.inputs) != want:
         raise ArityError(
             f"node {node.id!r} ({type(node.kind).__name__}) needs {want} input(s), "
@@ -335,50 +348,94 @@ def _window_dim(dim: int, window: int, stride: int, padding: str, node_id: str) 
     return out
 
 
+def _shared(made: dict, height: int, width: int, channels: int) -> TensorShape:
+    """The one ``TensorShape`` of these dims in ``made``, built (and so
+    validated) the first time they occur."""
+    key = (height, width, channels)
+    shape = made.get(key)
+    if shape is None:
+        shape = made[key] = TensorShape(height, width, channels)
+    return shape
+
+
+# Shape rules: (graph, node, shapes so far, shared shapes) -> output shape.
+
+def _input_shape(graph, node, shapes, made):
+    return graph.input_shape
+
+
+def _conv_shape(graph, node, shapes, made):
+    kind, s = node.kind, shapes[node.inputs[0]]
+    return _shared(
+        made,
+        _window_dim(s.height, kind.kernel, kind.stride, kind.padding, node.id),
+        _window_dim(s.width, kind.kernel, kind.stride, kind.padding, node.id),
+        kind.filters,
+    )
+
+
+def _pool_shape(graph, node, shapes, made):
+    kind, s = node.kind, shapes[node.inputs[0]]
+    return _shared(
+        made,
+        _window_dim(s.height, kind.pool_size, kind.stride, kind.padding, node.id),
+        _window_dim(s.width, kind.pool_size, kind.stride, kind.padding, node.id),
+        s.channels,
+    )
+
+
+def _global_pool_shape(graph, node, shapes, made):
+    return _shared(made, 1, 1, shapes[node.inputs[0]].channels)
+
+
+def _same_shape(graph, node, shapes, made):
+    return shapes[node.inputs[0]]
+
+
+def _add_shape(graph, node, shapes, made):
+    a, b = shapes[node.inputs[0]], shapes[node.inputs[1]]
+    if a != b:
+        raise ShapeMismatchError(
+            f"Add node {node.id!r} inputs differ: "
+            f"{a.height}x{a.width}x{a.channels} vs {b.height}x{b.width}x{b.channels}"
+        )
+    return a
+
+
+def _dense_shape(graph, node, shapes, made):
+    return _shared(made, 1, 1, node.kind.units)
+
+
+_SHAPE_RULES = {
+    Input: _input_shape,
+    Conv2D: _conv_shape,
+    SeparableConv2D: _conv_shape,
+    MaxPool: _pool_shape,
+    GlobalAvgPool: _global_pool_shape,
+    BatchNorm: _same_shape,
+    Activation: _same_shape,
+    Add: _add_shape,
+    Dense: _dense_shape,
+}
+
+
 def infer_shapes(graph: ModelGraph) -> dict[str, TensorShape]:
     """Output shape of every node, keyed by node id in stored order.
 
     ``topo_sort`` checks that order first. Same padding: ceil(dim/stride).
     Valid padding: floor((dim-k)/stride)+1. Dense and GlobalAvgPool collapse
-    spatial dims to 1x1.
+    spatial dims to 1x1. Nodes with equal output dims share one shape.
     """
     topo_sort(graph)
     shapes: dict[str, TensorShape] = {}
+    made: dict[tuple[int, int, int], TensorShape] = {}
     for node in graph.nodes:
-        node_id, kind = node.id, node.kind
-        ins = [shapes[i] for i in node.inputs]
-        if isinstance(kind, Input):
-            shapes[node_id] = graph.input_shape
-        elif isinstance(kind, (Conv2D, SeparableConv2D)):
-            s = ins[0]
-            shapes[node_id] = TensorShape(
-                _window_dim(s.height, kind.kernel, kind.stride, kind.padding, node_id),
-                _window_dim(s.width, kind.kernel, kind.stride, kind.padding, node_id),
-                kind.filters,
+        rule = _SHAPE_RULES.get(type(node.kind))
+        if rule is None:
+            raise ValidationError(
+                f"node {node.id!r}: unknown layer kind {type(node.kind).__name__}"
             )
-        elif isinstance(kind, MaxPool):
-            s = ins[0]
-            shapes[node_id] = TensorShape(
-                _window_dim(s.height, kind.pool_size, kind.stride, kind.padding, node_id),
-                _window_dim(s.width, kind.pool_size, kind.stride, kind.padding, node_id),
-                s.channels,
-            )
-        elif isinstance(kind, GlobalAvgPool):
-            shapes[node_id] = TensorShape(1, 1, ins[0].channels)
-        elif isinstance(kind, (BatchNorm, Activation)):
-            shapes[node_id] = ins[0]
-        elif isinstance(kind, Add):
-            a, b = ins
-            if a != b:
-                raise ShapeMismatchError(
-                    f"Add node {node_id!r} inputs differ: "
-                    f"{a.height}x{a.width}x{a.channels} vs {b.height}x{b.width}x{b.channels}"
-                )
-            shapes[node_id] = a
-        elif isinstance(kind, Dense):
-            shapes[node_id] = TensorShape(1, 1, kind.units)
-        else:  # pragma: no cover - closed union
-            raise ValidationError(f"unknown layer kind {type(kind).__name__}")
+        shapes[node.id] = rule(graph, node, shapes, made)
     return shapes
 
 
@@ -397,7 +454,7 @@ def check_endpoints(graph: ModelGraph) -> None:
     """The checks of ``validate`` that need no shapes: exactly one Input
     node, a string ``name``, ``metadata`` mapping strings to strings, an
     exact-int positive ``num_classes`` and exactly one terminal node."""
-    inputs = [n.id for n in graph.nodes if isinstance(n.kind, Input)]
+    inputs = [n.id for n in graph.nodes if type(n.kind) is Input]
     if len(inputs) != 1:
         raise ValidationError(f"graph must have exactly one Input node, found {inputs}")
     if not isinstance(graph.name, str):

@@ -146,7 +146,7 @@ def deserialize(text: str) -> g.ModelGraph:
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # true and 1.0 equal 1
         raise SchemaVersionError(f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}")
     name = _expect(doc, "name", str, "name")
     shape_raw = _expect(doc, "input_shape", list, "input_shape")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cndkit.analyzer
 import cndkit.graph
 from cndkit.analyzer import (
     activation_sizes,
@@ -17,7 +18,12 @@ from cndkit.analyzer import (
     round_params_millions,
 )
 from cndkit.graph import (
+    Activation,
+    Add,
+    BatchNorm,
     Conv2D,
+    Dense,
+    GlobalAvgPool,
     Input,
     LayerNode,
     MaxPool,
@@ -65,6 +71,26 @@ class TestLayerParams:
         assert omega(16) * 2 == omega(32)
         assert omega(5) + omega(7) == omega(12)
 
+    def test_param_table_covers_every_kind(self):
+        assert set(cndkit.analyzer._PARAM_RULES) == set(cndkit.graph.KIND_CLASSES)
+
+    @given(c=st.integers(1, 2048), m=st.integers(1, 2048), kernel=st.sampled_from([1, 3]),
+           bias=st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_docstring_formulas(self, c, m, kernel, bias):
+        # (node_id, channels_in, filters, kernel_elems, kernel_params, aux_params)
+        k = kernel * kernel
+        cases = [
+            (Conv2D(m, kernel, has_bias=bias), (c, m, k, c * m * k, m if bias else 0)),
+            (SeparableConv2D(m, kernel), (c, m, k, c * k + c * m, 0)),
+            (BatchNorm(), (c, c, 0, 0, 4 * c)),
+            (Dense(m, has_bias=bias), (c, m, 1, m * c, m if bias else 0)),
+        ] + [(kind, (c, 0, 0, 0, 0)) for kind in (MaxPool(), GlobalAvgPool(), Activation(), Add())]
+        for kind, fields in cases:
+            entry = count_params_layer(LayerNode("n", kind, ("x",) * (2 if type(kind) is Add else 1)), c)
+            assert entry == ("n", *fields)  # a LayerParams equals the plain tuple of its fields
+            assert entry.total == fields[3] + fields[4]
+
 
 class TestCountParams:
     def test_totals_match_per_layer_sum(self, xception):
@@ -73,8 +99,6 @@ class TestCountParams:
         assert report.total_trainable <= report.total
 
     def test_batchnorm_statistics_not_trainable(self):
-        from cndkit.graph import BatchNorm
-
         graph = _tiny(8, 8, 3, LayerNode("bn", BatchNorm(), ("in",)))
         report = count_params(graph)
         assert report.total == 12
@@ -235,7 +259,7 @@ class TestAnalyzeTable:
             return (
                 report.total,
                 report.total_trainable,
-                [dataclasses.replace(e, node_id=name_of(e.node_id)) for e in report.per_layer],
+                [e._replace(node_id=name_of(e.node_id)) for e in report.per_layer],
                 flops_estimate(g),
                 memory_estimate(g, batch=3, mode="training"),
                 memory_estimate(g, batch=3, mode="inference"),

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cndkit.analyzer import analyze
+import cndkit.graph
+from cndkit.analyzer import analyze, count_params_layer
 from cndkit.errors import (
     ArityError,
     DuplicateIdError,
@@ -15,6 +16,8 @@ from cndkit.errors import (
     ValidationError,
 )
 from cndkit.graph import (
+    KIND_CLASSES,
+    Activation,
     Add,
     Conv2D,
     Dense,
@@ -302,6 +305,49 @@ class TestInferShapes:
         assert shapes["g"] == TensorShape(1, 1, 3)
         assert shapes["d"] == TensorShape(1, 1, 5)
 
+    def test_equal_dims_share_one_shape(self, xception):
+        shapes = infer_shapes(xception)
+        made = [s for s in shapes.values() if s is not xception.input_shape]
+        assert len({id(s) for s in made}) == len(set(made)) < len(made)
+
+    def test_shapes_are_not_shared_across_calls(self, xception):
+        first, second = infer_shapes(xception), infer_shapes(xception)
+        assert first == second
+        assert all(first[k] is not second[k] for k in first if first[k] is not xception.input_shape)
+
+
+class _SubConv(Conv2D):
+    pass
+
+
+class TestKindTables:
+    def test_every_kind_has_one_shape_rule(self):
+        assert len(KIND_CLASSES) == len(set(KIND_CLASSES))
+        assert set(cndkit.graph._SHAPE_RULES) == set(KIND_CLASSES)
+
+    @pytest.mark.parametrize("kind", [_SubConv(4, 1), object(), "Conv2D", None, 3])
+    def test_unknown_kind_is_a_validation_error(self, kind):
+        graph = _chain(
+            LayerNode("in", Input()),
+            LayerNode("x", kind, ("in",)),
+            LayerNode("g", GlobalAvgPool(), ("x",)),
+            LayerNode("d", Dense(2), ("g",)),
+        )
+        for analysis in (infer_shapes, validate, analyze):
+            with pytest.raises(ValidationError, match="node 'x': unknown layer kind"):
+                analysis(graph)
+        with pytest.raises(ValidationError, match="node 'x': unknown layer kind"):
+            count_params_layer(graph.nodes[1], 3)
+
+    def test_unknown_input_kind_is_a_validation_error(self):
+        class SubInput(Input):
+            pass
+
+        graph = _stored(LayerNode("in", SubInput()), LayerNode("g", GlobalAvgPool(), ("in",)))
+        for analysis in (infer_shapes, validate, analyze):
+            with pytest.raises(ValidationError):
+                analysis(graph)
+
 
 class TestValidate:
     def test_single_input_required(self):
@@ -370,6 +416,19 @@ class TestFieldTypes:
     def test_tag_must_be_a_string_or_none(self, tag):
         with pytest.raises(ValidationError, match="node 'c' tag must be a string or None"):
             LayerNode("c", Conv2D(4, 1), ("in",), tag)
+
+    @pytest.mark.parametrize("inputs", ["in", "xy", None, 5])
+    def test_inputs_must_be_a_sequence_not_a_string(self, inputs):
+        with pytest.raises(ValidationError, match="node 'a' inputs must be a sequence of node ids"):
+            LayerNode("a", Activation(), inputs)
+
+    @pytest.mark.parametrize("inputs", [(1,), ("in", None), [b"in"], (("in",),)])
+    def test_input_ids_must_be_strings(self, inputs):
+        with pytest.raises(ValidationError, match="node 'a' input ids must be strings"):
+            LayerNode("a", Add(), inputs)
+
+    def test_inputs_list_becomes_a_tuple(self):
+        assert LayerNode("a", Add(), ["x", "y"]).inputs == ("x", "y")
 
     def _graph(self, **fields):
         graph = _chain(LayerNode("in", Input()), LayerNode("g", GlobalAvgPool(), ("in",)),

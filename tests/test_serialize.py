@@ -70,6 +70,14 @@ def test_unsupported_schema_version(xception):
         deserialize(json.dumps(doc))
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1", None])
+def test_schema_version_must_be_an_exact_int(xception, version):
+    doc = json.loads(serialize(xception))
+    doc["schema_version"] = version
+    with pytest.raises(SchemaVersionError, match=f"unsupported schema_version {version!r}"):
+        deserialize(json.dumps(doc))
+
+
 def test_unknown_attr_rejected(xception):
     doc = json.loads(serialize(xception))
     doc["nodes"][1]["attrs"]["dilation"] = 2
