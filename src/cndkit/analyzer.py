@@ -4,8 +4,9 @@ Every analysis here is a fold over ``analyze(graph)``: one row per node, in
 stored order (which ``topo_sort`` checks is a dependency order), holding the
 node, its input and output shapes and its parameter entry
 (``activation_sizes`` needs only the shapes). Per layer kind, looked up by
-its exact class in ``_PARAM_RULES`` (C = input channels, M = filters,
-K = kernel elements, i.e. 1 or 9):
+its exact class in ``_PARAM_RULES``, which is keyed by the classes of
+``graph.KINDS`` (C = input channels, M = filters, K = kernel elements, i.e.
+1 or 9):
 
     kind              kernel params       aux params               MACs
     Conv2D            C*M*K               M if bias else 0         H'W' * C*M*K
@@ -149,7 +150,7 @@ class LayerRow(NamedTuple):
 
 def analyze(graph: ModelGraph) -> list[LayerRow]:
     """One row per node, in stored order, from a single shape inference."""
-    shapes = infer_shapes(graph)  # rejects a kind with no rule
+    shapes = infer_shapes(graph)  # rejects a kind with no row in KINDS
     rows: list[LayerRow] = []
     for node in graph.nodes:
         kind = node.kind
@@ -180,17 +181,23 @@ def count_params(graph: ModelGraph) -> ParamReport:
     return ParamReport(tuple(row.params for row in rows), total, total - _moving_stats(rows))
 
 
-def flops_estimate(graph: ModelGraph, input_shape: TensorShape | None = None) -> int:
+def flops_estimate(graph: ModelGraph) -> int:
     """Multiply-accumulate count for one forward pass at batch 1."""
-    if input_shape is not None and input_shape != graph.input_shape:
-        graph = dataclasses.replace(graph, input_shape=input_shape)
     return sum(row.macs for row in analyze(graph))
+
+
+# Counts must be exact ints: 2.5 or True would make byte counts floats or
+# let a bool stand for a batch size.
+def _check_count(name: str, value: int, least: int) -> None:
+    if type(value) is not int:
+        raise ValidationError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
 
 
 def activation_sizes(graph: ModelGraph, batch: int = 1) -> list[tuple[str, int]]:
     """Output element count (batch * H * W * C) per node, in stored order."""
-    if batch < 1:
-        raise ValidationError(f"batch must be >= 1, got {batch}")
+    _check_count("batch", batch, 1)
     return [(node_id, batch * shape.elements) for node_id, shape in infer_shapes(graph).items()]
 
 
@@ -232,10 +239,8 @@ def memory_estimate(
         raise ValidationError(
             f"optimizer must be one of {sorted(OPTIMIZER_STATE_MULTIPLIER)}, got {optimizer!r}"
         )
-    if batch < 1:
-        raise ValidationError(f"batch must be >= 1, got {batch}")
-    if overhead_bytes < 0:
-        raise ValidationError(f"overhead_bytes must be >= 0, got {overhead_bytes}")
+    _check_count("batch", batch, 1)
+    _check_count("overhead_bytes", overhead_bytes, 0)
 
     rows = analyze(graph)
     total = total_params(rows)

@@ -12,17 +12,19 @@ the last one the node's role inside it (``sep1``, ``squeeze``, ``expand3``,
 untagged nodes belong to no module. Residual-projection convolutions carry
 the ``residual`` role and are not counted as part of a module's main stack.
 
-A node's kind is looked up by its exact class, in one table per concern
-(``_ARITY`` and ``_SHAPE_RULES`` here, ``analyzer._PARAM_RULES``), as
-``serialize`` looks it up by class name. Any other object, a subclass of a
-kind included, is rejected as an unknown layer kind.
+Everything the graph core knows about a layer kind is one row of ``KINDS``,
+keyed by the kind's exact class: its number of inputs, its shape rule and its
+attr names. ``analyzer._PARAM_RULES`` holds each kind's parameter rule, keyed
+by the same classes. ``check_append``, which every path that builds or checks
+a graph goes through, rejects any other object, a subclass of a kind
+included, as an unknown layer kind.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
 from .errors import (
     ArityError,
@@ -175,24 +177,8 @@ class Dense:
         _check_bool("Dense", "has_bias", self.has_bias)
 
 
-LayerKind = Union[
-    Input, Conv2D, SeparableConv2D, MaxPool, GlobalAvgPool, BatchNorm, Activation, Add, Dense
-]
-
-KIND_CLASSES: tuple[type, ...] = (
-    Input, Conv2D, SeparableConv2D, MaxPool, GlobalAvgPool, BatchNorm, Activation, Add, Dense,
-)
-
-
-_ARITY = {Input: 0, Add: 2}  # every other kind takes one input
-
-
-def expected_arity(kind: LayerKind) -> int:
-    return _ARITY.get(type(kind), 1)
-
-
 def is_conv(kind: LayerKind) -> bool:
-    return isinstance(kind, (Conv2D, SeparableConv2D))
+    return type(kind) in (Conv2D, SeparableConv2D)
 
 
 @dataclass(frozen=True)
@@ -304,14 +290,20 @@ def add_layer(graph: ModelGraph, node: LayerNode) -> ModelGraph:
 
 def check_append(ids: set[str], node: LayerNode) -> None:
     """Check that ``node`` may follow nodes with ``ids``: a new id, inputs
-    among ``ids`` and the arity of its kind. Raises the matching
-    ``ValidationError`` subclass; ``ids`` is not changed."""
+    among ``ids``, a kind with a row in ``KINDS`` and that kind's arity.
+    Raises a ``ValidationError`` for the first check that fails; ``ids`` is
+    not changed."""
     if node.id in ids:
         raise DuplicateIdError(f"node id {node.id!r} already present")
     for src in node.inputs:
         if src not in ids:
             raise UnknownInputError(f"node {node.id!r} references unknown input {src!r}")
-    want = _ARITY.get(type(node.kind), 1)  # expected_arity, inlined: once per node per sweep
+    try:
+        want = KINDS[type(node.kind)][0]
+    except KeyError:
+        raise ValidationError(
+            f"node {node.id!r}: unknown layer kind {type(node.kind).__name__}"
+        ) from None
     if len(node.inputs) != want:
         raise ArityError(
             f"node {node.id!r} ({type(node.kind).__name__}) needs {want} input(s), "
@@ -324,8 +316,8 @@ def topo_sort(graph: ModelGraph) -> list[str]:
 
     Every node must be stored after its inputs: each one passes
     ``check_append`` against the nodes before it (new id, known inputs,
-    arity of its kind). Raises that ``ValidationError`` for the first stored
-    node at fault. A list with no forward reference is acyclic, so a cycle
+    known kind and its arity). Raises that ``ValidationError`` for the first
+    stored node at fault. A list with no forward reference is acyclic, so a cycle
     shows as an unknown input of its first stored node. Nothing is reordered.
     """
     ids: set[str] = set()
@@ -406,17 +398,26 @@ def _dense_shape(graph, node, shapes, made):
     return _shared(made, 1, 1, node.kind.units)
 
 
-_SHAPE_RULES = {
-    Input: _input_shape,
-    Conv2D: _conv_shape,
-    SeparableConv2D: _conv_shape,
-    MaxPool: _pool_shape,
-    GlobalAvgPool: _global_pool_shape,
-    BatchNorm: _same_shape,
-    Activation: _same_shape,
-    Add: _add_shape,
-    Dense: _dense_shape,
+# kind class -> (number of inputs, shape rule, attr names). The attr names are
+# the dataclass fields, which are also the kind's schema-v1 attrs. A kind is
+# looked up here by its exact class; any other object is an unknown kind.
+KINDS: dict[type, tuple[int, Callable[..., TensorShape], tuple[str, ...]]] = {
+    cls: (arity, rule, tuple(f.name for f in dataclasses.fields(cls)))
+    for cls, arity, rule in (
+        (Input, 0, _input_shape),
+        (Conv2D, 1, _conv_shape),
+        (SeparableConv2D, 1, _conv_shape),
+        (MaxPool, 1, _pool_shape),
+        (GlobalAvgPool, 1, _global_pool_shape),
+        (BatchNorm, 1, _same_shape),
+        (Activation, 1, _same_shape),
+        (Add, 2, _add_shape),
+        (Dense, 1, _dense_shape),
+    )
 }
+
+KIND_CLASSES: tuple[type, ...] = tuple(KINDS)
+LayerKind = Union[KIND_CLASSES]
 
 
 def infer_shapes(graph: ModelGraph) -> dict[str, TensorShape]:
@@ -426,16 +427,11 @@ def infer_shapes(graph: ModelGraph) -> dict[str, TensorShape]:
     Valid padding: floor((dim-k)/stride)+1. Dense and GlobalAvgPool collapse
     spatial dims to 1x1. Nodes with equal output dims share one shape.
     """
-    topo_sort(graph)
+    topo_sort(graph)  # every kind has a row in KINDS
     shapes: dict[str, TensorShape] = {}
     made: dict[tuple[int, int, int], TensorShape] = {}
     for node in graph.nodes:
-        rule = _SHAPE_RULES.get(type(node.kind))
-        if rule is None:
-            raise ValidationError(
-                f"node {node.id!r}: unknown layer kind {type(node.kind).__name__}"
-            )
-        shapes[node.id] = rule(graph, node, shapes, made)
+        shapes[node.id] = KINDS[type(node.kind)][1](graph, node, shapes, made)
     return shapes
 
 

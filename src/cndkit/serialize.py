@@ -7,10 +7,10 @@ Schema v1::
      "nodes": [{"id": ..., "kind": ..., "attrs": {...},
                 "inputs": [...], "tag": ... | null}, ...]}
 
-Attribute keys are exactly the dataclass fields of each layer kind; unknown
-attrs are rejected. Nodes must be listed in dependency order (every input
-precedes its consumer), which serialize always produces. Output is
-byte-stable for a given graph.
+Attribute keys are exactly the attr names in each layer kind's row of
+``graph.KINDS``, its dataclass fields; unknown attrs are rejected. Nodes must
+be listed in dependency order (every input precedes its consumer), which
+serialize always produces. Output is byte-stable for a given graph.
 
 ``serialize`` writes exactly ``json.dumps(doc, indent=2)`` of that document
 plus a newline, but builds the text itself: CPython's C JSON encoder is used
@@ -21,7 +21,6 @@ the C ``encode_basestring_ascii`` that ``json.dumps`` uses by default.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
@@ -32,9 +31,6 @@ from .errors import CndkitError, ParseError, SchemaVersionError
 SCHEMA_VERSION = 1
 
 _KIND_BY_NAME = {cls.__name__: cls for cls in g.KIND_CLASSES}
-_ATTR_FIELDS = {
-    cls.__name__: tuple(f.name for f in dataclasses.fields(cls)) for cls in g.KIND_CLASSES
-}
 
 
 def _block(open_: str, close: str, items: list[str], indent: str) -> str:
@@ -57,7 +53,7 @@ def _scalar(value: str | bool | int) -> str:
 def _kind_text(kind: g.LayerKind) -> str:
     """The text between a node's id and its input list: kind name and attrs."""
     name = type(kind).__name__
-    attrs = [f"{_string(f)}: {_scalar(getattr(kind, f))}" for f in _ATTR_FIELDS[name]]
+    attrs = [f"{_string(f)}: {_scalar(getattr(kind, f))}" for f in g.KINDS[type(kind)][2]]
     return (
         f',\n      "kind": {_string(name)},\n      "attrs": {_block("{", "}", attrs, "      ")}'
         ',\n      "inputs": '
@@ -109,11 +105,11 @@ def _parse_node(entry: dict, index: int) -> g.LayerNode:
     if not node_id:
         raise ParseError("node id must be a non-empty string", field=f"{where}.id")
     kind_name = _expect(entry, "kind", str, f"{where}.kind")
-    if kind_name not in _KIND_BY_NAME:
+    cls = _KIND_BY_NAME.get(kind_name)
+    if cls is None:
         raise ParseError(f"unknown layer kind {kind_name!r}", field=f"{where}.kind")
     attrs = _expect(entry, "attrs", dict, f"{where}.attrs")
-    allowed = set(_ATTR_FIELDS[kind_name])
-    unknown = set(attrs) - allowed
+    unknown = set(attrs).difference(g.KINDS[cls][2])
     if unknown:
         raise ParseError(
             f"unknown attrs for {kind_name}: {sorted(unknown)}", field=f"{where}.attrs"
@@ -125,7 +121,7 @@ def _parse_node(entry: dict, index: int) -> g.LayerNode:
     if tag is not None and not isinstance(tag, str):
         raise ParseError("tag must be a string or null", field=f"{where}.tag")
     try:
-        kind = _KIND_BY_NAME[kind_name](**attrs)
+        kind = cls(**attrs)
     except (TypeError, CndkitError) as exc:
         raise ParseError(f"bad attrs for {kind_name}: {exc}", field=f"{where}.attrs") from exc
     return g.LayerNode(id=node_id, kind=kind, inputs=tuple(inputs), tag=tag)

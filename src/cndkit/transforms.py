@@ -85,7 +85,7 @@ class PassReport:
 
 
 def _describe(kind) -> str:
-    if isinstance(kind, (Conv2D, SeparableConv2D)):
+    if is_conv(kind):
         return f"{type(kind).__name__}(f{kind.filters},k{kind.kernel},s{kind.stride})"
     return type(kind).__name__
 
@@ -103,7 +103,7 @@ def strategy1_replace_kernels(graph: ModelGraph) -> tuple[ModelGraph, PassReport
     leading: dict[str, LayerNode] = {}
     for row in rows:
         module = module_of(row.node.tag)
-        if module is not None and isinstance(row.node.kind, SeparableConv2D):
+        if module is not None and type(row.node.kind) is SeparableConv2D:
             leading.setdefault(module, row.node)
     targets = {node.id for node in leading.values() if node.kind.kernel == 3}
 
@@ -217,7 +217,7 @@ def _module_structure(nodes: list[LayerNode], module: str):
     module consumes)."""
     id_set = {n.id for n in nodes}
     for node in nodes:
-        if not isinstance(node.kind, _REWRITABLE_KINDS):
+        if type(node.kind) not in _REWRITABLE_KINDS:
             raise ModuleStructureError(
                 f"module {module!r} contains a {type(node.kind).__name__} node; "
                 "only conv/pool/norm/activation/add modules can be rewritten"
@@ -235,13 +235,13 @@ def _module_structure(nodes: list[LayerNode], module: str):
     module_input = external[0]
 
     main_convs = [n for n in nodes if is_conv(n.kind) and role_of(n.tag) != "residual"]
-    pools = [n for n in nodes if isinstance(n.kind, MaxPool)]
-    adds = [n for n in nodes if isinstance(n.kind, Add)]
+    pools = [n for n in nodes if type(n.kind) is MaxPool]
+    adds = [n for n in nodes if type(n.kind) is Add]
     proj = next((n for n in nodes if is_conv(n.kind) and role_of(n.tag) == "residual"), None)
     proj_bn = None
     if proj is not None:
         proj_bn = next(
-            (n for n in nodes if isinstance(n.kind, BatchNorm) and n.inputs == (proj.id,)), None
+            (n for n in nodes if type(n.kind) is BatchNorm and n.inputs == (proj.id,)), None
         )
     if len(pools) > 1 or len(adds) > 1:
         raise ModuleStructureError(
@@ -355,7 +355,7 @@ def strategy2_insert_fire(
             continue
         inputs = tuple(remap.get(i, i) for i in node.inputs)
         new_nodes.append(node if inputs == node.inputs else dataclasses.replace(node, inputs=inputs))
-        if isinstance(node.kind, _WIDTH_KEEPING_KINDS) and node.inputs[0] in widths:
+        if type(node.kind) in _WIDTH_KEEPING_KINDS and node.inputs[0] in widths:
             widths[node.id] = widths[node.inputs[0]]
 
     result = dataclasses.replace(graph, nodes=tuple(new_nodes))
@@ -407,7 +407,7 @@ def strategy3_audit(graph: ModelGraph) -> DownsampleAudit:
     entries = [
         DownsampleEntry(row.node.id, pos / denom, row.shape_in, row.shape_out)
         for pos, row in enumerate(rows)
-        if isinstance(row.node.kind, MaxPool)
+        if type(row.node.kind) is MaxPool
         or (is_conv(row.node.kind) and row.node.kind.stride == 2)
     ]
 

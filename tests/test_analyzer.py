@@ -17,6 +17,7 @@ from cndkit.analyzer import (
     memory_estimate,
     round_params_millions,
 )
+from cndkit.errors import ValidationError
 from cndkit.graph import (
     Activation,
     Add,
@@ -151,6 +152,15 @@ class TestActivationSizes:
         two = activation_sizes(xception, batch=2)
         assert all(b == 2 * a for (_, a), (_, b) in zip(one, two))
 
+    @pytest.mark.parametrize("batch", [1.5, 2.0, True, "2", None])
+    def test_batch_must_be_an_int(self, xception, batch):
+        with pytest.raises(ValidationError, match="batch must be an int, got "):
+            activation_sizes(xception, batch=batch)
+
+    def test_batch_must_be_positive(self, xception):
+        with pytest.raises(ValidationError, match="batch must be >= 1, got 0"):
+            activation_sizes(xception, batch=0)
+
     def test_decreasing_across_downsample_boundaries(self, xception):
         sizes = dict(activation_sizes(xception, batch=1))
         boundary = [
@@ -179,6 +189,25 @@ class TestMemoryEstimate:
             + est.activations_bytes
             + 1024
         )
+
+    # Byte counts stay ints: a float or bool batch or overhead is rejected, not
+    # carried into total_bytes.
+    @pytest.mark.parametrize("batch", [2.5, 1.0, True, "2"])
+    def test_batch_must_be_an_int(self, mobilenet, batch):
+        with pytest.raises(ValidationError, match="batch must be an int, got "):
+            memory_estimate(mobilenet, batch=batch)
+
+    @pytest.mark.parametrize("overhead", [0.5, 0.0, False, None])
+    def test_overhead_bytes_must_be_an_int(self, mobilenet, overhead):
+        with pytest.raises(ValidationError, match="overhead_bytes must be an int, got "):
+            memory_estimate(mobilenet, overhead_bytes=overhead)
+
+    def test_counts_below_their_least_value(self, mobilenet):
+        with pytest.raises(ValidationError, match="batch must be >= 1, got 0"):
+            memory_estimate(mobilenet, batch=0)
+        with pytest.raises(ValidationError, match="overhead_bytes must be >= 0, got -1"):
+            memory_estimate(mobilenet, overhead_bytes=-1)
+        assert type(memory_estimate(mobilenet, batch=2, overhead_bytes=1).total_bytes) is int
 
     def test_adam_not_below_momentum(self, xception):
         adam = memory_estimate(xception, batch=2, optimizer="adam")

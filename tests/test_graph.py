@@ -1,11 +1,14 @@
 import dataclasses
 import random
+import sys
+import typing
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import cndkit.graph
+import cndkit.analyzer
+import cndkit.serialize  # noqa: F401  (loads the module; cndkit.serialize is the function)
 from cndkit.analyzer import analyze, count_params_layer
 from cndkit.errors import (
     ArityError,
@@ -17,12 +20,14 @@ from cndkit.errors import (
 )
 from cndkit.graph import (
     KIND_CLASSES,
+    KINDS,
     Activation,
     Add,
     Conv2D,
     Dense,
     GlobalAvgPool,
     Input,
+    LayerKind,
     LayerNode,
     MaxPool,
     ModelGraph,
@@ -30,6 +35,7 @@ from cndkit.graph import (
     TensorShape,
     add_layer,
     infer_shapes,
+    is_conv,
     module_of,
     role_of,
     topo_sort,
@@ -322,12 +328,19 @@ class _SubConv(Conv2D):
 
 class TestKindTables:
     def test_every_kind_has_one_shape_rule(self):
+        # One row per class in KINDS; every other table of kinds holds the same classes.
+        assert KIND_CLASSES == tuple(KINDS)
         assert len(KIND_CLASSES) == len(set(KIND_CLASSES))
-        assert set(cndkit.graph._SHAPE_RULES) == set(KIND_CLASSES)
+        assert set(typing.get_args(LayerKind)) == set(KIND_CLASSES)
+        assert set(sys.modules["cndkit.serialize"]._KIND_BY_NAME.values()) == set(KIND_CLASSES)
+        assert set(cndkit.analyzer._PARAM_RULES) == set(KIND_CLASSES)
+        for cls, (arity, rule, attrs) in KINDS.items():
+            assert arity in (0, 1, 2) and callable(rule)
+            assert attrs == tuple(f.name for f in dataclasses.fields(cls))
 
     @pytest.mark.parametrize("kind", [_SubConv(4, 1), object(), "Conv2D", None, 3])
     def test_unknown_kind_is_a_validation_error(self, kind):
-        graph = _chain(
+        graph = _stored(
             LayerNode("in", Input()),
             LayerNode("x", kind, ("in",)),
             LayerNode("g", GlobalAvgPool(), ("x",)),
@@ -338,6 +351,13 @@ class TestKindTables:
                 analysis(graph)
         with pytest.raises(ValidationError, match="node 'x': unknown layer kind"):
             count_params_layer(graph.nodes[1], 3)
+        with pytest.raises(ValidationError, match="node 'x': unknown layer kind"):
+            add_layer(_stored(graph.nodes[0]), graph.nodes[1])
+
+    def test_is_conv_takes_exact_classes(self):
+        assert is_conv(Conv2D(4, 1)) and is_conv(SeparableConv2D(4, 1))
+        assert not is_conv(_SubConv(4, 1))
+        assert not is_conv(MaxPool())
 
     def test_unknown_input_kind_is_a_validation_error(self):
         class SubInput(Input):
