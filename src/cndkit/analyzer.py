@@ -129,6 +129,7 @@ _PARAM_RULES = {
 
 def count_params_layer(node: LayerNode, input_channels: int) -> LayerParams:
     """Parameter entry for one node given its (flattened, for Dense) input channels."""
+    _check_count("input_channels", input_channels, 0)
     rule = _PARAM_RULES.get(type(node.kind))
     if rule is None:
         raise ValidationError(f"node {node.id!r}: unknown layer kind {type(node.kind).__name__}")
@@ -186,8 +187,8 @@ def flops_estimate(graph: ModelGraph) -> int:
     return sum(row.macs for row in analyze(graph))
 
 
-# Counts must be exact ints: 2.5 or True would make byte counts floats or
-# let a bool stand for a batch size.
+# Counts must be exact ints: 2.5 or True would make parameter and byte counts
+# floats or let a bool stand for a batch size.
 def _check_count(name: str, value: int, least: int) -> None:
     if type(value) is not int:
         raise ValidationError(f"{name} must be an int, got {value!r}")

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import click
 
-from .errors import CndkitError, ParseError, SchemaVersionError
+from .errors import CndkitError, ParseError, SchemaVersionError, read_text
 
 if TYPE_CHECKING:
     from .graph import ModelGraph, TensorShape
@@ -79,10 +79,13 @@ def _fire_spec_from_obj(obj, where: str) -> FireModuleSpec:
 def _load_json(path: str):
     import json
 
+    text = read_text(path)
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc.msg}", line=exc.lineno) from exc
+    except RecursionError as exc:
+        raise ParseError(f"invalid JSON in {path}: nested too deeply") from exc
 
 
 def _load_optimized_config(path: str) -> OptimizedConfig:
@@ -188,23 +191,14 @@ def _analysis_payload(graph: ModelGraph, batch: int, mode: str, optimizer: str) 
 
     report = analyzer.count_params(graph)
     memory = analyzer.memory_estimate(graph, batch=batch, mode=mode, optimizer=optimizer)
+    keys = ("id", *analyzer.LayerParams._fields[1:])  # the LayerParams fields, node_id as id
     return {
         "name": graph.name,
         "params": {
             "total": report.total,
             "total_trainable": report.total_trainable,
             "rounded_millions": analyzer.round_params_millions(report.total),
-            "per_layer": [
-                {
-                    "id": e.node_id,
-                    "channels_in": e.channels_in,
-                    "filters": e.filters,
-                    "kernel_elems": e.kernel_elems,
-                    "kernel_params": e.kernel_params,
-                    "aux_params": e.aux_params,
-                }
-                for e in report.per_layer
-            ],
+            "per_layer": [dict(zip(keys, e)) for e in report.per_layer],
         },
         "flops_macs": analyzer.flops_estimate(graph),
         "memory": memory.as_dict(),
@@ -288,8 +282,7 @@ def cmd_pareto(csv_path, accuracy_frontier, memory_frontier_opt, out_path):
     from . import pareto
 
     with _handled():
-        text = Path(csv_path).read_text(encoding="utf-8")
-        records = pareto.load_measurements(text)
+        records = pareto.load_measurements(read_text(csv_path))
         if memory_frontier_opt == "auto":
             explicit = None
         else:

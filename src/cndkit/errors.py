@@ -1,6 +1,8 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the one text-file reader."""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 
 class CndkitError(Exception):
@@ -90,3 +92,12 @@ class MeasurementRangeError(ValidationError):
 
 class EmptyInputError(ValidationError):
     pass
+
+
+def read_text(path: str | Path) -> str:
+    """The file's text, decoded as UTF-8; undecodable bytes are a ``ParseError``
+    naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc

@@ -21,6 +21,8 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
+from itertools import groupby, takewhile
+from operator import attrgetter
 
 from .errors import EmptyInputError, MeasurementRangeError, ParseError
 
@@ -106,19 +108,29 @@ def _parse_optional(value: str | None, row: int, column: str, kind) -> float | i
         raise ParseError(f"cannot parse {value!r}", row=row, column=column) from exc
 
 
+def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """``(row number, cells)`` per CSV row; a ``csv.Error`` (a cell over the
+    field limit, a line break in an unquoted cell) is a ParseError at its row."""
+    row_num = 0
+    try:
+        for row_num, cells in enumerate(csv.reader(io.StringIO(text)), start=1):
+            yield row_num, cells
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", row=row_num + 1) from exc
+
+
 def load_measurements(text: str) -> list[ModelMeasurement]:
     """Parse measurement CSV (see CSV_HEADER for the exact column set)."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty input: missing header row", row=1) from None
-    if tuple(h.strip() for h in header) != CSV_HEADER:
+    rows = _csv_rows(text)
+    header = next(rows, None)
+    if header is None:
+        raise ParseError("empty input: missing header row", row=1)
+    if tuple(h.strip() for h in header[1]) != CSV_HEADER:
         raise ParseError(
             f"header must be {','.join(CSV_HEADER)}", row=1
         )
     records: list[ModelMeasurement] = []
-    for row_num, cells in enumerate(reader, start=2):
+    for row_num, cells in rows:
         if not cells or all(c.strip() == "" for c in cells):
             continue
         if len(cells) != len(CSV_HEADER):
@@ -194,25 +206,20 @@ def _sort_key(record: ModelMeasurement):
 def pareto_front(records: list[ModelMeasurement]) -> list[ModelMeasurement]:
     """Non-dominated subset, sorted by ascending memory.
 
-    Single sweep over the memory-sorted records: within an equal-memory
-    group only the highest-accuracy records survive, and a group survives
-    only when it improves on the best accuracy seen at strictly lower
-    memory. Duplicated points do not dominate each other and are all kept.
+    Single sweep over the memory-sorted records, which ``_sort_key`` orders
+    by descending accuracy within an equal-memory group: only a group's
+    leading, highest-accuracy records survive, and a group survives only
+    when it improves on the best accuracy seen at strictly lower memory.
+    Duplicated points do not dominate each other and are all kept.
     """
-    ordered = sorted(records, key=_sort_key)
     front: list[ModelMeasurement] = []
-    best_acc: float | None = None
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j < len(ordered) and ordered[j].avg_mem_mb == ordered[i].avg_mem_mb:
-            j += 1
-        group = ordered[i:j]
-        group_best = max(r.test_acc for r in group)
-        if best_acc is None or group_best > best_acc:
-            front.extend(r for r in group if r.test_acc == group_best)
-            best_acc = group_best
-        i = j
+    best_acc = -math.inf
+    for _mem, group in groupby(sorted(records, key=_sort_key), key=attrgetter("avg_mem_mb")):
+        first = next(group)
+        if first.test_acc > best_acc:
+            best_acc = first.test_acc
+            front.append(first)
+            front.extend(takewhile(lambda r: r.test_acc == best_acc, group))
     return front
 
 

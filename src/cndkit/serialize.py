@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
 from . import graph as g
-from .errors import CndkitError, ParseError, SchemaVersionError
+from .errors import CndkitError, ParseError, SchemaVersionError, read_text
 
 SCHEMA_VERSION = 1
 
@@ -139,6 +139,8 @@ def deserialize(text: str) -> g.ModelGraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     version = doc.get("schema_version")
@@ -184,4 +186,4 @@ def save_model(graph: g.ModelGraph, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> g.ModelGraph:
-    return deserialize(Path(path).read_text(encoding="utf-8"))
+    return deserialize(read_text(path))

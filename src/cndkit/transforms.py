@@ -24,6 +24,7 @@ import dataclasses
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from . import analyzer
 from .errors import (
@@ -275,9 +276,8 @@ def strategy2_insert_fire(
     if not specs:
         return graph, PassReport("strategy2_insert_fire", (), params_before, params_before)
 
-    shapes = {row.node.id: row.shape_out for row in rows}
-    by_id = graph.node_map()
-    existing_ids = set(by_id)
+    row_of = {row.node.id: row for row in rows}
+    existing_ids = set(row_of)
     remap: dict[str, str] = {}
     widths: dict[str, int] = {}  # old id -> new width: rewritten tails and what passes them on
     changed: list[NodeChange] = []
@@ -293,12 +293,12 @@ def strategy2_insert_fire(
 
     def rebuild(module: str, spec: FireModuleSpec) -> None:
         module_input, main_convs, pool, add_node, proj, proj_bn, old_tail = _module_structure(
-            [by_id[i] for i in groups[module]], module
+            [row_of[i].node for i in groups[module]], module
         )
         source = remap.get(module_input, module_input)
-        in_shape = shapes[module_input]
+        in_shape = row_of[module_input].shape_out
         in_channels = widths.get(module_input, in_shape.channels)
-        out_shape = shapes[old_tail]
+        out_shape = row_of[old_tail].shape_out
         downsamples = out_shape.height < in_shape.height or out_shape.width < in_shape.width
         stride_out = 1 if pool is not None or not downsamples else 2
 
@@ -308,12 +308,9 @@ def strategy2_insert_fire(
         new_nodes.extend(fire)
         main_tail = fire[-1].id
 
-        fire_convs = [n for n in fire if is_conv(n.kind)]
-        for i in range(max(len(main_convs), len(fire_convs))):
-            old = _describe(main_convs[i].kind) if i < len(main_convs) else "(none)"
-            new = _describe(fire_convs[i].kind) if i < len(fire_convs) else "(removed)"
-            node_id = main_convs[i].id if i < len(main_convs) else fire_convs[i].id
-            changed.append(NodeChange(node_id, old, new))
+        for old, new in zip_longest(main_convs, [n for n in fire if is_conv(n.kind)]):
+            changed.append(NodeChange((old or new).id, _describe(old.kind) if old else "(none)",
+                                      _describe(new.kind) if new else "(removed)"))
 
         if pool is not None:
             new_nodes.append(dataclasses.replace(pool, inputs=(main_tail,)))
@@ -440,11 +437,12 @@ def validate_fire_constraints(graph: ModelGraph) -> list[str]:
         widths: dict[str, int] = {}
         for node_id in ids:
             node = by_id[node_id]
-            if is_conv(node.kind) and role_of(node.tag) in ("squeeze", "expand1", "expand3"):
-                widths[role_of(node.tag)] = node.kind.filters
-        if {"squeeze", "expand1", "expand3"} <= widths.keys():
+            role = role_of(node.tag)
+            if role in ("squeeze", "expand1", "expand3") and is_conv(node.kind):
+                widths[role] = node.kind.filters
+        if len(widths) == 3:
             s, e1, e3 = widths["squeeze"], widths["expand1"], widths["expand3"]
-            if not s < e1 + e3:
+            if not FireModuleSpec(s, e1, e3).is_valid():
                 violations.append(
                     f"{module}: s1x1={s} must be < e1x1+e3x3={e1 + e3} (e1x1={e1}, e3x3={e3})"
                 )
@@ -509,10 +507,7 @@ def diff(original: ModelGraph, transformed: ModelGraph) -> str:
     total_b = analyzer.total_params(rows_b)
     mods_a = _module_summary(rows_a)
     mods_b = _module_summary(rows_b)
-    modules = list(mods_a)
-    for m in mods_b:
-        if m not in modules:
-            modules.append(m)
+    modules = {**mods_a, **mods_b}  # A's modules, then those only B has
 
     def fmt(info: dict | None, field: str) -> str:
         if info is None:

@@ -72,6 +72,18 @@ class TestLayerParams:
         assert omega(16) * 2 == omega(32)
         assert omega(5) + omega(7) == omega(12)
 
+    @pytest.mark.parametrize("channels, message", [
+        (2.5, "input_channels must be an int, got 2.5"),
+        (True, "input_channels must be an int, got True"),
+        ("4", "input_channels must be an int, got '4'"),
+        (None, "input_channels must be an int, got None"),
+        (-3, "input_channels must be >= 0, got -3"),
+    ])
+    def test_input_channels_must_be_a_count(self, channels, message):
+        # 2.5 gave kernel_params=90.0 and -3 gave -108
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            count_params_layer(LayerNode("c", Conv2D(4, 3), ("in",)), channels)
+
     def test_param_table_covers_every_kind(self):
         assert set(cndkit.analyzer._PARAM_RULES) == set(cndkit.graph.KIND_CLASSES)
 

@@ -1,11 +1,19 @@
+import functools
 import json
 from importlib import resources
+from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cndkit.cli import main
-from cndkit.zoo import DEFAULT_OPTIMIZED_CONFIG
+from cndkit.graph import TensorShape
+from cndkit.pareto import CSV_HEADER
+from cndkit.serialize import save_model, serialize
+from cndkit.zoo import DEFAULT_OPTIMIZED_CONFIG, build_xception
 
 
 @pytest.fixture()
@@ -340,3 +348,172 @@ class TestParetoNonFinite:
         assert result.exit_code == 1
         assert "error: memory_frontier=" in result.output
         assert isinstance(result.exception, SystemExit)
+
+
+UNDECODABLE = b"\xff\xfe{}\n"  # a UTF-16 byte-order mark is not UTF-8
+TOO_DEEP_JSON = "[" * 200_000 + "]" * 200_000  # json.loads raises RecursionError
+OVERSIZED_CELL_CSV = ",".join(CSV_HEADER) + "\n" + "m" * 131_073 + ",e,50,60,100,,,\n"
+
+
+def assert_exit_3_with_one_error_line(result):
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error: ") and result.output.count("\n") == 1, result.output
+
+
+class TestUnreadableInputFiles:
+    """Every file the CLI reads is rejected with exit 3 and one error line
+    when it is not UTF-8, nested too deeply for json or breaks csv's rules."""
+
+    @pytest.fixture()
+    def paths(self, tmp_path, mobilenet):
+        save_model(mobilenet, tmp_path / "model.json")
+        return {"model": str(tmp_path / "model.json"), "bad": str(tmp_path / "bad"),
+                "out": str(tmp_path / "out.json")}
+
+    READERS = {
+        "analyze-in": ["analyze", "--in", "{bad}"],
+        "diff-b": ["diff", "--a", "{model}", "--b", "{bad}"],
+        "transform-in": ["transform", "--in", "{bad}", "--out", "{out}"],
+        "transform-specs": ["transform", "--in", "{model}", "--specs", "{bad}", "--out", "{out}"],
+        "build-config": ["build", "optimized-xception", "--config", "{bad}"],
+        "pareto-csv": ["pareto", "--csv", "{bad}"],
+    }
+
+    @pytest.mark.parametrize("args", READERS.values(), ids=READERS)
+    def test_undecodable_file_is_named(self, runner, paths, args):
+        Path(paths["bad"]).write_bytes(UNDECODABLE)
+        result = runner.invoke(main, [a.format(**paths) for a in args])
+        assert_exit_3_with_one_error_line(result)
+        assert f"error: {paths['bad']} is not UTF-8 text: invalid start byte at byte 0" in result.output
+
+    @pytest.mark.parametrize("args", [a for k, a in READERS.items() if k != "pareto-csv"],
+                             ids=[k for k in READERS if k != "pareto-csv"])
+    def test_too_deeply_nested_json(self, runner, paths, args):
+        Path(paths["bad"]).write_text(TOO_DEEP_JSON)
+        result = runner.invoke(main, [a.format(**paths) for a in args])
+        assert_exit_3_with_one_error_line(result)
+        assert "nested too deeply" in result.output
+
+    def test_oversized_csv_cell(self, runner, paths):
+        Path(paths["bad"]).write_text(OVERSIZED_CELL_CSV)
+        result = runner.invoke(main, ["pareto", "--csv", paths["bad"]])
+        assert_exit_3_with_one_error_line(result)
+        assert "error: malformed CSV: field larger than field limit (131072) (row 2)" in result.output
+
+
+@functools.cache
+def fuzz_files() -> dict[str, str]:
+    """Valid inputs for the fuzzed runs: a small xception, fire specs for it,
+    the default fire config and a measurement fixture."""
+    specs = json.loads(default_specs_json())
+    return {
+        "model.json": serialize(build_xception(TensorShape(71, 71, 3), 10)),
+        "specs.json": json.dumps(specs),
+        "config.json": json.dumps({"entry_fire": list(specs.values())[:3],
+                                   "middle_fire": list(specs.values())[3:]}),
+        "data.csv": Path(fixture_path("caltech101")).read_text(encoding="utf-8"),
+    }
+
+
+def run_isolated(args: list[str], fuzz: bytes = b""):
+    """Invoke the CLI in a fresh directory holding ``fuzz_files()`` and ``fuzz``
+    as ``fuzz.in``, and check that it ends with a documented exit code and no
+    exception."""
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        for name, text in fuzz_files().items():
+            Path(name).write_text(text, encoding="utf-8")
+        Path("fuzz.in").write_bytes(fuzz)
+        result = runner.invoke(main, args)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        args, result.exception)
+    assert result.exit_code in (0, 1, 2, 3), (args, result.output)
+    return result
+
+
+FLAGS = sorted({opt for command in main.commands.values() for param in command.params
+                for opt in param.opts if opt.startswith("-")} | {"--help"})
+FILE_PARAMS = {"in_path": "model.json", "a_path": "model.json", "b_path": "model.json",
+               "csv_path": "data.csv", "specs_path": "specs.json", "config_path": "config.json",
+               "out_path": "out.json", "report_path": "report.json"}
+STRINGS = ["model.json", "data.csv", "missing.json", ".", "", "auto", "840", "71x71x3", "1x1x1",
+           "0x0x0", "abc"]
+NUMBERS = ["0", "1", "4", "70", "101", "-1", "0.5", "nan", "inf", "1e999", "99999999999999999999"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+WIDTH = st.integers(-1, 800)
+FIRE_SPEC = st.fixed_dictionaries({"s1x1": WIDTH, "e1x1": WIDTH, "e3x3": WIDTH})
+
+
+@st.composite
+def argument_lists(draw) -> list[str]:
+    """A command with its required and some of its optional parameters, each
+    valued mostly by its type (a fuzz file for a path), else by any value;
+    sometimes a stray flag or value too."""
+    name = draw(st.sampled_from(sorted(main.commands)))
+    args = [name]
+    for param in main.commands[name].params:
+        typed = ([FILE_PARAMS[param.name]] if param.name in FILE_PARAMS
+                 else getattr(param.type, "choices", None) or NUMBERS)
+        value = draw(st.sampled_from(list(typed) if draw(st.integers(0, 3)) else STRINGS + NUMBERS))
+        if param.param_type_name == "argument":
+            args.append(value)
+        elif param.required or draw(st.booleans()):
+            args += [param.opts[0], value]
+    if not draw(st.integers(0, 3)):
+        args.append(draw(st.sampled_from(FLAGS + STRINGS)))
+    return args
+
+
+MODULE_TAG = st.sampled_from(["entry_flow/m2", "entry_flow/m3", "middle_flow/m5", "exit_flow/m13",
+                              "nowhere"])
+
+
+class TestFuzzedInvocations:
+    """Whatever the arguments and input files, the CLI exits 0, 1, 2 or 3 and
+    raises nothing but SystemExit."""
+
+    @given(args=argument_lists())
+    @settings(max_examples=60, deadline=None)
+    def test_argument_lists_from_the_commands_flags(self, args):
+        run_isolated(args)
+
+    @given(data=st.one_of(
+        JSON_VALUES, st.dictionaries(MODULE_TAG, FIRE_SPEC | JSON_VALUES, max_size=3),
+    ).map(lambda doc: json.dumps(doc).encode()))
+    @example(data=UNDECODABLE)
+    @example(data=TOO_DEEP_JSON.encode())
+    @settings(max_examples=40, deadline=None)
+    def test_any_json_as_specs(self, data):
+        run_isolated(["transform", "--in", "model.json", "--specs", "fuzz.in", "--out", "out.json"],
+                     data)
+
+    @given(data=st.one_of(
+        JSON_VALUES,
+        st.fixed_dictionaries(
+            {"entry_fire": st.lists(FIRE_SPEC, min_size=3, max_size=4),
+             "middle_fire": st.lists(FIRE_SPEC, min_size=8, max_size=9)},
+            optional={"exit_filters": st.lists(WIDTH, min_size=4, max_size=4) | JSON_VALUES},
+        ),
+    ).map(lambda doc: json.dumps(doc).encode()))
+    @example(data=UNDECODABLE)
+    @example(data=TOO_DEEP_JSON.encode())
+    @settings(max_examples=40, deadline=None)
+    def test_any_json_as_config(self, data):
+        run_isolated(["build", "optimized-xception", "--input", "71x71x3", "--config", "fuzz.in"],
+                     data)
+
+    @given(command=st.sampled_from([["analyze", "--in"], ["pareto", "--csv"]]),
+           data=st.binary(max_size=64) | st.text(max_size=64).map(str.encode))
+    @example(command=["analyze", "--in"], data=UNDECODABLE)
+    @example(command=["analyze", "--in"], data=TOO_DEEP_JSON.encode())
+    @example(command=["pareto", "--csv"], data=UNDECODABLE)
+    @example(command=["pareto", "--csv"], data=OVERSIZED_CELL_CSV.encode())
+    @settings(max_examples=60, deadline=None)
+    def test_any_bytes_as_model_or_csv(self, command, data):
+        run_isolated([*command, "fuzz.in"], data)

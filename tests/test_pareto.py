@@ -89,6 +89,21 @@ class TestLoading:
         with pytest.raises(ParseError):
             load_measurements(HEADER_LINE + "\nm,e,50,60\n")
 
+    @pytest.mark.parametrize("bad_row, message", [
+        ("m" * 131_073 + ",e,50,60,100,,,", "field larger than field limit"),
+        ("a\rb,e,50,60,100,,,", "new-line character seen in unquoted field"),
+    ], ids=["oversized-cell", "bare-carriage-return"])
+    def test_csv_error_is_a_parse_error_at_its_row(self, bad_row, message):
+        text = HEADER_LINE + f"\na,e,50,60,100,,,\n{bad_row}\n"
+        with pytest.raises(ParseError, match=f"^malformed CSV: {message}") as exc:
+            load_measurements(text)
+        assert exc.value.row == 3
+
+    def test_csv_error_in_header_is_at_row_1(self):
+        with pytest.raises(ParseError) as exc:
+            load_measurements("model\r,experiment\n")
+        assert exc.value.row == 1
+
 
 class TestMemoryFrontier:
     def test_caltech_midpoint(self):

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from cndkit.graph import (
     ModelGraph,
     TensorShape,
 )
-from cndkit.serialize import deserialize, save_model, serialize
+from cndkit.serialize import deserialize, load_model, save_model, serialize
 from cndkit.transforms import FireModuleSpec, strategy1_replace_kernels, strategy2_insert_fire
 from cndkit.zoo import build_mobilenet_v2, build_optimized_xception, build_xception
 from graphgen import random_graph
@@ -90,6 +91,20 @@ def test_malformed_json_reports_line():
     with pytest.raises(ParseError) as exc:
         deserialize('{\n  "schema_version": 1,\n  oops\n}')
     assert exc.value.line == 3
+
+
+def test_too_deeply_nested_json_is_a_parse_error():
+    # json.loads raises RecursionError, not JSONDecodeError, past the stack limit
+    with pytest.raises(ParseError, match="^invalid JSON: nested too deeply$"):
+        deserialize("[" * 200_000 + "]" * 200_000)
+
+
+def test_load_model_rejects_an_undecodable_file(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_bytes(b"\xff\xfe{}")
+    message = f"^{re.escape(str(path))} is not UTF-8 text: invalid start byte at byte 0$"
+    with pytest.raises(ParseError, match=message):
+        load_model(path)
 
 
 def test_dangling_input_rejected(xception):
