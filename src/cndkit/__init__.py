@@ -28,8 +28,9 @@ _HOME = {
         "OptimizedConfig", "DEFAULT_OPTIMIZED_CONFIG", "build_xception",
         "build_optimized_xception", "build_mobilenet_v2"), "zoo"),
     "make_fire_module": "transforms",
+    "LayerParams": "graph",
     **dict.fromkeys((
-        "LayerParams", "LayerRow", "ParamReport", "MemoryEstimate", "analyze", "count_params",
+        "LayerRow", "ParamReport", "MemoryEstimate", "analyze", "count_params",
         "count_params_layer", "flops_estimate", "activation_sizes", "memory_estimate",
         "round_params_millions"), "analyzer"),
     **dict.fromkeys((

@@ -3,10 +3,10 @@
 Every analysis here is a fold over ``analyze(graph)``: one row per node, in
 stored order (which ``topo_sort`` checks is a dependency order), holding the
 node, its input and output shapes and its parameter entry
-(``activation_sizes`` needs only the shapes). Per layer kind, looked up by
-its exact class in ``_PARAM_RULES``, which is keyed by the classes of
-``graph.KINDS`` (C = input channels, M = filters, K = kernel elements, i.e.
-1 or 9):
+(``activation_sizes`` needs only the shapes). The entry, a
+``graph.LayerParams``, comes from the input-channel and param rules in the
+kind's row of ``graph.KINDS`` (C = input channels, M = filters, K = kernel
+elements, i.e. 1 or 9):
 
     kind              kernel params       aux params               MACs
     Conv2D            C*M*K               M if bias else 0         H'W' * C*M*K
@@ -30,43 +30,22 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import ValidationError
 from .graph import (
-    Activation,
-    Add,
+    KINDS,
     BatchNorm,
-    Conv2D,
-    Dense,
-    GlobalAvgPool,
-    Input,
     LayerNode,
-    MaxPool,
+    LayerParams,
     ModelGraph,
-    SeparableConv2D,
     TensorShape,
     infer_shapes,
+    unknown_kind,
 )
 
 BYTES_PER_SCALAR = 4
 OPTIMIZER_STATE_MULTIPLIER = {"sgd_momentum": 1, "adam": 2}
-
-
-class LayerParams(NamedTuple):
-    """Per-layer parameter accounting entry."""
-
-    node_id: str
-    channels_in: int
-    filters: int
-    kernel_elems: int
-    kernel_params: int
-    aux_params: int
-
-    @property
-    def total(self) -> int:
-        return self.kernel_params + self.aux_params
 
 
 @dataclass(frozen=True)
@@ -84,56 +63,13 @@ def round_params_millions(total: int) -> float:
     return (total + 50_000) // 100_000 / 10
 
 
-# Param rules: (node id, kind, input channels) -> entry, one per formula of
-# the module docstring.
-
-def _conv_params(node_id: str, kind: Conv2D, c: int) -> LayerParams:
-    k = kind.kernel * kind.kernel
-    return LayerParams(node_id, c, kind.filters, k, c * kind.filters * k,
-                       kind.filters if kind.has_bias else 0)
-
-
-def _separable_params(node_id: str, kind: SeparableConv2D, c: int) -> LayerParams:
-    k = kind.kernel * kind.kernel
-    return LayerParams(node_id, c, kind.filters, k, c * k + c * kind.filters, 0)
-
-
-def _batchnorm_params(node_id: str, kind: BatchNorm, c: int) -> LayerParams:
-    return LayerParams(node_id, c, c, 0, 0, 4 * c)
-
-
-def _dense_params(node_id: str, kind: Dense, c: int) -> LayerParams:
-    return LayerParams(node_id, c, kind.units, 1, kind.units * c, kind.units if kind.has_bias else 0)
-
-
-def _no_params(node_id: str, kind, c: int) -> LayerParams:
-    return LayerParams(node_id, c, 0, 0, 0, 0)
-
-
-_CHANNELS = attrgetter("channels")
-_FLATTENED = attrgetter("elements")  # Dense reads H*W*C of its input
-
-# kind class -> (input channels from the first input's shape, param rule)
-_PARAM_RULES = {
-    Input: (_CHANNELS, _no_params),
-    Conv2D: (_CHANNELS, _conv_params),
-    SeparableConv2D: (_CHANNELS, _separable_params),
-    MaxPool: (_CHANNELS, _no_params),
-    GlobalAvgPool: (_CHANNELS, _no_params),
-    BatchNorm: (_CHANNELS, _batchnorm_params),
-    Activation: (_CHANNELS, _no_params),
-    Add: (_CHANNELS, _no_params),
-    Dense: (_FLATTENED, _dense_params),
-}
-
-
 def count_params_layer(node: LayerNode, input_channels: int) -> LayerParams:
     """Parameter entry for one node given its (flattened, for Dense) input channels."""
     _check_count("input_channels", input_channels, 0)
-    rule = _PARAM_RULES.get(type(node.kind))
-    if rule is None:
-        raise ValidationError(f"node {node.id!r}: unknown layer kind {type(node.kind).__name__}")
-    return rule[1](node.id, node.kind, input_channels)
+    row = KINDS.get(type(node.kind))
+    if row is None:
+        raise unknown_kind(node)
+    return row[4](node.id, node.kind, input_channels)
 
 
 class LayerRow(NamedTuple):
@@ -155,7 +91,7 @@ def analyze(graph: ModelGraph) -> list[LayerRow]:
     rows: list[LayerRow] = []
     for node in graph.nodes:
         kind = node.kind
-        channels_of, rule = _PARAM_RULES[type(kind)]
+        _, _, _, channels_of, rule = KINDS[type(kind)]
         if node.inputs:
             shape_in = shapes[node.inputs[0]]
             entry = rule(node.id, kind, channels_of(shape_in))

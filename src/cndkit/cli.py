@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import click
 
-from .errors import CndkitError, ParseError, SchemaVersionError, read_text
+from .errors import CndkitError, ParseError, SchemaVersionError, parse_json, read_text
 
 if TYPE_CHECKING:
     from .graph import ModelGraph, TensorShape
@@ -76,22 +76,10 @@ def _fire_spec_from_obj(obj, where: str) -> FireModuleSpec:
         raise ParseError(str(exc), field=where) from exc
 
 
-def _load_json(path: str):
-    import json
-
-    text = read_text(path)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc.msg}", line=exc.lineno) from exc
-    except RecursionError as exc:
-        raise ParseError(f"invalid JSON in {path}: nested too deeply") from exc
-
-
 def _load_optimized_config(path: str) -> OptimizedConfig:
     from . import zoo
 
-    doc = _load_json(path)
+    doc = parse_json(read_text(path), path)
     if not isinstance(doc, dict):
         raise ParseError("config must be a JSON object", field="<root>")
     entry = doc.get("entry_fire")
@@ -99,7 +87,7 @@ def _load_optimized_config(path: str) -> OptimizedConfig:
     if not isinstance(entry, list) or not isinstance(middle, list):
         raise ParseError("config needs entry_fire and middle_fire lists", field="<root>")
     exit_filters = doc.get("exit_filters", list(zoo.EXIT_FILTERS))
-    if not isinstance(exit_filters, list) or not all(isinstance(v, int) for v in exit_filters):
+    if not isinstance(exit_filters, list) or not all(type(v) is int for v in exit_filters):
         raise ParseError("exit_filters must be a list of integers", field="exit_filters")
     return zoo.OptimizedConfig(
         entry_fire=tuple(_fire_spec_from_obj(o, f"entry_fire[{i}]") for i, o in enumerate(entry)),
@@ -109,7 +97,7 @@ def _load_optimized_config(path: str) -> OptimizedConfig:
 
 
 def _load_specs_map(path: str) -> dict[str, FireModuleSpec]:
-    doc = _load_json(path)
+    doc = parse_json(read_text(path), path)
     if not isinstance(doc, dict):
         raise ParseError("specs must be a JSON object mapping module tags to fire specs")
     return {tag: _fire_spec_from_obj(obj, tag) for tag, obj in doc.items()}

@@ -1,8 +1,20 @@
-"""Exception hierarchy shared across the toolkit, and the one text-file reader."""
+"""Exception hierarchy shared across the toolkit, the one text-file reader and
+JSON parser, and the cap on values echoed in error messages."""
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
+from typing import Callable
+
+ECHO_LIMIT = 80
+
+
+def capped(value: object, form: Callable[[object], str] = repr) -> str:
+    """``form(value)``, its repr by default, cut to about ``ECHO_LIMIT``
+    characters, so a message that echoes an outside value stays short."""
+    text = form(value)
+    return text if len(text) <= ECHO_LIMIT else f"{text[:ECHO_LIMIT - 3]}..."
 
 
 class CndkitError(Exception):
@@ -45,6 +57,7 @@ class ParseError(CndkitError):
         row: int | None = None,
         column: str | None = None,
     ):
+        self.message = message
         self.line = line
         self.field = field
         self.row = row
@@ -57,7 +70,7 @@ class ParseError(CndkitError):
         if column is not None:
             where.append(f"column {column!r}")
         if field is not None:
-            where.append(f"field {field!r}")
+            where.append(f"field {capped(field)}")
         suffix = f" ({', '.join(where)})" if where else ""
         super().__init__(message + suffix)
 
@@ -71,7 +84,7 @@ class InvalidFireSpecError(ValidationError):
 
     def __init__(self, message: str, module: str | None = None):
         self.module = module
-        super().__init__(message if module is None else f"{module}: {message}")
+        super().__init__(message if module is None else f"{capped(module, str)}: {message}")
 
 
 class UnknownModuleTagError(ValidationError):
@@ -101,3 +114,21 @@ def read_text(path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
+def parse_json(text: str, source: str | None = None):
+    """``json.loads(text)``, every failure a ``ParseError`` whose message
+    names ``source`` when given."""
+    import json
+
+    invalid = f"invalid JSON in {source}" if source else "invalid JSON"
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{invalid}: {exc.msg}", line=exc.lineno) from exc
+    except RecursionError as exc:
+        raise ParseError(f"{invalid}: nested too deeply") from exc
+    except ValueError as exc:  # after JSONDecodeError, a ValueError subclass
+        raise ParseError(
+            f"{invalid}: an integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from exc

@@ -12,19 +12,20 @@ the last one the node's role inside it (``sep1``, ``squeeze``, ``expand3``,
 untagged nodes belong to no module. Residual-projection convolutions carry
 the ``residual`` role and are not counted as part of a module's main stack.
 
-Everything the graph core knows about a layer kind is one row of ``KINDS``,
-keyed by the kind's exact class: its number of inputs, its shape rule and its
-attr names. ``analyzer._PARAM_RULES`` holds each kind's parameter rule, keyed
-by the same classes. ``check_append``, which every path that builds or checks
-a graph goes through, rejects any other object, a subclass of a kind
-included, as an unknown layer kind.
+Everything the toolkit knows about a layer kind is one row of ``KINDS``,
+keyed by the kind's exact class: its number of inputs, its shape rule, its
+attr names, its input-channel rule and its parameter rule (the formulas are
+in the ``analyzer`` docstring). ``check_append``, which every path that
+builds or checks a graph goes through, rejects any other object, a subclass
+of a kind included, as an unknown layer kind.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from operator import attrgetter
+from typing import Callable, NamedTuple, Union
 
 from .errors import (
     ArityError,
@@ -33,6 +34,7 @@ from .errors import (
     ShapeMismatchError,
     UnknownInputError,
     ValidationError,
+    capped,
 )
 
 PADDING_SAME = "same"
@@ -54,7 +56,7 @@ class TensorShape:
         for name in ("height", "width", "channels"):
             v = getattr(self, name)
             if type(v) is not int or v < 1:
-                raise ValidationError(f"TensorShape.{name} must be a positive integer, got {v!r}")
+                raise ValidationError(f"TensorShape.{name} must be a positive integer, got {capped(v)}")
 
     @property
     def area(self) -> int:
@@ -69,29 +71,29 @@ class TensorShape:
 # parameter counts floats.
 def _check_positive(owner: str, name: str, value: int) -> None:
     if type(value) is not int or value < 1:
-        raise ValidationError(f"{owner} {name} must be a positive integer, got {value!r}")
+        raise ValidationError(f"{owner} {name} must be a positive integer, got {capped(value)}")
 
 
 # Flags must be exact bools: 1, None or "no" would be read by truth value but
 # written back to model JSON as a number, null or string.
 def _check_bool(owner: str, name: str, value: bool) -> None:
     if type(value) is not bool:
-        raise ValidationError(f"{owner} {name} must be a bool, got {value!r}")
+        raise ValidationError(f"{owner} {name} must be a bool, got {capped(value)}")
 
 
 def _check_kernel(kernel: int) -> None:
     if type(kernel) is not int or kernel not in VALID_KERNELS:
-        raise ValidationError(f"kernel size must be one of {VALID_KERNELS}, got {kernel}")
+        raise ValidationError(f"kernel size must be one of {VALID_KERNELS}, got {capped(kernel, str)}")
 
 
 def _check_stride(stride: int) -> None:
     if type(stride) is not int or stride not in VALID_STRIDES:
-        raise ValidationError(f"stride must be one of {VALID_STRIDES}, got {stride}")
+        raise ValidationError(f"stride must be one of {VALID_STRIDES}, got {capped(stride, str)}")
 
 
 def _check_padding(padding: str) -> None:
     if padding not in (PADDING_SAME, PADDING_VALID):
-        raise ValidationError(f"padding must be 'same' or 'valid', got {padding!r}")
+        raise ValidationError(f"padding must be 'same' or 'valid', got {capped(padding)}")
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,7 @@ class Activation:
 
     def __post_init__(self):
         if self.fn not in VALID_ACTIVATIONS:
-            raise ValidationError(f"activation must be one of {VALID_ACTIVATIONS}, got {self.fn!r}")
+            raise ValidationError(f"activation must be one of {VALID_ACTIVATIONS}, got {capped(self.fn)}")
 
 
 @dataclass(frozen=True)
@@ -237,7 +239,7 @@ class ModelGraph:
     def terminal_id(self) -> str:
         tails = [nid for nid, cons in self.consumers().items() if not cons]
         if len(tails) != 1:
-            raise ValidationError(f"graph must have exactly one terminal node, found {tails}")
+            raise ValidationError(f"graph must have exactly one terminal node, found {capped(tails)}")
         return tails[0]
 
 
@@ -294,21 +296,26 @@ def check_append(ids: set[str], node: LayerNode) -> None:
     Raises a ``ValidationError`` for the first check that fails; ``ids`` is
     not changed."""
     if node.id in ids:
-        raise DuplicateIdError(f"node id {node.id!r} already present")
+        raise DuplicateIdError(f"node id {capped(node.id)} already present")
     for src in node.inputs:
         if src not in ids:
-            raise UnknownInputError(f"node {node.id!r} references unknown input {src!r}")
+            raise UnknownInputError(
+                f"node {capped(node.id)} references unknown input {capped(src)}"
+            )
     try:
         want = KINDS[type(node.kind)][0]
     except KeyError:
-        raise ValidationError(
-            f"node {node.id!r}: unknown layer kind {type(node.kind).__name__}"
-        ) from None
+        raise unknown_kind(node) from None
     if len(node.inputs) != want:
         raise ArityError(
-            f"node {node.id!r} ({type(node.kind).__name__}) needs {want} input(s), "
+            f"node {capped(node.id)} ({type(node.kind).__name__}) needs {want} input(s), "
             f"got {len(node.inputs)}"
         )
+
+
+def unknown_kind(node: LayerNode) -> ValidationError:
+    """The error for a node whose kind has no row in ``KINDS``."""
+    return ValidationError(f"node {capped(node.id)}: unknown layer kind {type(node.kind).__name__}")
 
 
 def topo_sort(graph: ModelGraph) -> list[str]:
@@ -335,7 +342,7 @@ def _window_dim(dim: int, window: int, stride: int, padding: str, node_id: str) 
     out = (dim - window) // stride + 1
     if out < 1:
         raise NonPositiveDimError(
-            f"node {node_id!r}: window {window} exceeds input dim {dim} under valid padding"
+            f"node {capped(node_id)}: window {window} exceeds input dim {dim} under valid padding"
         )
     return out
 
@@ -388,7 +395,7 @@ def _add_shape(graph, node, shapes, made):
     a, b = shapes[node.inputs[0]], shapes[node.inputs[1]]
     if a != b:
         raise ShapeMismatchError(
-            f"Add node {node.id!r} inputs differ: "
+            f"Add node {capped(node.id)} inputs differ: "
             f"{a.height}x{a.width}x{a.channels} vs {b.height}x{b.width}x{b.channels}"
         )
     return a
@@ -398,21 +405,65 @@ def _dense_shape(graph, node, shapes, made):
     return _shared(made, 1, 1, node.kind.units)
 
 
-# kind class -> (number of inputs, shape rule, attr names). The attr names are
-# the dataclass fields, which are also the kind's schema-v1 attrs. A kind is
-# looked up here by its exact class; any other object is an unknown kind.
-KINDS: dict[type, tuple[int, Callable[..., TensorShape], tuple[str, ...]]] = {
-    cls: (arity, rule, tuple(f.name for f in dataclasses.fields(cls)))
-    for cls, arity, rule in (
-        (Input, 0, _input_shape),
-        (Conv2D, 1, _conv_shape),
-        (SeparableConv2D, 1, _conv_shape),
-        (MaxPool, 1, _pool_shape),
-        (GlobalAvgPool, 1, _global_pool_shape),
-        (BatchNorm, 1, _same_shape),
-        (Activation, 1, _same_shape),
-        (Add, 2, _add_shape),
-        (Dense, 1, _dense_shape),
+class LayerParams(NamedTuple):
+    """Per-layer parameter accounting entry."""
+
+    node_id: str
+    channels_in: int
+    filters: int
+    kernel_elems: int
+    kernel_params: int
+    aux_params: int
+
+    @property
+    def total(self) -> int:
+        return self.kernel_params + self.aux_params
+
+
+# Param rules: (node id, kind, input channels) -> entry, one per formula of
+# the analyzer docstring.
+
+def _conv_params(node_id: str, kind: Conv2D, c: int) -> LayerParams:
+    k = kind.kernel * kind.kernel
+    return LayerParams(node_id, c, kind.filters, k, c * kind.filters * k,
+                       kind.filters if kind.has_bias else 0)
+
+
+def _separable_params(node_id: str, kind: SeparableConv2D, c: int) -> LayerParams:
+    k = kind.kernel * kind.kernel
+    return LayerParams(node_id, c, kind.filters, k, c * k + c * kind.filters, 0)
+
+
+def _batchnorm_params(node_id: str, kind: BatchNorm, c: int) -> LayerParams:
+    return LayerParams(node_id, c, c, 0, 0, 4 * c)
+
+
+def _dense_params(node_id: str, kind: Dense, c: int) -> LayerParams:
+    return LayerParams(node_id, c, kind.units, 1, kind.units * c, kind.units if kind.has_bias else 0)
+
+
+def _no_params(node_id: str, kind, c: int) -> LayerParams:
+    return LayerParams(node_id, c, 0, 0, 0, 0)
+
+
+_CHANNELS = attrgetter("channels")
+_FLATTENED = attrgetter("elements")  # Dense reads H*W*C of its input
+
+# kind class -> (number of inputs, shape rule, attr names, input-channel rule,
+# param rule). The attr names are the dataclass fields, which are also the
+# kind's schema-v1 attrs. Any object whose exact class has no row is unknown.
+KINDS: dict[type, tuple[int, Callable, tuple[str, ...], Callable, Callable]] = {
+    cls: (arity, rule, tuple(f.name for f in dataclasses.fields(cls)), channels_of, params)
+    for cls, arity, rule, channels_of, params in (
+        (Input, 0, _input_shape, _CHANNELS, _no_params),
+        (Conv2D, 1, _conv_shape, _CHANNELS, _conv_params),
+        (SeparableConv2D, 1, _conv_shape, _CHANNELS, _separable_params),
+        (MaxPool, 1, _pool_shape, _CHANNELS, _no_params),
+        (GlobalAvgPool, 1, _global_pool_shape, _CHANNELS, _no_params),
+        (BatchNorm, 1, _same_shape, _CHANNELS, _batchnorm_params),
+        (Activation, 1, _same_shape, _CHANNELS, _no_params),
+        (Add, 2, _add_shape, _CHANNELS, _no_params),
+        (Dense, 1, _dense_shape, _FLATTENED, _dense_params),
     )
 }
 
@@ -452,7 +503,7 @@ def check_endpoints(graph: ModelGraph) -> None:
     exact-int positive ``num_classes`` and exactly one terminal node."""
     inputs = [n.id for n in graph.nodes if type(n.kind) is Input]
     if len(inputs) != 1:
-        raise ValidationError(f"graph must have exactly one Input node, found {inputs}")
+        raise ValidationError(f"graph must have exactly one Input node, found {capped(inputs)}")
     if not isinstance(graph.name, str):
         raise ValidationError(f"graph name must be a string, got {graph.name!r}")
     if not isinstance(graph.metadata, dict) or not all(

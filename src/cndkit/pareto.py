@@ -24,7 +24,7 @@ from importlib import resources
 from itertools import groupby, takewhile
 from operator import attrgetter
 
-from .errors import EmptyInputError, MeasurementRangeError, ParseError
+from .errors import EmptyInputError, MeasurementRangeError, ParseError, capped
 
 CSV_HEADER = (
     "model",
@@ -63,18 +63,20 @@ class ModelMeasurement:
             v = getattr(self, name)
             if not 0.0 <= v <= 100.0:
                 raise MeasurementRangeError(
-                    f"{self.model!r}: {name}={v} outside [0, 100]"
+                    f"{capped(self.model)}: {name}={v} outside [0, 100]"
                 )
         for name in ("avg_mem_mb", "avg_epoch_time_s", "avg_inf_time_ms"):
             v = getattr(self, name)
             if v is not None and not math.isfinite(v):
-                raise MeasurementRangeError(f"{self.model!r}: {name}={v} must be finite")
+                raise MeasurementRangeError(f"{capped(self.model)}: {name}={v} must be finite")
         if self.avg_mem_mb <= 0:
             raise MeasurementRangeError(
-                f"{self.model!r}: avg_mem_mb={self.avg_mem_mb} must be positive"
+                f"{capped(self.model)}: avg_mem_mb={self.avg_mem_mb} must be positive"
             )
         if self.params is not None and self.params < 0:
-            raise MeasurementRangeError(f"{self.model!r}: params={self.params} must not be negative")
+            raise MeasurementRangeError(
+                f"{capped(self.model)}: params={capped(self.params)} must not be negative"
+            )
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,7 @@ def _parse_float(value: str, row: int, column: str) -> float:
     try:
         return float(value)
     except ValueError as exc:
-        raise ParseError(f"cannot parse {value!r} as a number", row=row, column=column) from exc
+        raise ParseError(f"cannot parse {capped(value)} as a number", row=row, column=column) from exc
 
 
 def _parse_optional(value: str | None, row: int, column: str, kind) -> float | int | None:
@@ -105,7 +107,7 @@ def _parse_optional(value: str | None, row: int, column: str, kind) -> float | i
     try:
         return kind(value)
     except ValueError as exc:
-        raise ParseError(f"cannot parse {value!r}", row=row, column=column) from exc
+        raise ParseError(f"cannot parse {capped(value)}", row=row, column=column) from exc
 
 
 def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:

@@ -21,12 +21,11 @@ the C ``encode_basestring_ascii`` that ``json.dumps`` uses by default.
 
 from __future__ import annotations
 
-import json
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
 from . import graph as g
-from .errors import CndkitError, ParseError, SchemaVersionError, read_text
+from .errors import CndkitError, ParseError, SchemaVersionError, capped, parse_json, read_text
 
 SCHEMA_VERSION = 1
 
@@ -107,12 +106,12 @@ def _parse_node(entry: dict, index: int) -> g.LayerNode:
     kind_name = _expect(entry, "kind", str, f"{where}.kind")
     cls = _KIND_BY_NAME.get(kind_name)
     if cls is None:
-        raise ParseError(f"unknown layer kind {kind_name!r}", field=f"{where}.kind")
+        raise ParseError(f"unknown layer kind {capped(kind_name)}", field=f"{where}.kind")
     attrs = _expect(entry, "attrs", dict, f"{where}.attrs")
     unknown = set(attrs).difference(g.KINDS[cls][2])
     if unknown:
         raise ParseError(
-            f"unknown attrs for {kind_name}: {sorted(unknown)}", field=f"{where}.attrs"
+            f"unknown attrs for {kind_name}: {capped(sorted(unknown))}", field=f"{where}.attrs"
         )
     inputs = _expect(entry, "inputs", list, f"{where}.inputs")
     if not all(isinstance(i, str) for i in inputs):
@@ -135,17 +134,14 @@ def deserialize(text: str) -> g.ModelGraph:
     rejection names the first bad entry as ``field="nodes[i]"``. The sweep
     is O(V + E); the graph is built once after it and then validated.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
-    except RecursionError as exc:
-        raise ParseError("invalid JSON: nested too deeply") from exc
+    doc = parse_json(text)
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     version = doc.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:  # true and 1.0 equal 1
-        raise SchemaVersionError(f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}")
+        raise SchemaVersionError(
+            f"unsupported schema_version {capped(version)}, expected {SCHEMA_VERSION}"
+        )
     name = _expect(doc, "name", str, "name")
     shape_raw = _expect(doc, "input_shape", list, "input_shape")
     if len(shape_raw) != 3 or not all(isinstance(v, int) and not isinstance(v, bool) for v in shape_raw):
@@ -186,4 +182,11 @@ def save_model(graph: g.ModelGraph, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> g.ModelGraph:
-    return deserialize(read_text(path))
+    """``deserialize`` the file's text; its errors name the file."""
+    text = read_text(path)
+    try:
+        return deserialize(text)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc.message}", line=exc.line, field=exc.field) from exc
+    except SchemaVersionError as exc:
+        raise SchemaVersionError(f"{path}: {exc}") from exc

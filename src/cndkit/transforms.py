@@ -34,6 +34,7 @@ from .errors import (
     ShapeMismatchError,
     UnknownModuleTagError,
     ValidationError,
+    capped,
 )
 from .graph import (
     PADDING_SAME,
@@ -154,7 +155,7 @@ class FireModuleSpec:
         for name in ("s1x1", "e1x1", "e3x3"):
             v = getattr(self, name)
             if type(v) is not int or v < 1:
-                raise ValidationError(f"FireModuleSpec.{name} must be a positive integer, got {v!r}")
+                raise ValidationError(f"FireModuleSpec.{name} must be a positive integer, got {capped(v)}")
 
     def is_valid(self) -> bool:
         return self.s1x1 < self.e1x1 + self.e3x3
@@ -164,7 +165,7 @@ def check_fire_spec(spec: FireModuleSpec, module: str | None = None) -> None:
     if not spec.is_valid():
         raise InvalidFireSpecError(
             f"squeeze filters must stay below the expand total: "
-            f"s1x1={spec.s1x1} is not < e1x1+e3x3={spec.e1x1 + spec.e3x3}",
+            f"s1x1={capped(spec.s1x1)} is not < e1x1+e3x3={capped(spec.e1x1 + spec.e3x3)}",
             module=module,
         )
 
@@ -269,7 +270,9 @@ def strategy2_insert_fire(
     groups = module_groups(graph)
     for tag, spec in specs.items():
         if tag not in groups:
-            raise UnknownModuleTagError(f"no module tagged {tag!r} in graph {graph.name!r}")
+            raise UnknownModuleTagError(
+                f"no module tagged {capped(tag)} in graph {capped(graph.name)}"
+            )
         check_fire_spec(spec, module=tag)
     rows = analyzer.analyze(graph)
     params_before = analyzer.total_params(rows)

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cndkit.cli import main
+from cndkit.errors import capped
 from cndkit.graph import TensorShape
 from cndkit.pareto import CSV_HEADER
 from cndkit.serialize import save_model, serialize
@@ -353,6 +354,21 @@ class TestParetoNonFinite:
 UNDECODABLE = b"\xff\xfe{}\n"  # a UTF-16 byte-order mark is not UTF-8
 TOO_DEEP_JSON = "[" * 200_000 + "]" * 200_000  # json.loads raises RecursionError
 OVERSIZED_CELL_CSV = ",".join(CSV_HEADER) + "\n" + "m" * 131_073 + ",e,50,60,100,,,\n"
+OVERSIZED_INT = "9" * 5001  # json.loads raises a plain ValueError past 4,300 digits
+OVERSIZED_INT_SPECS = '{"entry_flow/m2": {"s1x1": %s, "e1x1": 8, "e3x3": 8}}' % OVERSIZED_INT
+OVERSIZED_INT_CONFIG = ('{"entry_fire": [], "middle_fire": [], "exit_filters": [%s, 1, 1, 1]}'
+                        % OVERSIZED_INT)
+BOOL_EXIT_FILTER_CONFIG = json.dumps({
+    "entry_fire": [{"s1x1": 64, "e1x1": 96, "e3x3": 128}, {"s1x1": 128, "e1x1": 192, "e3x3": 256},
+                   {"s1x1": 256, "e1x1": 364, "e3x3": 728}],
+    "middle_fire": [{"s1x1": 414, "e1x1": 600, "e3x3": 728}] * 8,
+    "exit_filters": [True, 1024, 1536, 2048],
+})
+
+
+def oversized_int_model() -> str:
+    return serialize(build_xception(TensorShape(71, 71, 3), 10)).replace(
+        '"input_shape": [\n    71', '"input_shape": [\n    ' + OVERSIZED_INT, 1)
 
 
 def assert_exit_3_with_one_error_line(result):
@@ -400,6 +416,94 @@ class TestUnreadableInputFiles:
         result = runner.invoke(main, ["pareto", "--csv", paths["bad"]])
         assert_exit_3_with_one_error_line(result)
         assert "error: malformed CSV: field larger than field limit (131072) (row 2)" in result.output
+
+    @pytest.mark.parametrize("reader", ["analyze-in", "diff-b", "transform-specs", "build-config"])
+    def test_integer_past_the_digit_limit(self, runner, paths, reader):
+        text = {"transform-specs": OVERSIZED_INT_SPECS,
+                "build-config": OVERSIZED_INT_CONFIG}.get(reader) or oversized_int_model()
+        Path(paths["bad"]).write_text(text)
+        result = runner.invoke(main, [a.format(**paths) for a in self.READERS[reader]])
+        assert_exit_3_with_one_error_line(result)
+        assert "an integer has more than 4300 digits" in result.output
+
+    def test_bool_exit_filter_is_located(self, runner, paths):
+        Path(paths["bad"]).write_text(BOOL_EXIT_FILTER_CONFIG)
+        result = runner.invoke(main, ["build", "optimized-xception", "--config", paths["bad"]])
+        assert_exit_3_with_one_error_line(result)
+        assert result.output == (
+            "error: exit_filters must be a list of integers (field 'exit_filters')\n")
+
+    @pytest.mark.parametrize("side", ["--a", "--b"])
+    def test_model_parse_error_names_its_file_on_either_side_of_diff(self, runner, paths, side):
+        Path(paths["bad"]).write_text("{oops")
+        files = {"--a": paths["model"], "--b": paths["model"], side: paths["bad"]}
+        result = runner.invoke(main, ["diff", *(a for item in files.items() for a in item)])
+        assert_exit_3_with_one_error_line(result)
+        assert result.output == (f"error: {paths['bad']}: invalid JSON: Expecting property name "
+                                 "enclosed in double quotes (line 1)\n")
+
+
+LONG = "x" * 100_000
+
+
+def _model_with(edit) -> str:
+    doc = json.loads(serialize(build_xception(TensorShape(71, 71, 3), 10)))
+    edit(doc["nodes"])
+    return json.dumps(doc)
+
+
+def _measurements(*cells: str) -> str:
+    return ",".join(CSV_HEADER) + "\n" + ",".join(cells) + "\n"
+
+
+def _two_long_inputs(nodes: list) -> None:
+    entry = {"id": LONG, "kind": "Input", "attrs": {}, "inputs": [], "tag": None}
+    nodes[1:1] = [entry, entry]
+
+
+class TestLongValuesAreCut:
+    """A rejected 100,000-character value is echoed cut short: the error is
+    one line under 1 KB that still names its location, at the end of a parse
+    error and at the start of a measurement range error."""
+
+    CASES = {  # command, input text, start and end of the error line
+        "kind-attr": ("analyze", _model_with(lambda n: n[1]["attrs"].update(filters=LONG)),
+                      "", "(field 'nodes[1].attrs')"),
+        "kind-name": ("analyze", _model_with(lambda n: n[1].update(kind=LONG)),
+                      "", "(field 'nodes[1].kind')"),
+        "unknown-attr": ("analyze", _model_with(lambda n: n[1]["attrs"].update({LONG: 1})),
+                         "", "(field 'nodes[1].attrs')"),
+        "unknown-input": ("analyze", _model_with(lambda n: n[1].update(inputs=[LONG])),
+                          "", "(field 'nodes[1]')"),
+        "duplicate-id": ("analyze", _model_with(_two_long_inputs), "", "(field 'nodes[2]')"),
+        "float-cell": ("pareto", _measurements("m", "e", "50", LONG, "100", "", "", ""),
+                       "", "(row 2, column 'test_acc')"),
+        "optional-cell": ("pareto", _measurements("m", "e", "50", "60", "100", "", "", LONG),
+                          "", "(row 2, column 'params')"),
+        "measurement": ("pareto", _measurements(LONG, "e", "50", "600", "100", "", "", ""),
+                        "row 2: ", "test_acc=600.0 outside [0, 100]"),
+        "fire-spec": ("specs", json.dumps({"entry_flow/m2": {"s1x1": LONG, "e1x1": 8, "e3x3": 8}}),
+                      "", "(field 'entry_flow/m2')"),
+        "spec-tag": ("specs", json.dumps({LONG: {"s1x1": 8}}), "", f"(field {capped(LONG)})"),
+    }
+    COMMANDS = {
+        "analyze": ["analyze", "--in", "{bad}"],
+        "pareto": ["pareto", "--csv", "{bad}"],
+        "specs": ["transform", "--in", "{model}", "--specs", "{bad}", "--out", "{out}"],
+    }
+
+    @pytest.mark.parametrize("command, text, start, end", CASES.values(), ids=CASES)
+    def test_one_short_line_with_its_location(self, runner, tmp_path, command, text, start, end):
+        paths = {"model": str(tmp_path / "model.json"), "bad": str(tmp_path / "bad"),
+                 "out": str(tmp_path / "out.json")}
+        Path(paths["model"]).write_text(fuzz_files()["model.json"])
+        Path(paths["bad"]).write_text(text)
+        result = runner.invoke(main, [a.format(**paths) for a in self.COMMANDS[command]])
+        assert result.exit_code in (1, 3) and isinstance(result.exception, SystemExit)
+        line = result.output
+        assert line.count("\n") == 1 and len(line.encode()) < 1024, len(line)
+        assert line.startswith("error: " + start), line
+        assert line.endswith(end + "\n"), line
 
 
 @functools.cache
@@ -488,6 +592,7 @@ class TestFuzzedInvocations:
     ).map(lambda doc: json.dumps(doc).encode()))
     @example(data=UNDECODABLE)
     @example(data=TOO_DEEP_JSON.encode())
+    @example(data=OVERSIZED_INT_SPECS.encode())
     @settings(max_examples=40, deadline=None)
     def test_any_json_as_specs(self, data):
         run_isolated(["transform", "--in", "model.json", "--specs", "fuzz.in", "--out", "out.json"],
@@ -503,6 +608,8 @@ class TestFuzzedInvocations:
     ).map(lambda doc: json.dumps(doc).encode()))
     @example(data=UNDECODABLE)
     @example(data=TOO_DEEP_JSON.encode())
+    @example(data=OVERSIZED_INT_CONFIG.encode())
+    @example(data=BOOL_EXIT_FILTER_CONFIG.encode())
     @settings(max_examples=40, deadline=None)
     def test_any_json_as_config(self, data):
         run_isolated(["build", "optimized-xception", "--input", "71x71x3", "--config", "fuzz.in"],
@@ -512,6 +619,7 @@ class TestFuzzedInvocations:
            data=st.binary(max_size=64) | st.text(max_size=64).map(str.encode))
     @example(command=["analyze", "--in"], data=UNDECODABLE)
     @example(command=["analyze", "--in"], data=TOO_DEEP_JSON.encode())
+    @example(command=["analyze", "--in"], data=oversized_int_model().encode())
     @example(command=["pareto", "--csv"], data=UNDECODABLE)
     @example(command=["pareto", "--csv"], data=OVERSIZED_CELL_CSV.encode())
     @settings(max_examples=60, deadline=None)

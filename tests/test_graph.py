@@ -1,4 +1,6 @@
 import dataclasses
+import importlib
+import pkgutil
 import random
 import sys
 import typing
@@ -7,7 +9,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import cndkit.analyzer
 import cndkit.serialize  # noqa: F401  (loads the module; cndkit.serialize is the function)
 from cndkit.analyzer import analyze, count_params_layer
 from cndkit.errors import (
@@ -23,12 +24,14 @@ from cndkit.graph import (
     KINDS,
     Activation,
     Add,
+    BatchNorm,
     Conv2D,
     Dense,
     GlobalAvgPool,
     Input,
     LayerKind,
     LayerNode,
+    LayerParams,
     MaxPool,
     ModelGraph,
     SeparableConv2D,
@@ -322,21 +325,37 @@ class TestInferShapes:
         assert all(first[k] is not second[k] for k in first if first[k] is not xception.input_shape)
 
 
+_ONE_OF_EACH = {type(k): k for k in (
+    Input(), Conv2D(4, 3, has_bias=True), SeparableConv2D(4, 3), MaxPool(), GlobalAvgPool(),
+    BatchNorm(), Activation(), Add(), Dense(4))}
+
+
 class _SubConv(Conv2D):
     pass
 
 
 class TestKindTables:
     def test_every_kind_has_one_shape_rule(self):
-        # One row per class in KINDS; every other table of kinds holds the same classes.
+        # One row per class in KINDS holds all the package knows of a kind:
+        # every other kind list derives from it, and no module keeps a second
+        # table keyed by kind class.
         assert KIND_CLASSES == tuple(KINDS)
         assert len(KIND_CLASSES) == len(set(KIND_CLASSES))
         assert set(typing.get_args(LayerKind)) == set(KIND_CLASSES)
         assert set(sys.modules["cndkit.serialize"]._KIND_BY_NAME.values()) == set(KIND_CLASSES)
-        assert set(cndkit.analyzer._PARAM_RULES) == set(KIND_CLASSES)
-        for cls, (arity, rule, attrs) in KINDS.items():
+        for info in pkgutil.iter_modules(cndkit.__path__):
+            module = importlib.import_module(f"cndkit.{info.name}")
+            assert not [v for v in vars(module).values() if isinstance(v, dict) and v is not KINDS
+                        and set(v) & set(KIND_CLASSES)], info.name
+        assert set(_ONE_OF_EACH) == set(KIND_CLASSES)
+        for cls, (arity, rule, attrs, channels_of, params) in KINDS.items():
             assert arity in (0, 1, 2) and callable(rule)
             assert attrs == tuple(f.name for f in dataclasses.fields(cls))
+            assert channels_of(TensorShape(2, 3, 5)) == (30 if cls is Dense else 5)
+            node = LayerNode("n", _ONE_OF_EACH[cls], ("x",) * arity)
+            entry = params("n", node.kind, 5)
+            assert type(entry) is LayerParams and entry[:2] == ("n", 5)
+            assert count_params_layer(node, 5) == entry
 
     @pytest.mark.parametrize("kind", [_SubConv(4, 1), object(), "Conv2D", None, 3])
     def test_unknown_kind_is_a_validation_error(self, kind):

@@ -7,6 +7,7 @@ top-level import added later that loads a module a command does not use
 fails here.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -75,6 +76,12 @@ class TestPublicSurface:
         defined_in = getattr(expected, "__module__", None)
         if defined_in and defined_in.startswith("cndkit."):
             assert defined_in == home.__name__
+
+    def test_layer_params_lives_in_graph_and_resolves_from_analyzer(self):
+        import cndkit.analyzer
+        import cndkit.graph
+
+        assert cndkit.LayerParams is cndkit.graph.LayerParams is cndkit.analyzer.LayerParams
 
     def test_dir_covers_all(self):
         assert set(cndkit.__all__) <= set(dir(cndkit))
@@ -151,3 +158,41 @@ class TestLaziness:
         }[command]
         # the child asserts that the command succeeded
         assert "decimal" not in loaded_by(CLI_CHILD, *args)
+
+
+def _imports_and_uses(tree: ast.Module) -> tuple[dict[str, bool], set[str], set[str]]:
+    """Each name the module binds by import (True when the import sits under
+    ``if TYPE_CHECKING:``), the names it reads anywhere, and those it reads
+    in annotations."""
+    imported: dict[str, bool] = {}
+
+    def collect(body, typing_only):
+        for stmt in body:
+            if isinstance(stmt, ast.If) and getattr(stmt.test, "id", None) == "TYPE_CHECKING":
+                collect(stmt.body, True)
+                continue
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Import):
+                    for alias in node.names:
+                        imported[alias.asname or alias.name.split(".")[0]] = typing_only
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    for alias in node.names:
+                        imported[alias.asname or alias.name] = typing_only
+
+    collect(tree.body, False)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    annotations = [n.annotation for n in ast.walk(tree) if isinstance(n, (ast.arg, ast.AnnAssign))]
+    annotations += [n.returns for n in ast.walk(tree)
+                    if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    in_annotations = {n.id for a in annotations if a is not None for n in ast.walk(a)
+                      if isinstance(n, ast.Name)}
+    return imported, used, in_annotations
+
+
+@pytest.mark.parametrize("path", sorted(Path(cndkit.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    imported, used, in_annotations = _imports_and_uses(ast.parse(path.read_text()))
+    unused = [name for name, typing_only in imported.items()
+              if name not in (in_annotations if typing_only else used)]
+    assert not unused, f"{path.name} imports {unused} and never uses them"

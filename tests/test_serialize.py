@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from cndkit.analyzer import count_params, flops_estimate
 from cndkit.errors import (
+    ECHO_LIMIT,
     ParseError,
     SchemaVersionError,
     ShapeMismatchError,
     UnknownInputError,
     ValidationError,
+    capped,
 )
 from cndkit.graph import (
     Activation,
@@ -99,12 +101,46 @@ def test_too_deeply_nested_json_is_a_parse_error():
         deserialize("[" * 200_000 + "]" * 200_000)
 
 
+def test_integer_past_the_digit_limit_is_a_parse_error(xception):
+    # json.loads raises a plain ValueError for an int of more than 4,300 digits
+    text = serialize(xception).replace('"input_shape": [\n    299', '"input_shape": [\n    ' + "9" * 5001)
+    with pytest.raises(ParseError, match="^invalid JSON: an integer has more than 4300 digits$"):
+        deserialize(text)
+
+
 def test_load_model_rejects_an_undecodable_file(tmp_path):
     path = tmp_path / "m.json"
     path.write_bytes(b"\xff\xfe{}")
     message = f"^{re.escape(str(path))} is not UTF-8 text: invalid start byte at byte 0$"
     with pytest.raises(ParseError, match=message):
         load_model(path)
+
+
+@pytest.mark.parametrize("text, error, message, line, field", [
+    ("{oops", ParseError,
+     "invalid JSON: Expecting property name enclosed in double quotes (line 1)", 1, None),
+    ('{"schema_version": 1}', ParseError, "missing required key 'name' (field 'name')", None, "name"),
+    ('{"schema_version": 2}', SchemaVersionError, "unsupported schema_version 2, expected 1",
+     None, None),
+])
+def test_load_model_errors_name_the_file(tmp_path, text, error, message, line, field):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    with pytest.raises(error) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}: {message}"
+    if error is ParseError:
+        assert (exc.value.line, exc.value.field) == (line, field)
+
+
+@pytest.mark.parametrize("value, form, shown", [
+    ("abc", repr, "'abc'"), (5, repr, "5"), (["a", "b"], repr, "['a', 'b']"), ("3", str, "3"),
+    ("x" * (ECHO_LIMIT - 2), repr, repr("x" * (ECHO_LIMIT - 2))),
+    ("x" * (ECHO_LIMIT - 1), repr, "'" + "x" * (ECHO_LIMIT - 4) + "..."),
+    ("x" * 100_000, str, "x" * (ECHO_LIMIT - 3) + "..."),
+])
+def test_echoed_values_are_capped(value, form, shown):
+    assert capped(value, form) == shown
 
 
 def test_dangling_input_rejected(xception):
