@@ -32,9 +32,10 @@ import dataclasses
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ValidationError
+from .errors import ValidationError, capped
 from .graph import (
     KINDS,
+    MAX_SIZE,
     BatchNorm,
     LayerNode,
     LayerParams,
@@ -124,17 +125,20 @@ def flops_estimate(graph: ModelGraph) -> int:
 
 
 # Counts must be exact ints: 2.5 or True would make parameter and byte counts
-# floats or let a bool stand for a batch size.
-def _check_count(name: str, value: int, least: int) -> None:
+# floats or let a bool stand for a batch size. A count given by the caller
+# (batch, overhead) is at most MAX_SIZE, like a size.
+def _check_count(name: str, value: int, least: int, most: int | None = None) -> None:
     if type(value) is not int:
         raise ValidationError(f"{name} must be an int, got {value!r}")
     if value < least:
         raise ValidationError(f"{name} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ValidationError(f"{name} must be at most {most}, got {capped(value)}")
 
 
 def activation_sizes(graph: ModelGraph, batch: int = 1) -> list[tuple[str, int]]:
     """Output element count (batch * H * W * C) per node, in stored order."""
-    _check_count("batch", batch, 1)
+    _check_count("batch", batch, 1, MAX_SIZE)
     return [(node_id, batch * shape.elements) for node_id, shape in infer_shapes(graph).items()]
 
 
@@ -176,8 +180,8 @@ def memory_estimate(
         raise ValidationError(
             f"optimizer must be one of {sorted(OPTIMIZER_STATE_MULTIPLIER)}, got {optimizer!r}"
         )
-    _check_count("batch", batch, 1)
-    _check_count("overhead_bytes", overhead_bytes, 0)
+    _check_count("batch", batch, 1, MAX_SIZE)
+    _check_count("overhead_bytes", overhead_bytes, 0, MAX_SIZE)
 
     rows = analyze(graph)
     total = total_params(rows)

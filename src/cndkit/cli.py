@@ -78,6 +78,7 @@ def _fire_spec_from_obj(obj, where: str) -> FireModuleSpec:
 
 def _load_optimized_config(path: str) -> OptimizedConfig:
     from . import zoo
+    from .graph import check_size
 
     doc = parse_json(read_text(path), path)
     if not isinstance(doc, dict):
@@ -89,6 +90,11 @@ def _load_optimized_config(path: str) -> OptimizedConfig:
     exit_filters = doc.get("exit_filters", list(zoo.EXIT_FILTERS))
     if not isinstance(exit_filters, list) or not all(type(v) is int for v in exit_filters):
         raise ParseError("exit_filters must be a list of integers", field="exit_filters")
+    for width in exit_filters:
+        try:
+            check_size("exit filter", width)
+        except CndkitError as exc:
+            raise ParseError(str(exc), field="exit_filters") from exc
     return zoo.OptimizedConfig(
         entry_fire=tuple(_fire_spec_from_obj(o, f"entry_fire[{i}]") for i, o in enumerate(entry)),
         middle_fire=tuple(_fire_spec_from_obj(o, f"middle_fire[{i}]") for i, o in enumerate(middle)),

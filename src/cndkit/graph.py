@@ -42,9 +42,24 @@ PADDING_VALID = "valid"
 VALID_KERNELS = (1, 3)
 VALID_STRIDES = (1, 2)
 VALID_ACTIVATIONS = ("relu", "softmax", "sigmoid")
+# The largest dim, width, unit or class count: every count derived from sizes
+# (params, MACs, bytes) then stays a few dozen digits, so it can be printed
+# and rounded to millions as a float.
+MAX_SIZE = 2**31 - 1
 
 
-@dataclass(frozen=True)
+# Sizes must be exact ints: 1.0 and True compare equal to 1, but would make
+# parameter counts floats.
+def check_size(what: str, value: int) -> None:
+    """Raise a ``ValidationError`` naming ``what`` unless ``value`` is an
+    exact int from 1 to ``MAX_SIZE``."""
+    if type(value) is not int or value < 1:
+        raise ValidationError(f"{what} must be a positive integer, got {capped(value)}")
+    if value > MAX_SIZE:
+        raise ValidationError(f"{what} must be at most {MAX_SIZE}, got {capped(value)}")
+
+
+@dataclass(frozen=True, slots=True)
 class TensorShape:
     """Spatial extent and channel count of an activation map."""
 
@@ -53,10 +68,9 @@ class TensorShape:
     channels: int
 
     def __post_init__(self):
-        for name in ("height", "width", "channels"):
-            v = getattr(self, name)
-            if type(v) is not int or v < 1:
-                raise ValidationError(f"TensorShape.{name} must be a positive integer, got {capped(v)}")
+        check_size("TensorShape.height", self.height)
+        check_size("TensorShape.width", self.width)
+        check_size("TensorShape.channels", self.channels)
 
     @property
     def area(self) -> int:
@@ -65,13 +79,6 @@ class TensorShape:
     @property
     def elements(self) -> int:
         return self.height * self.width * self.channels
-
-
-# Sizes must be exact ints: 1.0 and True compare equal to 1, but would make
-# parameter counts floats.
-def _check_positive(owner: str, name: str, value: int) -> None:
-    if type(value) is not int or value < 1:
-        raise ValidationError(f"{owner} {name} must be a positive integer, got {capped(value)}")
 
 
 # Flags must be exact bools: 1, None or "no" would be read by truth value but
@@ -96,12 +103,12 @@ def _check_padding(padding: str) -> None:
         raise ValidationError(f"padding must be 'same' or 'valid', got {capped(padding)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Input:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Conv2D:
     filters: int
     kernel: int
@@ -110,14 +117,14 @@ class Conv2D:
     has_bias: bool = False
 
     def __post_init__(self):
-        _check_positive("Conv2D", "filters", self.filters)
+        check_size("Conv2D filters", self.filters)
         _check_kernel(self.kernel)
         _check_stride(self.stride)
         _check_padding(self.padding)
         _check_bool("Conv2D", "has_bias", self.has_bias)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeparableConv2D:
     """Depthwise + pointwise convolution fused into a single node."""
 
@@ -127,13 +134,13 @@ class SeparableConv2D:
     padding: str = PADDING_SAME
 
     def __post_init__(self):
-        _check_positive("SeparableConv2D", "filters", self.filters)
+        check_size("SeparableConv2D filters", self.filters)
         _check_kernel(self.kernel)
         _check_stride(self.stride)
         _check_padding(self.padding)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaxPool:
     pool_size: int = 3
     stride: int = 2
@@ -145,17 +152,17 @@ class MaxPool:
         _check_padding(self.padding)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GlobalAvgPool:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BatchNorm:
     """Per-channel normalization: 2 trainable + 2 statistic params per channel."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Activation:
     fn: str = "relu"
 
@@ -164,18 +171,18 @@ class Activation:
             raise ValidationError(f"activation must be one of {VALID_ACTIVATIONS}, got {capped(self.fn)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Add:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dense:
     units: int
     has_bias: bool = True
 
     def __post_init__(self):
-        _check_positive("Dense", "units", self.units)
+        check_size("Dense units", self.units)
         _check_bool("Dense", "has_bias", self.has_bias)
 
 
@@ -183,7 +190,7 @@ def is_conv(kind: LayerKind) -> bool:
     return type(kind) in (Conv2D, SeparableConv2D)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayerNode:
     id: str
     kind: LayerKind
@@ -207,7 +214,7 @@ class LayerNode:
         object.__setattr__(self, "inputs", inputs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelGraph:
     name: str
     input_shape: TensorShape
@@ -500,7 +507,8 @@ def validate(graph: ModelGraph) -> ModelGraph:
 def check_endpoints(graph: ModelGraph) -> None:
     """The checks of ``validate`` that need no shapes: exactly one Input
     node, a string ``name``, ``metadata`` mapping strings to strings, an
-    exact-int positive ``num_classes`` and exactly one terminal node."""
+    exact-int ``num_classes`` from 1 to ``MAX_SIZE`` and exactly one
+    terminal node."""
     inputs = [n.id for n in graph.nodes if type(n.kind) is Input]
     if len(inputs) != 1:
         raise ValidationError(f"graph must have exactly one Input node, found {capped(inputs)}")
@@ -513,4 +521,6 @@ def check_endpoints(graph: ModelGraph) -> None:
         raise ValidationError(f"num_classes must be an int, got {graph.num_classes!r}")
     if graph.num_classes < 1:
         raise ValidationError(f"num_classes must be positive, got {graph.num_classes}")
+    if graph.num_classes > MAX_SIZE:
+        raise ValidationError(f"num_classes must be at most {MAX_SIZE}, got {capped(graph.num_classes)}")
     graph.terminal_id()

@@ -61,30 +61,33 @@ def _kind_text(kind: g.LayerKind) -> str:
 
 def serialize(graph: g.ModelGraph) -> str:
     """Render a validated graph as schema-v1 JSON text."""
-    g.validate(graph)
+    g.validate(graph)  # so there is at least the Input node
+    shape = graph.input_shape
+    dims = [int.__repr__(shape.height), int.__repr__(shape.width), int.__repr__(shape.channels)]
+    metadata = [f"{_string(k)}: {_string(v)}" for k, v in graph.metadata.items()]
+    # The document's parts go into one list and are joined once: the node
+    # texts are not first gathered into a block of their own, which would
+    # build the largest part of the text twice more.
+    parts = [
+        f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "name": {_string(graph.name)},\n'
+        f'  "input_shape": {_block("[", "]", dims, "  ")},\n'
+        f'  "num_classes": {int.__repr__(graph.num_classes)},\n'
+        f'  "metadata": {_block("{", "}", metadata, "  ")},\n  "nodes": ['
+    ]
     kind_texts: dict[g.LayerKind, str] = {}  # kinds are frozen: equal kinds share one text
-    nodes = []
+    sep = "\n    "
     for node in graph.nodes:
         kind_text = kind_texts.get(node.kind)
         if kind_text is None:
             kind_text = kind_texts[node.kind] = _kind_text(node.kind)
         inputs = _block("[", "]", [_string(i) for i in node.inputs], "      ")
         tag = "null" if node.tag is None else _string(node.tag)
-        nodes.append(
-            f'{{\n      "id": {_string(node.id)}{kind_text}{inputs},\n      "tag": {tag}\n    }}'
+        parts.append(
+            f'{sep}{{\n      "id": {_string(node.id)}{kind_text}{inputs},\n      "tag": {tag}\n    }}'
         )
-    shape = graph.input_shape
-    dims = [int.__repr__(shape.height), int.__repr__(shape.width), int.__repr__(shape.channels)]
-    metadata = [f"{_string(k)}: {_string(v)}" for k, v in graph.metadata.items()]
-    fields = [
-        f'"schema_version": {SCHEMA_VERSION}',
-        f'"name": {_string(graph.name)}',
-        f'"input_shape": {_block("[", "]", dims, "  ")}',
-        f'"num_classes": {int.__repr__(graph.num_classes)}',
-        f'"metadata": {_block("{", "}", metadata, "  ")}',
-        f'"nodes": {_block("[", "]", nodes, "  ")}',
-    ]
-    return _block("{", "}", fields, "") + "\n"
+        sep = ",\n    "
+    parts.append("\n  ]\n}\n")
+    return "".join(parts)
 
 
 def _expect(doc: dict, key: str, types, field: str):
@@ -96,7 +99,9 @@ def _expect(doc: dict, key: str, types, field: str):
     return value
 
 
-def _parse_node(entry: dict, index: int) -> g.LayerNode:
+def _parse_node(entry: dict, index: int, kinds: dict) -> g.LayerNode:
+    """One node entry. ``kinds`` maps each kind built so far in this load to
+    itself, so equal kinds are kept as one object."""
     where = f"nodes[{index}]"
     if not isinstance(entry, dict):
         raise ParseError("node entry must be an object", field=where)
@@ -123,6 +128,7 @@ def _parse_node(entry: dict, index: int) -> g.LayerNode:
         kind = cls(**attrs)
     except (TypeError, CndkitError) as exc:
         raise ParseError(f"bad attrs for {kind_name}: {exc}", field=f"{where}.attrs") from exc
+    kind = kinds.setdefault(kind, kind)
     return g.LayerNode(id=node_id, kind=kind, inputs=tuple(inputs), tag=tag)
 
 
@@ -158,8 +164,9 @@ def deserialize(text: str) -> g.ModelGraph:
         raise ParseError(str(exc), field="input_shape") from exc
     ids: set[str] = set()
     nodes: list[g.LayerNode] = []
+    kinds: dict[g.LayerKind, g.LayerKind] = {}
     for i, entry in enumerate(nodes_raw):
-        node = _parse_node(entry, i)
+        node = _parse_node(entry, i, kinds)
         try:
             g.check_append(ids, node)
         except CndkitError as exc:

@@ -33,7 +33,6 @@ from .errors import (
     ResidualShapeBrokenError,
     ShapeMismatchError,
     UnknownModuleTagError,
-    ValidationError,
     capped,
 )
 from .graph import (
@@ -50,6 +49,7 @@ from .graph import (
     SeparableConv2D,
     TensorShape,
     check_endpoints,
+    check_size,
     is_conv,
     module_groups,
     module_of,
@@ -152,10 +152,9 @@ class FireModuleSpec:
     e3x3: int
 
     def __post_init__(self):
-        for name in ("s1x1", "e1x1", "e3x3"):
-            v = getattr(self, name)
-            if type(v) is not int or v < 1:
-                raise ValidationError(f"FireModuleSpec.{name} must be a positive integer, got {capped(v)}")
+        check_size("FireModuleSpec.s1x1", self.s1x1)
+        check_size("FireModuleSpec.e1x1", self.e1x1)
+        check_size("FireModuleSpec.e3x3", self.e3x3)
 
     def is_valid(self) -> bool:
         return self.s1x1 < self.e1x1 + self.e3x3
@@ -359,6 +358,9 @@ def strategy2_insert_fire(
             widths[node.id] = widths[node.inputs[0]]
 
     result = dataclasses.replace(graph, nodes=tuple(new_nodes))
+    # The input's table goes before the result's is built, so the two are
+    # never held at once.
+    del rows, row_of, new_nodes
     try:
         rows_after = analyzer.analyze(result)
     except ShapeMismatchError as exc:

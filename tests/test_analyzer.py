@@ -84,6 +84,13 @@ class TestLayerParams:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             count_params_layer(LayerNode("c", Conv2D(4, 3), ("in",)), channels)
 
+    def test_input_channels_have_no_upper_bound(self):
+        # A Dense layer's input is the flattened H*W*C of a shape whose dims
+        # are each at most MAX_SIZE, so the product may exceed it.
+        channels = TensorShape(50_000, 50_000, 1).elements
+        params = count_params_layer(LayerNode("d", Dense(10), ("x",)), channels)
+        assert params.kernel_params == 10 * channels
+
     def test_param_table_covers_every_kind(self):
         # analyze reads each kind's channel rule and param rule from its row of
         # graph.KINDS; the analyzer keeps no table of its own.
@@ -236,6 +243,17 @@ class TestMemoryEstimate:
         with pytest.raises(ValidationError, match="overhead_bytes must be >= 0, got -1"):
             memory_estimate(mobilenet, overhead_bytes=-1)
         assert type(memory_estimate(mobilenet, batch=2, overhead_bytes=1).total_bytes) is int
+
+    def test_counts_above_max_size(self, mobilenet):
+        # A batch of 4,299 digits made byte counts too long to print.
+        big = 10**4298
+        with pytest.raises(ValidationError, match="^batch must be at most 2147483647, got 1000"):
+            memory_estimate(mobilenet, batch=big)
+        with pytest.raises(ValidationError, match="^batch must be at most 2147483647, got "):
+            activation_sizes(mobilenet, batch=2**31)
+        with pytest.raises(ValidationError, match="^overhead_bytes must be at most 2147483647, got "):
+            memory_estimate(mobilenet, overhead_bytes=2**31)
+        assert memory_estimate(mobilenet, batch=2**31 - 1, overhead_bytes=2**31 - 1).total_bytes > 0
 
     def test_adam_not_below_momentum(self, xception):
         adam = memory_estimate(xception, batch=2, optimizer="adam")

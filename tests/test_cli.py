@@ -377,6 +377,49 @@ def assert_exit_3_with_one_error_line(result):
     assert result.output.startswith("error: ") and result.output.count("\n") == 1, result.output
 
 
+BIG_INT = "9" * 4000  # under json's 4,300-digit limit, far over graph.MAX_SIZE
+
+
+class TestSizesAreBounded:
+    """A 4,000-digit size is read as a JSON int. It used to crash the CLI
+    later, when a count derived from it was printed or rounded; it is now
+    rejected where it is read."""
+
+    @pytest.mark.parametrize("old, new, field", [
+        ('"input_shape": [\n    71,\n    71', f'"input_shape": [\n    {BIG_INT},\n    {BIG_INT}',
+         "input_shape"),
+        ('"filters": 32', f'"filters": {BIG_INT}', "nodes[1].attrs"),
+    ], ids=["input_shape", "filters"])
+    def test_model_file(self, runner, tmp_path, old, new, field):
+        # before: exit 1, ValueError traceback (a count past 4,300 digits)
+        path = tmp_path / "big.json"
+        path.write_text(serialize(build_xception(TensorShape(71, 71, 3), 10)).replace(old, new, 1))
+        for fmt in ("table", "json"):
+            result = runner.invoke(main, ["analyze", "--in", str(path), "--format", fmt])
+            assert_exit_3_with_one_error_line(result)
+            assert "must be at most 2147483647, got 999" in result.output
+            assert result.output.endswith(f"(field {field!r})\n")
+
+    def test_config_exit_filter(self, runner, tmp_path):
+        # before: exit 1, OverflowError from round_params_millions
+        config = json.loads(BOOL_EXIT_FILTER_CONFIG)
+        config["exit_filters"][0] = 0  # replaced by the big int in the text
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config).replace("[0,", f"[{BIG_INT},", 1))
+        result = runner.invoke(main, ["build", "optimized-xception", "--config", str(path)])
+        assert_exit_3_with_one_error_line(result)
+        assert result.output.startswith("error: exit filter must be at most 2147483647, got 999")
+        assert result.output.endswith("(field 'exit_filters')\n")
+
+    def test_batch(self, runner, tmp_path):
+        # before: exit 1, ValueError traceback (byte counts past 4,300 digits)
+        path = tmp_path / "model.json"
+        save_model(build_xception(TensorShape(71, 71, 3), 10), path)
+        result = runner.invoke(main, ["analyze", "--in", str(path), "--batch", "9" * 4299])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("error: batch must be at most 2147483647, got 999")
+
+
 class TestUnreadableInputFiles:
     """Every file the CLI reads is rejected with exit 3 and one error line
     when it is not UTF-8, nested too deeply for json or breaks csv's rules."""

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import importlib
+import pickle
 import pkgutil
 import random
 import sys
@@ -22,6 +24,7 @@ from cndkit.errors import (
 from cndkit.graph import (
     KIND_CLASSES,
     KINDS,
+    MAX_SIZE,
     Activation,
     Add,
     BatchNorm,
@@ -76,6 +79,19 @@ class TestTensorShape:
 
     def test_elements(self):
         assert TensorShape(299, 299, 3).elements == 268203
+
+    @pytest.mark.parametrize("make, what", [
+        (lambda n: TensorShape(4, n, 4), "TensorShape.width"),
+        (lambda n: Conv2D(n, 3), "Conv2D filters"),
+        (lambda n: SeparableConv2D(n, 1), "SeparableConv2D filters"),
+        (lambda n: Dense(n), "Dense units"),
+    ], ids=["TensorShape", "Conv2D", "SeparableConv2D", "Dense"])
+    def test_sizes_are_at_most_max_size(self, make, what):
+        # Counts derived from a larger size could have too many digits to print.
+        make(MAX_SIZE)
+        with pytest.raises(ValidationError,
+                           match=f"^{what} must be at most {MAX_SIZE}, got {MAX_SIZE + 1}$"):
+            make(MAX_SIZE + 1)
 
 
 class TestKindValidation:
@@ -388,6 +404,26 @@ class TestKindTables:
                 analysis(graph)
 
 
+class TestSlottedValues:
+    """The IR classes are slotted: a graph holds one node per layer, and a
+    ``__dict__`` would add about a hundred bytes to each."""
+
+    def test_no_instance_has_a_dict(self, xception):
+        values = [_ONE_OF_EACH[cls] for cls in KIND_CLASSES]
+        values += [xception.nodes[1], xception, xception.input_shape]
+        for value in values:
+            assert not hasattr(value, "__dict__"), type(value).__name__
+
+    def test_pickle_and_deepcopy_round_trips(self, xception, optimized, mobilenet):
+        for graph in (xception, optimized, mobilenet):
+            assert pickle.loads(pickle.dumps(graph)) == graph
+            assert copy.deepcopy(graph) == graph
+
+    def test_replace_still_checks_the_kind(self):
+        with pytest.raises(ValidationError, match="kernel size must be one of"):
+            dataclasses.replace(SeparableConv2D(8, 3), kernel=5)
+
+
 class TestValidate:
     def test_single_input_required(self):
         graph = ModelGraph(
@@ -488,6 +524,10 @@ class TestFieldTypes:
     def test_num_classes_must_be_an_exact_int(self, num_classes):
         with pytest.raises(ValidationError, match="num_classes must be an int"):
             validate(self._graph(num_classes=num_classes))
+
+    def test_num_classes_is_at_most_max_size(self):
+        with pytest.raises(ValidationError, match=f"^num_classes must be at most {MAX_SIZE}, got "):
+            validate(self._graph(num_classes=MAX_SIZE + 1))
 
 
 class TestTags:

@@ -1,8 +1,10 @@
 import dataclasses
 import functools
+import gc
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -246,6 +248,44 @@ def test_first_bad_entry_is_reported(xception):
     assert _rejection(doc).field == "nodes[3]"
 
 
+def test_equal_kinds_are_one_object_after_a_load(xception):
+    loaded = deserialize(serialize(xception))
+    assert loaded == xception
+    distinct = {node.kind: node.kind for node in loaded.nodes}
+    assert all(node.kind is distinct[node.kind] for node in loaded.nodes)
+    assert len({id(node.kind) for node in loaded.nodes}) == len(distinct) < len(loaded.nodes)
+
+
+def test_a_shared_kind_does_not_stand_for_an_equal_mistyped_one(xception):
+    # true and 1 are equal dict keys: a later Conv2D with "has_bias": 1 must
+    # not be given the kind built for an earlier one with "has_bias": true.
+    doc = json.loads(serialize(xception))
+    first, later = [i for i, n in enumerate(doc["nodes"]) if n["kind"] == "Conv2D"][:2]
+    doc["nodes"][first]["attrs"]["has_bias"] = True
+    doc["nodes"][later]["attrs"] = {**doc["nodes"][first]["attrs"], "has_bias": 1}
+    err = _rejection(doc)
+    assert str(err) == (
+        f"bad attrs for Conv2D: Conv2D has_bias must be a bool, got 1 (field 'nodes[{later}].attrs')"
+    )
+
+
+@pytest.mark.parametrize("sighting", ["first", "later"])
+@pytest.mark.parametrize("bad, message", [
+    ({"bogus": 1}, "unknown attrs for SeparableConv2D: ['bogus']"),
+    ({"kernel": 5}, "bad attrs for SeparableConv2D: kernel size must be one of (1, 3), got 5"),
+    ({"filters": 0},
+     "bad attrs for SeparableConv2D: SeparableConv2D filters must be a positive integer, got 0"),
+])
+def test_bad_attrs_are_reported_on_any_sighting_of_a_kind(xception, sighting, bad, message):
+    # "later": the entry repeats the attrs of a kind already built in this
+    # load, plus the bad one.
+    doc = json.loads(serialize(xception))
+    seps = [i for i, n in enumerate(doc["nodes"]) if n["kind"] == "SeparableConv2D"]
+    index = seps[0] if sighting == "first" else seps[1]
+    doc["nodes"][index]["attrs"] = {**doc["nodes"][seps[0]]["attrs"], **bad}
+    assert str(_rejection(doc)) == f"{message} (field 'nodes[{index}].attrs')"
+
+
 def test_duplicate_checked_before_inputs(xception):
     doc = json.loads(serialize(xception))
     doc["nodes"][2]["id"] = "input"
@@ -281,6 +321,41 @@ def test_serialized_text_always_reads_back(seed, shuffler):
     except ValidationError:
         return
     assert serialize(deserialize(text)) == text
+
+
+# -- memory -------------------------------------------------------------------
+
+
+def _traced(call):
+    """``call()``'s result, the traced bytes still allocated after it (what
+    the result keeps alive) and the traced peak during it. ``gc.collect``
+    before and after empties the interpreter's free lists, which tracemalloc
+    would count as allocated."""
+    call()  # anything made once, on a first call, is made outside the trace
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call()
+        gc.collect()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
+
+
+def test_serialize_peak_stays_under_three_times_its_text():
+    # Joining the node texts into a block, then the block into the document,
+    # built the text three times: a peak of 4.6x the text.
+    graph = build_xception(TensorShape(299, 299, 3), 101)
+    text, _, peak = _traced(lambda: serialize(graph))
+    assert peak <= 3 * len(text), (peak, len(text))
+
+
+def test_a_loaded_graph_keeps_under_twice_its_text_alive():
+    # A kind object per node and a __dict__ per node and kind kept 2.2x.
+    text = serialize(build_xception(TensorShape(299, 299, 3), 101))
+    _, kept, _ = _traced(lambda: deserialize(text))
+    assert kept <= 2 * len(text), (kept, len(text))
 
 
 # -- the writer against json.dumps --------------------------------------------

@@ -382,6 +382,13 @@ class TestFireConstraints:
         assert len(violations) == 1
         assert "64" in violations[0] and "48" in violations[0]
 
+    def test_spec_widths_are_at_most_max_size(self):
+        big = cndkit.graph.MAX_SIZE + 1
+        assert FireModuleSpec(1, 1, big - 1).is_valid()
+        with pytest.raises(ValidationError,
+                           match=f"^FireModuleSpec.e3x3 must be at most {big - 1}, got {big}$"):
+            FireModuleSpec(1, 1, big)
+
     def test_untagged_graph_vacuously_clean(self):
         graph = ModelGraph(name="plain", input_shape=TensorShape(8, 8, 3), num_classes=2)
         graph = add_layer(graph, LayerNode("in", Input()))
