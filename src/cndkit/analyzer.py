@@ -129,9 +129,9 @@ def flops_estimate(graph: ModelGraph) -> int:
 # (batch, overhead) is at most MAX_SIZE, like a size.
 def _check_count(name: str, value: int, least: int, most: int | None = None) -> None:
     if type(value) is not int:
-        raise ValidationError(f"{name} must be an int, got {value!r}")
+        raise ValidationError(f"{name} must be an int, got {capped(value)}")
     if value < least:
-        raise ValidationError(f"{name} must be >= {least}, got {value}")
+        raise ValidationError(f"{name} must be >= {least}, got {capped(value)}")
     if most is not None and value > most:
         raise ValidationError(f"{name} must be at most {most}, got {capped(value)}")
 
@@ -175,10 +175,10 @@ def memory_estimate(
 ) -> MemoryEstimate:
     """Modeled memory footprint; see module docstring for the formula."""
     if mode not in ("training", "inference"):
-        raise ValidationError(f"mode must be 'training' or 'inference', got {mode!r}")
+        raise ValidationError(f"mode must be 'training' or 'inference', got {capped(mode)}")
     if optimizer not in OPTIMIZER_STATE_MULTIPLIER:
         raise ValidationError(
-            f"optimizer must be one of {sorted(OPTIMIZER_STATE_MULTIPLIER)}, got {optimizer!r}"
+            f"optimizer must be one of {sorted(OPTIMIZER_STATE_MULTIPLIER)}, got {capped(optimizer)}"
         )
     _check_count("batch", batch, 1, MAX_SIZE)
     _check_count("overhead_bytes", overhead_bytes, 0, MAX_SIZE)

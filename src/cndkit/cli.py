@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import click
 
-from .errors import CndkitError, ParseError, SchemaVersionError, parse_json, read_text
+from .errors import CndkitError, ParseError, SchemaVersionError, capped, parse_json, read_text
 
 if TYPE_CHECKING:
     from .graph import ModelGraph, TensorShape
@@ -284,10 +284,12 @@ def cmd_pareto(csv_path, accuracy_frontier, memory_frontier_opt, out_path):
                 explicit = float(memory_frontier_opt)
             except ValueError as exc:
                 raise ParseError(
-                    f"--memory-frontier must be 'auto' or a number, got {memory_frontier_opt!r}"
+                    "--memory-frontier must be 'auto' or a number, "
+                    f"got {capped(memory_frontier_opt)}"
                 ) from exc
         config = pareto.QuadrantConfig(accuracy_frontier=accuracy_frontier, memory_frontier=explicit)
         frontier_mem, front, placements = pareto.place_records(records, config)
+        placements = list(placements)  # printed here, then written to the plot
         click.echo(f"accuracy_frontier={config.accuracy_frontier:g}")
         click.echo(f"memory_frontier={frontier_mem:g}")
         for record, quadrant, on_front in placements:
@@ -297,7 +299,7 @@ def cmd_pareto(csv_path, accuracy_frontier, memory_frontier_opt, out_path):
             )
         click.echo("pareto_front: " + ", ".join(r.model for r in front))
         if out_path:
-            Path(out_path).write_text(pareto.export_plot_data(records, config), encoding="utf-8")
+            Path(out_path).write_text(pareto.plot_data(config, frontier_mem, placements), encoding="utf-8")
 
 
 if __name__ == "__main__":

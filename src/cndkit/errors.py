@@ -12,8 +12,14 @@ ECHO_LIMIT = 80
 
 def capped(value: object, form: Callable[[object], str] = repr) -> str:
     """``form(value)``, its repr by default, cut to about ``ECHO_LIMIT``
-    characters, so a message that echoes an outside value stays short."""
-    text = form(value)
+    characters, so a message that echoes an outside value stays short. A
+    value that cannot be printed (an int past
+    ``sys.get_int_max_str_digits()``, or a container holding one) is named
+    by its type."""
+    try:
+        text = form(value)
+    except ValueError:
+        return f"<{type(value).__name__} too large to print>"
     return text if len(text) <= ECHO_LIMIT else f"{text[:ECHO_LIMIT - 3]}..."
 
 

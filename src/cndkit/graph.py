@@ -199,18 +199,22 @@ class LayerNode:
 
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
-            raise ValidationError(f"node id must be a non-empty string, got {self.id!r}")
+            raise ValidationError(f"node id must be a non-empty string, got {capped(self.id)}")
         if self.tag is not None and not isinstance(self.tag, str):
-            raise ValidationError(f"node {self.id!r} tag must be a string or None, got {self.tag!r}")
+            raise ValidationError(
+                f"node {capped(self.id)} tag must be a string or None, got {capped(self.tag)}"
+            )
         # tuple("in") would be ("i", "n"): a string is one id, not a sequence of them
         if isinstance(self.inputs, str) or not hasattr(self.inputs, "__iter__"):
             raise ValidationError(
-                f"node {self.id!r} inputs must be a sequence of node ids, got {self.inputs!r}"
+                f"node {capped(self.id)} inputs must be a sequence of node ids, got {capped(self.inputs)}"
             )
         inputs = tuple(self.inputs)
         for src in inputs:
             if not isinstance(src, str):
-                raise ValidationError(f"node {self.id!r} input ids must be strings, got {src!r}")
+                raise ValidationError(
+                    f"node {capped(self.id)} input ids must be strings, got {capped(src)}"
+                )
         object.__setattr__(self, "inputs", inputs)
 
 
@@ -297,9 +301,10 @@ def add_layer(graph: ModelGraph, node: LayerNode) -> ModelGraph:
     return dataclasses.replace(graph, nodes=graph.nodes + (node,))
 
 
-def check_append(ids: set[str], node: LayerNode) -> None:
-    """Check that ``node`` may follow nodes with ``ids``: a new id, inputs
-    among ``ids``, a kind with a row in ``KINDS`` and that kind's arity.
+def check_append(ids: set[str] | dict[str, str], node: LayerNode) -> None:
+    """Check that ``node`` may follow nodes with ``ids`` (a set of them, or a
+    dict keyed by them): a new id, inputs among ``ids``, a kind with a row
+    in ``KINDS`` and that kind's arity.
     Raises a ``ValidationError`` for the first check that fails; ``ids`` is
     not changed."""
     if node.id in ids:
@@ -513,14 +518,16 @@ def check_endpoints(graph: ModelGraph) -> None:
     if len(inputs) != 1:
         raise ValidationError(f"graph must have exactly one Input node, found {capped(inputs)}")
     if not isinstance(graph.name, str):
-        raise ValidationError(f"graph name must be a string, got {graph.name!r}")
+        raise ValidationError(f"graph name must be a string, got {capped(graph.name)}")
     if not isinstance(graph.metadata, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in graph.metadata.items()):
-        raise ValidationError(f"graph metadata must map strings to strings, got {graph.metadata!r}")
+        raise ValidationError(
+            f"graph metadata must map strings to strings, got {capped(graph.metadata)}"
+        )
     if type(graph.num_classes) is not int:
-        raise ValidationError(f"num_classes must be an int, got {graph.num_classes!r}")
+        raise ValidationError(f"num_classes must be an int, got {capped(graph.num_classes)}")
     if graph.num_classes < 1:
-        raise ValidationError(f"num_classes must be positive, got {graph.num_classes}")
+        raise ValidationError(f"num_classes must be positive, got {capped(graph.num_classes)}")
     if graph.num_classes > MAX_SIZE:
         raise ValidationError(f"num_classes must be at most {MAX_SIZE}, got {capped(graph.num_classes)}")
     graph.terminal_id()

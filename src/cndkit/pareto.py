@@ -18,7 +18,7 @@ import csv
 import enum
 import io
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from importlib import resources
 from itertools import groupby, takewhile
@@ -47,7 +47,7 @@ class Quadrant(enum.Enum):
     LOW_ACC_HIGH_MEM = "LowAccHighMem"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelMeasurement:
     model: str
     experiment: str
@@ -59,16 +59,11 @@ class ModelMeasurement:
     params: int | None = None
 
     def __post_init__(self):
-        for name in ("train_acc", "test_acc"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 100.0:
-                raise MeasurementRangeError(
-                    f"{capped(self.model)}: {name}={v} outside [0, 100]"
-                )
-        for name in ("avg_mem_mb", "avg_epoch_time_s", "avg_inf_time_ms"):
-            v = getattr(self, name)
-            if v is not None and not math.isfinite(v):
-                raise MeasurementRangeError(f"{capped(self.model)}: {name}={v} must be finite")
+        _check_percent(self.model, "train_acc", self.train_acc)
+        _check_percent(self.model, "test_acc", self.test_acc)
+        _check_finite(self.model, "avg_mem_mb", self.avg_mem_mb)
+        _check_finite(self.model, "avg_epoch_time_s", self.avg_epoch_time_s)
+        _check_finite(self.model, "avg_inf_time_ms", self.avg_inf_time_ms)
         if self.avg_mem_mb <= 0:
             raise MeasurementRangeError(
                 f"{capped(self.model)}: avg_mem_mb={self.avg_mem_mb} must be positive"
@@ -77,6 +72,19 @@ class ModelMeasurement:
             raise MeasurementRangeError(
                 f"{capped(self.model)}: params={capped(self.params)} must not be negative"
             )
+
+
+def _check_percent(model: str, name: str, value: float) -> None:
+    if not 0.0 <= value <= 100.0:
+        raise MeasurementRangeError(f"{capped(model)}: {name}={value} outside [0, 100]")
+
+
+def _check_finite(model: str, name: str, value: float | None) -> None:
+    if value is not None and not math.isfinite(value):
+        raise MeasurementRangeError(f"{capped(model)}: {name}={value} must be finite")
+
+
+Placement = tuple[ModelMeasurement, Quadrant, bool]  # (record, quadrant, on_front)
 
 
 @dataclass(frozen=True)
@@ -101,8 +109,8 @@ def _parse_float(value: str, row: int, column: str) -> float:
         raise ParseError(f"cannot parse {capped(value)} as a number", row=row, column=column) from exc
 
 
-def _parse_optional(value: str | None, row: int, column: str, kind) -> float | int | None:
-    if value is None or value.strip() == "":
+def _parse_optional(value: str, row: int, column: str, kind) -> float | int | None:
+    if not value:
         return None
     try:
         return kind(value)
@@ -132,27 +140,28 @@ def load_measurements(text: str) -> list[ModelMeasurement]:
             f"header must be {','.join(CSV_HEADER)}", row=1
         )
     records: list[ModelMeasurement] = []
-    for row_num, cells in rows:
-        if not cells or all(c.strip() == "" for c in cells):
+    for row_num, raw in rows:
+        cells = [c.strip() for c in raw]
+        if not any(cells):
             continue
         if len(cells) != len(CSV_HEADER):
             raise ParseError(
                 f"expected {len(CSV_HEADER)} cells, got {len(cells)}", row=row_num
             )
-        row = dict(zip(CSV_HEADER, (c.strip() for c in cells)))
-        if not row["model"]:
+        model, experiment, train_acc, test_acc, avg_mem_mb, epoch_s, inf_ms, params = cells
+        if not model:
             raise ParseError("model name must not be empty", row=row_num, column="model")
         try:
             records.append(
                 ModelMeasurement(
-                    model=row["model"],
-                    experiment=row["experiment"],
-                    train_acc=_parse_float(row["train_acc"], row_num, "train_acc"),
-                    test_acc=_parse_float(row["test_acc"], row_num, "test_acc"),
-                    avg_mem_mb=_parse_float(row["avg_mem_mb"], row_num, "avg_mem_mb"),
-                    avg_epoch_time_s=_parse_optional(row["avg_epoch_time_s"], row_num, "avg_epoch_time_s", float),
-                    avg_inf_time_ms=_parse_optional(row["avg_inf_time_ms"], row_num, "avg_inf_time_ms", float),
-                    params=_parse_optional(row["params"], row_num, "params", int),
+                    model,
+                    experiment,
+                    _parse_float(train_acc, row_num, "train_acc"),
+                    _parse_float(test_acc, row_num, "test_acc"),
+                    _parse_float(avg_mem_mb, row_num, "avg_mem_mb"),
+                    _parse_optional(epoch_s, row_num, "avg_epoch_time_s", float),
+                    _parse_optional(inf_ms, row_num, "avg_inf_time_ms", float),
+                    _parse_optional(params, row_num, "params", int),
                 )
             )
         except MeasurementRangeError as exc:
@@ -227,14 +236,14 @@ def pareto_front(records: list[ModelMeasurement]) -> list[ModelMeasurement]:
 
 def _csv_cell(text: str) -> str:
     """Quote a cell RFC 4180 style when it holds a comma, quote or line break."""
-    if any(c in text for c in ',"\r\n'):
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
 def place_records(
     records: list[ModelMeasurement], config: QuadrantConfig
-) -> tuple[float, list[ModelMeasurement], Iterator[tuple[ModelMeasurement, Quadrant, bool]]]:
+) -> tuple[float, list[ModelMeasurement], Iterator[Placement]]:
     """The memory frontier, ``pareto_front(records)`` and, lazily, one
     ``(record, quadrant, on_front)`` per record in input order.
 
@@ -261,6 +270,12 @@ def export_plot_data(records: list[ModelMeasurement], config: QuadrantConfig) ->
     Model names are the only free-text cell and are quoted when needed.
     """
     frontier_mem, _front, placements = place_records(records, config)
+    return plot_data(config, frontier_mem, placements)
+
+
+def plot_data(config: QuadrantConfig, frontier_mem: float, placements: Iterable[Placement]) -> str:
+    """The text of ``export_plot_data`` from the memory frontier and
+    placements that ``place_records`` gave for ``config``."""
     lines = [
         f"# accuracy_frontier={config.accuracy_frontier:g}",
         f"# memory_frontier={frontier_mem:g}",

@@ -99,9 +99,10 @@ def _expect(doc: dict, key: str, types, field: str):
     return value
 
 
-def _parse_node(entry: dict, index: int, kinds: dict) -> g.LayerNode:
+def _parse_node(entry: dict, index: int, kinds: dict, ids: dict) -> g.LayerNode:
     """One node entry. ``kinds`` maps each kind built so far in this load to
-    itself, so equal kinds are kept as one object."""
+    itself, so equal kinds are kept as one object; ``ids`` maps each node id
+    so far to itself, so an input names its source by that id's string."""
     where = f"nodes[{index}]"
     if not isinstance(entry, dict):
         raise ParseError("node entry must be an object", field=where)
@@ -129,7 +130,8 @@ def _parse_node(entry: dict, index: int, kinds: dict) -> g.LayerNode:
     except (TypeError, CndkitError) as exc:
         raise ParseError(f"bad attrs for {kind_name}: {exc}", field=f"{where}.attrs") from exc
     kind = kinds.setdefault(kind, kind)
-    return g.LayerNode(id=node_id, kind=kind, inputs=tuple(inputs), tag=tag)
+    inputs = tuple([ids.get(i, i) for i in inputs])  # an unknown input stays for check_append
+    return g.LayerNode(id=node_id, kind=kind, inputs=inputs, tag=tag)
 
 
 def deserialize(text: str) -> g.ModelGraph:
@@ -162,16 +164,16 @@ def deserialize(text: str) -> g.ModelGraph:
         shape = g.TensorShape(*shape_raw)
     except CndkitError as exc:
         raise ParseError(str(exc), field="input_shape") from exc
-    ids: set[str] = set()
+    ids: dict[str, str] = {}
     nodes: list[g.LayerNode] = []
     kinds: dict[g.LayerKind, g.LayerKind] = {}
     for i, entry in enumerate(nodes_raw):
-        node = _parse_node(entry, i, kinds)
+        node = _parse_node(entry, i, kinds, ids)
         try:
             g.check_append(ids, node)
         except CndkitError as exc:
             raise ParseError(str(exc), field=f"nodes[{i}]") from exc
-        ids.add(node.id)
+        ids[node.id] = node.id
         nodes.append(node)
     model = g.ModelGraph(
         name=name, input_shape=shape, num_classes=num_classes, nodes=tuple(nodes),

@@ -220,7 +220,7 @@ def _module_structure(nodes: list[LayerNode], module: str):
     for node in nodes:
         if type(node.kind) not in _REWRITABLE_KINDS:
             raise ModuleStructureError(
-                f"module {module!r} contains a {type(node.kind).__name__} node; "
+                f"module {capped(module)} contains a {type(node.kind).__name__} node; "
                 "only conv/pool/norm/activation/add modules can be rewritten"
             )
 
@@ -231,7 +231,8 @@ def _module_structure(nodes: list[LayerNode], module: str):
                 external.append(src)
     if len(external) != 1:
         raise ModuleStructureError(
-            f"module {module!r} must be fed by exactly one outside node, found {external}"
+            f"module {capped(module)} must be fed by exactly one outside node, "
+            f"found {capped(external)}"
         )
     module_input = external[0]
 
@@ -246,13 +247,15 @@ def _module_structure(nodes: list[LayerNode], module: str):
         )
     if len(pools) > 1 or len(adds) > 1:
         raise ModuleStructureError(
-            f"module {module!r} has more than one pool or add; cannot rewrite"
+            f"module {capped(module)} has more than one pool or add; cannot rewrite"
         )
 
     consumed = {src for n in nodes for src in n.inputs}
     tails = [n.id for n in nodes if n.id not in consumed]
     if len(tails) != 1:
-        raise ModuleStructureError(f"module {module!r} must have a single output, found {tails}")
+        raise ModuleStructureError(
+            f"module {capped(module)} must have a single output, found {capped(tails)}"
+        )
     return module_input, main_convs, (pools[0] if pools else None), (adds[0] if adds else None), proj, proj_bn, tails[0]
 
 
@@ -365,7 +368,7 @@ def strategy2_insert_fire(
         rows_after = analyzer.analyze(result)
     except ShapeMismatchError as exc:
         raise ResidualShapeBrokenError(
-            f"fire insertion broke residual shapes in {graph.name!r}: {exc}"
+            f"fire insertion broke residual shapes in {capped(graph.name)}: {exc}"
         ) from exc
     check_endpoints(result)
     report = PassReport(

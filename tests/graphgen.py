@@ -3,14 +3,19 @@
 The oracles deliberately avoid the library's arithmetic: shapes come from
 index-range enumeration with explicit while-loops, parameter counts from
 materializing each kernel's index set and counting its elements one by one.
+The measurement reader is rebuilt on ``csv.DictReader`` with per-column rules.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
+import math
 import random
 from itertools import product
 
+from cndkit.errors import MeasurementRangeError, ParseError, capped
 from cndkit.graph import (
     Activation,
     Add,
@@ -27,6 +32,7 @@ from cndkit.graph import (
     add_layer,
     validate,
 )
+from cndkit.pareto import CSV_HEADER, ModelMeasurement
 
 
 def _fits(dim_h: int, dim_w: int, window: int, padding: str) -> bool:
@@ -325,3 +331,68 @@ def oracle_pareto_front(records):
         if not dominated:
             front.append(r)
     return sorted(front, key=lambda r: (r.avg_mem_mb, -r.test_acc, r.model, r.experiment))
+
+
+_PERCENT_COLUMNS = ("train_acc", "test_acc")
+_FINITE_COLUMNS = ("avg_mem_mb", "avg_epoch_time_s", "avg_inf_time_ms")
+_OPTIONAL_COLUMNS = {"avg_epoch_time_s": float, "avg_inf_time_ms": float, "params": int}
+
+
+def reference_load_measurements(text: str) -> list[ModelMeasurement]:
+    """``pareto.load_measurements`` rebuilt on ``csv.DictReader``: each row a
+    dict keyed by the stripped header, each rule checked by column name in
+    the order the loader documents, each record built from checked values.
+
+    Rows are numbered by ``line_num``, which counts lines, so it equals the
+    loader's row number only for text with no line break inside a quoted
+    cell."""
+    reader = csv.DictReader(io.StringIO(text))
+    header = [name.strip() for name in reader.fieldnames or ()]
+    if tuple(header) != CSV_HEADER:
+        raise ParseError(f"header must be {','.join(CSV_HEADER)}", row=1)
+    reader.fieldnames = header
+    records = []
+    for row in reader:
+        row_num = reader.line_num
+        extra = row.pop(None, [])  # cells past the header
+        given = [v for v in row.values() if v is not None] + extra
+        if all(v.strip() == "" for v in given):
+            continue
+        if len(given) != len(CSV_HEADER):
+            raise ParseError(f"expected {len(CSV_HEADER)} cells, got {len(given)}", row=row_num)
+        cells = {k: v.strip() for k, v in row.items()}
+        if cells["model"] == "":
+            raise ParseError("model name must not be empty", row=row_num, column="model")
+        values = {"model": cells["model"], "experiment": cells["experiment"]}
+        for column in ("train_acc", "test_acc", "avg_mem_mb"):
+            try:
+                values[column] = float(cells[column])
+            except ValueError:
+                raise ParseError(f"cannot parse {capped(cells[column])} as a number",
+                                 row=row_num, column=column) from None
+        for column, convert in _OPTIONAL_COLUMNS.items():
+            if cells[column] == "":
+                values[column] = None
+                continue
+            try:
+                values[column] = convert(cells[column])
+            except ValueError:
+                raise ParseError(f"cannot parse {capped(cells[column])}",
+                                 row=row_num, column=column) from None
+
+        def out_of_range(what: str) -> MeasurementRangeError:
+            return MeasurementRangeError(f"row {row_num}: {capped(values['model'])}: {what}")
+
+        for column in _PERCENT_COLUMNS:
+            if not (values[column] >= 0.0 and values[column] <= 100.0):
+                raise out_of_range(f"{column}={values[column]} outside [0, 100]")
+        for column in _FINITE_COLUMNS:
+            v = values[column]
+            if v is not None and (v != v or v in (math.inf, -math.inf)):
+                raise out_of_range(f"{column}={v} must be finite")
+        if values["avg_mem_mb"] <= 0:
+            raise out_of_range(f"avg_mem_mb={values['avg_mem_mb']} must be positive")
+        if values["params"] is not None and values["params"] < 0:
+            raise out_of_range(f"params={capped(values['params'])} must not be negative")
+        records.append(ModelMeasurement(**values))
+    return records

@@ -289,6 +289,54 @@ class TestPareto:
         assert lines[1] == "# memory_frontier=848.8"
         assert len(lines) == 7
 
+    # Input, stdout and plot CSV as the command gave them when it placed the
+    # records twice (once to print, once more in export_plot_data).
+    PLACED = {
+        "comma-names": (
+            "model,experiment,train_acc,test_acc,avg_mem_mb,avg_epoch_time_s,avg_inf_time_ms,params\n"
+            '"resnet,v2", e ,80,80,10,,,\n"say ""hi""",e,60,60.5,20,1.5,2,100\n\n'
+            " plain\t,e,50,50,30,,,\nplain,e,50,50,30,,,\n",
+            "accuracy_frontier=70\nmemory_frontier=20\n"
+            "resnet,v2: test_acc=80 mem=10 quadrant=HighAccLowMem on_front=true\n"
+            'say "hi": test_acc=60.5 mem=20 quadrant=LowAccLowMem on_front=false\n'
+            "plain: test_acc=50 mem=30 quadrant=LowAccHighMem on_front=false\n"
+            "plain: test_acc=50 mem=30 quadrant=LowAccHighMem on_front=false\n"
+            "pareto_front: resnet,v2\n",
+            "# accuracy_frontier=70\n# memory_frontier=20\nmodel,test_acc,avg_mem_mb,quadrant,on_front\n"
+            '"resnet,v2",80,10,HighAccLowMem,true\n"say ""hi""",60.5,20,LowAccLowMem,false\n'
+            "plain,50,30,LowAccHighMem,false\nplain,50,30,LowAccHighMem,false\n",
+        ),
+        "caltech101": (
+            None,
+            "accuracy_frontier=70\nmemory_frontier=848.8\n"
+            "Optimized: test_acc=76.21 mem=847.9 quadrant=HighAccLowMem on_front=true\n"
+            "Xception: test_acc=75.89 mem=874.6 quadrant=HighAccHighMem on_front=false\n"
+            "EfficientNetV2B1: test_acc=30.53 mem=823 quadrant=LowAccLowMem on_front=true\n"
+            "MobileNetV2: test_acc=58.11 mem=838.6 quadrant=LowAccLowMem on_front=true\n"
+            "pareto_front: EfficientNetV2B1, MobileNetV2, Optimized\n",
+            "# accuracy_frontier=70\n# memory_frontier=848.8\nmodel,test_acc,avg_mem_mb,quadrant,on_front\n"
+            "Optimized,76.21,847.9,HighAccLowMem,true\nXception,75.89,874.6,HighAccHighMem,false\n"
+            "EfficientNetV2B1,30.53,823,LowAccLowMem,true\nMobileNetV2,58.11,838.6,LowAccLowMem,true\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PLACED))
+    def test_out_places_the_records_once(self, runner, tmp_path, monkeypatch, name):
+        from cndkit import pareto
+
+        text, stdout, plot = self.PLACED[name]
+        path = fixture_path(name) if text is None else tmp_path / "m.csv"
+        if text is not None:
+            path.write_text(text)
+        calls = []
+        front = pareto.pareto_front
+        monkeypatch.setattr(pareto, "pareto_front", lambda records: calls.append(1) or front(records))
+        out = tmp_path / "plot.csv"
+        result = runner.invoke(main, ["pareto", "--csv", str(path), "--out", str(out)])
+        assert result.exit_code == 0
+        assert len(calls) == 1
+        assert (result.output, out.read_text()) == (stdout, plot)
+
     def test_bad_csv_exits_3(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("model,acc\nm,1\n")

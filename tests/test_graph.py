@@ -12,10 +12,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cndkit.serialize  # noqa: F401  (loads the module; cndkit.serialize is the function)
-from cndkit.analyzer import analyze, count_params_layer
+from cndkit.analyzer import analyze, count_params_layer, memory_estimate
 from cndkit.errors import (
+    ECHO_LIMIT,
     ArityError,
     DuplicateIdError,
+    MeasurementRangeError,
     NonPositiveDimError,
     ShapeMismatchError,
     UnknownInputError,
@@ -47,6 +49,7 @@ from cndkit.graph import (
     topo_sort,
     validate,
 )
+from cndkit.pareto import FIXTURE_NAMES, load_fixture
 from graphgen import oracle_topo_sort, random_graph, random_topological_order, random_wiring
 
 
@@ -64,6 +67,13 @@ def _chain(*nodes):
     for node in nodes:
         graph = add_layer(graph, node)
     return graph
+
+
+def _headed(**fields):
+    """in -> global pool -> 2-unit dense, with ``fields`` replaced."""
+    graph = _chain(LayerNode("in", Input()), LayerNode("g", GlobalAvgPool(), ("in",)),
+                   LayerNode("d", Dense(2), ("g",)))
+    return dataclasses.replace(graph, **fields)
 
 
 class TestTensorShape:
@@ -422,6 +432,55 @@ class TestSlottedValues:
     def test_replace_still_checks_the_kind(self):
         with pytest.raises(ValidationError, match="kernel size must be one of"):
             dataclasses.replace(SeparableConv2D(8, 3), kernel=5)
+
+
+class TestSlottedRecords:
+    """``ModelMeasurement`` is slotted too: a 1,500-row measurement set holds
+    one record per row."""
+
+    def test_no_record_has_a_dict(self):
+        for name in FIXTURE_NAMES:
+            assert not any(hasattr(r, "__dict__") for r in load_fixture(name))
+
+    def test_pickle_and_deepcopy_round_trips(self):
+        for name in FIXTURE_NAMES:
+            records = load_fixture(name)
+            assert pickle.loads(pickle.dumps(records)) == records
+            assert copy.deepcopy(records) == records
+
+    def test_replace_still_checks_the_range(self):
+        record = load_fixture("caltech101")[0]
+        with pytest.raises(MeasurementRangeError, match=r"test_acc=120.0 outside \[0, 100\]"):
+            dataclasses.replace(record, test_acc=120.0)
+
+
+HUGE = 10**5000
+
+
+class TestUnprintableValues:
+    """A value echoed in an error is capped, even an int with more digits
+    than ``sys.get_int_max_str_digits()`` allows to print."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: TensorShape(HUGE, 1, 1),
+        lambda: Conv2D(HUGE, 3),
+        lambda: memory_estimate(_chain(LayerNode("in", Input())), batch=HUGE),
+        lambda: memory_estimate(_chain(LayerNode("in", Input())), batch=-HUGE),
+        lambda: validate(_headed(num_classes=HUGE)),
+        lambda: validate(_headed(num_classes=-HUGE)),
+        lambda: LayerNode("x" * 100_000, Input(), (), 5),
+        lambda: LayerNode("x" * 100_000, Add(), "y" * 100_000),
+        lambda: LayerNode("a", Add(), ["b", b"y" * 100_000]),
+        lambda: LayerNode("a", Input(), (), b"t" * 100_000),
+        lambda: validate(_headed(name=[HUGE])),
+        lambda: validate(_headed(metadata={"k": "v" * 100_000, 1: 2})),
+    ], ids=["shape-dim", "filters", "batch", "negative-batch", "num-classes",
+            "negative-num-classes", "node-id", "string-inputs", "input-id", "tag", "name",
+            "metadata"])
+    def test_is_a_validation_error_with_a_short_message(self, make):
+        with pytest.raises(ValidationError) as exc:
+            make()
+        assert len(str(exc.value)) < 4 * ECHO_LIMIT
 
 
 class TestValidate:

@@ -2,6 +2,8 @@ import csv
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cndkit.errors import EmptyInputError, MeasurementRangeError, ParseError
 from cndkit.pareto import (
@@ -19,7 +21,7 @@ from cndkit.pareto import (
     place_records,
     resolve_memory_frontier,
 )
-from graphgen import oracle_pareto_front
+from graphgen import oracle_pareto_front, reference_load_measurements
 
 HEADER_LINE = ",".join(CSV_HEADER)
 
@@ -103,6 +105,105 @@ class TestLoading:
         with pytest.raises(ParseError) as exc:
             load_measurements("model\r,experiment\n")
         assert exc.value.row == 1
+
+
+_PADS = st.tuples(st.text(" \t", max_size=3), st.text(" \t", max_size=3))
+_NAMES = st.text(st.sampled_from('ab Z,"-.\t'), min_size=1, max_size=8).filter(str.strip)
+_CELL_VALUES = {
+    "model": _NAMES,
+    "experiment": st.text(st.sampled_from('ex ,"'), max_size=5),
+    "train_acc": st.one_of(st.floats(0, 100).map(repr), st.integers(0, 100).map(str)),
+    "test_acc": st.one_of(st.floats(0, 100).map(repr), st.integers(0, 100).map(str)),
+    "avg_mem_mb": st.floats(0.01, 1e6).map(repr),
+    "avg_epoch_time_s": st.one_of(st.just(""), st.floats(0, 1e4).map(repr)),
+    "avg_inf_time_ms": st.one_of(st.just(""), st.floats(0, 1e4).map(repr)),
+    "params": st.one_of(st.just(""), st.integers(0, 10**9).map(str)),
+}
+_BLANK_ROWS = st.sampled_from(["", " ", "\t", " ,\t, ", ",,,,,,,", " , , , , , , , "])
+# One bad cell per column; each breaks exactly one of the loader's rules.
+_BAD_CELLS = {
+    "model": ["", " \t"],
+    "train_acc": ["abc", "", "120", "-1", "nan", "1e400"],
+    "test_acc": ["sixty", "", "100.5", "-0.1", "NaN"],
+    "avg_mem_mb": ["x", "", "0", "-3", "inf", "-inf", "nan"],
+    "avg_epoch_time_s": ["x", "inf", "-inf", "nan"],
+    "avg_inf_time_ms": ["1,5", "Infinity"],
+    "params": ["1.5", "x", "-7", "1e3"],
+}
+
+
+def _csv_text(cell: str, pad: tuple[str, str], quote: bool) -> str:
+    """One cell padded with spaces and tabs, quoted when it must be (or when
+    ``quote``): the padding goes inside the quotes, where csv keeps it."""
+    text = pad[0] + cell + pad[1]
+    if quote or "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def measurement_csvs(draw):
+    """``(lines, data rows)``: the lines of a padded measurement CSV with
+    blank rows mixed in, and the index in ``lines`` of each record row."""
+    lines = [",".join(_csv_text(h, draw(_PADS), False) for h in CSV_HEADER)]
+    data_rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()) and draw(st.booleans()):
+            lines.append(draw(_BLANK_ROWS))
+        values = [draw(_CELL_VALUES[column]) for column in CSV_HEADER]
+        data_rows.append(len(lines))
+        lines.append(",".join(_csv_text(v, draw(_PADS), draw(st.booleans())) for v in values))
+    return lines, data_rows
+
+
+def _outcome(load, text: str):
+    try:
+        return load(text)
+    except (ParseError, MeasurementRangeError) as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+
+
+class TestLoaderMatchesReference:
+    """``load_measurements`` against the ``csv.DictReader`` reference loader."""
+
+    @given(measurement_csvs(), st.sampled_from(["\n", "\r\n"]), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_same_records(self, csv_lines, newline, trailing):
+        lines, rows = csv_lines
+        text = newline.join(lines) + (newline if trailing else "")
+        records = load_measurements(text)
+        assert records == reference_load_measurements(text)
+        assert len(records) == len(rows)
+
+    @pytest.mark.parametrize("column, bad", [(c, v) for c, cells in _BAD_CELLS.items() for v in cells])
+    @given(measurement_csvs().filter(lambda c: c[1]), st.data())
+    @settings(max_examples=5, deadline=None)
+    def test_same_error_for_one_bad_cell(self, column, bad, csv_lines, data):
+        lines, rows = csv_lines
+        at = data.draw(st.sampled_from(rows))
+        cells = next(csv.reader([lines[at]]))
+        cells[CSV_HEADER.index(column)] = bad
+        lines = lines[:]
+        lines[at] = ",".join(_csv_text(c, ("", ""), False) for c in cells)
+        text = "\n".join(lines) + "\n"
+        got = _outcome(load_measurements, text)
+        assert not isinstance(got, list), f"{lines[at]!r} was accepted"
+        assert got == _outcome(reference_load_measurements, text)
+        assert got[2] in (at + 1, None)  # a range error carries its row in the message
+
+    @given(measurement_csvs().filter(lambda c: c[1]), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_same_error_for_a_wrong_cell_count(self, csv_lines, data):
+        lines, rows = csv_lines
+        at = data.draw(st.sampled_from(rows))
+        lines = lines[:]
+        extra = data.draw(st.booleans())
+        lines[at] = lines[at] + ",1" if extra else lines[at].rpartition(",")[0]
+        text = "\n".join(lines) + "\n"
+        got = _outcome(load_measurements, text)
+        count = 9 if extra else 7
+        assert got[:3] == (ParseError, f"expected 8 cells, got {count} (row {at + 1})", at + 1)
+        assert got == _outcome(reference_load_measurements, text)
 
 
 class TestMemoryFrontier:

@@ -140,6 +140,9 @@ def test_load_model_errors_name_the_file(tmp_path, text, error, message, line, f
     ("x" * (ECHO_LIMIT - 2), repr, repr("x" * (ECHO_LIMIT - 2))),
     ("x" * (ECHO_LIMIT - 1), repr, "'" + "x" * (ECHO_LIMIT - 4) + "..."),
     ("x" * 100_000, str, "x" * (ECHO_LIMIT - 3) + "..."),
+    pytest.param(10**5000, repr, "<int too large to print>", id="huge-int"),
+    pytest.param(-(10**5000), str, "<int too large to print>", id="huge-negative-int-str"),
+    pytest.param([1, 10**5000], repr, "<list too large to print>", id="list-of-huge-int"),
 ])
 def test_echoed_values_are_capped(value, form, shown):
     assert capped(value, form) == shown
@@ -254,6 +257,15 @@ def test_equal_kinds_are_one_object_after_a_load(xception):
     distinct = {node.kind: node.kind for node in loaded.nodes}
     assert all(node.kind is distinct[node.kind] for node in loaded.nodes)
     assert len({id(node.kind) for node in loaded.nodes}) == len(distinct) < len(loaded.nodes)
+
+
+def test_every_input_is_its_source_nodes_id_after_a_load(xception, optimized, mobilenet):
+    for graph in (xception, optimized, mobilenet):
+        loaded = deserialize(serialize(graph))
+        by_id = loaded.node_map()
+        inputs = [src for node in loaded.nodes for src in node.inputs]
+        assert len(inputs) > len(loaded.nodes) - 1
+        assert all(src is by_id[src].id for src in inputs)
 
 
 def test_a_shared_kind_does_not_stand_for_an_equal_mistyped_one(xception):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 
@@ -29,6 +30,7 @@ from cndkit.graph import (
     add_layer,
     infer_shapes,
     is_conv,
+    module_of,
 )
 from cndkit.transforms import (
     diff,
@@ -173,6 +175,20 @@ class TestStrategy2:
 
         with pytest.raises(ModuleStructureError):
             strategy2_insert_fire(xception, {"exit_flow/m14": FireModuleSpec(64, 128, 128)})
+
+    def test_structure_error_caps_a_long_module_tag(self, xception):
+        from cndkit.errors import ModuleStructureError
+
+        long_module = "exit_flow/" + "m" * 100_000
+        nodes = tuple(
+            dataclasses.replace(n, tag=n.tag.replace("exit_flow/m14", long_module))
+            if module_of(n.tag) == "exit_flow/m14" else n
+            for n in xception.nodes
+        )
+        graph = dataclasses.replace(xception, nodes=nodes)
+        with pytest.raises(ModuleStructureError, match="contains a") as exc:
+            strategy2_insert_fire(graph, {long_module: FireModuleSpec(64, 128, 128)})
+        assert len(str(exc.value)) < 300
 
     def test_empty_specs_is_identity(self, xception):
         out, report = strategy2_insert_fire(xception, {})
