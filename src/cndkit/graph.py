@@ -8,9 +8,10 @@ mutates its argument, so they are safe to share across threads.
 Tags follow a ``flow/module/role`` convention, e.g. ``entry_flow/m2/sep1``:
 the first two components name the architectural module a node belongs to and
 the last one the node's role inside it (``sep1``, ``squeeze``, ``expand3``,
-``residual``, ``pool``, ``add``, ...). ``module_of``/``role_of`` split a tag;
-untagged nodes belong to no module. Residual-projection convolutions carry
-the ``residual`` role and are not counted as part of a module's main stack.
+``residual``, ``pool``, ``add``, ...). ``group_modules`` groups nodes by
+module with their roles; untagged and flat (one- or two-part) tags belong to
+no module. Residual-projection convolutions carry the ``residual`` role and
+are not counted as part of a module's main stack.
 
 Everything the toolkit knows about a layer kind is one row of ``KINDS``,
 keyed by the kind's exact class: its number of inputs, its shape rule, its
@@ -25,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, NamedTuple, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 from .errors import (
     ArityError,
@@ -235,9 +236,6 @@ class ModelGraph:
                 return n
         raise KeyError(node_id)
 
-    def node_map(self) -> dict[str, LayerNode]:
-        return {n.id: n for n in self.nodes}
-
     def consumers(self) -> dict[str, list[str]]:
         """Map node id -> ids of nodes that consume its output."""
         out: dict[str, list[str]] = {n.id: [] for n in self.nodes}
@@ -260,33 +258,38 @@ def make_tag(flow: str, module: str, role: str) -> str:
     return f"{flow}/{module}/{role}"
 
 
+def _split_tag(tag: str | None) -> tuple[str | None, str | None]:
+    """`flow/module/role` -> (`flow/module`, `role`); (None, None) for an
+    untagged or flat tag. The one place a tag is split."""
+    parts = () if tag is None else tag.split("/")
+    if len(parts) < 3:
+        return None, None
+    return f"{parts[0]}/{parts[1]}", parts[-1]
+
+
 def module_of(tag: str | None) -> str | None:
     """`flow/module/role` -> `flow/module`; None for untagged or flat tags."""
-    if tag is None:
-        return None
-    parts = tag.split("/")
-    if len(parts) < 3:
-        return None
-    return "/".join(parts[:2])
+    return _split_tag(tag)[0]
 
 
 def role_of(tag: str | None) -> str | None:
-    if tag is None:
-        return None
-    parts = tag.split("/")
-    if len(parts) < 3:
-        return None
-    return parts[-1]
+    return _split_tag(tag)[1]
+
+
+def group_modules(nodes: Iterable[LayerNode]) -> dict[str, list[tuple[str, LayerNode]]]:
+    """``(role, node)`` per module, nodes in the given order, modules in order
+    of first appearance; untagged and flat-tagged nodes belong to none."""
+    groups: dict[str, list[tuple[str, LayerNode]]] = {}
+    for node in nodes:
+        module, role = _split_tag(node.tag)
+        if module is not None:
+            groups.setdefault(module, []).append((role, node))
+    return groups
 
 
 def module_groups(graph: ModelGraph) -> dict[str, list[str]]:
     """Node ids per module tag, keyed in order of first appearance."""
-    groups: dict[str, list[str]] = {}
-    for node in graph.nodes:
-        mod = module_of(node.tag)
-        if mod is not None:
-            groups.setdefault(mod, []).append(node.id)
-    return groups
+    return {m: [node.id for _, node in members] for m, members in group_modules(graph.nodes).items()}
 
 
 # -- construction -------------------------------------------------------------
@@ -503,17 +506,23 @@ def infer_shapes(graph: ModelGraph) -> dict[str, TensorShape]:
 def validate(graph: ModelGraph) -> ModelGraph:
     """Check all structural invariants and return the graph unchanged:
     ``infer_shapes`` (stored order, see ``topo_sort``, and shape consistency,
-    including Add input equality), then ``check_endpoints``."""
-    infer_shapes(graph)
-    check_endpoints(graph)
+    including Add input equality), then ``check_endpoints``, then that the
+    terminal node outputs ``num_classes`` channels."""
+    shapes = infer_shapes(graph)
+    tail = check_endpoints(graph)
+    if shapes[tail].channels != graph.num_classes:
+        raise ValidationError(
+            f"terminal node {capped(tail)} outputs {shapes[tail].channels} channels, "
+            f"but num_classes is {graph.num_classes}"
+        )
     return graph
 
 
-def check_endpoints(graph: ModelGraph) -> None:
+def check_endpoints(graph: ModelGraph) -> str:
     """The checks of ``validate`` that need no shapes: exactly one Input
     node, a string ``name``, ``metadata`` mapping strings to strings, an
     exact-int ``num_classes`` from 1 to ``MAX_SIZE`` and exactly one
-    terminal node."""
+    terminal node, whose id is returned."""
     inputs = [n.id for n in graph.nodes if type(n.kind) is Input]
     if len(inputs) != 1:
         raise ValidationError(f"graph must have exactly one Input node, found {capped(inputs)}")
@@ -530,4 +539,4 @@ def check_endpoints(graph: ModelGraph) -> None:
         raise ValidationError(f"num_classes must be positive, got {capped(graph.num_classes)}")
     if graph.num_classes > MAX_SIZE:
         raise ValidationError(f"num_classes must be at most {MAX_SIZE}, got {capped(graph.num_classes)}")
-    graph.terminal_id()
+    return graph.terminal_id()

@@ -18,6 +18,7 @@ import csv
 import enum
 import io
 import math
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from importlib import resources
@@ -59,6 +60,12 @@ class ModelMeasurement:
     params: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.model, str):
+            raise MeasurementRangeError(f"model must be a string, got {capped(self.model)}")
+        if not isinstance(self.experiment, str):
+            raise MeasurementRangeError(
+                f"{capped(self.model)}: experiment must be a string, got {capped(self.experiment)}"
+            )
         _check_percent(self.model, "train_acc", self.train_acc)
         _check_percent(self.model, "test_acc", self.test_acc)
         _check_finite(self.model, "avg_mem_mb", self.avg_mem_mb)
@@ -66,7 +73,11 @@ class ModelMeasurement:
         _check_finite(self.model, "avg_inf_time_ms", self.avg_inf_time_ms)
         if self.avg_mem_mb <= 0:
             raise MeasurementRangeError(
-                f"{capped(self.model)}: avg_mem_mb={self.avg_mem_mb} must be positive"
+                f"{capped(self.model)}: avg_mem_mb={capped(self.avg_mem_mb)} must be positive"
+            )
+        if self.params is not None and type(self.params) is not int:
+            raise MeasurementRangeError(
+                f"{capped(self.model)}: params must be an int or None, got {capped(self.params)}"
             )
         if self.params is not None and self.params < 0:
             raise MeasurementRangeError(
@@ -74,14 +85,32 @@ class ModelMeasurement:
             )
 
 
+# Numbers must be exact ints or floats: a string, None or a bool is not a
+# measurement. An int past the float range counts as infinite, since every
+# use of the value (midpoints, ``:g`` output) turns it into a float. The
+# type tests are inline: they run on every field of every loaded row.
+_NUMBER_TYPES = (int, float)
+_FLOAT_MAX = sys.float_info.max
+
+
+def _not_a_number(model: str, name: str, value: object) -> MeasurementRangeError:
+    return MeasurementRangeError(f"{capped(model)}: {name} must be a number, got {capped(value)}")
+
+
 def _check_percent(model: str, name: str, value: float) -> None:
+    if type(value) is not float and type(value) is not int:
+        raise _not_a_number(model, name, value)
     if not 0.0 <= value <= 100.0:
-        raise MeasurementRangeError(f"{capped(model)}: {name}={value} outside [0, 100]")
+        raise MeasurementRangeError(f"{capped(model)}: {name}={capped(value)} outside [0, 100]")
 
 
 def _check_finite(model: str, name: str, value: float | None) -> None:
-    if value is not None and not math.isfinite(value):
-        raise MeasurementRangeError(f"{capped(model)}: {name}={value} must be finite")
+    if value is None:
+        return
+    if type(value) is not float and type(value) is not int:
+        raise _not_a_number(model, name, value)
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        raise MeasurementRangeError(f"{capped(model)}: {name}={capped(value)} must be finite")
 
 
 Placement = tuple[ModelMeasurement, Quadrant, bool]  # (record, quadrant, on_front)
@@ -93,13 +122,15 @@ class QuadrantConfig:
     memory_frontier: float | None = None  # None -> midpoint of min/max
 
     def __post_init__(self):
-        if not 0.0 < self.accuracy_frontier < 100.0:
-            raise MeasurementRangeError(
-                f"accuracy_frontier={self.accuracy_frontier} outside (0, 100)"
-            )
-        mem = self.memory_frontier
-        if mem is not None and not (math.isfinite(mem) and mem > 0):
-            raise MeasurementRangeError(f"memory_frontier={mem} must be positive and finite")
+        acc, mem = self.accuracy_frontier, self.memory_frontier
+        if type(acc) not in _NUMBER_TYPES:
+            raise MeasurementRangeError(f"accuracy_frontier must be a number, got {capped(acc)}")
+        if not 0.0 < acc < 100.0:
+            raise MeasurementRangeError(f"accuracy_frontier={capped(acc)} outside (0, 100)")
+        if mem is not None and type(mem) not in _NUMBER_TYPES:
+            raise MeasurementRangeError(f"memory_frontier must be a number or None, got {capped(mem)}")
+        if mem is not None and not 0 < mem <= _FLOAT_MAX:
+            raise MeasurementRangeError(f"memory_frontier={capped(mem)} must be positive and finite")
 
 
 def _parse_float(value: str, row: int, column: str) -> float:

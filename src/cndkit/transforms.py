@@ -50,10 +50,8 @@ from .graph import (
     TensorShape,
     check_endpoints,
     check_size,
+    group_modules,
     is_conv,
-    module_groups,
-    module_of,
-    role_of,
     topo_sort,
 )
 
@@ -102,12 +100,11 @@ def strategy1_replace_kernels(graph: ModelGraph) -> tuple[ModelGraph, PassReport
     are untouched.
     """
     rows = analyzer.analyze(graph)
-    leading: dict[str, LayerNode] = {}
-    for row in rows:
-        module = module_of(row.node.tag)
-        if module is not None and type(row.node.kind) is SeparableConv2D:
-            leading.setdefault(module, row.node)
-    targets = {node.id for node in leading.values() if node.kind.kernel == 3}
+    leading = (
+        next((node for _, node in members if type(node.kind) is SeparableConv2D), None)
+        for members in group_modules(graph.nodes).values()
+    )
+    targets = {node.id for node in leading if node is not None and node.kind.kernel == 3}
 
     params_before = analyzer.total_params(rows)
     if not targets:
@@ -212,10 +209,11 @@ _REWRITABLE_KINDS = (Conv2D, SeparableConv2D, MaxPool, BatchNorm, Activation, Ad
 _WIDTH_KEEPING_KINDS = (BatchNorm, Activation, MaxPool, Add, GlobalAvgPool)
 
 
-def _module_structure(nodes: list[LayerNode], module: str):
-    """Pick apart one tagged module, given its nodes: input, main convs,
-    pool, add, projection and tail (the one node no other node of the
-    module consumes)."""
+def _module_structure(members: list[tuple[str, LayerNode]], module: str):
+    """Pick apart one tagged module, given its ``(role, node)`` members:
+    input, main convs, pool, add, projection and tail (the one node no other
+    node of the module consumes)."""
+    nodes = [node for _, node in members]
     id_set = {n.id for n in nodes}
     for node in nodes:
         if type(node.kind) not in _REWRITABLE_KINDS:
@@ -236,10 +234,10 @@ def _module_structure(nodes: list[LayerNode], module: str):
         )
     module_input = external[0]
 
-    main_convs = [n for n in nodes if is_conv(n.kind) and role_of(n.tag) != "residual"]
+    main_convs = [n for role, n in members if is_conv(n.kind) and role != "residual"]
     pools = [n for n in nodes if type(n.kind) is MaxPool]
     adds = [n for n in nodes if type(n.kind) is Add]
-    proj = next((n for n in nodes if is_conv(n.kind) and role_of(n.tag) == "residual"), None)
+    proj = next((n for role, n in members if is_conv(n.kind) and role == "residual"), None)
     proj_bn = None
     if proj is not None:
         proj_bn = next(
@@ -269,7 +267,7 @@ def strategy2_insert_fire(
     resized to the new output width, or inserted when an identity residual
     no longer matches.
     """
-    groups = module_groups(graph)
+    groups = group_modules(graph.nodes)
     for tag, spec in specs.items():
         if tag not in groups:
             raise UnknownModuleTagError(
@@ -283,11 +281,11 @@ def strategy2_insert_fire(
 
     row_of = {row.node.id: row for row in rows}
     existing_ids = set(row_of)
+    owner = {node.id: module for module in specs for _, node in groups[module]}
     remap: dict[str, str] = {}
     widths: dict[str, int] = {}  # old id -> new width: rewritten tails and what passes them on
     changed: list[NodeChange] = []
     new_nodes: list[LayerNode] = []
-    emitted: set[str] = set()
 
     def fresh(base: str) -> str:
         candidate = base
@@ -298,7 +296,7 @@ def strategy2_insert_fire(
 
     def rebuild(module: str, spec: FireModuleSpec) -> None:
         module_input, main_convs, pool, add_node, proj, proj_bn, old_tail = _module_structure(
-            [row_of[i].node for i in groups[module]], module
+            groups[module], module
         )
         source = remap.get(module_input, module_input)
         in_shape = row_of[module_input].shape_out
@@ -347,12 +345,10 @@ def strategy2_insert_fire(
             remap[old_tail] = main_tail
         widths[old_tail] = spec.e3x3
 
-    for row in rows:
-        node = row.node
-        module = module_of(node.tag)
-        if module in specs:
-            if module not in emitted:
-                emitted.add(module)
+    for node in graph.nodes:
+        module = owner.get(node.id)
+        if module is not None:
+            if node is groups[module][0][1]:  # the module's first node
                 rebuild(module, specs[module])
             continue
         inputs = tuple(remap.get(i, i) for i in node.inputs)
@@ -363,7 +359,7 @@ def strategy2_insert_fire(
     result = dataclasses.replace(graph, nodes=tuple(new_nodes))
     # The input's table goes before the result's is built, so the two are
     # never held at once.
-    del rows, row_of, new_nodes
+    del rows, row_of, groups, owner, new_nodes
     try:
         rows_after = analyzer.analyze(result)
     except ShapeMismatchError as exc:
@@ -439,15 +435,10 @@ def validate_fire_constraints(graph: ModelGraph) -> list[str]:
     Returns one message per violating module; an empty list means the graph
     has no violating fire module (vacuously true without fire tags).
     """
-    by_id = graph.node_map()
     violations: list[str] = []
-    for module, ids in module_groups(graph).items():
-        widths: dict[str, int] = {}
-        for node_id in ids:
-            node = by_id[node_id]
-            role = role_of(node.tag)
-            if role in ("squeeze", "expand1", "expand3") and is_conv(node.kind):
-                widths[role] = node.kind.filters
+    for module, members in group_modules(graph.nodes).items():
+        widths = {role: node.kind.filters for role, node in members
+                  if role in ("squeeze", "expand1", "expand3") and is_conv(node.kind)}
         if len(widths) == 3:
             s, e1, e3 = widths["squeeze"], widths["expand1"], widths["expand3"]
             if not FireModuleSpec(s, e1, e3).is_valid():
@@ -482,22 +473,18 @@ def structurally_equal(a: ModelGraph, b: ModelGraph) -> bool:
     return canon(a) == canon(b)
 
 
-def _module_summary(rows: list[analyzer.LayerRow]) -> dict[str, dict]:
+def _module_summary(rows: list[analyzer.LayerRow], total: int) -> dict[str, dict]:
+    """Main-conv kernels and filters and params per module, then the params
+    of nodes in no module, if any, as ``(untagged)``."""
+    params = {row.node.id: row.params.total for row in rows}
     out: dict[str, dict] = {}
-    untagged_params = 0
-    for row in rows:
-        node = row.node
-        module = module_of(node.tag)
-        if module is None:
-            untagged_params += row.params.total
-            continue
-        info = out.setdefault(module, {"kernels": [], "filters": [], "params": 0})
-        info["params"] += row.params.total
-        if is_conv(node.kind) and role_of(node.tag) != "residual":
-            info["kernels"].append(node.kind.kernel)
-            info["filters"].append(node.kind.filters)
-    if untagged_params:
-        out["(untagged)"] = {"kernels": [], "filters": [], "params": untagged_params}
+    for module, members in group_modules(row.node for row in rows).items():
+        convs = [node.kind for role, node in members if is_conv(node.kind) and role != "residual"]
+        out[module] = {"kernels": [k.kernel for k in convs], "filters": [k.filters for k in convs],
+                       "params": sum(params[node.id] for _, node in members)}
+    untagged = total - sum(info["params"] for info in out.values())
+    if untagged:
+        out["(untagged)"] = {"kernels": [], "filters": [], "params": untagged}
     return out
 
 
@@ -513,8 +500,8 @@ def diff(original: ModelGraph, transformed: ModelGraph) -> str:
     rows_b = analyzer.analyze(transformed)
     total_a = analyzer.total_params(rows_a)
     total_b = analyzer.total_params(rows_b)
-    mods_a = _module_summary(rows_a)
-    mods_b = _module_summary(rows_b)
+    mods_a = _module_summary(rows_a, total_a)
+    mods_b = _module_summary(rows_b, total_b)
     modules = {**mods_a, **mods_b}  # A's modules, then those only B has
 
     def fmt(info: dict | None, field: str) -> str:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, capped
 from .graph import (
     Activation,
     Add,
@@ -96,8 +96,10 @@ def _add(nodes: list[LayerNode], node_id: str, kind: LayerKind, inputs: tuple[st
 
 
 def _check_head(num_classes: int) -> None:
+    if type(num_classes) is not int:
+        raise ValidationError(f"num_classes must be an int, got {capped(num_classes)}")
     if num_classes < 2:
-        raise ValidationError(f"classifier head needs at least 2 classes, got {num_classes}")
+        raise ValidationError(f"classifier head needs at least 2 classes, got {capped(num_classes)}")
 
 
 def _stem(nodes: list[LayerNode]) -> str:

@@ -46,10 +46,14 @@ def random_graph(
     max_channels: int = 32,
     name: str = "random",
 ) -> ModelGraph:
-    """A random valid chain with occasional residual blocks and a head."""
+    """A random valid chain with occasional residual blocks and a head.
+
+    ``num_classes`` is the width of the last node, as ``validate`` requires."""
     h = rng.randint(4, max_dim)
     w = rng.randint(4, max_dim)
     c = rng.randint(1, 4)
+    # This draw is replaced below; it is kept so that each seed still gives
+    # the same layers.
     graph = ModelGraph(name=name, input_shape=TensorShape(h, w, c), num_classes=rng.randint(2, 10))
     graph = add_layer(graph, LayerNode("n0", Input()))
     tip, th, tw, tc = "n0", h, w, c
@@ -130,7 +134,7 @@ def random_graph(
             graph = add_layer(graph, LayerNode(nid, Dense(units, has_bias=rng.random() < 0.7), (tip,)))
             tip, th, tw, tc = nid, 1, 1, units
             collapsed = True
-    return validate(graph)
+    return validate(dataclasses.replace(graph, num_classes=tc))
 
 
 def random_wiring(rng: random.Random, max_nodes: int = 30, name: str = "wiring") -> ModelGraph:
@@ -164,6 +168,17 @@ def random_topological_order(graph: ModelGraph, rng: random.Random) -> ModelGrap
         placed.add(node.id)
         stored.append(node)
     return dataclasses.replace(graph, nodes=tuple(stored))
+
+
+# untagged, flat, an empty module name, three and four parts
+_TAG_POOL = (None, "flat", "a/b", "f/m1/sep1", "f/m1/residual", "f/m2/sep1", "f//sep1",
+             "f/m2/x/residual", "g/m1/add")
+
+
+def random_tags(graph: ModelGraph, rng: random.Random) -> ModelGraph:
+    """``graph`` with each node's tag drawn from ``_TAG_POOL``."""
+    nodes = tuple(dataclasses.replace(n, tag=rng.choice(_TAG_POOL)) for n in graph.nodes)
+    return dataclasses.replace(graph, nodes=nodes)
 
 
 def rename_ids(graph: ModelGraph, names: dict[str, str]) -> ModelGraph:
@@ -231,6 +246,16 @@ def oracle_shapes(graph: ModelGraph) -> dict[str, tuple[int, int, int]]:
         else:
             raise AssertionError(f"oracle: unhandled kind {kind}")
     return shapes
+
+
+def oracle_split_tag(tag: str | None) -> tuple[str | None, str | None]:
+    """``(module, role)`` of a ``flow/module/role`` tag by partitioning at its
+    first two and its last slash; ``(None, None)`` below two slashes."""
+    if tag is None or tag.count("/") < 2:
+        return None, None
+    flow, _, rest = tag.partition("/")
+    module = rest.partition("/")[0]
+    return f"{flow}/{module}", tag.rpartition("/")[2]
 
 
 def oracle_topo_sort(graph: ModelGraph) -> list[str]:

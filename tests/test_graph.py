@@ -4,11 +4,13 @@ import importlib
 import pickle
 import pkgutil
 import random
+import re
 import sys
 import typing
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cndkit.serialize  # noqa: F401  (loads the module; cndkit.serialize is the function)
@@ -42,15 +44,23 @@ from cndkit.graph import (
     SeparableConv2D,
     TensorShape,
     add_layer,
+    group_modules,
     infer_shapes,
     is_conv,
+    module_groups,
     module_of,
     role_of,
     topo_sort,
     validate,
 )
 from cndkit.pareto import FIXTURE_NAMES, load_fixture
-from graphgen import oracle_topo_sort, random_graph, random_topological_order, random_wiring
+from graphgen import (
+    oracle_split_tag,
+    oracle_topo_sort,
+    random_graph,
+    random_topological_order,
+    random_wiring,
+)
 
 
 def _empty(h=8, w=8, c=3):
@@ -503,6 +513,15 @@ class TestValidate:
         with pytest.raises(ValidationError):
             validate(graph)
 
+    def test_head_width_must_be_num_classes(self, xception):
+        graph = dataclasses.replace(xception, num_classes=7)
+        message = "terminal node 'predictions' outputs 101 channels, but num_classes is 7"
+        with pytest.raises(ValidationError) as exc:
+            validate(graph)
+        assert str(exc.value) == message
+        with pytest.raises(ValidationError, match=message):
+            cndkit.serialize(graph)
+
     def test_random_graphs_validate(self):
         rng = random.Random(11)
         for _ in range(25):
@@ -589,6 +608,14 @@ class TestFieldTypes:
             validate(self._graph(num_classes=MAX_SIZE + 1))
 
 
+_TAGS = st.one_of(
+    st.none(),
+    st.lists(st.sampled_from(("", "f", "m1", "sep1", "residual")), min_size=1, max_size=5)
+    .map("/".join),
+    st.text(alphabet="ab/", max_size=6),
+)
+
+
 class TestTags:
     def test_split(self):
         assert module_of("entry_flow/m2/sep1") == "entry_flow/m2"
@@ -596,3 +623,29 @@ class TestTags:
         assert module_of(None) is None
         assert module_of("loose") is None
         assert role_of("loose") is None
+
+    @given(st.lists(_TAGS, max_size=12))
+    @example([None, "flat", "a/b", "a//b", "f/m1/x/sep1", "f/m1/sep2", "f/m2/residual", "a//c"])
+    @settings(max_examples=200, deadline=None)
+    def test_grouping_matches_an_independent_split(self, tags):
+        nodes = tuple(LayerNode(f"n{i}", Input(), (), tag) for i, tag in enumerate(tags))
+        expected: dict[str, list] = {}
+        for node in nodes:
+            module, role = oracle_split_tag(node.tag)
+            assert (module_of(node.tag), role_of(node.tag)) == (module, role)
+            if module is not None:
+                expected.setdefault(module, []).append((role, node))
+        groups = group_modules(nodes)
+        assert list(groups.items()) == list(expected.items())
+        assert all(a is b for m in groups for (_, a), (_, b) in zip(groups[m], expected[m]))
+        graph = ModelGraph("tags", TensorShape(1, 1, 1), 1, nodes)
+        assert list(module_groups(graph).items()) == [
+            (m, [n.id for _, n in members]) for m, members in expected.items()]
+
+    def test_only_graph_splits_tags(self):
+        # Tags are split in graph._split_tag alone; every other module reads
+        # module_of, role_of or group_modules.
+        split = re.compile(r"""\.(?:r?split|r?partition)\(\s*['"]/['"]""")
+        for path in sorted(Path(cndkit.__file__).parent.glob("*.py")):
+            found = split.findall(path.read_text(encoding="utf-8"))
+            assert len(found) == (1 if path.name == "graph.py" else 0), path.name

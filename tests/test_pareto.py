@@ -206,6 +206,35 @@ class TestLoaderMatchesReference:
         assert got == _outcome(reference_load_measurements, text)
 
 
+_TEN_POW_400 = "1" + "0" * 76 + "..."  # as echoed: cut to 80 characters
+
+
+class TestPythonApiTypes:
+    # Values the CSV loader never builds, passed to the constructors directly:
+    # each is a MeasurementRangeError that names its field.
+    @pytest.mark.parametrize("fields, message", [
+        (dict(train_acc=10**5000), "'m': train_acc=<int too large to print> outside [0, 100]"),
+        (dict(avg_mem_mb=10**400), f"'m': avg_mem_mb={_TEN_POW_400} must be finite"),
+        (dict(train_acc="50"), "'m': train_acc must be a number, got '50'"),
+        (dict(params=1.5), "'m': params must be an int or None, got 1.5"),
+        (dict(model=None), "model must be a string, got None"),
+    ], ids=["huge-int-percent", "int-past-float-range", "string-percent", "float-params", "no-model"])
+    def test_measurement_fields(self, fields, message):
+        values = dict(model="m", experiment="e", train_acc=50, test_acc=50, avg_mem_mb=100)
+        with pytest.raises(MeasurementRangeError) as exc:
+            ModelMeasurement(**{**values, **fields})
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(accuracy_frontier=10**5000), "accuracy_frontier=<int too large to print> outside (0, 100)"),
+        (dict(memory_frontier=10**400), f"memory_frontier={_TEN_POW_400} must be positive and finite"),
+    ], ids=["huge-int-accuracy", "int-past-float-range"])
+    def test_config_fields(self, fields, message):
+        with pytest.raises(MeasurementRangeError) as exc:
+            QuadrantConfig(**fields)
+        assert str(exc.value) == message
+
+
 class TestMemoryFrontier:
     def test_caltech_midpoint(self):
         assert memory_frontier(load_fixture("caltech101")) == 848.8

@@ -262,7 +262,7 @@ def test_equal_kinds_are_one_object_after_a_load(xception):
 def test_every_input_is_its_source_nodes_id_after_a_load(xception, optimized, mobilenet):
     for graph in (xception, optimized, mobilenet):
         loaded = deserialize(serialize(graph))
-        by_id = loaded.node_map()
+        by_id = {node.id: node for node in loaded.nodes}
         inputs = [src for node in loaded.nodes for src in node.inputs]
         assert len(inputs) > len(loaded.nodes) - 1
         assert all(src is by_id[src].id for src in inputs)

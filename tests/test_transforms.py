@@ -30,6 +30,7 @@ from cndkit.graph import (
     add_layer,
     infer_shapes,
     is_conv,
+    module_groups,
     module_of,
 )
 from cndkit.transforms import (
@@ -42,7 +43,13 @@ from cndkit.transforms import (
     validate_fire_constraints,
 )
 from cndkit.zoo import DEFAULT_OPTIMIZED_CONFIG, FireModuleSpec, build_optimized_xception
-from graphgen import random_graph, random_topological_order
+from graphgen import (
+    oracle_params,
+    oracle_split_tag,
+    random_graph,
+    random_tags,
+    random_topological_order,
+)
 
 
 def default_specs():
@@ -426,6 +433,36 @@ class TestDiff:
     def test_percentage_definition(self):
         assert percentage_reduction(200, 150) == 25.0
         assert percentage_reduction(0, 0) == 0.0
+
+    @staticmethod
+    def _params_by_module(text: str) -> tuple[dict[str, int], int]:
+        """The ``params A`` column per summary row, and the total's."""
+        lines = text.splitlines()
+        first, last = [i for i, line in enumerate(lines) if line and set(line) == {"-"}]
+        number = lambda cell: int(cell.replace(",", ""))
+        rows = {line.split()[0]: number(line.split()[3]) for line in lines[first + 1:last]}
+        return rows, number(lines[last + 1].split()[1])
+
+    def test_module_params_add_up_to_the_total_on_the_zoo(self, xception, optimized, mobilenet):
+        for graph in (xception, optimized, mobilenet):
+            rows, total = self._params_by_module(diff(graph, graph))
+            assert sum(rows.values()) == total == count_params(graph).total
+            assert list(rows) == list(module_groups(graph)) + ["(untagged)"] * ("(untagged)" in rows)
+
+    def test_module_params_match_an_oracle_on_random_tagged_graphs(self):
+        rng = random.Random(16)
+        for i in range(40):
+            graph = random_tags(random_graph(rng, name=f"tagged{i}"), rng)
+            per_node, total = oracle_params(graph)
+            expected: dict[str, int] = {}
+            for node in graph.nodes:
+                module = oracle_split_tag(node.tag)[0] or "(untagged)"
+                expected[module] = expected.get(module, 0) + per_node[node.id]
+            if expected.get("(untagged)") == 0:  # diff leaves out a zero row
+                del expected["(untagged)"]
+            rows, shown_total = self._params_by_module(diff(graph, graph))
+            assert rows == expected
+            assert sum(rows.values()) == shown_total == total
 
 
 class TestStructuralEquality:

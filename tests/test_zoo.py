@@ -1,13 +1,22 @@
 import hashlib
+import json
 
 import pytest
+from click.testing import CliRunner
 
 from cndkit.analyzer import count_params, flops_estimate, round_params_millions
 from cndkit.errors import InvalidFireSpecError, ValidationError
+from cndkit.cli import main
 from cndkit.graph import (
     Add,
+    BatchNorm,
+    Conv2D,
     Dense,
+    GlobalAvgPool,
+    Input,
+    LayerNode,
     MaxPool,
+    ModelGraph,
     SeparableConv2D,
     TensorShape,
     infer_shapes,
@@ -17,8 +26,8 @@ from cndkit.graph import (
     role_of,
     topo_sort,
 )
-from cndkit.serialize import serialize
-from cndkit.transforms import conv_unit, make_fire_module
+from cndkit.serialize import save_model, serialize
+from cndkit.transforms import conv_unit, diff, make_fire_module, strategy1_replace_kernels
 from cndkit.zoo import (
     DEFAULT_OPTIMIZED_CONFIG,
     FireModuleSpec,
@@ -52,6 +61,49 @@ def test_model_json_is_byte_stable(build, size, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_diff_text_is_byte_stable(xception, optimized):
+    assert _sha256(diff(xception, optimized)) == "5d10baf401e5eb24078c9355652197b30aa26b08a266a71559bb7a26ef4c20df"
+
+
+def test_transform_report_is_byte_stable(xception, tmp_path):
+    cfg = DEFAULT_OPTIMIZED_CONFIG
+    specs = {f"entry_flow/m{i + 2}": s for i, s in enumerate(cfg.entry_fire)}
+    specs.update({f"middle_flow/m{i + 5}": s for i, s in enumerate(cfg.middle_fire)})
+    (tmp_path / "specs.json").write_text(json.dumps(
+        {tag: {"s1x1": s.s1x1, "e1x1": s.e1x1, "e3x3": s.e3x3} for tag, s in specs.items()}))
+    save_model(xception, tmp_path / "x.json")
+    result = CliRunner().invoke(main, [
+        "transform", "--in", str(tmp_path / "x.json"), "--pass", "all",
+        "--specs", str(tmp_path / "specs.json"), "--out", str(tmp_path / "t.json"),
+        "--report", str(tmp_path / "r.json")])
+    assert result.exit_code == 0, result.output
+    assert _sha256((tmp_path / "r.json").read_text(encoding="utf-8")) == "8fce698c35027345294eb792d7bbb6b96eebb6b7fd52fa7bedb05ba44fd3299a"
+
+
+def test_diff_with_untagged_and_flat_tags_is_byte_stable():
+    # "stem/conv" has two parts, so it belongs to no module: its params, the
+    # untagged nodes' and the flat-tagged head's go to the (untagged) row.
+    graph = ModelGraph("small", TensorShape(8, 8, 3), 4, (
+        LayerNode("in", Input()),
+        LayerNode("stem", Conv2D(8, 3), ("in",), "stem/conv"),
+        LayerNode("stem_bn", BatchNorm(), ("stem",)),
+        LayerNode("s1", SeparableConv2D(8, 3), ("stem_bn",), "body/m1/sep1"),
+        LayerNode("s1_bn", BatchNorm(), ("s1",), "body/m1/sep1_bn"),
+        LayerNode("s2", SeparableConv2D(16, 3), ("s1_bn",), "body/m1/sep2"),
+        LayerNode("res", Conv2D(16, 1), ("stem_bn",), "body/m1/residual"),
+        LayerNode("sum", Add(), ("s2", "res"), "body/m1/add"),
+        LayerNode("gap", GlobalAvgPool(), ("sum",)),
+        LayerNode("fc", Dense(4), ("gap",), "head"),
+    ))
+    text = diff(graph, strategy1_replace_kernels(graph)[0])
+    assert "(untagged)" in text
+    assert _sha256(text) == "26229a12922f5a499f2948183a564cd3a29bc1d92798adee8d1fa9a8b104b26b"
+
+
 class TestXception:
     def test_total_params(self, xception):
         report = count_params(xception)
@@ -72,6 +124,10 @@ class TestXception:
         with pytest.raises(ValidationError):
             build_xception(TensorShape(299, 299, 3), 1)
 
+    def test_rejects_a_class_count_that_is_not_an_int(self):
+        with pytest.raises(ValidationError, match="^num_classes must be an int, got 'a'$"):
+            build_xception(num_classes="a")
+
     def test_middle_flow_shape(self, xception):
         shapes = infer_shapes(xception)
         adds = [n for n in xception.nodes if isinstance(n.kind, Add) and n.tag.startswith("middle_flow")]
@@ -87,7 +143,7 @@ class TestOptimizedXception:
 
     def test_first_sep_conv_of_every_module_is_pointwise(self, optimized):
         order = {nid: i for i, nid in enumerate(topo_sort(optimized))}
-        by_id = optimized.node_map()
+        by_id = {node.id: node for node in optimized.nodes}
         for module, ids in module_groups(optimized).items():
             seps = sorted(
                 (i for i in ids if isinstance(by_id[i].kind, SeparableConv2D)),
