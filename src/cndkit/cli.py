@@ -58,10 +58,12 @@ def _parse_input_shape(ctx, param, value: str) -> TensorShape:
 
     parts = value.lower().split("x")
     if len(parts) != 3:
-        raise click.BadParameter(f"expected HxWxC, got {value!r}")
+        raise click.BadParameter(f"expected HxWxC, got {capped(value)}")
     try:
         return TensorShape(*(int(p) for p in parts))
-    except (ValueError, CndkitError) as exc:
+    except ValueError as exc:  # int() echoes up to 200 characters of a part
+        raise click.BadParameter(capped(str(exc), str)) from exc
+    except CndkitError as exc:
         raise click.BadParameter(str(exc)) from exc
 
 
@@ -127,6 +129,10 @@ def cmd_build(model, classes, shape, config_path, out_path):
     from . import analyzer, zoo
     from .serialize import save_model
 
+    if config_path is not None and model != "optimized-xception":
+        raise click.BadOptionUsage(
+            "config_path", f"--config applies to optimized-xception only, not {model}"
+        )
     with _handled():
         if model == "xception":
             graph = zoo.build_xception(shape, classes)

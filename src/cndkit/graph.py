@@ -246,7 +246,9 @@ class ModelGraph:
         return out
 
     def terminal_id(self) -> str:
-        tails = [nid for nid, cons in self.consumers().items() if not cons]
+        consumed = {src for n in self.nodes for src in n.inputs}
+        # one entry per id, in stored order, as the keys of consumers()
+        tails = list(dict.fromkeys(n.id for n in self.nodes if n.id not in consumed))
         if len(tails) != 1:
             raise ValidationError(f"graph must have exactly one terminal node, found {capped(tails)}")
         return tails[0]
@@ -506,23 +508,18 @@ def infer_shapes(graph: ModelGraph) -> dict[str, TensorShape]:
 def validate(graph: ModelGraph) -> ModelGraph:
     """Check all structural invariants and return the graph unchanged:
     ``infer_shapes`` (stored order, see ``topo_sort``, and shape consistency,
-    including Add input equality), then ``check_endpoints``, then that the
-    terminal node outputs ``num_classes`` channels."""
+    including Add input equality), then ``check_endpoints``."""
     shapes = infer_shapes(graph)
-    tail = check_endpoints(graph)
-    if shapes[tail].channels != graph.num_classes:
-        raise ValidationError(
-            f"terminal node {capped(tail)} outputs {shapes[tail].channels} channels, "
-            f"but num_classes is {graph.num_classes}"
-        )
+    check_endpoints(graph, next(reversed(shapes.values()), None))
     return graph
 
 
-def check_endpoints(graph: ModelGraph) -> str:
-    """The checks of ``validate`` that need no shapes: exactly one Input
-    node, a string ``name``, ``metadata`` mapping strings to strings, an
-    exact-int ``num_classes`` from 1 to ``MAX_SIZE`` and exactly one
-    terminal node, whose id is returned."""
+def check_endpoints(graph: ModelGraph, last_shape: TensorShape | None) -> None:
+    """The whole-graph checks after shape inference, for ``validate`` and
+    strategy2's result: exactly one Input node, a string ``name``, string to
+    string ``metadata``, an exact-int ``num_classes`` from 1 to ``MAX_SIZE``
+    and exactly one terminal node, with ``num_classes`` channels in
+    ``last_shape`` (in a checked stored order the terminal is the last node)."""
     inputs = [n.id for n in graph.nodes if type(n.kind) is Input]
     if len(inputs) != 1:
         raise ValidationError(f"graph must have exactly one Input node, found {capped(inputs)}")
@@ -539,4 +536,9 @@ def check_endpoints(graph: ModelGraph) -> str:
         raise ValidationError(f"num_classes must be positive, got {capped(graph.num_classes)}")
     if graph.num_classes > MAX_SIZE:
         raise ValidationError(f"num_classes must be at most {MAX_SIZE}, got {capped(graph.num_classes)}")
-    return graph.terminal_id()
+    tail = graph.terminal_id()
+    if last_shape.channels != graph.num_classes:
+        raise ValidationError(
+            f"terminal node {capped(tail)} outputs {last_shape.channels} channels, "
+            f"but num_classes is {graph.num_classes}"
+        )

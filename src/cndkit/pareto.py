@@ -203,7 +203,7 @@ def load_measurements(text: str) -> list[ModelMeasurement]:
 def load_fixture(name: str) -> list[ModelMeasurement]:
     """Load one of the bundled measurement sets (see FIXTURE_NAMES)."""
     if name not in FIXTURE_NAMES:
-        raise KeyError(f"unknown fixture {name!r}; available: {FIXTURE_NAMES}")
+        raise KeyError(f"unknown fixture {capped(name)}; available: {FIXTURE_NAMES}")
     text = (resources.files("cndkit") / "fixtures" / f"{name}.csv").read_text(encoding="utf-8")
     return load_measurements(text)
 

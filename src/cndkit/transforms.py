@@ -366,7 +366,7 @@ def strategy2_insert_fire(
         raise ResidualShapeBrokenError(
             f"fire insertion broke residual shapes in {capped(graph.name)}: {exc}"
         ) from exc
-    check_endpoints(result)
+    check_endpoints(result, rows_after[-1].shape_out)
     report = PassReport(
         "strategy2_insert_fire",
         tuple(changed),

@@ -70,6 +70,21 @@ class TestBuild:
         assert "Usage:" in result.output
         assert "Invalid value for '--input': expected HxWxC, got '1x2'" in result.output
 
+    @pytest.mark.parametrize("value", ["a" * 5000, "a" * 5000 + "x1x1"], ids=["whole", "one-dim"])
+    def test_long_malformed_input_is_capped(self, runner, value):
+        result = runner.invoke(main, ["build", "xception", "--input", value])
+        assert result.exit_code == 2
+        error = result.output.splitlines()[-1]
+        assert error.startswith("Error: Invalid value for '--input': ") and len(error) < 160, error
+
+    @pytest.mark.parametrize("model", ["xception", "mobilenetv2"])
+    def test_config_rejected_for_models_that_take_none(self, runner, model):
+        result = runner.invoke(main, ["build", model, "--config", "/nonexistent/none.json"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Usage:" in result.output
+        assert f"Error: --config applies to optimized-xception only, not {model}" in result.output
+
     def test_bad_config_is_parse_error(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")

@@ -40,6 +40,13 @@ class TestLoading:
         assert by_model["Xception"].avg_mem_mb == 874.6
         assert by_model["MobileNetV2"].params == 2_400_000
 
+    def test_unknown_fixture_name_is_capped(self):
+        with pytest.raises(KeyError) as exc:
+            load_fixture("q" * 5000)
+        message = exc.value.args[0]
+        assert message.startswith("unknown fixture 'qqq") and len(message) < 200
+        assert message.endswith("available: ('caltech101', 'pcb_scratch', 'pcb_pretrained')")
+
     def test_optional_fields_can_be_empty(self):
         records = load_fixture("pcb_scratch")
         assert all(r.avg_epoch_time_s is None for r in records)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import cndkit.graph
 from cndkit.analyzer import count_params
 from cndkit.errors import (
+    CndkitError,
     InvalidFireSpecError,
     ResidualShapeBrokenError,
     UnknownModuleTagError,
@@ -32,7 +33,9 @@ from cndkit.graph import (
     is_conv,
     module_groups,
     module_of,
+    validate,
 )
+from cndkit.serialize import deserialize, serialize
 from cndkit.transforms import (
     diff,
     percentage_reduction,
@@ -156,7 +159,8 @@ class TestStrategy1:
 
 class TestStrategy2:
     def test_narrows_channels_into_expand3(self):
-        graph = _single_module_graph(channels=728, filters=728)
+        # num_classes is the width of the rewritten end (expand3's 256)
+        graph = dataclasses.replace(_single_module_graph(channels=728, filters=728), num_classes=256)
         spec = FireModuleSpec(128, 256, 256)
         out, report = strategy2_insert_fire(graph, {"flow/m1": spec})
         shapes = infer_shapes(out)
@@ -203,7 +207,7 @@ class TestStrategy2:
         assert report.nodes_changed == ()
 
     def test_identity_residual_kept_when_width_matches(self):
-        graph = ModelGraph(name="mid", input_shape=TensorShape(16, 16, 64), num_classes=2)
+        graph = ModelGraph(name="mid", input_shape=TensorShape(16, 16, 64), num_classes=64)
         graph = add_layer(graph, LayerNode("in", Input()))
         graph = add_layer(graph, LayerNode("sep1", SeparableConv2D(64, 3), ("in",), "flow/m1/sep1"))
         graph = add_layer(graph, LayerNode("sum", Add(), ("sep1", "in"), "flow/m1/add"))
@@ -212,7 +216,8 @@ class TestStrategy2:
         assert "in" in add_node.inputs  # residual is still the module input itself
 
     def test_projection_inserted_when_width_changes(self):
-        graph = ModelGraph(name="mid", input_shape=TensorShape(16, 16, 64), num_classes=2)
+        # num_classes is the width of the rewritten end (expand3's 48)
+        graph = ModelGraph(name="mid", input_shape=TensorShape(16, 16, 64), num_classes=48)
         graph = add_layer(graph, LayerNode("in", Input()))
         graph = add_layer(graph, LayerNode("sep1", SeparableConv2D(64, 3), ("in",), "flow/m1/sep1"))
         graph = add_layer(graph, LayerNode("sum", Add(), ("sep1", "in"), "flow/m1/add"))
@@ -266,7 +271,7 @@ class TestStrategy2:
     def test_width_passes_through_untagged_nodes(self):
         # in -> m1 (sep + Add) -> relu -> m2 (sep + Add): m2 is fed m1's new
         # width (48) through the untagged relu, not the 64 it had before.
-        graph = ModelGraph(name="two", input_shape=TensorShape(16, 16, 64), num_classes=2)
+        graph = ModelGraph(name="two", input_shape=TensorShape(16, 16, 64), num_classes=64)
         for node in (
             LayerNode("in", Input()),
             LayerNode("s1", SeparableConv2D(64, 3), ("in",), "flow/m1/sep1"),
@@ -300,18 +305,22 @@ class TestStrategy2:
             "Add node 'sum' inputs differ: 16x16x48 vs 16x16x64"
         )
 
-    @pytest.mark.parametrize("num_classes, message", [
-        (2, "graph must have exactly one terminal node, found ['flow_m1_fire_expand3_act', 'side']"),
-        (0, "num_classes must be positive, got 0"),
+    @pytest.mark.parametrize("num_classes, message, last", [
+        (2, "graph must have exactly one terminal node, found ['flow_m1_fire_expand3_act', 'side']",
+         LayerNode("side", Activation("relu"), ("in",))),
+        (0, "num_classes must be positive, got 0", LayerNode("side", Activation("relu"), ("in",))),
+        (64, "terminal node 'a1' outputs 48 channels, but num_classes is 64",
+         LayerNode("a1", Add(), ("s1", "in"), "flow/m1/add")),
     ])
-    def test_result_checked_like_validate(self, num_classes, message):
+    def test_result_checked_like_validate(self, num_classes, message, last):
         # Two terminals, and with num_classes=0 a second fault that
-        # validate reports first.
+        # validate reports first; or one terminal, the Add, which the
+        # rewrite narrows from the 64 channels num_classes asks for to 48.
         graph = ModelGraph(name="ends", input_shape=TensorShape(16, 16, 64), num_classes=num_classes)
         for node in (
             LayerNode("in", Input()),
             LayerNode("s1", SeparableConv2D(64, 3), ("in",), "flow/m1/sep1"),
-            LayerNode("side", Activation("relu"), ("in",)),
+            last,
         ):
             graph = add_layer(graph, node)
         with pytest.raises(ValidationError) as exc:
@@ -343,6 +352,27 @@ class TestStrategy2:
             if isinstance(n.kind, MaxPool) or (is_conv(n.kind) and n.kind.stride == 2)
         )
         assert downs(out) == downs(xception)
+
+
+class TestPassResults:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_each_pass_returns_a_valid_graph_or_raises(self, seed):
+        # A random valid graph with random module tags, and a random fire spec
+        # for some of its modules: each pass raises, or its result validates
+        # and survives a save and load byte for byte.
+        rng = random.Random(seed)
+        graph = random_tags(random_graph(rng), rng)
+        specs = {module: FireModuleSpec(rng.randint(1, 40), rng.randint(1, 40), rng.randint(1, 40))
+                 for module in module_groups(graph) if rng.random() < 0.7}
+        for run in (strategy1_replace_kernels, lambda g: strategy2_insert_fire(g, specs)):
+            try:
+                out, _ = run(graph)
+            except CndkitError:
+                continue
+            validate(out)
+            text = serialize(out)
+            assert serialize(deserialize(text)) == text
 
 
 class TestStrategy3Audit:
