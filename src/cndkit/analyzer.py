@@ -32,15 +32,15 @@ import dataclasses
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ValidationError, capped
 from .graph import (
     KINDS,
-    MAX_SIZE,
     BatchNorm,
     LayerNode,
     LayerParams,
     ModelGraph,
     TensorShape,
+    check_choice,
+    check_size,
     infer_shapes,
     unknown_kind,
 )
@@ -66,7 +66,7 @@ def round_params_millions(total: int) -> float:
 
 def count_params_layer(node: LayerNode, input_channels: int) -> LayerParams:
     """Parameter entry for one node given its (flattened, for Dense) input channels."""
-    _check_count("input_channels", input_channels, 0)
+    check_size("input_channels", input_channels, least=0, most=None)
     row = KINDS.get(type(node.kind))
     if row is None:
         raise unknown_kind(node)
@@ -124,21 +124,9 @@ def flops_estimate(graph: ModelGraph) -> int:
     return sum(row.macs for row in analyze(graph))
 
 
-# Counts must be exact ints: 2.5 or True would make parameter and byte counts
-# floats or let a bool stand for a batch size. A count given by the caller
-# (batch, overhead) is at most MAX_SIZE, like a size.
-def _check_count(name: str, value: int, least: int, most: int | None = None) -> None:
-    if type(value) is not int:
-        raise ValidationError(f"{name} must be an int, got {capped(value)}")
-    if value < least:
-        raise ValidationError(f"{name} must be >= {least}, got {capped(value)}")
-    if most is not None and value > most:
-        raise ValidationError(f"{name} must be at most {most}, got {capped(value)}")
-
-
 def activation_sizes(graph: ModelGraph, batch: int = 1) -> list[tuple[str, int]]:
     """Output element count (batch * H * W * C) per node, in stored order."""
-    _check_count("batch", batch, 1, MAX_SIZE)
+    check_size("batch", batch)
     return [(node_id, batch * shape.elements) for node_id, shape in infer_shapes(graph).items()]
 
 
@@ -174,14 +162,10 @@ def memory_estimate(
     overhead_bytes: int = 0,
 ) -> MemoryEstimate:
     """Modeled memory footprint; see module docstring for the formula."""
-    if mode not in ("training", "inference"):
-        raise ValidationError(f"mode must be 'training' or 'inference', got {capped(mode)}")
-    if optimizer not in OPTIMIZER_STATE_MULTIPLIER:
-        raise ValidationError(
-            f"optimizer must be one of {sorted(OPTIMIZER_STATE_MULTIPLIER)}, got {capped(optimizer)}"
-        )
-    _check_count("batch", batch, 1, MAX_SIZE)
-    _check_count("overhead_bytes", overhead_bytes, 0, MAX_SIZE)
+    check_choice("mode", mode, ("training", "inference"))
+    check_choice("optimizer", optimizer, tuple(OPTIMIZER_STATE_MULTIPLIER))
+    check_size("batch", batch)
+    check_size("overhead_bytes", overhead_bytes, least=0)
 
     rows = analyze(graph)
     total = total_params(rows)

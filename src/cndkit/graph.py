@@ -42,6 +42,7 @@ PADDING_SAME = "same"
 PADDING_VALID = "valid"
 VALID_KERNELS = (1, 3)
 VALID_STRIDES = (1, 2)
+VALID_PADDINGS = (PADDING_SAME, PADDING_VALID)
 VALID_ACTIVATIONS = ("relu", "softmax", "sigmoid")
 # The largest dim, width, unit or class count: every count derived from sizes
 # (params, MACs, bytes) then stays a few dozen digits, so it can be printed
@@ -49,15 +50,28 @@ VALID_ACTIVATIONS = ("relu", "softmax", "sigmoid")
 MAX_SIZE = 2**31 - 1
 
 
-# Sizes must be exact ints: 1.0 and True compare equal to 1, but would make
-# parameter counts floats.
-def check_size(what: str, value: int) -> None:
+# Sizes and counts must be exact ints: 1.0 and True compare equal to 1, but
+# would make parameter counts floats or let a bool stand for a batch size.
+def check_size(what: str, value: int, least: int = 1, most: int | None = MAX_SIZE) -> None:
     """Raise a ``ValidationError`` naming ``what`` unless ``value`` is an
-    exact int from 1 to ``MAX_SIZE``."""
-    if type(value) is not int or value < 1:
-        raise ValidationError(f"{what} must be a positive integer, got {capped(value)}")
-    if value > MAX_SIZE:
-        raise ValidationError(f"{what} must be at most {MAX_SIZE}, got {capped(value)}")
+    exact int from ``least`` to ``most`` (no upper bound when ``most`` is None)."""
+    if type(value) is not int:
+        raise ValidationError(f"{what} must be an int, got {capped(value)}")
+    if value < least:
+        raise ValidationError(f"{what} must be >= {least}, got {capped(value)}")
+    if most is not None and value > most:
+        raise ValidationError(f"{what} must be at most {most}, got {capped(value)}")
+
+
+# A choice must also have the exact class of the choice it equals: True and
+# 1.0 equal 1, but would be written back to model JSON as another value.
+def check_choice(what: str, value: object, choices: tuple) -> None:
+    """Raise a ``ValidationError`` naming ``what`` unless ``value`` equals one
+    of ``choices`` and has that choice's exact class."""
+    for choice in choices:
+        if type(value) is type(choice) and value == choice:
+            return
+    raise ValidationError(f"{what} must be one of {choices}, got {capped(value)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,21 +103,6 @@ def _check_bool(owner: str, name: str, value: bool) -> None:
         raise ValidationError(f"{owner} {name} must be a bool, got {capped(value)}")
 
 
-def _check_kernel(kernel: int) -> None:
-    if type(kernel) is not int or kernel not in VALID_KERNELS:
-        raise ValidationError(f"kernel size must be one of {VALID_KERNELS}, got {capped(kernel, str)}")
-
-
-def _check_stride(stride: int) -> None:
-    if type(stride) is not int or stride not in VALID_STRIDES:
-        raise ValidationError(f"stride must be one of {VALID_STRIDES}, got {capped(stride, str)}")
-
-
-def _check_padding(padding: str) -> None:
-    if padding not in (PADDING_SAME, PADDING_VALID):
-        raise ValidationError(f"padding must be 'same' or 'valid', got {capped(padding)}")
-
-
 @dataclass(frozen=True, slots=True)
 class Input:
     pass
@@ -119,9 +118,9 @@ class Conv2D:
 
     def __post_init__(self):
         check_size("Conv2D filters", self.filters)
-        _check_kernel(self.kernel)
-        _check_stride(self.stride)
-        _check_padding(self.padding)
+        check_choice("Conv2D kernel", self.kernel, VALID_KERNELS)
+        check_choice("Conv2D stride", self.stride, VALID_STRIDES)
+        check_choice("Conv2D padding", self.padding, VALID_PADDINGS)
         _check_bool("Conv2D", "has_bias", self.has_bias)
 
 
@@ -136,9 +135,9 @@ class SeparableConv2D:
 
     def __post_init__(self):
         check_size("SeparableConv2D filters", self.filters)
-        _check_kernel(self.kernel)
-        _check_stride(self.stride)
-        _check_padding(self.padding)
+        check_choice("SeparableConv2D kernel", self.kernel, VALID_KERNELS)
+        check_choice("SeparableConv2D stride", self.stride, VALID_STRIDES)
+        check_choice("SeparableConv2D padding", self.padding, VALID_PADDINGS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,9 +147,9 @@ class MaxPool:
     padding: str = PADDING_SAME
 
     def __post_init__(self):
-        _check_kernel(self.pool_size)
-        _check_stride(self.stride)
-        _check_padding(self.padding)
+        check_choice("MaxPool pool_size", self.pool_size, VALID_KERNELS)
+        check_choice("MaxPool stride", self.stride, VALID_STRIDES)
+        check_choice("MaxPool padding", self.padding, VALID_PADDINGS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,8 +167,7 @@ class Activation:
     fn: str = "relu"
 
     def __post_init__(self):
-        if self.fn not in VALID_ACTIVATIONS:
-            raise ValidationError(f"activation must be one of {VALID_ACTIVATIONS}, got {capped(self.fn)}")
+        check_choice("Activation fn", self.fn, VALID_ACTIVATIONS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -530,12 +528,7 @@ def check_endpoints(graph: ModelGraph, last_shape: TensorShape | None) -> None:
         raise ValidationError(
             f"graph metadata must map strings to strings, got {capped(graph.metadata)}"
         )
-    if type(graph.num_classes) is not int:
-        raise ValidationError(f"num_classes must be an int, got {capped(graph.num_classes)}")
-    if graph.num_classes < 1:
-        raise ValidationError(f"num_classes must be positive, got {capped(graph.num_classes)}")
-    if graph.num_classes > MAX_SIZE:
-        raise ValidationError(f"num_classes must be at most {MAX_SIZE}, got {capped(graph.num_classes)}")
+    check_size("num_classes", graph.num_classes)
     tail = graph.terminal_id()
     if last_shape.channels != graph.num_classes:
         raise ValidationError(

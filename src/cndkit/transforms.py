@@ -126,10 +126,15 @@ def strategy1_replace_kernels(graph: ModelGraph) -> tuple[ModelGraph, PassReport
             shapes_kept = shapes_kept and new_kind.padding == PADDING_SAME
         new_nodes.append(node)
     result = dataclasses.replace(graph, nodes=tuple(new_nodes))
+    # A 1x1 kernel changes no node's channels, so the input's last shape
+    # stands for the result's; the input's table goes before any check.
+    last_shape = rows[-1].shape_out
+    del rows, new_nodes
     if not shapes_kept:
         # Under valid padding the 1x1 kernel widens the output map, which can
         # change a flattening Dense further down or break an Add.
         params_after = analyzer.count_params(result).total
+    check_endpoints(result, last_shape)
     return result, PassReport("strategy1_replace_kernels", tuple(changed), params_before, params_after)
 
 
@@ -209,10 +214,11 @@ _REWRITABLE_KINDS = (Conv2D, SeparableConv2D, MaxPool, BatchNorm, Activation, Ad
 _WIDTH_KEEPING_KINDS = (BatchNorm, Activation, MaxPool, Add, GlobalAvgPool)
 
 
-def _module_structure(members: list[tuple[str, LayerNode]], module: str):
-    """Pick apart one tagged module, given its ``(role, node)`` members:
-    input, main convs, pool, add, projection and tail (the one node no other
-    node of the module consumes)."""
+def _module_structure(members: list[tuple[str, LayerNode]], module: str, fed_out: dict[str, str]):
+    """Pick apart one tagged module, given its ``(role, node)`` members and
+    ``fed_out`` (node id -> a consumer outside its module): input, main convs,
+    pool, add, projection and tail (the one node no other node of the module
+    consumes, and the only one a node outside it may)."""
     nodes = [node for _, node in members]
     id_set = {n.id for n in nodes}
     for node in nodes:
@@ -254,6 +260,12 @@ def _module_structure(members: list[tuple[str, LayerNode]], module: str):
         raise ModuleStructureError(
             f"module {capped(module)} must have a single output, found {capped(tails)}"
         )
+    for node in nodes:
+        if node.id in fed_out and node.id != tails[0]:
+            raise ModuleStructureError(
+                f"module {capped(module)}: node {capped(node.id)} feeds {capped(fed_out[node.id])} "
+                f"outside the module; only its output {capped(tails[0])} may"
+            )
     return module_input, main_convs, (pools[0] if pools else None), (adds[0] if adds else None), proj, proj_bn, tails[0]
 
 
@@ -280,24 +292,34 @@ def strategy2_insert_fire(
         return graph, PassReport("strategy2_insert_fire", (), params_before, params_before)
 
     row_of = {row.node.id: row for row in rows}
-    existing_ids = set(row_of)
+    added: set[str] = set()  # ids of the nodes the pass adds; row_of holds the input's
     owner = {node.id: module for module in specs for _, node in groups[module]}
+    fed_out = {src: node.id for node in reversed(graph.nodes) for src in node.inputs
+               if src in owner and owner[src] != owner.get(node.id)}
+    # every module is checked before any is rewritten; modules in stored order
+    structures = {module: _module_structure(groups[module], module, fed_out)
+                  for module in groups if module in specs}
     remap: dict[str, str] = {}
     widths: dict[str, int] = {}  # old id -> new width: rewritten tails and what passes them on
     changed: list[NodeChange] = []
     new_nodes: list[LayerNode] = []
 
-    def fresh(base: str) -> str:
-        candidate = base
-        while candidate in existing_ids:
-            candidate = candidate + "_f"
-        existing_ids.add(candidate)
-        return candidate
+    def fresh(base: str, build) -> list[LayerNode]:
+        """Add and return the nodes ``build(made, prefix)`` appends to ``made``
+        for the first prefix of ``base``, ``base_f``, ``base_f_f``, ... none of
+        whose ids is taken: the one naming rule for the nodes the pass adds."""
+        while True:
+            made: list[LayerNode] = []
+            build(made, base)
+            ids = [node.id for node in made]
+            if not any(i in row_of or i in added for i in ids):
+                added.update(ids)
+                new_nodes.extend(made)
+                return made
+            base += "_f"
 
     def rebuild(module: str, spec: FireModuleSpec) -> None:
-        module_input, main_convs, pool, add_node, proj, proj_bn, old_tail = _module_structure(
-            groups[module], module
-        )
+        module_input, main_convs, pool, add_node, proj, proj_bn, old_tail = structures[module]
         source = remap.get(module_input, module_input)
         in_shape = row_of[module_input].shape_out
         in_channels = widths.get(module_input, in_shape.channels)
@@ -305,10 +327,8 @@ def strategy2_insert_fire(
         downsamples = out_shape.height < in_shape.height or out_shape.width < in_shape.width
         stride_out = 1 if pool is not None or not downsamples else 2
 
-        prefix = fresh(module.replace("/", "_") + "_fire")
-        fire = make_fire_module(source, spec, stride_out=stride_out,
-                                id_prefix=prefix, module_tag=module)
-        new_nodes.extend(fire)
+        fire = fresh(module.replace("/", "_") + "_fire", lambda made, prefix: made.extend(
+            make_fire_module(source, spec, stride_out=stride_out, id_prefix=prefix, module_tag=module)))
         main_tail = fire[-1].id
 
         for old, new in zip_longest(main_convs, [n for n in fire if is_conv(n.kind)]):
@@ -332,13 +352,11 @@ def strategy2_insert_fire(
             elif spec.e3x3 == in_channels and not downsamples:
                 res_tail = source
             else:
-                res_id = fresh(module.replace("/", "_") + "_res")
                 res_kind = Conv2D(spec.e3x3, 1, stride=2 if downsamples else 1)
-                new_nodes.append(LayerNode(res_id, res_kind, (source,), f"{module}/residual"))
-                bn_id = fresh(res_id + "_bn")
-                new_nodes.append(LayerNode(bn_id, BatchNorm(), (res_id,), f"{module}/residual_bn"))
-                changed.append(NodeChange(res_id, "(identity residual)", _describe(res_kind)))
-                res_tail = bn_id
+                res = fresh(module.replace("/", "_") + "_res", lambda made, prefix: conv_unit(
+                    made, prefix, res_kind, source, f"{module}/residual", activation=None))
+                changed.append(NodeChange(res[0].id, "(identity residual)", _describe(res_kind)))
+                res_tail = res[-1].id
             new_nodes.append(dataclasses.replace(add_node, inputs=(main_tail, res_tail)))
             remap[old_tail] = add_node.id
         else:

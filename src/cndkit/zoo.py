@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .errors import ValidationError, capped
+from .errors import ValidationError
 from .graph import (
     Activation,
     Add,
@@ -34,6 +34,7 @@ from .graph import (
     ModelGraph,
     SeparableConv2D,
     TensorShape,
+    check_size,
     make_tag,
     validate,
 )
@@ -95,13 +96,6 @@ def _add(nodes: list[LayerNode], node_id: str, kind: LayerKind, inputs: tuple[st
     return node_id
 
 
-def _check_head(num_classes: int) -> None:
-    if type(num_classes) is not int:
-        raise ValidationError(f"num_classes must be an int, got {capped(num_classes)}")
-    if num_classes < 2:
-        raise ValidationError(f"classifier head needs at least 2 classes, got {capped(num_classes)}")
-
-
 def _stem(nodes: list[LayerNode]) -> str:
     x = conv_unit(
         nodes, "stem_conv1", Conv2D(STEM_FILTERS[0], 3, stride=2, padding="valid"), "input",
@@ -142,7 +136,7 @@ def build_xception(
     (m13 sep1, sep2; m14 sep1, sep2); the m13 residual projection matches
     the second.
     """
-    _check_head(num_classes)
+    check_size("num_classes", num_classes, least=2)
     nodes = [LayerNode("input", Input())]
     x = _stem(nodes)
 
@@ -219,7 +213,7 @@ def build_mobilenet_v2(
     parameters; the contract is parameter equivalence, not op-for-op
     equivalence with a runtime implementation.
     """
-    _check_head(num_classes)
+    check_size("num_classes", num_classes, least=2)
     nodes = [LayerNode("input", Input())]
     x = conv_unit(nodes, "stem_conv", Conv2D(32, 3, stride=2), "input", make_tag("stem", "m1", "conv"))
     channels = 32

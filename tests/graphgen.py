@@ -421,3 +421,48 @@ def reference_load_measurements(text: str) -> list[ModelMeasurement]:
             raise out_of_range(f"params={capped(values['params'])} must not be negative")
         records.append(ModelMeasurement(**values))
     return records
+
+
+# -- count and choice verdicts -----------------------------------------------------
+
+_ORACLE_MAX_SIZE = 2**31 - 1
+
+# Each site that takes a count or a choice, by the name its error gives (after
+# the function's name where two sites share it), with its rule written out
+# from the documented limits: ("size", least, most), most None for no upper
+# bound, or ("choice", the allowed values).
+VERDICT_RULES: dict[str, tuple] = {
+    **{f"{kind} {attr}": rule for kind in ("Conv2D", "SeparableConv2D") for attr, rule in (
+        ("filters", ("size", 1, _ORACLE_MAX_SIZE)),
+        ("kernel", ("choice", (1, 3))),
+        ("stride", ("choice", (1, 2))),
+        ("padding", ("choice", ("same", "valid"))),
+    )},
+    "MaxPool pool_size": ("choice", (1, 3)),
+    "MaxPool stride": ("choice", (1, 2)),
+    "MaxPool padding": ("choice", ("same", "valid")),
+    "Activation fn": ("choice", ("relu", "softmax", "sigmoid")),
+    "Dense units": ("size", 1, _ORACLE_MAX_SIZE),
+    "TensorShape.height": ("size", 1, _ORACLE_MAX_SIZE),
+    "FireModuleSpec.e3x3": ("size", 1, _ORACLE_MAX_SIZE),
+    "num_classes": ("size", 1, _ORACLE_MAX_SIZE),
+    "build_xception num_classes": ("size", 2, _ORACLE_MAX_SIZE),
+    "build_mobilenet_v2 num_classes": ("size", 2, _ORACLE_MAX_SIZE),
+    "activation_sizes batch": ("size", 1, _ORACLE_MAX_SIZE),
+    "batch": ("size", 1, _ORACLE_MAX_SIZE),
+    "overhead_bytes": ("size", 0, _ORACLE_MAX_SIZE),
+    "input_channels": ("size", 0, None),
+    "mode": ("choice", ("training", "inference")),
+    "optimizer": ("choice", ("sgd_momentum", "adam")),
+}
+
+
+def oracle_verdict(site: str, value: object) -> bool:
+    """Whether ``site`` accepts ``value``: a size is an int (not a bool) in
+    its range; a choice is an int or a str (not a subclass) among the allowed
+    values, compared as a ``(class, value)`` pair."""
+    rule = VERDICT_RULES[site]
+    if rule[0] == "size":
+        _, least, most = rule
+        return type(value) is int and least <= value and (most is None or value <= most)
+    return type(value) in (int, str) and (type(value), value) in {(type(c), c) for c in rule[1]}

@@ -1,3 +1,4 @@
+import ast
 import copy
 import dataclasses
 import importlib
@@ -14,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cndkit.serialize  # noqa: F401  (loads the module; cndkit.serialize is the function)
-from cndkit.analyzer import analyze, count_params_layer, memory_estimate
+from cndkit.analyzer import activation_sizes, analyze, count_params_layer, memory_estimate
 from cndkit.errors import (
     ECHO_LIMIT,
     ArityError,
@@ -54,9 +55,13 @@ from cndkit.graph import (
     validate,
 )
 from cndkit.pareto import FIXTURE_NAMES, load_fixture
+from cndkit.transforms import FireModuleSpec
+from cndkit.zoo import build_mobilenet_v2, build_xception
 from graphgen import (
+    VERDICT_RULES,
     oracle_split_tag,
     oracle_topo_sort,
+    oracle_verdict,
     random_graph,
     random_topological_order,
     random_wiring,
@@ -126,6 +131,123 @@ class TestKindValidation:
             Conv2D(8, 3, stride=3)
         with pytest.raises(ValidationError):
             MaxPool(3, 2, padding="full")
+
+
+def _headed_with(num_classes):
+    """``_headed`` whose head is ``num_classes`` wide when that is a usable
+    width, so only ``num_classes`` itself can be at fault."""
+    units = num_classes if oracle_verdict("Dense units", num_classes) else 2
+    graph = _chain(LayerNode("in", Input()), LayerNode("g", GlobalAvgPool(), ("in",)),
+                   LayerNode("d", Dense(units), ("g",)))
+    return dataclasses.replace(graph, num_classes=num_classes)
+
+
+# site (as ``VERDICT_RULES`` names it) -> a call that passes it the value
+_VERDICT_SITES = {
+    **{f"{cls.__name__} {attr}": call for cls in (Conv2D, SeparableConv2D) for attr, call in (
+        ("filters", lambda v, cls=cls: cls(v, 1)),
+        ("kernel", lambda v, cls=cls: cls(8, v)),
+        ("stride", lambda v, cls=cls: cls(8, 3, stride=v)),
+        ("padding", lambda v, cls=cls: cls(8, 3, padding=v)),
+    )},
+    "MaxPool pool_size": lambda v: MaxPool(v),
+    "MaxPool stride": lambda v: MaxPool(3, v),
+    "MaxPool padding": lambda v: MaxPool(3, 2, v),
+    "Activation fn": lambda v: Activation(v),
+    "Dense units": lambda v: Dense(v),
+    "TensorShape.height": lambda v: TensorShape(v, 1, 1),
+    "FireModuleSpec.e3x3": lambda v: FireModuleSpec(1, 1, v),
+    "num_classes": lambda v: validate(_headed_with(v)),
+    "build_xception num_classes": lambda v: build_xception(num_classes=v),
+    "build_mobilenet_v2 num_classes": lambda v: build_mobilenet_v2(num_classes=v),
+    "activation_sizes batch": lambda v: activation_sizes(_headed(), v),
+    "batch": lambda v: memory_estimate(_headed(), batch=v),
+    "overhead_bytes": lambda v: memory_estimate(_headed(), overhead_bytes=v),
+    "input_channels": lambda v: count_params_layer(LayerNode("c", Conv2D(1, 1), ("in",)), v),
+    "mode": lambda v: memory_estimate(_headed(), mode=v),
+    "optimizer": lambda v: memory_estimate(_headed(), optimizer=v),
+}
+
+
+# the sites whose error names their argument alone
+_NAMED_AS = {"build_xception num_classes": "num_classes",
+             "build_mobilenet_v2 num_classes": "num_classes", "activation_sizes batch": "batch"}
+
+
+class _Text(str):
+    """A str subclass: equal to its text, but not of the class of a choice."""
+
+
+_FED_VALUES = (True, False, 1.0, "1", None, [], {}, -1, 0, 1, 2, 3, MAX_SIZE, MAX_SIZE + 1,
+               10**5000, "same", "relu", "adam")
+
+
+def _examples(values):
+    """``@example(value)`` for each of ``values``."""
+    def apply(test):
+        for value in values:
+            test = example(value)(test)
+        return test
+    return apply
+
+
+class TestCountsAndChoices:
+    """Every count goes through ``graph.check_size`` and every fixed set
+    through ``graph.check_choice``: each site accepts a value exactly when its
+    rule in ``graphgen.VERDICT_RULES`` holds, and otherwise raises a
+    ``ValidationError``, never a ``TypeError``."""
+
+    def test_every_site_has_a_rule(self):
+        assert set(_VERDICT_SITES) == set(VERDICT_RULES)
+
+    @_examples(_FED_VALUES)
+    @given(st.one_of(
+        st.sampled_from(_FED_VALUES),
+        st.integers(),
+        st.sampled_from(("valid", "softmax", "sigmoid", "training", "inference", "sgd_momentum",
+                         "Same", "adam ", _Text("same"), _Text("relu"), 3.0, (1,), b"same")),
+        st.text(max_size=8),
+        st.floats(),
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_each_site_accepts_exactly_what_its_rule_allows(self, value):
+        for site, call in _VERDICT_SITES.items():
+            if oracle_verdict(site, value):
+                call(value)
+            else:
+                with pytest.raises(ValidationError):
+                    call(value)
+
+    @pytest.mark.parametrize("site", sorted(VERDICT_RULES))
+    def test_each_rejection_has_its_rule_s_message(self, site):
+        rule = VERDICT_RULES[site]
+        name = _NAMED_AS.get(site, site)
+        if rule[0] == "size":
+            cases = [(None, f"{name} must be an int, got None"),
+                     (rule[1] - 1, f"{name} must be >= {rule[1]}, got {rule[1] - 1}")]
+            if rule[2] is not None:
+                cases.append((rule[2] + 1, f"{name} must be at most {rule[2]}, got {rule[2] + 1}"))
+        else:
+            cases = [(None, f"{name} must be one of {rule[1]}, got None")]
+        for value, message in cases:
+            with pytest.raises(ValidationError) as exc:
+                _VERDICT_SITES[site](value)
+            assert str(exc.value) == message
+
+    def test_range_and_set_messages_are_built_only_in_the_two_helpers(self):
+        package = Path(importlib.import_module("cndkit").__file__).parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            spans = [(f.lineno, f.end_lineno, f.name) for f in ast.walk(ast.parse(text))
+                     if isinstance(f, ast.FunctionDef)]
+            for number, line in enumerate(text.splitlines(), start=1):
+                for phrase in ("must be one of", "must be >= "):
+                    if phrase in line:
+                        owners = [name for first, last, name in spans if first <= number <= last]
+                        found.append((path.name, owners, phrase))
+        assert found == [("graph.py", ["check_size"], "must be >= "),
+                         ("graph.py", ["check_choice"], "must be one of")]
 
 
 class TestAddLayer:
@@ -440,7 +562,7 @@ class TestSlottedValues:
             assert copy.deepcopy(graph) == graph
 
     def test_replace_still_checks_the_kind(self):
-        with pytest.raises(ValidationError, match="kernel size must be one of"):
+        with pytest.raises(ValidationError, match="^SeparableConv2D kernel must be one of \\(1, 3\\), got 5$"):
             dataclasses.replace(SeparableConv2D(8, 3), kernel=5)
 
 

@@ -284,9 +284,9 @@ def test_a_shared_kind_does_not_stand_for_an_equal_mistyped_one(xception):
 @pytest.mark.parametrize("sighting", ["first", "later"])
 @pytest.mark.parametrize("bad, message", [
     ({"bogus": 1}, "unknown attrs for SeparableConv2D: ['bogus']"),
-    ({"kernel": 5}, "bad attrs for SeparableConv2D: kernel size must be one of (1, 3), got 5"),
+    ({"kernel": 5}, "bad attrs for SeparableConv2D: SeparableConv2D kernel must be one of (1, 3), got 5"),
     ({"filters": 0},
-     "bad attrs for SeparableConv2D: SeparableConv2D filters must be a positive integer, got 0"),
+     "bad attrs for SeparableConv2D: SeparableConv2D filters must be >= 1, got 0"),
 ])
 def test_bad_attrs_are_reported_on_any_sighting_of_a_kind(xception, sighting, bad, message):
     # "later": the entry repeats the attrs of a kind already built in this

@@ -11,6 +11,7 @@ from cndkit.analyzer import count_params
 from cndkit.errors import (
     CndkitError,
     InvalidFireSpecError,
+    ModuleStructureError,
     ResidualShapeBrokenError,
     UnknownModuleTagError,
     ValidationError,
@@ -53,6 +54,14 @@ from graphgen import (
     random_tags,
     random_topological_order,
 )
+
+
+def _graph(*nodes):
+    """``nodes`` added in order to an empty graph on 8x8x16 with 4 classes."""
+    graph = ModelGraph(name="g", input_shape=TensorShape(8, 8, 16), num_classes=4)
+    for node in nodes:
+        graph = add_layer(graph, node)
+    return graph
 
 
 def default_specs():
@@ -99,7 +108,8 @@ def _single_module_graph(kernels=(3, 3), filters=128, channels=64, with_residual
 
 class TestStrategy1:
     def test_rewrites_first_sep_of_module(self):
-        graph = _single_module_graph()
+        # num_classes is the 128-wide end's: the pass checks its result like validate
+        graph = dataclasses.replace(_single_module_graph(), num_classes=128)
         out, report = strategy1_replace_kernels(graph)
         assert [c.node_id for c in report.nodes_changed] == ["sep1"]
         assert out.node("sep1").kind.kernel == 1
@@ -114,7 +124,7 @@ class TestStrategy1:
         assert report.params_before == report.params_after
 
     def test_ninefold_depthwise_reduction(self):
-        graph = _single_module_graph()
+        graph = dataclasses.replace(_single_module_graph(), num_classes=128)
         shapes = infer_shapes(graph)
         out, report = strategy1_replace_kernels(graph)
         for change in report.nodes_changed:
@@ -122,6 +132,22 @@ class TestStrategy1:
             before = channels * 9
             after = channels * 1
             assert before == 9 * after
+
+    @pytest.mark.parametrize("kernel", [3, 1])
+    def test_result_checked_like_validate(self, kernel):
+        # Two terminals: the pass raises validate's error when it changes a
+        # node, and returns its input as it is when it has nothing to do.
+        graph = _graph(
+            LayerNode("in", Input()),
+            LayerNode("s1", SeparableConv2D(16, kernel), ("in",), "f/m1/sep1"),
+            LayerNode("side", Activation("relu"), ("in",)),
+        )
+        if kernel == 1:
+            assert strategy1_replace_kernels(graph)[0] is graph
+            return
+        with pytest.raises(ValidationError) as exc:
+            strategy1_replace_kernels(graph)
+        assert str(exc.value) == "graph must have exactly one terminal node, found ['s1', 'side']"
 
     def test_idempotent_on_baseline(self, xception):
         once, _ = strategy1_replace_kernels(xception)
@@ -308,7 +334,7 @@ class TestStrategy2:
     @pytest.mark.parametrize("num_classes, message, last", [
         (2, "graph must have exactly one terminal node, found ['flow_m1_fire_expand3_act', 'side']",
          LayerNode("side", Activation("relu"), ("in",))),
-        (0, "num_classes must be positive, got 0", LayerNode("side", Activation("relu"), ("in",))),
+        (0, "num_classes must be >= 1, got 0", LayerNode("side", Activation("relu"), ("in",))),
         (64, "terminal node 'a1' outputs 48 channels, but num_classes is 64",
          LayerNode("a1", Add(), ("s1", "in"), "flow/m1/add")),
     ])
@@ -326,6 +352,47 @@ class TestStrategy2:
         with pytest.raises(ValidationError) as exc:
             strategy2_insert_fire(graph, {"flow/m1": FireModuleSpec(16, 32, 48)})
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kept, spec, added", [
+        # a kept node holds the squeeze id the module's prefix would give
+        ("f_m1_fire_squeeze", FireModuleSpec(4, 8, 16),
+         [f"f_m1_fire_f_{role}{end}" for role in ("squeeze", "expand1", "expand3")
+          for end in ("", "_bn", "_act")]),
+        # ... or the projection's BatchNorm id
+        ("f_m1_res_bn", FireModuleSpec(4, 8, 32),
+         [f"f_m1_fire_{role}{end}" for role in ("squeeze", "expand1", "expand3")
+          for end in ("", "_bn", "_act")] + ["f_m1_res_f", "f_m1_res_f_bn"]),
+    ])
+    def test_added_ids_never_collide(self, kept, spec, added):
+        graph = _graph(
+            LayerNode("in", Input()),
+            LayerNode("s1", SeparableConv2D(16, 3), ("in",), "f/m1/sep1"),
+            LayerNode("s1_bn", BatchNorm(), ("s1",), "f/m1/sep1_bn"),
+            LayerNode("a1", Add(), ("s1_bn", "in"), "f/m1/add"),
+            LayerNode(kept, Activation("relu"), ("a1",)),
+            LayerNode("gap", GlobalAvgPool(), (kept,)),
+            LayerNode("head", Dense(4), ("gap",)),
+        )
+        out, _ = strategy2_insert_fire(graph, {"f/m1": spec})
+        validate(out)
+        assert [n.id for n in out.nodes] == ["in", *added, "a1", kept, "gap", "head"]
+
+    def test_inner_node_feeding_outside_is_a_structure_error(self):
+        graph = _graph(
+            LayerNode("in", Input()),
+            LayerNode("s1", SeparableConv2D(16, 3), ("in",), "f/m1/sep1"),
+            LayerNode("s2", SeparableConv2D(16, 3), ("s1",), "f/m1/sep2"),
+            LayerNode("a1", Add(), ("s2", "in"), "f/m1/add"),
+            LayerNode("x", Activation("relu"), ("s1",)),
+            LayerNode("a2", Add(), ("a1", "x")),
+            LayerNode("gap", GlobalAvgPool(), ("a2",)),
+            LayerNode("head", Dense(4), ("gap",)),
+        )
+        with pytest.raises(ModuleStructureError) as exc:
+            strategy2_insert_fire(graph, {"f/m1": FireModuleSpec(4, 8, 16)})
+        assert str(exc.value) == (
+            "module 'f/m1': node 's1' feeds 'x' outside the module; only its output 'a1' may"
+        )
 
     def test_two_shape_inferences_per_call(self, xception, inference_calls):
         # one of the input graph, one of the result
