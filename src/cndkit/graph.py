@@ -493,7 +493,16 @@ def infer_shapes(graph: ModelGraph) -> dict[str, TensorShape]:
     Valid padding: floor((dim-k)/stride)+1. Dense and GlobalAvgPool collapse
     spatial dims to 1x1. Nodes with equal output dims share one shape.
     """
-    topo_sort(graph)  # every kind has a row in KINDS
+    topo_sort(graph)
+    return shapes_in_order(graph)
+
+
+def shapes_in_order(graph: ModelGraph) -> dict[str, TensorShape]:
+    """``infer_shapes`` over a stored order already checked as ``topo_sort``
+    checks it (so every kind has a row in ``KINDS``): the one shape loop.
+    ``input_shape`` is checked before any shape is read."""
+    if type(graph.input_shape) is not TensorShape:
+        raise ValidationError(f"input_shape must be a TensorShape, got {capped(graph.input_shape)}")
     shapes: dict[str, TensorShape] = {}
     made: dict[tuple[int, int, int], TensorShape] = {}
     for node in graph.nodes:

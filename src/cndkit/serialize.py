@@ -30,6 +30,7 @@ from .errors import CndkitError, ParseError, SchemaVersionError, capped, parse_j
 SCHEMA_VERSION = 1
 
 _KIND_BY_NAME = {cls.__name__: cls for cls in g.KIND_CLASSES}
+_ATTR_NAMES = {cls.__name__: frozenset(g.KINDS[cls][2]) for cls in g.KIND_CLASSES}
 
 
 def _block(open_: str, close: str, items: list[str], indent: str) -> str:
@@ -80,7 +81,9 @@ def serialize(graph: g.ModelGraph) -> str:
         kind_text = kind_texts.get(node.kind)
         if kind_text is None:
             kind_text = kind_texts[node.kind] = _kind_text(node.kind)
-        inputs = _block("[", "]", [_string(i) for i in node.inputs], "      ")
+        # the input list as _block lays it out at this depth, without the call
+        inputs = ",\n        ".join(map(_string, node.inputs))
+        inputs = f"[\n        {inputs}\n      ]" if inputs else "[]"
         tag = "null" if node.tag is None else _string(node.tag)
         parts.append(
             f'{sep}{{\n      "id": {_string(node.id)}{kind_text}{inputs},\n      "tag": {tag}\n    }}'
@@ -102,36 +105,51 @@ def _expect(doc: dict, key: str, types, field: str):
 def _parse_node(entry: dict, index: int, kinds: dict, ids: dict) -> g.LayerNode:
     """One node entry. ``kinds`` maps each kind built so far in this load to
     itself, so equal kinds are kept as one object; ``ids`` maps each node id
-    so far to itself, so an input names its source by that id's string."""
-    where = f"nodes[{index}]"
+    so far to itself, so an input names its source by that id's string.
+
+    Every entry gets every check, in one order. A value of its exact type
+    skips ``_expect``, the path that raises, and field names are built only
+    for an error."""
     if not isinstance(entry, dict):
-        raise ParseError("node entry must be an object", field=where)
-    node_id = _expect(entry, "id", str, f"{where}.id")
+        raise ParseError("node entry must be an object", field=f"nodes[{index}]")
+    node_id = entry.get("id")
+    if type(node_id) is not str:
+        node_id = _expect(entry, "id", str, f"nodes[{index}].id")
     if not node_id:
-        raise ParseError("node id must be a non-empty string", field=f"{where}.id")
-    kind_name = _expect(entry, "kind", str, f"{where}.kind")
+        raise ParseError("node id must be a non-empty string", field=f"nodes[{index}].id")
+    kind_name = entry.get("kind")
+    if type(kind_name) is not str:
+        kind_name = _expect(entry, "kind", str, f"nodes[{index}].kind")
     cls = _KIND_BY_NAME.get(kind_name)
     if cls is None:
-        raise ParseError(f"unknown layer kind {capped(kind_name)}", field=f"{where}.kind")
-    attrs = _expect(entry, "attrs", dict, f"{where}.attrs")
-    unknown = set(attrs).difference(g.KINDS[cls][2])
-    if unknown:
+        raise ParseError(f"unknown layer kind {capped(kind_name)}", field=f"nodes[{index}].kind")
+    attrs = entry.get("attrs")
+    if type(attrs) is not dict:
+        attrs = _expect(entry, "attrs", dict, f"nodes[{index}].attrs")
+    if not attrs.keys() <= _ATTR_NAMES[kind_name]:
+        unknown = sorted(set(attrs).difference(_ATTR_NAMES[kind_name]))
         raise ParseError(
-            f"unknown attrs for {kind_name}: {capped(sorted(unknown))}", field=f"{where}.attrs"
+            f"unknown attrs for {kind_name}: {capped(unknown)}", field=f"nodes[{index}].attrs"
         )
-    inputs = _expect(entry, "inputs", list, f"{where}.inputs")
-    if not all(isinstance(i, str) for i in inputs):
-        raise ParseError("inputs must be a list of node ids", field=f"{where}.inputs")
+    inputs = entry.get("inputs")
+    if type(inputs) is not list:
+        inputs = _expect(entry, "inputs", list, f"nodes[{index}].inputs")
+    try:
+        "".join(inputs)  # a TypeError unless every item is a string
+    except TypeError:
+        raise ParseError(
+            "inputs must be a list of node ids", field=f"nodes[{index}].inputs"
+        ) from None
     tag = entry.get("tag")
     if tag is not None and not isinstance(tag, str):
-        raise ParseError("tag must be a string or null", field=f"{where}.tag")
+        raise ParseError("tag must be a string or null", field=f"nodes[{index}].tag")
     try:
         kind = cls(**attrs)
     except (TypeError, CndkitError) as exc:
-        raise ParseError(f"bad attrs for {kind_name}: {exc}", field=f"{where}.attrs") from exc
+        raise ParseError(f"bad attrs for {kind_name}: {exc}", field=f"nodes[{index}].attrs") from exc
     kind = kinds.setdefault(kind, kind)
     inputs = tuple([ids.get(i, i) for i in inputs])  # an unknown input stays for check_append
-    return g.LayerNode(id=node_id, kind=kind, inputs=inputs, tag=tag)
+    return g.LayerNode(node_id, kind, inputs, tag)
 
 
 def deserialize(text: str) -> g.ModelGraph:
@@ -140,7 +158,9 @@ def deserialize(text: str) -> g.ModelGraph:
     One sweep over the node list parses each entry and checks it against the
     ids seen so far (duplicate id, unknown or forward input, arity), so a
     rejection names the first bad entry as ``field="nodes[i]"``. The sweep
-    is O(V + E); the graph is built once after it and then validated.
+    is O(V + E) and is the load's one order check: the graph is built once
+    after it, and then its shapes are inferred over that order and its
+    whole-graph rules checked (``check_endpoints``), as ``validate`` does.
     """
     doc = parse_json(text)
     if not isinstance(doc, dict):
@@ -180,7 +200,8 @@ def deserialize(text: str) -> g.ModelGraph:
         metadata=dict(metadata),
     )
     try:
-        g.validate(model)
+        shapes = g.shapes_in_order(model)
+        g.check_endpoints(model, next(reversed(shapes.values()), None))
     except CndkitError as exc:
         raise ParseError(f"graph failed validation: {exc}") from exc
     return model

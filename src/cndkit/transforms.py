@@ -33,6 +33,7 @@ from .errors import (
     ResidualShapeBrokenError,
     ShapeMismatchError,
     UnknownModuleTagError,
+    ValidationError,
     capped,
 )
 from .graph import (
@@ -163,6 +164,9 @@ class FireModuleSpec:
 
 
 def check_fire_spec(spec: FireModuleSpec, module: str | None = None) -> None:
+    if not isinstance(spec, FireModuleSpec):
+        raise InvalidFireSpecError(f"fire spec must be a FireModuleSpec, got {capped(spec)}",
+                                   module=module)
     if not spec.is_valid():
         raise InvalidFireSpecError(
             f"squeeze filters must stay below the expand total: "
@@ -279,6 +283,10 @@ def strategy2_insert_fire(
     resized to the new output width, or inserted when an identity residual
     no longer matches.
     """
+    if not isinstance(specs, dict):
+        raise ValidationError(
+            f"specs must be a dict of module tag -> FireModuleSpec, got {capped(specs)}"
+        )
     groups = group_modules(graph.nodes)
     for tag, spec in specs.items():
         if tag not in groups:
@@ -299,6 +307,9 @@ def strategy2_insert_fire(
     # every module is checked before any is rewritten; modules in stored order
     structures = {module: _module_structure(groups[module], module, fed_out)
                   for module in groups if module in specs}
+    # Every spec is valid and every other module is kept as it is, tags
+    # included, so the result's violations are those of the modules left.
+    violations = _fire_violations((m, members) for m, members in groups.items() if m not in specs)
     remap: dict[str, str] = {}
     widths: dict[str, int] = {}  # old id -> new width: rewritten tails and what passes them on
     changed: list[NodeChange] = []
@@ -390,7 +401,7 @@ def strategy2_insert_fire(
         tuple(changed),
         params_before,
         analyzer.total_params(rows_after),
-        violations=tuple(validate_fire_constraints(result)),
+        violations=tuple(violations),
     )
     return result, report
 
@@ -453,8 +464,13 @@ def validate_fire_constraints(graph: ModelGraph) -> list[str]:
     Returns one message per violating module; an empty list means the graph
     has no violating fire module (vacuously true without fire tags).
     """
+    return _fire_violations(group_modules(graph.nodes).items())
+
+
+def _fire_violations(modules) -> list[str]:
+    """The one fire rule, over ``(module, (role, node) members)`` pairs."""
     violations: list[str] = []
-    for module, members in group_modules(graph.nodes).items():
+    for module, members in modules:
         widths = {role: node.kind.filters for role, node in members
                   if role in ("squeeze", "expand1", "expand3") and is_conv(node.kind)}
         if len(widths) == 3:

@@ -181,6 +181,43 @@ def random_tags(graph: ModelGraph, rng: random.Random) -> ModelGraph:
     return dataclasses.replace(graph, nodes=nodes)
 
 
+def random_fire_graph(rng: random.Random, max_modules: int = 4) -> ModelGraph:
+    """A stem conv, a chain of 1 to ``max_modules`` modules, then a classifier
+    head. A module is squeeze -> expand1 -> expand3 separable convs of random
+    widths, each followed by BatchNorm, tagged ``f/m<i>/<role>``, so it breaks
+    the fire rule whenever its squeeze is at least the expand widths' sum.
+    Now and then a module has a residual projection and Add, a conv's role is
+    another one (``sep``) or the module is untagged."""
+    side = rng.randint(4, 12)
+    graph = ModelGraph("fire", TensorShape(side, side, rng.randint(1, 4)), num_classes=2)
+    graph = add_layer(graph, LayerNode("in", Input()))
+    graph = add_layer(graph, LayerNode("stem", Conv2D(rng.randint(1, 16), 3), ("in",)))
+    tip = "stem"
+    for i in range(rng.randint(1, max_modules)):
+        module = None if rng.random() < 0.15 else f"f/m{i}"
+
+        def tagged(node_id, kind, inputs, role):
+            return LayerNode(node_id, kind, inputs, None if module is None else f"{module}/{role}")
+
+        source = tip
+        for role in ("squeeze", "expand1", "expand3"):
+            width = rng.randint(1, 40 if role == "squeeze" else 20)
+            conv = f"m{i}_{role}"
+            graph = add_layer(graph, tagged(conv, SeparableConv2D(width, rng.choice((1, 3))), (tip,),
+                                            role if rng.random() < 0.85 else "sep"))
+            graph = add_layer(graph, tagged(f"{conv}_bn", BatchNorm(), (conv,), f"{role}_bn"))
+            tip = f"{conv}_bn"
+        if rng.random() < 0.4:
+            proj = f"m{i}_res"
+            graph = add_layer(graph, tagged(proj, Conv2D(width, 1), (source,), "residual"))
+            graph = add_layer(graph, tagged(f"m{i}_add", Add(), (tip, proj), "add"))
+            tip = f"m{i}_add"
+    graph = add_layer(graph, LayerNode("gap", GlobalAvgPool(), (tip,)))
+    units = rng.randint(2, 10)
+    graph = add_layer(graph, LayerNode("head", Dense(units), ("gap",)))
+    return validate(dataclasses.replace(graph, num_classes=units))
+
+
 def rename_ids(graph: ModelGraph, names: dict[str, str]) -> ModelGraph:
     """``graph`` with every node id and input reference mapped through ``names``."""
     nodes = tuple(

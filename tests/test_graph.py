@@ -55,8 +55,8 @@ from cndkit.graph import (
     validate,
 )
 from cndkit.pareto import FIXTURE_NAMES, load_fixture
-from cndkit.transforms import FireModuleSpec
-from cndkit.zoo import build_mobilenet_v2, build_xception
+from cndkit.transforms import FireModuleSpec, strategy1_replace_kernels, strategy2_insert_fire
+from cndkit.zoo import build_mobilenet_v2, build_optimized_xception, build_xception
 from graphgen import (
     VERDICT_RULES,
     oracle_split_tag,
@@ -728,6 +728,21 @@ class TestFieldTypes:
     def test_num_classes_is_at_most_max_size(self):
         with pytest.raises(ValidationError, match=f"^num_classes must be at most {MAX_SIZE}, got "):
             validate(self._graph(num_classes=MAX_SIZE + 1))
+
+    @pytest.mark.parametrize("shape", [(8, 8, 3), None, "8x8x3"])
+    def test_input_shape_must_be_a_tensor_shape(self, xception, shape):
+        # raised before any shape is read, so never a bare AttributeError
+        message = f"^input_shape must be a TensorShape, got {re.escape(repr(shape))}$"
+        graph = dataclasses.replace(xception, input_shape=shape)
+        spec = {"middle_flow/m5": FireModuleSpec(414, 600, 728)}
+        for run in (validate, infer_shapes, analyze, activation_sizes, memory_estimate,
+                    cndkit.serialize, strategy1_replace_kernels,
+                    lambda g: strategy2_insert_fire(g, spec)):
+            with pytest.raises(ValidationError, match=message):
+                run(graph)
+        for build in (build_xception, build_optimized_xception, build_mobilenet_v2):
+            with pytest.raises(ValidationError, match=message):
+                build(input_shape=shape)
 
 
 _TAGS = st.one_of(

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cndkit.graph
 from cndkit.analyzer import count_params, flops_estimate
 from cndkit.errors import (
     ECHO_LIMIT,
@@ -305,6 +306,58 @@ def test_duplicate_checked_before_inputs(xception):
     err = _rejection(doc)
     assert err.field == "nodes[2]"
     assert str(err) == "node id 'input' already present (field 'nodes[2]')"
+
+
+@pytest.mark.parametrize("faults, message, field", [
+    ({"kind": "FancyConv", "attrs": []}, "unknown layer kind 'FancyConv'", "kind"),
+    ({"inputs": ["input", 7], "tag": 3}, "inputs must be a list of node ids", "inputs"),
+    ({"id": None, "kind": 5}, "missing required key 'id'", "id"),
+    ({"id": "", "kind": None}, "node id must be a non-empty string", "id"),
+    ({"id": 3, "kind": None}, "key 'id' has wrong type int", "id"),
+    ({"kind": None, "attrs": {"bogus": 1}}, "missing required key 'kind'", "kind"),
+    ({"kind": True, "inputs": "input"}, "key 'kind' has wrong type bool", "kind"),
+    ({"attrs": None, "inputs": None}, "missing required key 'attrs'", "attrs"),
+    ({"attrs": {"bogus": 1, "filters": 0}, "inputs": "x"},
+     "unknown attrs for SeparableConv2D: ['bogus']", "attrs"),
+    ({"attrs": {"filters": 0}, "inputs": None}, "missing required key 'inputs'", "inputs"),
+    ({"attrs": {"filters": 0}, "inputs": {"a": 1}}, "key 'inputs' has wrong type dict", "inputs"),
+    ({"attrs": {"filters": 0}, "tag": ["t"]}, "tag must be a string or null", "tag"),
+    ({"attrs": {"filters": 0}, "inputs": ["nowhere"]},
+     "bad attrs for SeparableConv2D: SeparableConv2D filters must be >= 1, got 0", "attrs"),
+])
+def test_first_fault_of_an_entry_is_reported(xception, faults, message, field):
+    # Each entry has two faults; the check that runs first names its field.
+    # A None value drops the key.
+    doc = json.loads(serialize(xception))
+    index = next(i for i, n in enumerate(doc["nodes"]) if n["kind"] == "SeparableConv2D")
+    entry = doc["nodes"][index]
+    for key, value in faults.items():
+        if value is None:
+            del entry[key]
+        elif key == "attrs" and isinstance(value, dict):
+            entry[key] = {**entry[key], **value}
+        else:
+            entry[key] = value
+    err = _rejection(doc)
+    assert (err.message, err.field) == (message, f"nodes[{index}].{field}")
+
+
+def test_one_order_check_per_load(xception, monkeypatch):
+    # deserialize's sweep checks each node once; the load then infers shapes
+    # over that order instead of running topo_sort's sweep again.
+    appended, sorts = [], []
+    real_append, real_sort = cndkit.graph.check_append, cndkit.graph.topo_sort
+    monkeypatch.setattr(cndkit.graph, "check_append",
+                        lambda ids, node: appended.append(node.id) or real_append(ids, node))
+    monkeypatch.setattr(cndkit.graph, "topo_sort",
+                        lambda graph: sorts.append(graph.name) or real_sort(graph))
+    text = serialize(xception)
+    appended.clear()
+    sorts.clear()
+    loaded = deserialize(text)
+    assert loaded == xception
+    assert appended == [node.id for node in xception.nodes]
+    assert sorts == []
 
 
 def test_out_of_order_graph_not_serialized():

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 import sys
 
 import pytest
@@ -50,6 +51,7 @@ from cndkit.zoo import DEFAULT_OPTIMIZED_CONFIG, FireModuleSpec, build_optimized
 from graphgen import (
     oracle_params,
     oracle_split_tag,
+    random_fire_graph,
     random_graph,
     random_tags,
     random_topological_order,
@@ -201,6 +203,19 @@ class TestStrategy2:
         with pytest.raises(InvalidFireSpecError) as exc:
             strategy2_insert_fire(graph, {"flow/m1": FireModuleSpec(128, 64, 64)})
         assert "flow/m1" in str(exc.value)
+
+    def test_specs_must_be_a_dict(self):
+        pairs = [("flow/m1", FireModuleSpec(16, 32, 32))]
+        message = "specs must be a dict of module tag -> FireModuleSpec, got [('flow/m1', "
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+            strategy2_insert_fire(_single_module_graph(), pairs)
+
+    @pytest.mark.parametrize("spec", [(4, 8, 16), None, "4,8,16"])
+    def test_each_spec_must_be_a_fire_module_spec(self, spec):
+        with pytest.raises(InvalidFireSpecError) as exc:
+            strategy2_insert_fire(_single_module_graph(), {"flow/m1": spec})
+        assert exc.value.module == "flow/m1"
+        assert str(exc.value) == f"flow/m1: fire spec must be a FireModuleSpec, got {spec!r}"
 
     def test_unknown_tag_rejected(self):
         graph = _single_module_graph()
@@ -501,6 +516,39 @@ class TestFireConstraints:
         violations = validate_fire_constraints(graph)
         assert len(violations) == 1
         assert "64" in violations[0] and "48" in violations[0]
+
+    def test_pass_reports_the_violations_of_its_result(self, optimized):
+        # m5 is rewritten and so loses its violation; m7 is kept and keeps it.
+        def widened(node):
+            if node.tag in ("middle_flow/m5/squeeze", "middle_flow/m7/squeeze"):
+                return dataclasses.replace(node, kind=dataclasses.replace(node.kind, filters=1400))
+            return node
+
+        graph = dataclasses.replace(optimized, nodes=tuple(widened(n) for n in optimized.nodes))
+        out, report = strategy2_insert_fire(graph, {"middle_flow/m5": FireModuleSpec(414, 600, 728)})
+        assert report.violations == tuple(validate_fire_constraints(out)) == (
+            "middle_flow/m7: s1x1=1400 must be < e1x1+e3x3=1328 (e1x1=600, e3x3=728)",
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_pass_reports_the_violations_of_its_result_on_random_graphs(self, seed):
+        # With no specs the pass returns its input with an empty report, so
+        # at least one module is targeted, each with a valid spec.
+        rng = random.Random(seed)
+        graph = random_fire_graph(rng)
+        modules = list(module_groups(graph))
+        if not modules:
+            return
+        specs = {}
+        for module in rng.sample(modules, rng.randint(1, len(modules))):
+            s1x1 = rng.randint(1, 30)
+            specs[module] = FireModuleSpec(s1x1, rng.randint(1, 30), rng.randint(s1x1, 40))
+        try:
+            out, report = strategy2_insert_fire(graph, specs)
+        except CndkitError:
+            return
+        assert report.violations == tuple(validate_fire_constraints(out))
 
     def test_spec_widths_are_at_most_max_size(self):
         big = cndkit.graph.MAX_SIZE + 1
