@@ -4,12 +4,15 @@ Two rewrite passes are provided, applied per tagged module:
 
   * kernel replacement: the first separable conv of each module trades its
     3x3 kernel for 1x1 (a 9x cut of that layer's depthwise kernel),
-  * fire insertion: a module's conv stack is replaced by a squeeze 1x1 ->
-    expand 1x1 -> expand 3x3 triplet, so the 3x3 layer sees the narrow
-    expand1 width instead of the module's full input width. Pooling and
-    residual structure are preserved; the residual projection is resized,
-    or inserted when the new output width differs from the module's input
-    width as earlier rewrites left it.
+  * fire insertion: a module's main stack (its convs whose role is not
+    ``residual``, and each BatchNorm or Activation fed by the stack) becomes
+    a squeeze 1x1 -> expand 1x1 -> expand 3x3 triplet, so the 3x3 layer sees
+    the narrow expand1 width instead of the module's full input width. The
+    module's other nodes are kept as wired, reading the triplet for the
+    stack; its one kept conv, the projection, is resized, and one is inserted
+    before an Add on the module input when that input's width differs. A
+    module that keeps a second conv, or whose stack has a feeder other than
+    the module input or other than one output, is a ModuleStructureError.
 
 ``cndkit.zoo.build_optimized_xception`` is both passes applied to
 ``build_xception``, so fire-module and residual wiring lives only here.
@@ -219,69 +222,80 @@ _WIDTH_KEEPING_KINDS = (BatchNorm, Activation, MaxPool, Add, GlobalAvgPool)
 
 
 def _module_structure(members: list[tuple[str, LayerNode]], module: str, fed_out: dict[str, str]):
-    """Pick apart one tagged module, given its ``(role, node)`` members and
-    ``fed_out`` (node id -> a consumer outside its module): input, main convs,
-    pool, add, projection and tail (the one node no other node of the module
-    consumes, and the only one a node outside it may)."""
-    nodes = [node for _, node in members]
-    id_set = {n.id for n in nodes}
-    for node in nodes:
+    """Pick apart one tagged module, given its ``(role, node)`` members in
+    stored order and ``fed_out`` (node id -> a consumer outside its module):
+    its input, main stack (id -> node), the stack's one output, and its tail
+    (the one node no module node consumes; only it may feed a node outside)."""
+    id_set = {node.id for _, node in members}
+    external: list[str] = []
+    consumed: set[str] = set()
+    stack: dict[str, LayerNode] = {}
+    stack_fed: list[str] = []  # module nodes off the stack that feed it
+    read: list[str] = []  # stack nodes that module nodes off the stack read
+    kept_convs: list[str] = []
+    for role, node in members:
         if type(node.kind) not in _REWRITABLE_KINDS:
             raise ModuleStructureError(
                 f"module {capped(module)} contains a {type(node.kind).__name__} node; "
                 "only conv/pool/norm/activation/add modules can be rewritten"
             )
-
-    external = []
-    for node in nodes:
         for src in node.inputs:
             if src not in id_set and src not in external:
                 external.append(src)
+        consumed.update(node.inputs)
+        if (is_conv(node.kind) and role != "residual"
+                or type(node.kind) in (BatchNorm, Activation) and node.inputs[0] in stack):
+            if node.inputs[0] in id_set and node.inputs[0] not in stack:
+                stack_fed.append(node.inputs[0])
+            stack[node.id] = node
+        else:
+            if is_conv(node.kind):
+                kept_convs.append(node.id)
+            read += [src for src in node.inputs if src in stack and src not in read]
     if len(external) != 1:
         raise ModuleStructureError(
             f"module {capped(module)} must be fed by exactly one outside node, "
             f"found {capped(external)}"
         )
-    module_input = external[0]
 
-    main_convs = [n for role, n in members if is_conv(n.kind) and role != "residual"]
-    pools = [n for n in nodes if type(n.kind) is MaxPool]
-    adds = [n for n in nodes if type(n.kind) is Add]
-    proj = next((n for role, n in members if is_conv(n.kind) and role == "residual"), None)
-    proj_bn = None
-    if proj is not None:
-        proj_bn = next(
-            (n for n in nodes if type(n.kind) is BatchNorm and n.inputs == (proj.id,)), None
-        )
-    if len(pools) > 1 or len(adds) > 1:
-        raise ModuleStructureError(
-            f"module {capped(module)} has more than one pool or add; cannot rewrite"
-        )
-
-    consumed = {src for n in nodes for src in n.inputs}
-    tails = [n.id for n in nodes if n.id not in consumed]
+    tails = [node.id for _, node in members if node.id not in consumed]
     if len(tails) != 1:
         raise ModuleStructureError(
             f"module {capped(module)} must have a single output, found {capped(tails)}"
         )
-    for node in nodes:
+    for _, node in members:
         if node.id in fed_out and node.id != tails[0]:
             raise ModuleStructureError(
                 f"module {capped(module)}: node {capped(node.id)} feeds {capped(fed_out[node.id])} "
                 f"outside the module; only its output {capped(tails[0])} may"
             )
-    return module_input, main_convs, (pools[0] if pools else None), (adds[0] if adds else None), proj, proj_bn, tails[0]
+    if len(kept_convs) > 1:
+        raise ModuleStructureError(
+            f"module {capped(module)} keeps more than one conv off its main stack, "
+            f"found {capped(kept_convs)}; only one projection can be resized"
+        )
+    if stack_fed:
+        raise ModuleStructureError(
+            f"module {capped(module)}: its main stack is fed by {capped(stack_fed[0])}, "
+            f"not by the module input {capped(external[0])}"
+        )
+    outputs = read + [tail for tail in tails if tail in stack]
+    if len(outputs) != 1:
+        raise ModuleStructureError(
+            f"module {capped(module)} must have one main-stack output, found {capped(outputs)}"
+        )
+    return external[0], stack, outputs[0], tails[0]
 
 
 def strategy2_insert_fire(
     graph: ModelGraph, specs: dict[str, FireModuleSpec]
 ) -> tuple[ModelGraph, PassReport]:
-    """Replace each targeted module's conv stack with a fire triplet.
+    """Replace each targeted module's main stack with a fire triplet.
 
     ``specs`` maps module tags (e.g. ``"entry_flow/m2"``) to the fire widths
-    to insert. Pool and Add nodes keep their ids; the residual projection is
-    resized to the new output width, or inserted when an identity residual
-    no longer matches.
+    to insert. Every other node of the module keeps its id and its wiring;
+    the projection is resized to the new output width, or inserted where an
+    identity residual no longer matches.
     """
     if not isinstance(specs, dict):
         raise ValidationError(
@@ -310,7 +324,7 @@ def strategy2_insert_fire(
     # Every spec is valid and every other module is kept as it is, tags
     # included, so the result's violations are those of the modules left.
     violations = _fire_violations((m, members) for m, members in groups.items() if m not in specs)
-    remap: dict[str, str] = {}
+    remap: dict[str, str] = {}  # each replaced stack's output -> its fire tail
     widths: dict[str, int] = {}  # old id -> new width: rewritten tails and what passes them on
     changed: list[NodeChange] = []
     new_nodes: list[LayerNode] = []
@@ -329,60 +343,45 @@ def strategy2_insert_fire(
                 return made
             base += "_f"
 
-    def rebuild(module: str, spec: FireModuleSpec) -> None:
-        module_input, main_convs, pool, add_node, proj, proj_bn, old_tail = structures[module]
-        source = remap.get(module_input, module_input)
-        in_shape = row_of[module_input].shape_out
-        in_channels = widths.get(module_input, in_shape.channels)
-        out_shape = row_of[old_tail].shape_out
-        downsamples = out_shape.height < in_shape.height or out_shape.width < in_shape.width
-        stride_out = 1 if pool is not None or not downsamples else 2
-
-        fire = fresh(module.replace("/", "_") + "_fire", lambda made, prefix: made.extend(
-            make_fire_module(source, spec, stride_out=stride_out, id_prefix=prefix, module_tag=module)))
-        main_tail = fire[-1].id
-
-        for old, new in zip_longest(main_convs, [n for n in fire if is_conv(n.kind)]):
-            changed.append(NodeChange((old or new).id, _describe(old.kind) if old else "(none)",
-                                      _describe(new.kind) if new else "(removed)"))
-
-        if pool is not None:
-            new_nodes.append(dataclasses.replace(pool, inputs=(main_tail,)))
-            main_tail = pool.id
-
-        if add_node is not None:
-            if proj is not None:
-                new_kind = dataclasses.replace(proj.kind, filters=spec.e3x3)
-                if new_kind != proj.kind:
-                    changed.append(NodeChange(proj.id, _describe(proj.kind), _describe(new_kind)))
-                new_nodes.append(dataclasses.replace(proj, kind=new_kind, inputs=(source,)))
-                res_tail = proj.id
-                if proj_bn is not None:
-                    new_nodes.append(dataclasses.replace(proj_bn, inputs=(proj.id,)))
-                    res_tail = proj_bn.id
-            elif spec.e3x3 == in_channels and not downsamples:
-                res_tail = source
-            else:
-                res_kind = Conv2D(spec.e3x3, 1, stride=2 if downsamples else 1)
-                res = fresh(module.replace("/", "_") + "_res", lambda made, prefix: conv_unit(
-                    made, prefix, res_kind, source, f"{module}/residual", activation=None))
-                changed.append(NodeChange(res[0].id, "(identity residual)", _describe(res_kind)))
-                res_tail = res[-1].id
-            new_nodes.append(dataclasses.replace(add_node, inputs=(main_tail, res_tail)))
-            remap[old_tail] = add_node.id
-        else:
-            remap[old_tail] = main_tail
-        widths[old_tail] = spec.e3x3
-
+    # The fire triplet takes the place of the module's first node and the
+    # module's other nodes follow in stored order: a topological order still.
     for node in graph.nodes:
         module = owner.get(node.id)
         if module is not None:
+            spec = specs[module]
+            module_input, stack, stack_out, tail = structures[module]
+            source = remap.get(module_input, module_input)
             if node is groups[module][0][1]:  # the module's first node
-                rebuild(module, specs[module])
-            continue
+                in_shape, out_shape = row_of[module_input].shape_out, row_of[stack_out].shape_out
+                stride = 2 if out_shape.height < in_shape.height or out_shape.width < in_shape.width else 1
+                fire = fresh(module.replace("/", "_") + "_fire", lambda made, prefix: made.extend(
+                    make_fire_module(source, spec, stride, id_prefix=prefix, module_tag=module)))
+                main_convs = [n for n in stack.values() if is_conv(n.kind)]
+                for old, new in zip_longest(main_convs, [n for n in fire if is_conv(n.kind)]):
+                    changed.append(NodeChange((old or new).id, _describe(old.kind) if old else "(none)",
+                                              _describe(new.kind) if new else "(removed)"))
+                remap[stack_out] = fire[-1].id
+                widths[tail] = spec.e3x3
+            if node.id in stack:
+                continue
+            if is_conv(node.kind):  # the projection, the module's one kept conv
+                new_kind = dataclasses.replace(node.kind, filters=spec.e3x3)
+                if new_kind != node.kind:
+                    changed.append(NodeChange(node.id, _describe(node.kind), _describe(new_kind)))
+                    node = dataclasses.replace(node, kind=new_kind)
+            elif (type(node.kind) is Add and module_input in node.inputs
+                  and widths.get(module_input, row_of[module_input].shape_out.channels) != spec.e3x3):
+                # An Add reads its inputs at the module input's height and
+                # width, which the fire keeps, so only the width needs a fix.
+                res_kind = Conv2D(spec.e3x3, 1)
+                res = fresh(module.replace("/", "_") + "_res", lambda made, prefix: conv_unit(
+                    made, prefix, res_kind, source, f"{module}/residual", activation=None))
+                changed.append(NodeChange(res[0].id, "(identity residual)", _describe(res_kind)))
+                node = dataclasses.replace(node, inputs=tuple(
+                    res[-1].id if i == module_input else i for i in node.inputs))
         inputs = tuple(remap.get(i, i) for i in node.inputs)
         new_nodes.append(node if inputs == node.inputs else dataclasses.replace(node, inputs=inputs))
-        if type(node.kind) in _WIDTH_KEEPING_KINDS and node.inputs[0] in widths:
+        if module is None and type(node.kind) in _WIDTH_KEEPING_KINDS and node.inputs[0] in widths:
             widths[node.id] = widths[node.inputs[0]]
 
     result = dataclasses.replace(graph, nodes=tuple(new_nodes))

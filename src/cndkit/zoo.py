@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, capped
 from .graph import (
     Activation,
     Add,
@@ -60,9 +60,11 @@ class OptimizedConfig:
     exit_filters: tuple[int, int, int, int] = EXIT_FILTERS
 
     def __post_init__(self):
-        object.__setattr__(self, "entry_fire", tuple(self.entry_fire))
-        object.__setattr__(self, "middle_fire", tuple(self.middle_fire))
-        object.__setattr__(self, "exit_filters", tuple(self.exit_filters))
+        for name in ("entry_fire", "middle_fire", "exit_filters"):
+            value = getattr(self, name)
+            if not isinstance(value, (tuple, list)):
+                raise ValidationError(f"{name} must be a tuple or list, got {capped(value)}")
+            object.__setattr__(self, name, tuple(value))
 
     def check(self) -> None:
         if len(self.entry_fire) != len(ENTRY_MODULE_FILTERS):
@@ -73,8 +75,16 @@ class OptimizedConfig:
             raise ValidationError(
                 f"middle_fire needs {MIDDLE_MODULE_COUNT} specs, got {len(self.middle_fire)}"
             )
-        if len(self.exit_filters) != 4:
-            raise ValidationError(f"exit_filters needs 4 counts, got {len(self.exit_filters)}")
+        _check_exit_filters(self.exit_filters)
+
+
+def _check_exit_filters(exit_filters) -> None:
+    if not isinstance(exit_filters, (tuple, list)):
+        raise ValidationError(f"exit_filters must be a tuple or list, got {capped(exit_filters)}")
+    if len(exit_filters) != 4:
+        raise ValidationError(f"exit_filters needs 4 counts, got {len(exit_filters)}")
+    for i, width in enumerate(exit_filters):
+        check_size(f"exit_filters[{i}]", width)
 
 
 # Widths picked so the optimized build totals 15,798,273 params (~25% below
@@ -137,6 +147,7 @@ def build_xception(
     the second.
     """
     check_size("num_classes", num_classes, least=2)
+    _check_exit_filters(exit_filters)
     nodes = [LayerNode("input", Input())]
     x = _stem(nodes)
 
@@ -181,6 +192,8 @@ def build_optimized_xception(
     conv gets a 1x1 kernel) and :func:`strategy2_insert_fire` (a fire module
     in each entry and middle module, widths from ``config``).
     """
+    if not isinstance(config, OptimizedConfig):
+        raise ValidationError(f"config must be an OptimizedConfig, got {capped(config)}")
     config.check()
     graph = build_xception(input_shape, num_classes, exit_filters=config.exit_filters)
     graph, _ = strategy1_replace_kernels(graph)

@@ -218,6 +218,66 @@ def random_fire_graph(rng: random.Random, max_modules: int = 4) -> ModelGraph:
     return validate(dataclasses.replace(graph, num_classes=units))
 
 
+def with_off_stack_nodes(graph: ModelGraph, rng: random.Random) -> ModelGraph:
+    """``graph``, from ``random_fire_graph``, with random nodes added to its
+    tagged modules off their main stacks. Now and then a module gets a relu
+    after its output, a stride-1 MaxPool in front of its projection, a
+    BatchNorm (and a relu after it) behind its projection, or its Add's
+    inputs swapped; and, which strategy2 must reject, a second conv behind
+    its projection or a relu between its input and its squeeze."""
+    nodes = list(graph.nodes)
+
+    def insert(after: str, node: LayerNode, readers: set[str]) -> None:
+        """Store ``node`` right after ``after``, and make each of ``readers``
+        read ``node`` where it read ``after``."""
+        for i, n in enumerate(nodes):
+            if n.id in readers:
+                nodes[i] = dataclasses.replace(
+                    n, inputs=tuple(node.id if src == after else src for src in n.inputs))
+        nodes.insert(next(i for i, n in enumerate(nodes) if n.id == after) + 1, node)
+
+    def readers(node_id: str) -> set[str]:
+        return {n.id for n in nodes if node_id in n.inputs}
+
+    ids = {n.id for n in graph.nodes}
+    for i in range(len(ids)):
+        squeeze = next((n for n in nodes if n.id == f"m{i}_squeeze"), None)
+        if squeeze is None:
+            break
+        module = oracle_split_tag(squeeze.tag)[0]
+        if module is None:
+            continue
+        proj, add = f"m{i}_res", f"m{i}_add"
+        tail = add if add in ids else f"m{i}_expand3_bn"
+        if rng.random() < 0.3:
+            insert(tail, LayerNode(f"m{i}_post", Activation("relu"), (tail,), f"{module}/post_act"),
+                   readers(tail))
+        if proj in ids:
+            width = graph.node(proj).kind.filters
+            if rng.random() < 0.3:
+                source = squeeze.inputs[0]
+                insert(source, LayerNode(f"m{i}_res_pool", MaxPool(3, 1), (source,),
+                                         f"{module}/res_pool"), {proj})
+            if rng.random() < 0.1:
+                insert(proj, LayerNode(f"m{i}_res2", Conv2D(width, 1), (proj,), f"{module}/residual"),
+                       readers(proj))
+            if rng.random() < 0.4:
+                insert(proj, LayerNode(f"m{i}_res_bn", BatchNorm(), (proj,), f"{module}/residual_bn"),
+                       readers(proj))
+                if rng.random() < 0.5:
+                    insert(f"m{i}_res_bn", LayerNode(f"m{i}_res_act", Activation("relu"),
+                                                     (f"m{i}_res_bn",), f"{module}/residual_act"),
+                           readers(f"m{i}_res_bn"))
+            if rng.random() < 0.3:
+                j = next(j for j, n in enumerate(nodes) if n.id == add)
+                nodes[j] = dataclasses.replace(nodes[j], inputs=nodes[j].inputs[::-1])
+        if rng.random() < 0.1:
+            source = squeeze.inputs[0]
+            insert(source, LayerNode(f"m{i}_pre", Activation("relu"), (source,), f"{module}/pre_act"),
+                   {squeeze.id})
+    return validate(dataclasses.replace(graph, nodes=tuple(nodes)))
+
+
 def rename_ids(graph: ModelGraph, names: dict[str, str]) -> ModelGraph:
     """``graph`` with every node id and input reference mapped through ``names``."""
     nodes = tuple(
@@ -293,6 +353,23 @@ def oracle_split_tag(tag: str | None) -> tuple[str | None, str | None]:
     flow, _, rest = tag.partition("/")
     module = rest.partition("/")[0]
     return f"{flow}/{module}", tag.rpartition("/")[2]
+
+
+def oracle_main_stack(graph: ModelGraph, module: str) -> set[str]:
+    """Ids of ``module``'s main stack, found by reachability: each conv of the
+    module whose role is not ``residual``, then, until no more turn up, each
+    BatchNorm or Activation of the module fed by a node already found. The
+    stored order is not used."""
+    members = [(n, oracle_split_tag(n.tag)) for n in graph.nodes]
+    members = [(n, role) for n, (owner, role) in members if owner == module]
+    stack = {n.id for n, role in members
+             if type(n.kind) in (Conv2D, SeparableConv2D) and role != "residual"}
+    while True:
+        found = {n.id for n, _ in members
+                 if type(n.kind) in (BatchNorm, Activation) and n.inputs[0] in stack}
+        if found <= stack:
+            return stack
+        stack |= found
 
 
 def oracle_topo_sort(graph: ModelGraph) -> list[str]:
@@ -485,6 +562,7 @@ VERDICT_RULES: dict[str, tuple] = {
     "num_classes": ("size", 1, _ORACLE_MAX_SIZE),
     "build_xception num_classes": ("size", 2, _ORACLE_MAX_SIZE),
     "build_mobilenet_v2 num_classes": ("size", 2, _ORACLE_MAX_SIZE),
+    "exit_filters[0]": ("size", 1, _ORACLE_MAX_SIZE),
     "activation_sizes batch": ("size", 1, _ORACLE_MAX_SIZE),
     "batch": ("size", 1, _ORACLE_MAX_SIZE),
     "overhead_bytes": ("size", 0, _ORACLE_MAX_SIZE),

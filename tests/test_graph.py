@@ -160,6 +160,7 @@ _VERDICT_SITES = {
     "num_classes": lambda v: validate(_headed_with(v)),
     "build_xception num_classes": lambda v: build_xception(num_classes=v),
     "build_mobilenet_v2 num_classes": lambda v: build_mobilenet_v2(num_classes=v),
+    "exit_filters[0]": lambda v: build_xception(TensorShape(71, 71, 3), exit_filters=(v, 8, 8, 8)),
     "activation_sizes batch": lambda v: activation_sizes(_headed(), v),
     "batch": lambda v: memory_estimate(_headed(), batch=v),
     "overhead_bytes": lambda v: memory_estimate(_headed(), overhead_bytes=v),

@@ -39,6 +39,7 @@ from cndkit.graph import (
 )
 from cndkit.serialize import deserialize, serialize
 from cndkit.transforms import (
+    NodeChange,
     diff,
     percentage_reduction,
     strategy1_replace_kernels,
@@ -49,12 +50,14 @@ from cndkit.transforms import (
 )
 from cndkit.zoo import DEFAULT_OPTIMIZED_CONFIG, FireModuleSpec, build_optimized_xception
 from graphgen import (
+    oracle_main_stack,
     oracle_params,
     oracle_split_tag,
     random_fire_graph,
     random_graph,
     random_tags,
     random_topological_order,
+    with_off_stack_nodes,
 )
 
 
@@ -408,6 +411,135 @@ class TestStrategy2:
         assert str(exc.value) == (
             "module 'f/m1': node 's1' feeds 'x' outside the module; only its output 'a1' may"
         )
+
+    @pytest.mark.parametrize("nodes, message", [
+        # a second residual conv, chained behind the projection
+        ((LayerNode("s1", SeparableConv2D(16, 3), ("in",), "f/m1/sep1"),
+          LayerNode("r1", Conv2D(16, 1), ("in",), "f/m1/residual"),
+          LayerNode("r2", Conv2D(16, 1), ("r1",), "f/m1/residual"),
+          LayerNode("a1", Add(), ("s1", "r2"), "f/m1/add")),
+         "module 'f/m1' keeps more than one conv off its main stack, found ['r1', 'r2']; "
+         "only one projection can be resized"),
+        # a pre-activation: the stack is fed by a node it does not replace
+        ((LayerNode("pre", Activation("relu"), ("in",), "f/m1/pre_act"),
+          LayerNode("s1", SeparableConv2D(16, 3), ("pre",), "f/m1/sep1"),
+          LayerNode("a1", Add(), ("s1", "in"), "f/m1/add")),
+         "module 'f/m1': its main stack is fed by 'pre', not by the module input 'in'"),
+        # two stack nodes read off the stack
+        ((LayerNode("s1", SeparableConv2D(16, 3), ("in",), "f/m1/sep1"),
+          LayerNode("s2", SeparableConv2D(16, 3), ("s1",), "f/m1/sep2"),
+          LayerNode("a1", Add(), ("s2", "s1"), "f/m1/add")),
+         "module 'f/m1' must have one main-stack output, found ['s2', 's1']"),
+        # no stack at all
+        ((LayerNode("a1", Activation("relu"), ("in",), "f/m1/act"),),
+         "module 'f/m1' must have one main-stack output, found []"),
+    ], ids=["second-residual-conv", "pre-activation", "two-stack-outputs", "no-stack"])
+    def test_module_structure_errors(self, nodes, message):
+        tail = nodes[-1].id
+        graph = _graph(LayerNode("in", Input()), *nodes, LayerNode("gap", GlobalAvgPool(), (tail,)),
+                       LayerNode("head", Dense(4), ("gap",)))
+        with pytest.raises(ModuleStructureError) as exc:
+            strategy2_insert_fire(graph, {"f/m1": FireModuleSpec(4, 8, 16)})
+        assert str(exc.value) == message
+
+    def test_activation_behind_the_projection_is_kept(self):
+        graph = _graph(
+            LayerNode("in", Input()),
+            LayerNode("s1", SeparableConv2D(16, 3), ("in",), "f/m1/sep1"),
+            LayerNode("s1_bn", BatchNorm(), ("s1",), "f/m1/sep1_bn"),
+            LayerNode("r", Conv2D(16, 1), ("in",), "f/m1/residual"),
+            LayerNode("r_bn", BatchNorm(), ("r",), "f/m1/residual_bn"),
+            LayerNode("r_act", Activation("relu"), ("r_bn",), "f/m1/residual_act"),
+            LayerNode("a1", Add(), ("s1_bn", "r_act"), "f/m1/add"),
+            LayerNode("gap", GlobalAvgPool(), ("a1",)),
+            LayerNode("head", Dense(4), ("gap",)),
+        )
+        out, report = strategy2_insert_fire(graph, {"f/m1": FireModuleSpec(4, 8, 32)})
+        assert [n.id for n in out.nodes][-6:] == ["r", "r_bn", "r_act", "a1", "gap", "head"]
+        assert out.node("r").kind == Conv2D(32, 1) and out.node("r").inputs == ("in",)
+        assert out.node("r_act") == graph.node("r_act")
+        assert out.node("a1").inputs == ("f_m1_fire_expand3_act", "r_act")
+        assert report.nodes_changed[-1] == NodeChange("r", "Conv2D(f16,k1,s1)", "Conv2D(f32,k1,s1)")
+
+    def test_residual_branch_pool_stays_on_its_branch(self):
+        # The strided stack becomes a fire whose expand3 strides; the pool
+        # halves the skip path on its own, so no projection is needed.
+        graph = _graph(
+            LayerNode("in", Input()),
+            LayerNode("s1", SeparableConv2D(16, 3, stride=2), ("in",), "f/m1/sep1"),
+            LayerNode("s1_bn", BatchNorm(), ("s1",), "f/m1/sep1_bn"),
+            LayerNode("p", MaxPool(3, 2), ("in",), "f/m1/pool"),
+            LayerNode("a1", Add(), ("s1_bn", "p"), "f/m1/add"),
+            LayerNode("gap", GlobalAvgPool(), ("a1",)),
+            LayerNode("head", Dense(4), ("gap",)),
+        )
+        out, report = strategy2_insert_fire(graph, {"f/m1": FireModuleSpec(4, 8, 16)})
+        assert out.node("p") == graph.node("p")
+        assert out.node("a1").inputs == ("f_m1_fire_expand3_act", "p")
+        assert out.node("f_m1_fire_expand3").kind.stride == 2
+        assert not any(n.tag == "f/m1/residual" for n in out.nodes)
+        assert [c.node_id for c in report.nodes_changed] == ["s1", "f_m1_fire_expand1", "f_m1_fire_expand3"]
+
+    @pytest.mark.parametrize("e3x3, inputs", [
+        (16, ("in", "f_m1_fire_expand3_act")),  # the identity skip is kept
+        (32, ("f_m1_res_bn", "f_m1_fire_expand3_act")),  # a projection takes its place
+    ])
+    def test_add_keeps_its_input_order(self, e3x3, inputs):
+        graph = _graph(
+            LayerNode("in", Input()),
+            LayerNode("s1", SeparableConv2D(16, 3), ("in",), "f/m1/sep1"),
+            LayerNode("a1", Add(), ("in", "s1"), "f/m1/add"),
+            LayerNode("gap", GlobalAvgPool(), ("a1",)),
+            LayerNode("head", Dense(4), ("gap",)),
+        )
+        out, _ = strategy2_insert_fire(graph, {"f/m1": FireModuleSpec(4, 8, e3x3)})
+        assert out.node("a1").inputs == inputs
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_off_stack_nodes_are_kept_as_wired(self, seed):
+        # Each rewrite raises, or keeps every module node off the main stack
+        # with its id, tag and kind (the projection at expand3's width) and
+        # its inputs mapped: a stack node to the fire's tail, the module input
+        # to what the fire reads or, in an Add, to an inserted projection.
+        rng = random.Random(seed)
+        graph = with_off_stack_nodes(random_fire_graph(rng), rng)
+        specs = {}
+        for module in module_groups(graph):
+            if rng.random() < 0.7:
+                s = rng.randint(1, 20)
+                specs[module] = FireModuleSpec(s, rng.randint(s, 40), rng.randint(1, 40))
+        try:
+            out, _ = strategy2_insert_fire(graph, specs)
+        except CndkitError:
+            return
+        result = {n.id: n for n in out.nodes}
+        graph_ids = {n.id for n in graph.nodes}
+        stacks = {module: oracle_main_stack(graph, module) for module in specs}
+        fire_tail = {i: out_id for module, stack in stacks.items()
+                     for out_id in [n.id for n in out.nodes if n.tag == f"{module}/expand3_act"]
+                     for i in stack}
+        for module, stack in stacks.items():
+            assert not stack & result.keys()
+            members = [n for n in graph.nodes if module_of(n.tag) == module]
+            ids = {n.id for n in members}
+            (module_input,) = {src for n in members for src in n.inputs if src not in ids}
+            source = next(n for n in out.nodes if n.tag == f"{module}/squeeze").inputs[0]
+            assert source == fire_tail.get(module_input, module_input)
+            for node in members:
+                if node.id in stack:
+                    continue
+                kept = result[node.id]
+                kind = node.kind
+                if is_conv(kind):
+                    kind = dataclasses.replace(kind, filters=specs[module].e3x3)
+                assert (kept.kind, kept.tag) == (kind, node.tag)
+                for old, new in zip(node.inputs, kept.inputs, strict=True):
+                    if new != fire_tail.get(old, old):
+                        projection = result[result[new].inputs[0]]
+                        assert (type(node.kind), old, new in graph_ids) == (Add, module_input, False)
+                        assert projection.kind == Conv2D(specs[module].e3x3, 1)
+                        assert projection.inputs == (source,)
 
     def test_two_shape_inferences_per_call(self, xception, inference_calls):
         # one of the input graph, one of the result

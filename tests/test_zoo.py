@@ -128,6 +128,17 @@ class TestXception:
         with pytest.raises(ValidationError, match="^num_classes must be an int, got 'a'$"):
             build_xception(num_classes="a")
 
+    @pytest.mark.parametrize("exit_filters, message", [
+        ((728, 1024, 1536), "exit_filters needs 4 counts, got 3"),
+        (None, "exit_filters must be a tuple or list, got None"),
+        ("7281", "exit_filters must be a tuple or list, got '7281'"),
+        ((728, 1024, "1536", 2048), "exit_filters[2] must be an int, got '1536'"),
+    ])
+    def test_rejects_exit_filters_that_are_not_four_counts(self, exit_filters, message):
+        with pytest.raises(ValidationError) as exc:
+            build_xception(exit_filters=exit_filters)
+        assert str(exc.value) == message
+
     def test_middle_flow_shape(self, xception):
         shapes = infer_shapes(xception)
         adds = [n for n in xception.nodes if isinstance(n.kind, Add) and n.tag.startswith("middle_flow")]
@@ -195,6 +206,19 @@ class TestOptimizedXception:
         with pytest.raises(InvalidFireSpecError) as exc:
             build_optimized_xception(config=bad)
         assert "entry_flow/m2" in str(exc.value)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: OptimizedConfig(DEFAULT_OPTIMIZED_CONFIG.entry_fire, DEFAULT_OPTIMIZED_CONFIG.middle_fire,
+                                 exit_filters=None),
+         "exit_filters must be a tuple or list, got None"),
+        (lambda: OptimizedConfig(None, DEFAULT_OPTIMIZED_CONFIG.middle_fire),
+         "entry_fire must be a tuple or list, got None"),
+        (lambda: build_optimized_xception(config=None), "config must be an OptimizedConfig, got None"),
+    ], ids=["exit_filters", "entry_fire", "config"])
+    def test_config_fields_are_typed(self, build, message):
+        with pytest.raises(ValidationError) as exc:
+            build()
+        assert str(exc.value) == message
 
     def test_config_length_checked(self):
         with pytest.raises(ValidationError):
