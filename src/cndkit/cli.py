@@ -163,6 +163,10 @@ def cmd_transform(in_path, pass_name, specs_path, out_path, report_path):
     from . import transforms
     from .serialize import load_model, save_model
 
+    if specs_path is not None and pass_name == "strategy1":
+        raise click.BadOptionUsage(
+            "specs_path", "--specs applies to strategy2 and all only, not strategy1"
+        )
     with _handled():
         graph = load_model(in_path)
         specs = _load_specs_map(specs_path) if specs_path else {}

@@ -2,23 +2,24 @@
 
 Two rewrite passes are provided, applied per tagged module:
 
-  * kernel replacement: the first separable conv of each module trades its
-    3x3 kernel for 1x1 (a 9x cut of that layer's depthwise kernel),
+  * kernel replacement: the first separable conv of each module trades a
+    same-padding 3x3 kernel for 1x1 (a 9x cut of its depthwise kernel),
   * fire insertion: a module's main stack (its convs whose role is not
     ``residual``, and each BatchNorm or Activation fed by the stack) becomes
     a squeeze 1x1 -> expand 1x1 -> expand 3x3 triplet, so the 3x3 layer sees
     the narrow expand1 width instead of the module's full input width. The
     module's other nodes are kept as wired, reading the triplet for the
     stack; its one kept conv, the projection, is resized, and one is inserted
-    before an Add on the module input when that input's width differs. A
-    module that keeps a second conv, or whose stack has a feeder other than
-    the module input or other than one output, is a ModuleStructureError.
+    before an Add on the module input when that input's width differs.
+    expand3's stride keeps the stack's output size. A module with no such
+    stride, a second kept conv, or a stack fed by anything but the module
+    input or without one output is a ModuleStructureError.
 
 ``cndkit.zoo.build_optimized_xception`` is both passes applied to
 ``build_xception``, so fire-module and residual wiring lives only here.
 
 Both passes are total: a graph with no matching modules comes back unchanged
-with an empty report.
+with an empty report; neither changes a node's output height or width.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .errors import (
 )
 from .graph import (
     PADDING_SAME,
+    VALID_STRIDES,
     Activation,
     Add,
     BatchNorm,
@@ -52,6 +54,7 @@ from .graph import (
     ModelGraph,
     SeparableConv2D,
     TensorShape,
+    _window_dim,
     check_endpoints,
     check_size,
     group_modules,
@@ -99,16 +102,17 @@ def _describe(kind) -> str:
 def strategy1_replace_kernels(graph: ModelGraph) -> tuple[ModelGraph, PassReport]:
     """Give the first separable conv of every tagged module a 1x1 kernel.
 
-    Only modules whose leading separable conv still has a 3x3 kernel are
-    touched, which makes the pass idempotent. Filters, stride, and padding
-    are untouched.
+    Only modules whose leading separable conv still has a same-padding 3x3
+    kernel are touched, which makes the pass idempotent and keeps every
+    node's shape. Filters, stride, and padding are untouched.
     """
     rows = analyzer.analyze(graph)
     leading = (
         next((node for _, node in members if type(node.kind) is SeparableConv2D), None)
         for members in group_modules(graph.nodes).values()
     )
-    targets = {node.id for node in leading if node is not None and node.kind.kernel == 3}
+    targets = {node.id for node in leading
+               if node is not None and (node.kind.kernel, node.kind.padding) == (3, PADDING_SAME)}
 
     params_before = analyzer.total_params(rows)
     if not targets:
@@ -117,7 +121,6 @@ def strategy1_replace_kernels(graph: ModelGraph) -> tuple[ModelGraph, PassReport
     changed: list[NodeChange] = []
     new_nodes: list[LayerNode] = []
     params_after = params_before
-    shapes_kept = True
     for row in rows:
         node = row.node
         if node.id in targets:
@@ -127,17 +130,12 @@ def strategy1_replace_kernels(graph: ModelGraph) -> tuple[ModelGraph, PassReport
             params_after += (
                 analyzer.count_params_layer(node, row.params.channels_in).total - row.params.total
             )
-            shapes_kept = shapes_kept and new_kind.padding == PADDING_SAME
         new_nodes.append(node)
     result = dataclasses.replace(graph, nodes=tuple(new_nodes))
-    # A 1x1 kernel changes no node's channels, so the input's last shape
-    # stands for the result's; the input's table goes before any check.
+    # A same-padding 1x1 kernel changes no node's shape, so the input's last
+    # shape stands for the result's; the input's table goes before any check.
     last_shape = rows[-1].shape_out
     del rows, new_nodes
-    if not shapes_kept:
-        # Under valid padding the 1x1 kernel widens the output map, which can
-        # change a flattening Dense further down or break an Add.
-        params_after = analyzer.count_params(result).total
     check_endpoints(result, last_shape)
     return result, PassReport("strategy1_replace_kernels", tuple(changed), params_before, params_after)
 
@@ -221,11 +219,13 @@ _REWRITABLE_KINDS = (Conv2D, SeparableConv2D, MaxPool, BatchNorm, Activation, Ad
 _WIDTH_KEEPING_KINDS = (BatchNorm, Activation, MaxPool, Add, GlobalAvgPool)
 
 
-def _module_structure(members: list[tuple[str, LayerNode]], module: str, fed_out: dict[str, str]):
+def _module_structure(members: list[tuple[str, LayerNode]], module: str, fed_out: dict[str, str],
+                      row_of: dict[str, analyzer.LayerRow]):
     """Pick apart one tagged module, given its ``(role, node)`` members in
-    stored order and ``fed_out`` (node id -> a consumer outside its module):
-    its input, main stack (id -> node), the stack's one output, and its tail
-    (the one node no module node consumes; only it may feed a node outside)."""
+    stored order, ``fed_out`` (node id -> a consumer outside its module) and
+    ``row_of``: its input, main stack (id -> node), the stack's one output,
+    its tail (the one node no module node consumes; only it may feed a node
+    outside) and the expand3 stride that keeps the stack's output size."""
     id_set = {node.id for _, node in members}
     external: list[str] = []
     consumed: set[str] = set()
@@ -284,7 +284,14 @@ def _module_structure(members: list[tuple[str, LayerNode]], module: str, fed_out
         raise ModuleStructureError(
             f"module {capped(module)} must have one main-stack output, found {capped(outputs)}"
         )
-    return external[0], stack, outputs[0], tails[0]
+    shape_in, shape_out = row_of[external[0]].shape_out, row_of[outputs[0]].shape_out
+    strides = [s for s in VALID_STRIDES if (shape_out.height, shape_out.width) == tuple(
+        _window_dim(d, 3, s, PADDING_SAME, module) for d in (shape_in.height, shape_in.width))]
+    if not strides:
+        raise ModuleStructureError(
+            f"module {capped(module)}: no expand3 stride maps its input's {shape_in.height}x"
+            f"{shape_in.width} to its main stack's {shape_out.height}x{shape_out.width}")
+    return external[0], stack, outputs[0], tails[0], strides[0]
 
 
 def strategy2_insert_fire(
@@ -319,7 +326,7 @@ def strategy2_insert_fire(
     fed_out = {src: node.id for node in reversed(graph.nodes) for src in node.inputs
                if src in owner and owner[src] != owner.get(node.id)}
     # every module is checked before any is rewritten; modules in stored order
-    structures = {module: _module_structure(groups[module], module, fed_out)
+    structures = {module: _module_structure(groups[module], module, fed_out, row_of)
                   for module in groups if module in specs}
     # Every spec is valid and every other module is kept as it is, tags
     # included, so the result's violations are those of the modules left.
@@ -349,11 +356,9 @@ def strategy2_insert_fire(
         module = owner.get(node.id)
         if module is not None:
             spec = specs[module]
-            module_input, stack, stack_out, tail = structures[module]
+            module_input, stack, stack_out, tail, stride = structures[module]
             source = remap.get(module_input, module_input)
             if node is groups[module][0][1]:  # the module's first node
-                in_shape, out_shape = row_of[module_input].shape_out, row_of[stack_out].shape_out
-                stride = 2 if out_shape.height < in_shape.height or out_shape.width < in_shape.width else 1
                 fire = fresh(module.replace("/", "_") + "_fire", lambda made, prefix: made.extend(
                     make_fire_module(source, spec, stride, id_prefix=prefix, module_tag=module)))
                 main_convs = [n for n in stack.values() if is_conv(n.kind)]

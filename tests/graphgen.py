@@ -278,6 +278,26 @@ def with_off_stack_nodes(graph: ModelGraph, rng: random.Random) -> ModelGraph:
     return validate(dataclasses.replace(graph, nodes=tuple(nodes)))
 
 
+def with_random_stack_windows(graph: ModelGraph, rng: random.Random) -> ModelGraph:
+    """``graph``, from ``random_fire_graph``, with a random stride and padding
+    for each separable conv of a tagged module that has no Add, so that its
+    main stack may keep, halve or otherwise shrink its input's map. A valid
+    padding whose window does not fit the conv's input is made same."""
+    nodes = list(graph.nodes)
+    with_add = {oracle_split_tag(n.tag)[0] for n in nodes if type(n.kind) is Add}
+    for i, node in enumerate(nodes):
+        module = oracle_split_tag(node.tag)[0]
+        if type(node.kind) is not SeparableConv2D or module is None or module in with_add:
+            continue
+        h, w, _ = oracle_shapes(dataclasses.replace(graph, nodes=tuple(nodes[:i])))[node.inputs[0]]
+        stride, padding = rng.choice((1, 2)), rng.choice(("same", "valid"))
+        if not _fits(h, w, node.kind.kernel, padding):
+            padding = "same"
+        nodes[i] = dataclasses.replace(
+            node, kind=dataclasses.replace(node.kind, stride=stride, padding=padding))
+    return validate(dataclasses.replace(graph, nodes=tuple(nodes)))
+
+
 def rename_ids(graph: ModelGraph, names: dict[str, str]) -> ModelGraph:
     """``graph`` with every node id and input reference mapped through ``names``."""
     nodes = tuple(

@@ -128,6 +128,23 @@ class TestTransform:
         assert payload[0]["pass_name"] == "strategy1_replace_kernels"
         assert len(payload[0]["nodes_changed"]) == 13
 
+    @pytest.mark.parametrize("text", ["{broken", default_specs_json()], ids=["malformed", "well-formed"])
+    def test_specs_rejected_for_strategy1(self, runner, tmp_path, baseline_path, text):
+        # strategy1 reads no specs, so the file is neither read nor ignored.
+        specs = tmp_path / "specs.json"
+        specs.write_text(text)
+        out = tmp_path / "t.json"
+        result = runner.invoke(
+            main,
+            ["transform", "--in", str(baseline_path), "--pass", "strategy1",
+             "--specs", str(specs), "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Usage:" in result.output
+        assert "Error: --specs applies to strategy2 and all only, not strategy1" in result.output
+        assert not out.exists()
+
     def test_violating_spec_exits_1(self, runner, tmp_path, baseline_path):
         specs = tmp_path / "specs.json"
         specs.write_text(json.dumps({"entry_flow/m2": {"s1x1": 300, "e1x1": 100, "e3x3": 128}}))

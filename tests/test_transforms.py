@@ -50,14 +50,17 @@ from cndkit.transforms import (
 )
 from cndkit.zoo import DEFAULT_OPTIMIZED_CONFIG, FireModuleSpec, build_optimized_xception
 from graphgen import (
+    _enum_dim,
     oracle_main_stack,
     oracle_params,
+    oracle_shapes,
     oracle_split_tag,
     random_fire_graph,
     random_graph,
     random_tags,
     random_topological_order,
     with_off_stack_nodes,
+    with_random_stack_windows,
 )
 
 
@@ -175,6 +178,31 @@ class TestStrategy1:
         graph = add_layer(graph, LayerNode("head", Dense(2), ("sep1",)))
         out, report = strategy1_replace_kernels(graph)
         assert report.params_after == count_params(out).total
+
+    def test_valid_padding_leading_conv_is_kept(self):
+        # A 1x1 kernel would widen the valid-padding map to 8x8, and the
+        # Dense that flattens it from 288 to 512 inputs (646 -> 1,062 params).
+        graph = ModelGraph(name="flat", input_shape=TensorShape(8, 8, 4), num_classes=2)
+        for node in (LayerNode("in", Input()),
+                     LayerNode("sep1", SeparableConv2D(8, 3, padding="valid"), ("in",), "flow/m1/sep1"),
+                     LayerNode("head", Dense(2), ("sep1",))):
+            graph = add_layer(graph, node)
+        out, report = strategy1_replace_kernels(graph)
+        assert out is graph
+        assert report.nodes_changed == ()
+        assert report.params_before == report.params_after == 646
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_every_node_keeps_its_map_size(self, seed):
+        # Random valid graphs with random module tags, valid padding included:
+        # each node keeps its height and width, and the pass adds no params.
+        rng = random.Random(seed)
+        graph = random_tags(random_graph(rng), rng)
+        out, report = strategy1_replace_kernels(graph)
+        sizes = lambda g: {node_id: shape[:2] for node_id, shape in oracle_shapes(g).items()}
+        assert sizes(out) == sizes(graph)
+        assert count_params(out).total == report.params_after <= report.params_before
 
     def test_preserves_macro_structure(self, xception):
         out, _ = strategy1_replace_kernels(xception)
@@ -540,6 +568,71 @@ class TestStrategy2:
                         assert (type(node.kind), old, new in graph_ids) == (Add, module_input, False)
                         assert projection.kind == Conv2D(specs[module].e3x3, 1)
                         assert projection.inputs == (source,)
+
+    @pytest.mark.parametrize("stack, message", [
+        # two stride-2 convs: a quarter of the input's height and width
+        ((LayerNode("s1", SeparableConv2D(16, 3, stride=2), ("in",), "f/m1/sep1"),
+          LayerNode("s2", SeparableConv2D(16, 3, stride=2), ("s1",), "f/m1/sep2")),
+         "module 'f/m1': no expand3 stride maps its input's 8x8 to its main stack's 2x2"),
+        # one valid-padding 3x3 conv: two rows and columns fewer
+        ((LayerNode("s1", SeparableConv2D(16, 3, padding="valid"), ("in",), "f/m1/sep1"),),
+         "module 'f/m1': no expand3 stride maps its input's 8x8 to its main stack's 6x6"),
+    ], ids=["quartered", "valid-padding"])
+    def test_stack_size_no_stride_keeps_is_a_structure_error(self, stack, message):
+        tail = stack[-1].id
+        graph = _graph(LayerNode("in", Input()), *stack, LayerNode("gap", GlobalAvgPool(), (tail,)),
+                       LayerNode("head", Dense(4), ("gap",)))
+        with pytest.raises(ModuleStructureError) as exc:
+            strategy2_insert_fire(graph, {"f/m1": FireModuleSpec(4, 8, 16)})
+        assert str(exc.value) == message
+
+    def test_xception_stem_is_a_structure_error(self, xception):
+        # The stem's two valid-padding convs take 299x299 to 147x147.
+        with pytest.raises(ModuleStructureError) as exc:
+            strategy2_insert_fire(xception, {"entry_flow/m1": FireModuleSpec(16, 32, 64)})
+        assert str(exc.value) == (
+            "module 'entry_flow/m1': no expand3 stride maps its input's 299x299 to its main stack's 147x147"
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_rewritten_module_keeps_its_map_size(self, seed):
+        # Stacks of random strides and paddings: each fire tail has the
+        # replaced stack output's height and width, at expand3's width, and
+        # every kept node keeps its own; or no stride maps some module's
+        # input to its stack output, and the pass names the first such module.
+        rng = random.Random(seed)
+        graph = with_random_stack_windows(random_fire_graph(rng), rng)
+        specs = {}
+        for module in module_groups(graph):
+            if rng.random() < 0.7:
+                s = rng.randint(1, 20)
+                specs[module] = FireModuleSpec(s, rng.randint(s, 40), rng.randint(1, 40))
+        shapes = oracle_shapes(graph)
+        sizes = {}  # module -> (input height and width, stack output height and width)
+        for module in specs:
+            members = [n for n in graph.nodes if module_of(n.tag) == module]
+            ids = {n.id for n in members}
+            (module_input,) = {src for n in members for src in n.inputs if src not in ids}
+            stack = oracle_main_stack(graph, module)
+            (stack_out,) = stack - {src for n in members if n.id in stack for src in n.inputs}
+            sizes[module] = shapes[module_input][:2], shapes[stack_out][:2]
+        unfit = [module for module, ((h, w), size) in sizes.items()
+                 if all((_enum_dim(h, 3, s, "same"), _enum_dim(w, 3, s, "same")) != size for s in (1, 2))]
+        try:
+            out, _ = strategy2_insert_fire(graph, specs)
+        except ModuleStructureError as exc:
+            assert unfit
+            (h, w), (h2, w2) = sizes[unfit[0]]
+            assert str(exc) == (f"module '{unfit[0]}': no expand3 stride maps its input's "
+                                f"{h}x{w} to its main stack's {h2}x{w2}")
+            return
+        assert not unfit
+        shapes_out = oracle_shapes(out)
+        for module, (_, size) in sizes.items():
+            (tail,) = [n.id for n in out.nodes if n.tag == f"{module}/expand3_act"]
+            assert shapes_out[tail] == (*size, specs[module].e3x3)
+        assert all(shapes_out[i][:2] == shapes[i][:2] for i in shapes_out if i in shapes)
 
     def test_two_shape_inferences_per_call(self, xception, inference_calls):
         # one of the input graph, one of the result
