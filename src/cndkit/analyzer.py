@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .graph import (
     KINDS,
@@ -89,8 +89,14 @@ class LayerRow(NamedTuple):
 def analyze(graph: ModelGraph) -> list[LayerRow]:
     """One row per node, in stored order, from a single shape inference."""
     shapes = infer_shapes(graph)  # rejects a kind with no row in KINDS
+    return _layer_rows(graph.nodes, shapes)
+
+
+def _layer_rows(nodes: Iterable[LayerNode], shapes: dict[str, TensorShape]) -> list[LayerRow]:
+    """The rows of ``nodes`` by their kinds' param rules, from ``shapes``,
+    which holds each node's output shape and its inputs': the one row rule."""
     rows: list[LayerRow] = []
-    for node in graph.nodes:
+    for node in nodes:
         kind = node.kind
         _, _, _, channels_of, rule = KINDS[type(kind)]
         if node.inputs:

@@ -304,7 +304,7 @@ def add_layer(graph: ModelGraph, node: LayerNode) -> ModelGraph:
     return dataclasses.replace(graph, nodes=graph.nodes + (node,))
 
 
-def check_append(ids: set[str] | dict[str, str], node: LayerNode) -> None:
+def check_append(ids: set[str] | dict[str, object], node: LayerNode) -> None:
     """Check that ``node`` may follow nodes with ``ids`` (a set of them, or a
     dict keyed by them): a new id, inputs among ``ids``, a kind with a row
     in ``KINDS`` and that kind's arity.

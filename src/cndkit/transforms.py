@@ -41,6 +41,7 @@ from .errors import (
     capped,
 )
 from .graph import (
+    KINDS,
     PADDING_SAME,
     VALID_STRIDES,
     Activation,
@@ -55,6 +56,7 @@ from .graph import (
     SeparableConv2D,
     TensorShape,
     _window_dim,
+    check_append,
     check_endpoints,
     check_size,
     group_modules,
@@ -302,7 +304,10 @@ def strategy2_insert_fire(
     ``specs`` maps module tags (e.g. ``"entry_flow/m2"``) to the fire widths
     to insert. Every other node of the module keeps its id and its wiring;
     the projection is resized to the new output width, or inserted where an
-    identity residual no longer matches.
+    identity residual no longer matches. The pass infers shapes once, for
+    its input: the result's table is the input's, with new rows only for
+    the nodes the rewrite made or changed and those downstream of a width
+    change, and ``params_after`` is its total.
     """
     if not isinstance(specs, dict):
         raise ValidationError(
@@ -384,21 +389,22 @@ def strategy2_insert_fire(
                 changed.append(NodeChange(res[0].id, "(identity residual)", _describe(res_kind)))
                 node = dataclasses.replace(node, inputs=tuple(
                     res[-1].id if i == module_input else i for i in node.inputs))
-        inputs = tuple(remap.get(i, i) for i in node.inputs)
-        new_nodes.append(node if inputs == node.inputs else dataclasses.replace(node, inputs=inputs))
+        new_nodes.append(node if remap.keys().isdisjoint(node.inputs) else dataclasses.replace(
+            node, inputs=tuple([remap.get(i, i) for i in node.inputs])))
         if module is None and type(node.kind) in _WIDTH_KEEPING_KINDS and node.inputs[0] in widths:
             widths[node.id] = widths[node.inputs[0]]
 
     result = dataclasses.replace(graph, nodes=tuple(new_nodes))
-    # The input's table goes before the result's is built, so the two are
-    # never held at once.
-    del rows, row_of, groups, owner, new_nodes
+    # The result's table shares the input's rows; of the input's own tables
+    # only the id map outlives the rewrite, until that table is built.
+    del rows, groups, owner, new_nodes
     try:
-        rows_after = analyzer.analyze(result)
+        rows_after = _patched_rows(result, row_of)
     except ShapeMismatchError as exc:
         raise ResidualShapeBrokenError(
             f"fire insertion broke residual shapes in {capped(graph.name)}: {exc}"
         ) from exc
+    del row_of
     check_endpoints(result, rows_after[-1].shape_out)
     report = PassReport(
         "strategy2_insert_fire",
@@ -408,6 +414,30 @@ def strategy2_insert_fire(
         violations=tuple(violations),
     )
     return result, report
+
+
+def _patched_rows(result: ModelGraph, row_of: dict[str, analyzer.LayerRow]) -> list[analyzer.LayerRow]:
+    """``analyzer.analyze(result)`` in one walk over ``result``, a rewrite of
+    the graph whose rows by id are ``row_of``. A node keeps its input row
+    when it is the same node object and none of its inputs changed shape;
+    any other node gets its kind's shape rule and ``analyzer``'s row rule.
+    Every node passes ``check_append``, as in ``topo_sort``."""
+    shapes: dict[str, TensorShape] = {}
+    made: dict[tuple[int, int, int], TensorShape] = {}
+    moved: set[str] = set()  # ids whose shape is not their input row's, new ids included
+    rows: list[analyzer.LayerRow] = []
+    for node in result.nodes:
+        check_append(shapes, node)
+        row = row_of.get(node.id)
+        if row is not None and row.node is node and moved.isdisjoint(node.inputs):
+            shapes[node.id] = row.shape_out
+        else:
+            shape = shapes[node.id] = KINDS[type(node.kind)][1](result, node, shapes, made)
+            if row is None or shape != row.shape_out:
+                moved.add(node.id)
+            (row,) = analyzer._layer_rows((node,), shapes)
+        rows.append(row)
+    return rows
 
 
 # -- strategy 3: downsampling audit ---------------------------------------------

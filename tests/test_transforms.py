@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cndkit.graph
-from cndkit.analyzer import count_params
+from cndkit import transforms
+from cndkit.analyzer import analyze, count_params, memory_estimate
 from cndkit.errors import (
     CndkitError,
     InvalidFireSpecError,
     ModuleStructureError,
     ResidualShapeBrokenError,
+    ShapeMismatchError,
     UnknownModuleTagError,
     ValidationError,
 )
@@ -634,15 +636,45 @@ class TestStrategy2:
             assert shapes_out[tail] == (*size, specs[module].e3x3)
         assert all(shapes_out[i][:2] == shapes[i][:2] for i in shapes_out if i in shapes)
 
-    def test_two_shape_inferences_per_call(self, xception, inference_calls):
-        # one of the input graph, one of the result
+    def test_one_shape_inference_per_call(self, xception, inference_calls):
+        # of the input graph; the result's table is patched from the input's
         strategy2_insert_fire(xception, default_specs())
-        assert inference_calls == [xception.name, xception.name]
+        assert inference_calls == [xception.name]
 
-    def test_optimized_build_infers_shapes_four_times(self, inference_calls):
-        # build_xception's validate, strategy1 and strategy2's two
+    def test_optimized_build_infers_shapes_three_times(self, inference_calls):
+        # build_xception's validate, strategy1 and strategy2's one
         build_optimized_xception()
-        assert len(inference_calls) == 4
+        assert len(inference_calls) == 3
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_deep_graphs_sequence_makes_seven_shape_passes(self, seed, monkeypatch):
+        # The benchmark's deep_graphs operation on a random fire graph: one
+        # shape pass in each call but memory_estimate, which makes two
+        # (analyze and activation_sizes).
+        rng = random.Random(seed)
+        graph = random_fire_graph(rng)
+        specs = {module: FireModuleSpec(4, 8, 16) for module in module_groups(graph)}
+        text = serialize(graph)
+        passes = []
+        real = cndkit.graph.shapes_in_order
+        monkeypatch.setattr(cndkit.graph, "shapes_in_order",
+                            lambda g: passes.append(g.name) or real(g))
+        counts = []
+
+        def counted(call, *args):
+            before = len(passes)
+            out = call(*args)
+            counts.append(len(passes) - before)
+            return out
+
+        loaded = counted(deserialize, text)
+        counted(count_params, loaded)
+        counted(memory_estimate, loaded)
+        after_s1, _ = counted(strategy1_replace_kernels, loaded)
+        after_s2, _ = counted(strategy2_insert_fire, after_s1, specs)
+        counted(serialize, after_s2)
+        assert counts == [1, 1, 2, 1, 1, 1]
+        assert len(passes) == 7
 
     def test_untouched_nodes_kept(self, xception):
         out, _ = strategy2_insert_fire(xception, {"middle_flow/m5": FireModuleSpec(414, 600, 728)})
@@ -659,6 +691,150 @@ class TestStrategy2:
             if isinstance(n.kind, MaxPool) or (is_conv(n.kind) and n.kind.stride == 2)
         )
         assert downs(out) == downs(xception)
+
+
+def _strategy2_table(graph, specs):
+    """strategy2's report (None when it raised) and, when it patched a table
+    for its result, ``(result, table, row_of)``: the table is the shape error
+    patching raised, if it raised one, and ``row_of`` the input's rows by id."""
+    seen = []
+    real = transforms._patched_rows
+
+    def keep(result, row_of):
+        try:
+            table = real(result, row_of)
+        except ShapeMismatchError as exc:
+            seen.append((result, exc, row_of))
+            raise
+        seen.append((result, table, row_of))
+        return table
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transforms, "_patched_rows", keep)
+        try:
+            _, report = strategy2_insert_fire(graph, specs)
+        except CndkitError:
+            report = None
+    assert len(seen) <= 1
+    return report, (seen[0] if seen else None)
+
+
+def _random_specs(graph, rng):
+    specs = {}
+    for module in module_groups(graph):
+        if rng.random() < 0.7:
+            s = rng.randint(1, 20)
+            specs[module] = FireModuleSpec(s, rng.randint(s, 40), rng.randint(1, 40))
+    return specs
+
+
+class TestStrategy2Table:
+    """The result table strategy2 patches from its input's rows is the one
+    ``analyze`` gives for its result, and its total is ``params_after``."""
+
+    def _check(self, graph, specs):
+        # The patched table equals analyze's, or both raise the same shape
+        # error; with no table, the pass stopped before its rewrite.
+        report, seen = _strategy2_table(graph, specs)
+        if seen is None:
+            return
+        out, table, _ = seen
+        try:
+            expected = analyze(out)
+        except ShapeMismatchError as exc:
+            assert (type(table), str(table)) == (type(exc), str(exc))
+            return
+        assert table == expected
+        if report is not None:  # else the result's endpoint checks failed
+            assert report.params_after == count_params(out).total
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_equals_analyze_on_random_stack_windows(self, seed):
+        rng = random.Random(seed)
+        graph = with_random_stack_windows(random_fire_graph(rng), rng)
+        self._check(graph, _random_specs(graph, rng))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_equals_analyze_on_off_stack_nodes(self, seed):
+        rng = random.Random(seed)
+        graph = with_off_stack_nodes(random_fire_graph(rng), rng)
+        self._check(graph, _random_specs(graph, rng))
+
+    @pytest.mark.parametrize("model", ["xception", "optimized", "mobilenet"])
+    def test_equals_analyze_on_zoo_models(self, model, request):
+        graph = request.getfixturevalue(model)
+        if model == "mobilenet":  # every module whose rewrite keeps the Adds' shapes
+            specs = {f"blocks/m{i}": FireModuleSpec(8, 16, 32) for i in (2, 4, 5, 6, 7, 11, 14, 17, 18)}
+            specs["stem/m1"] = FireModuleSpec(8, 16, 32)
+        else:
+            specs = {tag: FireModuleSpec(s.s1x1 // 2, s.e1x1 // 2, s.e3x3)
+                     for tag, s in default_specs().items()}
+        report, (out, table, _) = _strategy2_table(graph, specs)
+        assert report.nodes_changed
+        assert table == analyze(out)
+        assert report.params_after == count_params(out).total
+
+    @staticmethod
+    def _recomputed(table, row_of):
+        return [row.node.id for row in table if row_of.get(row.node.id) is not row]
+
+    def test_untagged_chain_between_rewritten_modules(self):
+        # m1's new width (48) reaches m2 through an untagged BatchNorm and
+        # relu, whose rows must follow it.
+        graph = _graph(
+            LayerNode("in", Input()),
+            LayerNode("s1", SeparableConv2D(16, 3), ("in",), "f/m1/sep1"),
+            LayerNode("a1", Add(), ("s1", "in"), "f/m1/add"),
+            LayerNode("bn", BatchNorm(), ("a1",)),
+            LayerNode("relu", Activation("relu"), ("bn",)),
+            LayerNode("s2", SeparableConv2D(16, 3), ("relu",), "f/m2/sep1"),
+            LayerNode("a2", Add(), ("s2", "relu"), "f/m2/add"),
+            LayerNode("gap", GlobalAvgPool(), ("a2",)),
+            LayerNode("head", Dense(4), ("gap",)),
+        )
+        specs = {"f/m1": FireModuleSpec(4, 8, 48), "f/m2": FireModuleSpec(4, 8, 16)}
+        report, (out, table, row_of) = _strategy2_table(graph, specs)
+        assert table == analyze(out)
+        rows = {row.node.id: row for row in table}
+        assert rows["bn"].params.total == 4 * 48
+        assert rows["relu"].shape_out == TensorShape(8, 8, 48)
+        assert {"bn", "relu"} <= set(self._recomputed(table, row_of))
+        assert report.params_after == count_params(out).total
+
+    def test_dense_head_after_width_change(self):
+        graph = _graph(
+            LayerNode("in", Input()),
+            LayerNode("s1", SeparableConv2D(16, 3), ("in",), "f/m1/sep1"),
+            LayerNode("a1", Add(), ("s1", "in"), "f/m1/add"),
+            LayerNode("gap", GlobalAvgPool(), ("a1",)),
+            LayerNode("head", Dense(4), ("gap",)),
+        )
+        report, (out, table, row_of) = _strategy2_table(graph, {"f/m1": FireModuleSpec(4, 8, 32)})
+        assert table == analyze(out)
+        assert table[-1].params.total == 32 * 4 + 4
+        assert self._recomputed(table, row_of)[-2:] == ["gap", "head"]
+        assert report.params_after == count_params(out).total
+
+    def test_equal_width_recomputes_no_downstream_row(self):
+        # e3x3 is the stack's old width: only the fire, the projection-free
+        # Add that reads it and nothing after them get new rows.
+        graph = _graph(
+            LayerNode("in", Input()),
+            LayerNode("s1", SeparableConv2D(16, 3), ("in",), "f/m1/sep1"),
+            LayerNode("s1_bn", BatchNorm(), ("s1",), "f/m1/sep1_bn"),
+            LayerNode("a1", Add(), ("s1_bn", "in"), "f/m1/add"),
+            LayerNode("relu", Activation("relu"), ("a1",)),
+            LayerNode("gap", GlobalAvgPool(), ("relu",)),
+            LayerNode("head", Dense(4), ("gap",)),
+        )
+        report, (out, table, row_of) = _strategy2_table(graph, {"f/m1": FireModuleSpec(4, 8, 16)})
+        assert table == analyze(out)
+        fire = [n.id for n in out.nodes if n.id not in row_of]
+        assert len(fire) == 9
+        assert self._recomputed(table, row_of) == fire + ["a1"]
+        assert report.params_after == count_params(out).total
 
 
 class TestPassResults:
