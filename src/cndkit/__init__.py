@@ -20,7 +20,7 @@ _HOME = {
     **dict.fromkeys((
         "Activation", "Add", "BatchNorm", "Conv2D", "Dense", "GlobalAvgPool", "Input",
         "LayerKind", "LayerNode", "MaxPool", "ModelGraph", "SeparableConv2D", "TensorShape",
-        "add_layer", "infer_shapes", "module_groups", "module_of", "role_of", "topo_sort",
+        "add_layer", "infer_shapes", "topo_sort",
         "validate"), "graph"),
     **dict.fromkeys(("serialize", "deserialize", "save_model", "load_model"), "serialize"),
     "FireModuleSpec": "transforms",

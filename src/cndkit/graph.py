@@ -234,18 +234,9 @@ class ModelGraph:
                 return n
         raise KeyError(node_id)
 
-    def consumers(self) -> dict[str, list[str]]:
-        """Map node id -> ids of nodes that consume its output."""
-        out: dict[str, list[str]] = {n.id: [] for n in self.nodes}
-        for n in self.nodes:
-            for src in n.inputs:
-                if src in out:
-                    out[src].append(n.id)
-        return out
-
     def terminal_id(self) -> str:
         consumed = {src for n in self.nodes for src in n.inputs}
-        # one entry per id, in stored order, as the keys of consumers()
+        # each unconsumed id once, in stored order, even if it is stored twice
         tails = list(dict.fromkeys(n.id for n in self.nodes if n.id not in consumed))
         if len(tails) != 1:
             raise ValidationError(f"graph must have exactly one terminal node, found {capped(tails)}")
@@ -258,38 +249,17 @@ def make_tag(flow: str, module: str, role: str) -> str:
     return f"{flow}/{module}/{role}"
 
 
-def _split_tag(tag: str | None) -> tuple[str | None, str | None]:
-    """`flow/module/role` -> (`flow/module`, `role`); (None, None) for an
-    untagged or flat tag. The one place a tag is split."""
-    parts = () if tag is None else tag.split("/")
-    if len(parts) < 3:
-        return None, None
-    return f"{parts[0]}/{parts[1]}", parts[-1]
-
-
-def module_of(tag: str | None) -> str | None:
-    """`flow/module/role` -> `flow/module`; None for untagged or flat tags."""
-    return _split_tag(tag)[0]
-
-
-def role_of(tag: str | None) -> str | None:
-    return _split_tag(tag)[1]
-
-
 def group_modules(nodes: Iterable[LayerNode]) -> dict[str, list[tuple[str, LayerNode]]]:
     """``(role, node)`` per module, nodes in the given order, modules in order
-    of first appearance; untagged and flat-tagged nodes belong to none."""
+    of first appearance: a ``flow/module/role`` tag puts its node in module
+    ``flow/module`` with role ``role``; untagged and flat-tagged nodes belong
+    to none. The one place a tag is split."""
     groups: dict[str, list[tuple[str, LayerNode]]] = {}
     for node in nodes:
-        module, role = _split_tag(node.tag)
-        if module is not None:
-            groups.setdefault(module, []).append((role, node))
+        parts = () if node.tag is None else node.tag.split("/")
+        if len(parts) >= 3:
+            groups.setdefault(f"{parts[0]}/{parts[1]}", []).append((parts[-1], node))
     return groups
-
-
-def module_groups(graph: ModelGraph) -> dict[str, list[str]]:
-    """Node ids per module tag, keyed in order of first appearance."""
-    return {m: [node.id for _, node in members] for m, members in group_modules(graph.nodes).items()}
 
 
 # -- construction -------------------------------------------------------------

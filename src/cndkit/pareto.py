@@ -232,15 +232,6 @@ def classify_quadrant(
     return Quadrant.LOW_ACC_LOW_MEM if low_mem else Quadrant.LOW_ACC_HIGH_MEM
 
 
-def dominates(a: ModelMeasurement, b: ModelMeasurement) -> bool:
-    """Weak dominance with one strict inequality (acc up, memory down)."""
-    return (
-        a.test_acc >= b.test_acc
-        and a.avg_mem_mb <= b.avg_mem_mb
-        and (a.test_acc > b.test_acc or a.avg_mem_mb < b.avg_mem_mb)
-    )
-
-
 def _sort_key(record: ModelMeasurement):
     return (record.avg_mem_mb, -record.test_acc, record.model, record.experiment)
 

@@ -13,7 +13,11 @@ Two rewrite passes are provided, applied per tagged module:
     before an Add on the module input when that input's width differs.
     expand3's stride keeps the stack's output size. A module with no such
     stride, a second kept conv, or a stack fed by anything but the module
-    input or without one output is a ModuleStructureError.
+    input or without one output is a ModuleStructureError. The pass builds
+    its result and the result's per-node table in one walk: a node it keeps
+    as it was, with no input of a new shape, keeps its input row; every
+    other node gets its kind's shape rule, and the projection decision
+    reads the module input's width from that table.
 
 ``cndkit.zoo.build_optimized_xception`` is both passes applied to
 ``build_xception``, so fire-module and residual wiring lives only here.
@@ -48,7 +52,6 @@ from .graph import (
     Add,
     BatchNorm,
     Conv2D,
-    GlobalAvgPool,
     LayerKind,
     LayerNode,
     MaxPool,
@@ -218,16 +221,15 @@ def make_fire_module(
 
 
 _REWRITABLE_KINDS = (Conv2D, SeparableConv2D, MaxPool, BatchNorm, Activation, Add)
-_WIDTH_KEEPING_KINDS = (BatchNorm, Activation, MaxPool, Add, GlobalAvgPool)
 
 
 def _module_structure(members: list[tuple[str, LayerNode]], module: str, fed_out: dict[str, str],
                       row_of: dict[str, analyzer.LayerRow]):
     """Pick apart one tagged module, given its ``(role, node)`` members in
     stored order, ``fed_out`` (node id -> a consumer outside its module) and
-    ``row_of``: its input, main stack (id -> node), the stack's one output,
-    its tail (the one node no module node consumes; only it may feed a node
-    outside) and the expand3 stride that keeps the stack's output size."""
+    ``row_of``: its input, main stack (id -> node), the stack's one output
+    and the expand3 stride that keeps the stack's output size. Only its tail,
+    the one node no module node consumes, may feed a node outside."""
     id_set = {node.id for _, node in members}
     external: list[str] = []
     consumed: set[str] = set()
@@ -293,7 +295,7 @@ def _module_structure(members: list[tuple[str, LayerNode]], module: str, fed_out
         raise ModuleStructureError(
             f"module {capped(module)}: no expand3 stride maps its input's {shape_in.height}x"
             f"{shape_in.width} to its main stack's {shape_out.height}x{shape_out.width}")
-    return external[0], stack, outputs[0], tails[0], strides[0]
+    return external[0], stack, outputs[0], strides[0]
 
 
 def strategy2_insert_fire(
@@ -305,9 +307,11 @@ def strategy2_insert_fire(
     to insert. Every other node of the module keeps its id and its wiring;
     the projection is resized to the new output width, or inserted where an
     identity residual no longer matches. The pass infers shapes once, for
-    its input: the result's table is the input's, with new rows only for
-    the nodes the rewrite made or changed and those downstream of a width
-    change, and ``params_after`` is its total.
+    its input, and builds its result and the result's table in one walk:
+    each node it emits passes ``check_append`` and keeps its input row when
+    it is the same node object and none of its inputs changed shape, or
+    gets its kind's shape rule and ``analyzer``'s row rule. An identity
+    residual reads its width from that table; ``params_after`` is its total.
     """
     if not isinstance(specs, dict):
         raise ValidationError(
@@ -326,7 +330,6 @@ def strategy2_insert_fire(
         return graph, PassReport("strategy2_insert_fire", (), params_before, params_before)
 
     row_of = {row.node.id: row for row in rows}
-    added: set[str] = set()  # ids of the nodes the pass adds; row_of holds the input's
     owner = {node.id: module for module in specs for _, node in groups[module]}
     fed_out = {src: node.id for node in reversed(graph.nodes) for src in node.inputs
                if src in owner and owner[src] != owner.get(node.id)}
@@ -336,22 +339,43 @@ def strategy2_insert_fire(
     # Every spec is valid and every other module is kept as it is, tags
     # included, so the result's violations are those of the modules left.
     violations = _fire_violations((m, members) for m, members in groups.items() if m not in specs)
+    del rows, groups, fed_out  # the walk reads the input's rows by id only
     remap: dict[str, str] = {}  # each replaced stack's output -> its fire tail
-    widths: dict[str, int] = {}  # old id -> new width: rewritten tails and what passes them on
     changed: list[NodeChange] = []
-    new_nodes: list[LayerNode] = []
+    table: list[analyzer.LayerRow] = []  # the result's rows, so far
+    shapes: dict[str, TensorShape] = {}  # the result's ids so far -> output shape
+    shared: dict[tuple[int, int, int], TensorShape] = {}
+    moved: set[str] = set()  # ids whose shape is not their input row's, new ids included
+
+    def emit(node: LayerNode) -> None:
+        """Append ``node`` to the result and its row to ``table``."""
+        check_append(shapes, node)
+        row = row_of.get(node.id)
+        if row is not None and row.node is node and moved.isdisjoint(node.inputs):
+            shapes[node.id] = row.shape_out
+        else:
+            try:  # a shape rule reads only input_shape of its graph, which the result keeps
+                shape = shapes[node.id] = KINDS[type(node.kind)][1](graph, node, shapes, shared)
+            except ShapeMismatchError as exc:
+                raise ResidualShapeBrokenError(
+                    f"fire insertion broke residual shapes in {capped(graph.name)}: {exc}"
+                ) from exc
+            if row is None or shape != row.shape_out:
+                moved.add(node.id)
+            (row,) = analyzer._layer_rows((node,), shapes)
+        table.append(row)
 
     def fresh(base: str, build) -> list[LayerNode]:
-        """Add and return the nodes ``build(made, prefix)`` appends to ``made``
-        for the first prefix of ``base``, ``base_f``, ``base_f_f``, ... none of
-        whose ids is taken: the one naming rule for the nodes the pass adds."""
+        """Emit and return the nodes ``build(made, prefix)`` appends to
+        ``made`` for the first prefix of ``base``, ``base_f``, ``base_f_f``,
+        ... none of whose ids is taken: the one naming rule for the nodes
+        the pass adds."""
         while True:
             made: list[LayerNode] = []
             build(made, base)
-            ids = [node.id for node in made]
-            if not any(i in row_of or i in added for i in ids):
-                added.update(ids)
-                new_nodes.extend(made)
+            if not any(node.id in row_of or node.id in shapes for node in made):
+                for node in made:
+                    emit(node)
                 return made
             base += "_f"
 
@@ -361,9 +385,9 @@ def strategy2_insert_fire(
         module = owner.get(node.id)
         if module is not None:
             spec = specs[module]
-            module_input, stack, stack_out, tail, stride = structures[module]
+            module_input, stack, stack_out, stride = structures[module]
             source = remap.get(module_input, module_input)
-            if node is groups[module][0][1]:  # the module's first node
+            if stack_out not in remap:  # the module's first node
                 fire = fresh(module.replace("/", "_") + "_fire", lambda made, prefix: made.extend(
                     make_fire_module(source, spec, stride, id_prefix=prefix, module_tag=module)))
                 main_convs = [n for n in stack.values() if is_conv(n.kind)]
@@ -371,7 +395,6 @@ def strategy2_insert_fire(
                     changed.append(NodeChange((old or new).id, _describe(old.kind) if old else "(none)",
                                               _describe(new.kind) if new else "(removed)"))
                 remap[stack_out] = fire[-1].id
-                widths[tail] = spec.e3x3
             if node.id in stack:
                 continue
             if is_conv(node.kind):  # the projection, the module's one kept conv
@@ -380,7 +403,7 @@ def strategy2_insert_fire(
                     changed.append(NodeChange(node.id, _describe(node.kind), _describe(new_kind)))
                     node = dataclasses.replace(node, kind=new_kind)
             elif (type(node.kind) is Add and module_input in node.inputs
-                  and widths.get(module_input, row_of[module_input].shape_out.channels) != spec.e3x3):
+                  and shapes[source].channels != spec.e3x3):
                 # An Add reads its inputs at the module input's height and
                 # width, which the fire keeps, so only the width needs a fix.
                 res_kind = Conv2D(spec.e3x3, 1)
@@ -389,55 +412,20 @@ def strategy2_insert_fire(
                 changed.append(NodeChange(res[0].id, "(identity residual)", _describe(res_kind)))
                 node = dataclasses.replace(node, inputs=tuple(
                     res[-1].id if i == module_input else i for i in node.inputs))
-        new_nodes.append(node if remap.keys().isdisjoint(node.inputs) else dataclasses.replace(
+        emit(node if remap.keys().isdisjoint(node.inputs) else dataclasses.replace(
             node, inputs=tuple([remap.get(i, i) for i in node.inputs])))
-        if module is None and type(node.kind) in _WIDTH_KEEPING_KINDS and node.inputs[0] in widths:
-            widths[node.id] = widths[node.inputs[0]]
 
-    result = dataclasses.replace(graph, nodes=tuple(new_nodes))
-    # The result's table shares the input's rows; of the input's own tables
-    # only the id map outlives the rewrite, until that table is built.
-    del rows, groups, owner, new_nodes
-    try:
-        rows_after = _patched_rows(result, row_of)
-    except ShapeMismatchError as exc:
-        raise ResidualShapeBrokenError(
-            f"fire insertion broke residual shapes in {capped(graph.name)}: {exc}"
-        ) from exc
-    del row_of
-    check_endpoints(result, rows_after[-1].shape_out)
+    del row_of, owner, shapes, moved  # the checks below read the result's table only
+    result = dataclasses.replace(graph, nodes=tuple(row.node for row in table))
     report = PassReport(
         "strategy2_insert_fire",
         tuple(changed),
         params_before,
-        analyzer.total_params(rows_after),
+        analyzer.total_params(table),
         violations=tuple(violations),
     )
+    check_endpoints(result, table[-1].shape_out)
     return result, report
-
-
-def _patched_rows(result: ModelGraph, row_of: dict[str, analyzer.LayerRow]) -> list[analyzer.LayerRow]:
-    """``analyzer.analyze(result)`` in one walk over ``result``, a rewrite of
-    the graph whose rows by id are ``row_of``. A node keeps its input row
-    when it is the same node object and none of its inputs changed shape;
-    any other node gets its kind's shape rule and ``analyzer``'s row rule.
-    Every node passes ``check_append``, as in ``topo_sort``."""
-    shapes: dict[str, TensorShape] = {}
-    made: dict[tuple[int, int, int], TensorShape] = {}
-    moved: set[str] = set()  # ids whose shape is not their input row's, new ids included
-    rows: list[analyzer.LayerRow] = []
-    for node in result.nodes:
-        check_append(shapes, node)
-        row = row_of.get(node.id)
-        if row is not None and row.node is node and moved.isdisjoint(node.inputs):
-            shapes[node.id] = row.shape_out
-        else:
-            shape = shapes[node.id] = KINDS[type(node.kind)][1](result, node, shapes, made)
-            if row is None or shape != row.shape_out:
-                moved.add(node.id)
-            (row,) = analyzer._layer_rows((node,), shapes)
-        rows.append(row)
-    return rows
 
 
 # -- strategy 3: downsampling audit ---------------------------------------------
@@ -505,10 +493,10 @@ def _fire_violations(modules) -> list[str]:
     """The one fire rule, over ``(module, (role, node) members)`` pairs."""
     violations: list[str] = []
     for module, members in modules:
-        widths = {role: node.kind.filters for role, node in members
-                  if role in ("squeeze", "expand1", "expand3") and is_conv(node.kind)}
-        if len(widths) == 3:
-            s, e1, e3 = widths["squeeze"], widths["expand1"], widths["expand3"]
+        filters = {role: node.kind.filters for role, node in members
+                   if role in ("squeeze", "expand1", "expand3") and is_conv(node.kind)}
+        if len(filters) == 3:
+            s, e1, e3 = filters["squeeze"], filters["expand1"], filters["expand3"]
             if not FireModuleSpec(s, e1, e3).is_valid():
                 violations.append(
                     f"{module}: s1x1={s} must be < e1x1+e3x3={e1 + e3} (e1x1={e1}, e3x3={e3})"

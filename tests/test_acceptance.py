@@ -13,11 +13,9 @@ from cndkit.analyzer import count_params, round_params_millions
 from cndkit.cli import main
 from cndkit.graph import (
     Add,
+    group_modules,
     infer_shapes,
     is_conv,
-    module_groups,
-    module_of,
-    role_of,
     topo_sort,
 )
 from cndkit.pareto import (
@@ -74,11 +72,11 @@ def test_c03_optimized_model_target(xception, optimized):
 
 
 def test_c04_macro_structure(xception):
+    modules = group_modules(xception.nodes)
     convs = [
-        n for n in xception.nodes
-        if is_conv(n.kind) and module_of(n.tag) is not None and role_of(n.tag) != "residual"
+        n for members in modules.values() for role, n in members
+        if is_conv(n.kind) and role != "residual"
     ]
-    modules = module_groups(xception)
     adds = [n for n in xception.nodes if isinstance(n.kind, Add)]
     assert len(convs) == 36
     assert len(modules) == 14

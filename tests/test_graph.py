@@ -48,9 +48,6 @@ from cndkit.graph import (
     group_modules,
     infer_shapes,
     is_conv,
-    module_groups,
-    module_of,
-    role_of,
     topo_sort,
     validate,
 )
@@ -324,7 +321,10 @@ class TestTopoSort:
 
 
 def _descendants(graph, node_id):
-    consumers = graph.consumers()
+    consumers = {n.id: [] for n in graph.nodes}
+    for n in graph.nodes:
+        for src in n.inputs:
+            consumers[src].append(n.id)
     seen, stack = {node_id}, [node_id]
     while stack:
         for nxt in consumers[stack.pop()]:
@@ -756,11 +756,9 @@ _TAGS = st.one_of(
 
 class TestTags:
     def test_split(self):
-        assert module_of("entry_flow/m2/sep1") == "entry_flow/m2"
-        assert role_of("entry_flow/m2/sep1") == "sep1"
-        assert module_of(None) is None
-        assert module_of("loose") is None
-        assert role_of("loose") is None
+        tags = ("entry_flow/m2/sep1", None, "loose")
+        nodes = [LayerNode(f"n{i}", Input(), (), tag) for i, tag in enumerate(tags)]
+        assert group_modules(nodes) == {"entry_flow/m2": [("sep1", nodes[0])]}
 
     @given(st.lists(_TAGS, max_size=12))
     @example([None, "flat", "a/b", "a//b", "f/m1/x/sep1", "f/m1/sep2", "f/m2/residual", "a//c"])
@@ -770,19 +768,15 @@ class TestTags:
         expected: dict[str, list] = {}
         for node in nodes:
             module, role = oracle_split_tag(node.tag)
-            assert (module_of(node.tag), role_of(node.tag)) == (module, role)
             if module is not None:
                 expected.setdefault(module, []).append((role, node))
         groups = group_modules(nodes)
         assert list(groups.items()) == list(expected.items())
         assert all(a is b for m in groups for (_, a), (_, b) in zip(groups[m], expected[m]))
-        graph = ModelGraph("tags", TensorShape(1, 1, 1), 1, nodes)
-        assert list(module_groups(graph).items()) == [
-            (m, [n.id for _, n in members]) for m, members in expected.items()]
 
     def test_only_graph_splits_tags(self):
-        # Tags are split in graph._split_tag alone; every other module reads
-        # module_of, role_of or group_modules.
+        # Tags are split in graph.group_modules alone; every other module
+        # reads its grouping.
         split = re.compile(r"""\.(?:r?split|r?partition)\(\s*['"]/['"]""")
         for path in sorted(Path(cndkit.__file__).parent.glob("*.py")):
             found = split.findall(path.read_text(encoding="utf-8"))

@@ -53,7 +53,7 @@ class TestPublicSurface:
         assert cndkit.__all__ == [
             "Activation", "Add", "BatchNorm", "Conv2D", "Dense", "GlobalAvgPool", "Input",
             "LayerKind", "LayerNode", "MaxPool", "ModelGraph", "SeparableConv2D", "TensorShape",
-            "add_layer", "infer_shapes", "module_groups", "module_of", "role_of", "topo_sort",
+            "add_layer", "infer_shapes", "topo_sort",
             "validate", "serialize", "deserialize", "save_model", "load_model",
             "FireModuleSpec", "OptimizedConfig", "DEFAULT_OPTIMIZED_CONFIG",
             "build_xception", "build_optimized_xception", "build_mobilenet_v2", "make_fire_module",

@@ -12,7 +12,6 @@ from cndkit.pareto import (
     Quadrant,
     QuadrantConfig,
     classify_quadrant,
-    dominates,
     export_plot_data,
     load_fixture,
     load_measurements,
@@ -336,7 +335,9 @@ class TestParetoFront:
             front = pareto_front(records)
             for a in front:
                 for b in front:
-                    assert not dominates(a, b) or a == b
+                    # weak dominance with one strict inequality (acc up, memory down)
+                    assert not (a.test_acc >= b.test_acc and a.avg_mem_mb <= b.avg_mem_mb
+                                and (a.test_acc > b.test_acc or a.avg_mem_mb < b.avg_mem_mb)) or a == b
 
     def test_sorted_by_memory(self):
         rng = random.Random(8)

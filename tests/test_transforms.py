@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cndkit.analyzer
 import cndkit.graph
 from cndkit import transforms
 from cndkit.analyzer import analyze, count_params, memory_estimate
@@ -34,9 +35,8 @@ from cndkit.graph import (
     TensorShape,
     add_layer,
     infer_shapes,
+    group_modules,
     is_conv,
-    module_groups,
-    module_of,
     validate,
 )
 from cndkit.serialize import deserialize, serialize
@@ -265,9 +265,10 @@ class TestStrategy2:
         from cndkit.errors import ModuleStructureError
 
         long_module = "exit_flow/" + "m" * 100_000
+        m14 = {n.id for _, n in group_modules(xception.nodes)["exit_flow/m14"]}
         nodes = tuple(
             dataclasses.replace(n, tag=n.tag.replace("exit_flow/m14", long_module))
-            if module_of(n.tag) == "exit_flow/m14" else n
+            if n.id in m14 else n
             for n in xception.nodes
         )
         graph = dataclasses.replace(xception, nodes=nodes)
@@ -299,6 +300,38 @@ class TestStrategy2:
         projs = [n for n in out.nodes if is_conv(n.kind) and n.tag == "flow/m1/residual"]
         assert len(projs) == 1 and projs[0].kind.filters == 48
         infer_shapes(out)  # wiring stays consistent
+
+    @pytest.mark.parametrize("m2_e3x3, projection, params_after", [
+        (32, [], 2092),
+        (16, ["f_m2_res", "f_m2_res_bn"], 2412),
+    ])
+    def test_width_through_an_untagged_pool_and_add(self, m2_e3x3, projection, params_after):
+        # m1 (projected) -> untagged BatchNorm -> MaxPool(3, stride=1) -> Add
+        # of both -> m2, whose identity residual reads that Add. The chain
+        # was 16 wide and m1 makes it 32: m2's e3x3 of 32 needs no projection
+        # although the old width differed, and its old width, 16, needs one.
+        graph = _graph(
+            LayerNode("in", Input()),
+            LayerNode("s1", SeparableConv2D(16, 3), ("in",), "f/m1/sep1"),
+            LayerNode("p1", Conv2D(16, 1), ("in",), "f/m1/residual"),
+            LayerNode("a1", Add(), ("s1", "p1"), "f/m1/add"),
+            LayerNode("bn", BatchNorm(), ("a1",)),
+            LayerNode("pool", MaxPool(3, 1), ("bn",)),
+            LayerNode("mix", Add(), ("pool", "bn")),
+            LayerNode("s2", SeparableConv2D(16, 3), ("mix",), "f/m2/sep1"),
+            LayerNode("a2", Add(), ("s2", "mix"), "f/m2/add"),
+            LayerNode("gap", GlobalAvgPool(), ("a2",)),
+            LayerNode("head", Dense(4), ("gap",)),
+        )
+        specs = {"f/m1": FireModuleSpec(4, 8, 32), "f/m2": FireModuleSpec(4, 8, m2_e3x3)}
+        report, (out, table, _) = _strategy2_table(graph, specs)
+        assert table == analyze(out)
+        fire = lambda m: [f"f_{m}_fire_{role}{suffix}" for role in ("squeeze", "expand1", "expand3")
+                          for suffix in ("", "_bn", "_act")]
+        assert [n.id for n in out.nodes] == (
+            ["in"] + fire("m1") + ["p1", "a1", "bn", "pool", "mix"] + fire("m2") + projection
+            + ["a2", "gap", "head"])
+        assert (report.params_before, report.params_after) == (1188, params_after)
 
     def test_reduces_params_for_squeeze_style_specs(self, xception):
         # Random reduction specs: squeeze and expand1 stay narrower than the
@@ -535,7 +568,7 @@ class TestStrategy2:
         rng = random.Random(seed)
         graph = with_off_stack_nodes(random_fire_graph(rng), rng)
         specs = {}
-        for module in module_groups(graph):
+        for module in group_modules(graph.nodes):
             if rng.random() < 0.7:
                 s = rng.randint(1, 20)
                 specs[module] = FireModuleSpec(s, rng.randint(s, 40), rng.randint(1, 40))
@@ -551,7 +584,7 @@ class TestStrategy2:
                      for i in stack}
         for module, stack in stacks.items():
             assert not stack & result.keys()
-            members = [n for n in graph.nodes if module_of(n.tag) == module]
+            members = [n for _, n in group_modules(graph.nodes)[module]]
             ids = {n.id for n in members}
             (module_input,) = {src for n in members for src in n.inputs if src not in ids}
             source = next(n for n in out.nodes if n.tag == f"{module}/squeeze").inputs[0]
@@ -606,14 +639,14 @@ class TestStrategy2:
         rng = random.Random(seed)
         graph = with_random_stack_windows(random_fire_graph(rng), rng)
         specs = {}
-        for module in module_groups(graph):
+        for module in group_modules(graph.nodes):
             if rng.random() < 0.7:
                 s = rng.randint(1, 20)
                 specs[module] = FireModuleSpec(s, rng.randint(s, 40), rng.randint(1, 40))
         shapes = oracle_shapes(graph)
         sizes = {}  # module -> (input height and width, stack output height and width)
         for module in specs:
-            members = [n for n in graph.nodes if module_of(n.tag) == module]
+            members = [n for _, n in group_modules(graph.nodes)[module]]
             ids = {n.id for n in members}
             (module_input,) = {src for n in members for src in n.inputs if src not in ids}
             stack = oracle_main_stack(graph, module)
@@ -653,7 +686,7 @@ class TestStrategy2:
         # (analyze and activation_sizes).
         rng = random.Random(seed)
         graph = random_fire_graph(rng)
-        specs = {module: FireModuleSpec(4, 8, 16) for module in module_groups(graph)}
+        specs = {module: FireModuleSpec(4, 8, 16) for module in group_modules(graph.nodes)}
         text = serialize(graph)
         passes = []
         real = cndkit.graph.shapes_in_order
@@ -694,34 +727,47 @@ class TestStrategy2:
 
 
 def _strategy2_table(graph, specs):
-    """strategy2's report (None when it raised) and, when it patched a table
-    for its result, ``(result, table, row_of)``: the table is the shape error
-    patching raised, if it raised one, and ``row_of`` the input's rows by id."""
-    seen = []
-    real = transforms._patched_rows
+    """strategy2's report (None when it raised) and, when its walk built a
+    table for its result, ``(result, table, row_of)``: ``result`` holds the
+    nodes the walk passed to ``check_append``, ``table`` is the rows it
+    summed for ``params_after`` or the shape error its walk raised, and
+    ``row_of`` the input's rows by id, as summed for ``params_before``."""
+    emitted, summed = [], []
+    real_append, real_total = transforms.check_append, cndkit.analyzer.total_params
 
-    def keep(result, row_of):
-        try:
-            table = real(result, row_of)
-        except ShapeMismatchError as exc:
-            seen.append((result, exc, row_of))
-            raise
-        seen.append((result, table, row_of))
-        return table
+    def append(ids, node):
+        emitted.append(node)
+        real_append(ids, node)
 
+    def total(rows):
+        summed.append(rows)
+        return real_total(rows)
+
+    table = None
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(transforms, "_patched_rows", keep)
+        patch.setattr(transforms, "check_append", append)
+        patch.setattr(cndkit.analyzer, "total_params", total)
         try:
-            _, report = strategy2_insert_fire(graph, specs)
+            out, report = strategy2_insert_fire(graph, specs)
+        except ResidualShapeBrokenError as exc:
+            report, table = None, exc.__cause__
+            assert isinstance(table, ShapeMismatchError)
         except CndkitError:
             report = None
-    assert len(seen) <= 1
-    return report, (seen[0] if seen else None)
+    assert len(summed) <= 2
+    if len(summed) == 2:
+        table = summed[1]
+    if table is None:
+        return report, None
+    result = dataclasses.replace(graph, nodes=tuple(emitted))
+    if report is not None:
+        assert out == result
+    return report, (result, table, {row.node.id: row for row in summed[0]})
 
 
 def _random_specs(graph, rng):
     specs = {}
-    for module in module_groups(graph):
+    for module in group_modules(graph.nodes):
         if rng.random() < 0.7:
             s = rng.randint(1, 20)
             specs[module] = FireModuleSpec(s, rng.randint(s, 40), rng.randint(1, 40))
@@ -847,7 +893,7 @@ class TestPassResults:
         rng = random.Random(seed)
         graph = random_tags(random_graph(rng), rng)
         specs = {module: FireModuleSpec(rng.randint(1, 40), rng.randint(1, 40), rng.randint(1, 40))
-                 for module in module_groups(graph) if rng.random() < 0.7}
+                 for module in group_modules(graph.nodes) if rng.random() < 0.7}
         for run in (strategy1_replace_kernels, lambda g: strategy2_insert_fire(g, specs)):
             try:
                 out, _ = run(graph)
@@ -938,7 +984,7 @@ class TestFireConstraints:
         # at least one module is targeted, each with a valid spec.
         rng = random.Random(seed)
         graph = random_fire_graph(rng)
-        modules = list(module_groups(graph))
+        modules = list(group_modules(graph.nodes))
         if not modules:
             return
         specs = {}
@@ -993,7 +1039,7 @@ class TestDiff:
         for graph in (xception, optimized, mobilenet):
             rows, total = self._params_by_module(diff(graph, graph))
             assert sum(rows.values()) == total == count_params(graph).total
-            assert list(rows) == list(module_groups(graph)) + ["(untagged)"] * ("(untagged)" in rows)
+            assert list(rows) == list(group_modules(graph.nodes)) + ["(untagged)"] * ("(untagged)" in rows)
 
     def test_module_params_match_an_oracle_on_random_tagged_graphs(self):
         rng = random.Random(16)

@@ -19,11 +19,9 @@ from cndkit.graph import (
     ModelGraph,
     SeparableConv2D,
     TensorShape,
+    group_modules,
     infer_shapes,
     is_conv,
-    module_groups,
-    module_of,
-    role_of,
     topo_sort,
 )
 from cndkit.serialize import save_model, serialize
@@ -44,8 +42,8 @@ MOBILENET_TOTAL = 2_358_821
 
 def _module_conv_nodes(graph):
     return [
-        n for n in graph.nodes
-        if is_conv(n.kind) and module_of(n.tag) is not None and role_of(n.tag) != "residual"
+        n for members in group_modules(graph.nodes).values() for role, n in members
+        if is_conv(n.kind) and role != "residual"
     ]
 
 
@@ -112,7 +110,7 @@ class TestXception:
 
     def test_macro_structure(self, xception):
         assert len(_module_conv_nodes(xception)) == 36
-        assert len(module_groups(xception)) == 14
+        assert len(group_modules(xception.nodes)) == 14
         assert sum(1 for n in xception.nodes if isinstance(n.kind, Add)) == 12
 
     def test_head_units(self):
@@ -155,9 +153,9 @@ class TestOptimizedXception:
     def test_first_sep_conv_of_every_module_is_pointwise(self, optimized):
         order = {nid: i for i, nid in enumerate(topo_sort(optimized))}
         by_id = {node.id: node for node in optimized.nodes}
-        for module, ids in module_groups(optimized).items():
+        for module, members in group_modules(optimized.nodes).items():
             seps = sorted(
-                (i for i in ids if isinstance(by_id[i].kind, SeparableConv2D)),
+                (n.id for _, n in members if isinstance(by_id[n.id].kind, SeparableConv2D)),
                 key=order.__getitem__,
             )
             if seps:
@@ -165,8 +163,9 @@ class TestOptimizedXception:
 
     def test_downsampling_positions_match_baseline(self, xception, optimized):
         def downsamplers(graph):
+            module = {n.id: m for m, members in group_modules(graph.nodes).items() for _, n in members}
             return [
-                (module_of(n.tag), type(n.kind).__name__)
+                (module.get(n.id), type(n.kind).__name__)
                 for n in graph.nodes
                 if isinstance(n.kind, MaxPool) or (is_conv(n.kind) and n.kind.stride == 2)
             ]
@@ -291,7 +290,7 @@ class TestMakeFireModule:
         convs = [n for n in nodes if isinstance(n.kind, SeparableConv2D)]
         assert [n.kind.kernel for n in convs] == [1, 1, 3]
         assert [n.kind.filters for n in convs] == [16, 64, 64]
-        assert [role_of(n.tag) for n in convs] == ["squeeze", "expand1", "expand3"]
+        assert [role for role, _ in group_modules(convs)["f/m1"]] == ["squeeze", "expand1", "expand3"]
 
     def test_output_channels_is_e3x3(self):
         nodes = make_fire_module("src", FireModuleSpec(16, 64, 96), module_tag="f/m1")
