@@ -105,7 +105,8 @@ def _layer_rows(nodes: Iterable[LayerNode], shapes: dict[str, TensorShape]) -> l
         else:
             shape_in = None
             entry = rule(node.id, kind, 0)
-        rows.append(LayerRow(node, shape_in, shapes[node.id], entry))
+        # tuple.__new__ skips the Python-level __new__ that NamedTuple adds
+        rows.append(tuple.__new__(LayerRow, (node, shape_in, shapes[node.id], entry)))
     return rows
 
 

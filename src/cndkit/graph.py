@@ -203,18 +203,20 @@ class LayerNode:
             raise ValidationError(
                 f"node {capped(self.id)} tag must be a string or None, got {capped(self.tag)}"
             )
-        # tuple("in") would be ("i", "n"): a string is one id, not a sequence of them
-        if isinstance(self.inputs, str) or not hasattr(self.inputs, "__iter__"):
-            raise ValidationError(
-                f"node {capped(self.id)} inputs must be a sequence of node ids, got {capped(self.inputs)}"
-            )
-        inputs = tuple(self.inputs)
+        inputs = self.inputs
+        if type(inputs) is not tuple:
+            # tuple("in") would be ("i", "n"): a string is one id, not a sequence of them
+            if isinstance(inputs, str) or not hasattr(inputs, "__iter__"):
+                raise ValidationError(
+                    f"node {capped(self.id)} inputs must be a sequence of node ids, got {capped(inputs)}"
+                )
+            inputs = tuple(inputs)
+            object.__setattr__(self, "inputs", inputs)
         for src in inputs:
             if not isinstance(src, str):
                 raise ValidationError(
                     f"node {capped(self.id)} input ids must be strings, got {capped(src)}"
                 )
-        object.__setattr__(self, "inputs", inputs)
 
 
 @dataclass(frozen=True, slots=True)

@@ -104,12 +104,16 @@ def _expect(doc: dict, key: str, types, field: str):
 
 def _parse_node(entry: dict, index: int, kinds: dict, ids: dict) -> g.LayerNode:
     """One node entry. ``kinds`` maps each kind built so far in this load to
-    itself, so equal kinds are kept as one object; ``ids`` maps each node id
-    so far to itself, so an input names its source by that id's string.
+    itself, so equal kinds are kept as one object, and each key of kind name,
+    attr items and attr value types seen so far to its kind; ``ids`` maps
+    each node id so far to itself, so an input names its source by that id's
+    string.
 
     Every entry gets every check, in one order. A value of its exact type
     skips ``_expect``, the path that raises, and field names are built only
-    for an error."""
+    for an error. A kind is built, and its attrs checked, only for a key not
+    seen before: the key holds each value's type, as ``1`` and ``True``
+    compare equal but only one of them is a valid ``has_bias``."""
     if not isinstance(entry, dict):
         raise ParseError("node entry must be an object", field=f"nodes[{index}]")
     node_id = entry.get("id")
@@ -143,11 +147,15 @@ def _parse_node(entry: dict, index: int, kinds: dict, ids: dict) -> g.LayerNode:
     tag = entry.get("tag")
     if tag is not None and not isinstance(tag, str):
         raise ParseError("tag must be a string or null", field=f"nodes[{index}].tag")
+    key = (kind_name, *attrs.items(), *map(type, attrs.values()))
     try:
-        kind = cls(**attrs)
-    except (TypeError, CndkitError) as exc:
-        raise ParseError(f"bad attrs for {kind_name}: {exc}", field=f"nodes[{index}].attrs") from exc
-    kind = kinds.setdefault(kind, kind)
+        kind = kinds[key]
+    except (KeyError, TypeError):  # a new key, or an unhashable value, which cls rejects
+        try:
+            kind = cls(**attrs)
+        except (TypeError, CndkitError) as exc:
+            raise ParseError(f"bad attrs for {kind_name}: {exc}", field=f"nodes[{index}].attrs") from exc
+        kind = kinds[key] = kinds.setdefault(kind, kind)
     inputs = tuple([ids.get(i, i) for i in inputs])  # an unknown input stays for check_append
     return g.LayerNode(node_id, kind, inputs, tag)
 
@@ -186,7 +194,7 @@ def deserialize(text: str) -> g.ModelGraph:
         raise ParseError(str(exc), field="input_shape") from exc
     ids: dict[str, str] = {}
     nodes: list[g.LayerNode] = []
-    kinds: dict[g.LayerKind, g.LayerKind] = {}
+    kinds: dict = {}  # see _parse_node
     for i, entry in enumerate(nodes_raw):
         node = _parse_node(entry, i, kinds, ids)
         try:

@@ -47,6 +47,7 @@ from .errors import (
 from .graph import (
     KINDS,
     PADDING_SAME,
+    VALID_ACTIVATIONS,
     VALID_STRIDES,
     Activation,
     Add,
@@ -126,12 +127,16 @@ def strategy1_replace_kernels(graph: ModelGraph) -> tuple[ModelGraph, PassReport
     changed: list[NodeChange] = []
     new_nodes: list[LayerNode] = []
     params_after = params_before
+    made: dict[LayerKind, tuple[LayerKind, str, str]] = {}  # one 1x1 kind per targeted kind
     for row in rows:
         node = row.node
         if node.id in targets:
-            new_kind = dataclasses.replace(node.kind, kernel=1)
-            changed.append(NodeChange(node.id, _describe(node.kind), _describe(new_kind)))
-            node = dataclasses.replace(node, kind=new_kind)
+            if node.kind not in made:
+                new_kind = dataclasses.replace(node.kind, kernel=1)
+                made[node.kind] = (new_kind, _describe(node.kind), _describe(new_kind))
+            new_kind, before, after = made[node.kind]
+            changed.append(NodeChange(node.id, before, after))
+            node = LayerNode(node.id, new_kind, node.inputs, node.tag)
             params_after += (
                 analyzer.count_params_layer(node, row.params.channels_in).total - row.params.total
             )
@@ -181,14 +186,21 @@ def check_fire_spec(spec: FireModuleSpec, module: str | None = None) -> None:
         )
 
 
+# Kinds are frozen values, so every conv unit shares these.
+_BATCH_NORM = BatchNorm()
+_ACTIVATIONS = {fn: Activation(fn) for fn in VALID_ACTIVATIONS}
+
+
 def conv_unit(nodes: list[LayerNode], base_id: str, kind: LayerKind, source: str, tag: str,
               activation: str | None = "relu") -> str:
     """Append conv -> BatchNorm [-> Activation] to ``nodes``, the last two with
     ``_bn`` and ``_act`` added to ``base_id`` and ``tag``; return the tail id."""
     nodes.append(LayerNode(base_id, kind, (source,), tag))
-    nodes.append(LayerNode(f"{base_id}_bn", BatchNorm(), (base_id,), f"{tag}_bn"))
+    nodes.append(LayerNode(f"{base_id}_bn", _BATCH_NORM, (base_id,), f"{tag}_bn"))
     if activation is not None:
-        nodes.append(LayerNode(f"{base_id}_act", Activation(activation), (f"{base_id}_bn",), f"{tag}_act"))
+        act = _ACTIVATIONS.get(activation) if type(activation) is str else None
+        nodes.append(LayerNode(f"{base_id}_act", act or Activation(activation), (f"{base_id}_bn",),
+                               f"{tag}_act"))
     return nodes[-1].id
 
 
@@ -401,7 +413,7 @@ def strategy2_insert_fire(
                 new_kind = dataclasses.replace(node.kind, filters=spec.e3x3)
                 if new_kind != node.kind:
                     changed.append(NodeChange(node.id, _describe(node.kind), _describe(new_kind)))
-                    node = dataclasses.replace(node, kind=new_kind)
+                    node = LayerNode(node.id, new_kind, node.inputs, node.tag)
             elif (type(node.kind) is Add and module_input in node.inputs
                   and shapes[source].channels != spec.e3x3):
                 # An Add reads its inputs at the module input's height and
@@ -410,10 +422,10 @@ def strategy2_insert_fire(
                 res = fresh(module.replace("/", "_") + "_res", lambda made, prefix: conv_unit(
                     made, prefix, res_kind, source, f"{module}/residual", activation=None))
                 changed.append(NodeChange(res[0].id, "(identity residual)", _describe(res_kind)))
-                node = dataclasses.replace(node, inputs=tuple(
-                    res[-1].id if i == module_input else i for i in node.inputs))
-        emit(node if remap.keys().isdisjoint(node.inputs) else dataclasses.replace(
-            node, inputs=tuple([remap.get(i, i) for i in node.inputs])))
+                node = LayerNode(node.id, node.kind, tuple(
+                    res[-1].id if i == module_input else i for i in node.inputs), node.tag)
+        emit(node if remap.keys().isdisjoint(node.inputs) else LayerNode(
+            node.id, node.kind, tuple([remap.get(i, i) for i in node.inputs]), node.tag))
 
     del row_of, owner, shapes, moved  # the checks below read the result's table only
     result = dataclasses.replace(graph, nodes=tuple(row.node for row in table))

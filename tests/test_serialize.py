@@ -1,10 +1,12 @@
 import dataclasses
 import functools
 import gc
+import importlib
 import json
 import random
 import re
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ import cndkit.graph
 from cndkit.analyzer import count_params, flops_estimate
 from cndkit.errors import (
     ECHO_LIMIT,
+    CndkitError,
     ParseError,
     SchemaVersionError,
     ShapeMismatchError,
@@ -31,11 +34,12 @@ from cndkit.graph import (
     LayerNode,
     ModelGraph,
     TensorShape,
+    validate,
 )
 from cndkit.serialize import deserialize, load_model, save_model, serialize
 from cndkit.transforms import FireModuleSpec, strategy1_replace_kernels, strategy2_insert_fire
 from cndkit.zoo import build_mobilenet_v2, build_optimized_xception, build_xception
-from graphgen import random_graph
+from graphgen import random_fire_graph, random_graph
 
 
 def test_zoo_round_trip(xception, optimized, mobilenet):
@@ -282,6 +286,29 @@ def test_a_shared_kind_does_not_stand_for_an_equal_mistyped_one(xception):
     )
 
 
+def test_a_load_builds_each_distinct_kind_once(monkeypatch):
+    module = importlib.import_module("cndkit.serialize")
+    calls: Counter = Counter()
+
+    def counted(cls):
+        def build(**attrs):
+            calls[cls.__name__, json.dumps(attrs)] += 1
+            return cls(**attrs)
+        return build
+
+    for name, cls in list(module._KIND_BY_NAME.items()):
+        monkeypatch.setitem(module._KIND_BY_NAME, name, counted(cls))
+    for seed in range(20):
+        graph = random_fire_graph(random.Random(seed))
+        text = serialize(graph)
+        calls.clear()
+        assert deserialize(text) == graph
+        # each constructor once per distinct attrs of its kind in the file
+        entries = json.loads(text)["nodes"]
+        assert calls == Counter({(n["kind"], json.dumps(n["attrs"])) for n in entries})
+        assert sum(calls.values()) < len(entries)
+
+
 @pytest.mark.parametrize("sighting", ["first", "later"])
 @pytest.mark.parametrize("bad, message", [
     ({"bogus": 1}, "unknown attrs for SeparableConv2D: ['bogus']"),
@@ -519,6 +546,90 @@ def test_non_boolean_has_bias_rejected(xception, kind, value):
     err = _rejection(doc)
     assert err.field == f"nodes[{index}].attrs"
     assert f"{kind} has_bias must be a bool, got {value!r}" in str(err)
+
+
+# -- attrs variants ------------------------------------------------------------
+
+def _oracle_load(doc: dict) -> ModelGraph | ParseError:
+    """What loading ``doc``, a valid document but for its attrs, must give:
+    every entry's kind built by its class, the first entry whose attrs its
+    class rejects reported at its ``attrs``, then the graph as ``validate``
+    checks it."""
+    kinds = []
+    for i, entry in enumerate(doc["nodes"]):
+        try:
+            kinds.append(getattr(cndkit.graph, entry["kind"])(**entry["attrs"]))
+        except (TypeError, CndkitError) as exc:
+            return ParseError(f"bad attrs for {entry['kind']}: {exc}", field=f"nodes[{i}].attrs")
+    graph = ModelGraph(
+        doc["name"], TensorShape(*doc["input_shape"]), doc["num_classes"],
+        tuple(LayerNode(entry["id"], kind, tuple(entry["inputs"]), entry["tag"])
+              for entry, kind in zip(doc["nodes"], kinds)),
+        doc["metadata"],
+    )
+    try:
+        return validate(graph)
+    except CndkitError as exc:
+        return ParseError(f"graph failed validation: {exc}")
+
+
+def _attrs_variant(attrs: dict, defaults: dict, how: str, rng: random.Random) -> dict:
+    """``attrs`` with its keys shuffled, some attrs that have defaults
+    dropped, or one value swapped for another type's."""
+    items = list(attrs.items())
+    if how == "shuffle":
+        rng.shuffle(items)
+    elif how == "drop":
+        items = [(k, v) for k, v in items if k not in defaults or rng.random() < 0.5]
+    else:
+        index = rng.randrange(len(items))
+        key, value = items[index]
+        if key == "has_bias":
+            variants = [1, 0, [value]]
+        elif type(value) is int:
+            variants = [float(value), True, [value]]
+        else:
+            variants = [[value]]
+        items[index] = (key, rng.choice(variants))
+    return dict(items)
+
+
+_DEFAULTS = {cls.__name__: {f.name: f.default for f in dataclasses.fields(cls)
+                            if f.default is not dataclasses.MISSING}
+             for cls in cndkit.graph.KIND_CLASSES}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([random_graph, random_fire_graph]), st.integers(0, 2**32 - 1),
+       st.sets(st.sampled_from(["shuffle", "drop", "variant"]), min_size=1),
+       st.floats(0.05, 1.0))
+def test_attrs_variants_load_as_each_entry_built_alone(generator, seed, hows, share):
+    # Reordered keys, dropped defaults and mistyped values (3.0 or true for
+    # an int, 1 or 0 for has_bias, a list) at random entries: the load is
+    # the graph, or the ParseError, that building every entry's kind by
+    # itself gives, and equal kinds are one object. Half the mistyped
+    # values go into a copy of the first attrs of the entry's kind, so the
+    # value may equal one of a kind already built.
+    rng = random.Random(seed)
+    doc = json.loads(serialize(generator(rng)))
+    first: dict[str, dict] = {}
+    for entry in doc["nodes"]:
+        attrs = first.setdefault(entry["kind"], entry["attrs"])
+        if entry["attrs"] and rng.random() < share:
+            how = rng.choice(sorted(hows))
+            if how != "variant" or rng.random() < 0.5:
+                attrs = entry["attrs"]
+            entry["attrs"] = _attrs_variant(attrs, _DEFAULTS[entry["kind"]], how, rng)
+    expected = _oracle_load(doc)
+    try:
+        loaded = deserialize(json.dumps(doc))
+    except ParseError as exc:
+        assert isinstance(expected, ParseError), f"rejected: {exc}"
+        assert (str(exc), exc.field) == (str(expected), expected.field)
+        return
+    assert loaded == expected
+    distinct: dict = {}
+    assert all(distinct.setdefault(node.kind, node.kind) is node.kind for node in loaded.nodes)
 
 
 # -- mutated documents ---------------------------------------------------------

@@ -170,6 +170,23 @@ class TestStrategy1:
         assert len(report.nodes_changed) == 13  # every module but the stem
         assert report.params_after < report.params_before
 
+    def test_one_new_kind_and_description_per_distinct_target(self, xception, monkeypatch):
+        # 13 targets with 4 distinct kinds (128, 256, 728 and 1536 filters)
+        built, described = [], []
+        real_post_init, real_describe = SeparableConv2D.__post_init__, transforms._describe
+        monkeypatch.setattr(SeparableConv2D, "__post_init__",
+                            lambda kind: (built.append(kind), real_post_init(kind))[1])
+        monkeypatch.setattr(transforms, "_describe",
+                            lambda kind: (described.append(kind), real_describe(kind))[1])
+        out, report = strategy1_replace_kernels(xception)
+        targets = [xception.node(change.node_id).kind for change in report.nodes_changed]
+        assert len(targets) == 13
+        assert len(built) == len(set(targets)) == 4
+        assert sorted(described, key=repr) == sorted(set(targets) | set(built), key=repr)
+        # each new kind is one object, shared by every node that got it
+        new_kinds = [out.node(change.node_id).kind for change in report.nodes_changed]
+        assert {id(kind) for kind in new_kinds} == {id(kind) for kind in built}
+
     @pytest.mark.parametrize("padding", ["same", "valid"])
     def test_params_after_counts_the_result(self, padding):
         # Under valid padding the 1x1 kernel widens the map the Dense flattens.

@@ -8,6 +8,7 @@ from cndkit.analyzer import count_params, flops_estimate, round_params_millions
 from cndkit.errors import InvalidFireSpecError, ValidationError
 from cndkit.cli import main
 from cndkit.graph import (
+    Activation,
     Add,
     BatchNorm,
     Conv2D,
@@ -282,6 +283,24 @@ class TestConvUnit:
         assert conv_unit(nodes, "r", SeparableConv2D(8, 1), "src", "f/m1/residual",
                          activation=None) == "r_bn"
         assert [n.id for n in nodes] == ["r", "r_bn"]
+
+    def test_any_activation_is_built_and_checked(self):
+        nodes = []
+        conv_unit(nodes, "c", SeparableConv2D(8, 3), "src", "f/m1/sep1", activation="sigmoid")
+        assert nodes[-1].kind == Activation("sigmoid")
+        for bad in ("tanh", ["relu"]):
+            with pytest.raises(ValidationError, match="^Activation fn must be one of "):
+                conv_unit([], "c", SeparableConv2D(8, 3), "src", "f/m1/sep1", activation=bad)
+
+    @pytest.mark.parametrize("builder", [build_xception, build_optimized_xception, build_mobilenet_v2])
+    def test_every_unit_shares_one_batchnorm_and_one_relu(self, builder):
+        # Kinds are frozen values: a build makes one BatchNorm and one relu
+        # kind, not one per conv unit.
+        graph = builder()
+        for kind in (BatchNorm(), Activation("relu")):
+            same = [node.kind for node in graph.nodes if node.kind == kind]
+            assert len(same) > 10
+            assert len({id(k) for k in same}) == 1
 
 
 class TestMakeFireModule:
