@@ -20,8 +20,7 @@ _HOME = {
     **dict.fromkeys((
         "Activation", "Add", "BatchNorm", "Conv2D", "Dense", "GlobalAvgPool", "Input",
         "LayerKind", "LayerNode", "MaxPool", "ModelGraph", "SeparableConv2D", "TensorShape",
-        "add_layer", "infer_shapes", "topo_sort",
-        "validate"), "graph"),
+        "infer_shapes", "topo_sort", "validate"), "graph"),
     **dict.fromkeys(("serialize", "deserialize", "save_model", "load_model"), "serialize"),
     "FireModuleSpec": "transforms",
     **dict.fromkeys((

@@ -2,6 +2,7 @@
 
 A model is a directed acyclic graph of typed layer nodes, each stored after
 its inputs; tensor shapes are inferred along the edges rather than stored.
+A graph is made once from its list of nodes, then checked once by ``validate``.
 Graphs are immutable values: every operation returns a new graph and never
 mutates its argument, so they are safe to share across threads.
 
@@ -230,12 +231,6 @@ class ModelGraph:
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
 
-    def node(self, node_id: str) -> LayerNode:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
-
     def terminal_id(self) -> str:
         consumed = {src for n in self.nodes for src in n.inputs}
         # each unconsumed id once, in stored order, even if it is stored twice
@@ -265,16 +260,6 @@ def group_modules(nodes: Iterable[LayerNode]) -> dict[str, list[tuple[str, Layer
 
 
 # -- construction -------------------------------------------------------------
-
-def add_layer(graph: ModelGraph, node: LayerNode) -> ModelGraph:
-    """Return a new graph extended with ``node``.
-
-    The node's inputs must already exist, so graphs built through this
-    function are acyclic and stored in topological order.
-    """
-    check_append({n.id for n in graph.nodes}, node)
-    return dataclasses.replace(graph, nodes=graph.nodes + (node,))
-
 
 def check_append(ids: set[str] | dict[str, object], node: LayerNode) -> None:
     """Check that ``node`` may follow nodes with ``ids`` (a set of them, or a

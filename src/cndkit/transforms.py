@@ -338,8 +338,12 @@ def strategy2_insert_fire(
         check_fire_spec(spec, module=tag)
     rows = analyzer.analyze(graph)
     params_before = analyzer.total_params(rows)
+    # Every spec is valid and every other module is kept as it is, tags
+    # included, so the result's violations are those of the modules left.
+    violations = tuple(_fire_violations((m, g) for m, g in groups.items() if m not in specs))
     if not specs:
-        return graph, PassReport("strategy2_insert_fire", (), params_before, params_before)
+        return graph, PassReport("strategy2_insert_fire", (), params_before, params_before,
+                                 violations=violations)
 
     row_of = {row.node.id: row for row in rows}
     owner = {node.id: module for module in specs for _, node in groups[module]}
@@ -348,9 +352,6 @@ def strategy2_insert_fire(
     # every module is checked before any is rewritten; modules in stored order
     structures = {module: _module_structure(groups[module], module, fed_out, row_of)
                   for module in groups if module in specs}
-    # Every spec is valid and every other module is kept as it is, tags
-    # included, so the result's violations are those of the modules left.
-    violations = _fire_violations((m, members) for m, members in groups.items() if m not in specs)
     del rows, groups, fed_out  # the walk reads the input's rows by id only
     remap: dict[str, str] = {}  # each replaced stack's output -> its fire tail
     changed: list[NodeChange] = []
@@ -434,7 +435,7 @@ def strategy2_insert_fire(
         tuple(changed),
         params_before,
         analyzer.total_params(table),
-        violations=tuple(violations),
+        violations=violations,
     )
     check_endpoints(result, table[-1].shape_out)
     return result, report

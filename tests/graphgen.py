@@ -29,7 +29,6 @@ from cndkit.graph import (
     ModelGraph,
     SeparableConv2D,
     TensorShape,
-    add_layer,
     validate,
 )
 from cndkit.pareto import CSV_HEADER, ModelMeasurement
@@ -52,10 +51,10 @@ def random_graph(
     h = rng.randint(4, max_dim)
     w = rng.randint(4, max_dim)
     c = rng.randint(1, 4)
-    # This draw is replaced below; it is kept so that each seed still gives
-    # the same layers.
-    graph = ModelGraph(name=name, input_shape=TensorShape(h, w, c), num_classes=rng.randint(2, 10))
-    graph = add_layer(graph, LayerNode("n0", Input()))
+    # This draw is unused, as the last node's width is the class count; it is
+    # kept so that each seed still gives the same layers.
+    rng.randint(2, 10)
+    nodes = [LayerNode("n0", Input())]
     tip, th, tw, tc = "n0", h, w, c
     collapsed = False
     counter = 0
@@ -92,7 +91,7 @@ def random_graph(
                 else SeparableConv2D(filters, kernel, stride=stride, padding=padding)
             )
             nid = fresh()
-            graph = add_layer(graph, LayerNode(nid, kind, (tip,)))
+            nodes.append(LayerNode(nid, kind, (tip,)))
             th, tw = out_dim(th, kernel, stride, padding), out_dim(tw, kernel, stride, padding)
             tip, tc = nid, filters
         elif choice == "pool":
@@ -102,39 +101,39 @@ def random_graph(
             if not _fits(th, tw, pool, padding):
                 padding = "same"
             nid = fresh()
-            graph = add_layer(graph, LayerNode(nid, MaxPool(pool, stride, padding), (tip,)))
+            nodes.append(LayerNode(nid, MaxPool(pool, stride, padding), (tip,)))
             th, tw = out_dim(th, pool, stride, padding), out_dim(tw, pool, stride, padding)
             tip = nid
         elif choice == "bn":
             nid = fresh()
-            graph = add_layer(graph, LayerNode(nid, BatchNorm(), (tip,)))
+            nodes.append(LayerNode(nid, BatchNorm(), (tip,)))
             tip = nid
         elif choice == "act":
             nid = fresh()
-            graph = add_layer(graph, LayerNode(nid, Activation("relu"), (tip,)))
+            nodes.append(LayerNode(nid, Activation("relu"), (tip,)))
             tip = nid
         elif choice == "res":
             filters = rng.randint(1, max_channels)
             kernel = rng.choice((1, 3))
             main = fresh()
-            graph = add_layer(graph, LayerNode(main, SeparableConv2D(filters, kernel), (tip,)))
+            nodes.append(LayerNode(main, SeparableConv2D(filters, kernel), (tip,)))
             proj = fresh()
-            graph = add_layer(graph, LayerNode(proj, Conv2D(filters, 1), (tip,)))
+            nodes.append(LayerNode(proj, Conv2D(filters, 1), (tip,)))
             join = fresh()
-            graph = add_layer(graph, LayerNode(join, Add(), (main, proj)))
+            nodes.append(LayerNode(join, Add(), (main, proj)))
             tip, tc = join, filters
         elif choice == "gap":
             nid = fresh()
-            graph = add_layer(graph, LayerNode(nid, GlobalAvgPool(), (tip,)))
+            nodes.append(LayerNode(nid, GlobalAvgPool(), (tip,)))
             tip, th, tw = nid, 1, 1
             collapsed = True
         elif choice == "dense":
             units = rng.randint(2, max_channels)
             nid = fresh()
-            graph = add_layer(graph, LayerNode(nid, Dense(units, has_bias=rng.random() < 0.7), (tip,)))
+            nodes.append(LayerNode(nid, Dense(units, has_bias=rng.random() < 0.7), (tip,)))
             tip, th, tw, tc = nid, 1, 1, units
             collapsed = True
-    return validate(dataclasses.replace(graph, num_classes=tc))
+    return validate(ModelGraph(name, TensorShape(h, w, c), tc, tuple(nodes)))
 
 
 def random_wiring(rng: random.Random, max_nodes: int = 30, name: str = "wiring") -> ModelGraph:
@@ -189,9 +188,8 @@ def random_fire_graph(rng: random.Random, max_modules: int = 4) -> ModelGraph:
     Now and then a module has a residual projection and Add, a conv's role is
     another one (``sep``) or the module is untagged."""
     side = rng.randint(4, 12)
-    graph = ModelGraph("fire", TensorShape(side, side, rng.randint(1, 4)), num_classes=2)
-    graph = add_layer(graph, LayerNode("in", Input()))
-    graph = add_layer(graph, LayerNode("stem", Conv2D(rng.randint(1, 16), 3), ("in",)))
+    input_shape = TensorShape(side, side, rng.randint(1, 4))
+    nodes = [LayerNode("in", Input()), LayerNode("stem", Conv2D(rng.randint(1, 16), 3), ("in",))]
     tip = "stem"
     for i in range(rng.randint(1, max_modules)):
         module = None if rng.random() < 0.15 else f"f/m{i}"
@@ -203,19 +201,19 @@ def random_fire_graph(rng: random.Random, max_modules: int = 4) -> ModelGraph:
         for role in ("squeeze", "expand1", "expand3"):
             width = rng.randint(1, 40 if role == "squeeze" else 20)
             conv = f"m{i}_{role}"
-            graph = add_layer(graph, tagged(conv, SeparableConv2D(width, rng.choice((1, 3))), (tip,),
-                                            role if rng.random() < 0.85 else "sep"))
-            graph = add_layer(graph, tagged(f"{conv}_bn", BatchNorm(), (conv,), f"{role}_bn"))
+            nodes.append(tagged(conv, SeparableConv2D(width, rng.choice((1, 3))), (tip,),
+                                role if rng.random() < 0.85 else "sep"))
+            nodes.append(tagged(f"{conv}_bn", BatchNorm(), (conv,), f"{role}_bn"))
             tip = f"{conv}_bn"
         if rng.random() < 0.4:
             proj = f"m{i}_res"
-            graph = add_layer(graph, tagged(proj, Conv2D(width, 1), (source,), "residual"))
-            graph = add_layer(graph, tagged(f"m{i}_add", Add(), (tip, proj), "add"))
+            nodes.append(tagged(proj, Conv2D(width, 1), (source,), "residual"))
+            nodes.append(tagged(f"m{i}_add", Add(), (tip, proj), "add"))
             tip = f"m{i}_add"
-    graph = add_layer(graph, LayerNode("gap", GlobalAvgPool(), (tip,)))
+    nodes.append(LayerNode("gap", GlobalAvgPool(), (tip,)))
     units = rng.randint(2, 10)
-    graph = add_layer(graph, LayerNode("head", Dense(units), ("gap",)))
-    return validate(dataclasses.replace(graph, num_classes=units))
+    nodes.append(LayerNode("head", Dense(units), ("gap",)))
+    return validate(ModelGraph("fire", input_shape, units, tuple(nodes)))
 
 
 def with_off_stack_nodes(graph: ModelGraph, rng: random.Random) -> ModelGraph:
@@ -239,8 +237,8 @@ def with_off_stack_nodes(graph: ModelGraph, rng: random.Random) -> ModelGraph:
     def readers(node_id: str) -> set[str]:
         return {n.id for n in nodes if node_id in n.inputs}
 
-    ids = {n.id for n in graph.nodes}
-    for i in range(len(ids)):
+    by_id = {n.id: n for n in graph.nodes}
+    for i in range(len(by_id)):
         squeeze = next((n for n in nodes if n.id == f"m{i}_squeeze"), None)
         if squeeze is None:
             break
@@ -248,12 +246,12 @@ def with_off_stack_nodes(graph: ModelGraph, rng: random.Random) -> ModelGraph:
         if module is None:
             continue
         proj, add = f"m{i}_res", f"m{i}_add"
-        tail = add if add in ids else f"m{i}_expand3_bn"
+        tail = add if add in by_id else f"m{i}_expand3_bn"
         if rng.random() < 0.3:
             insert(tail, LayerNode(f"m{i}_post", Activation("relu"), (tail,), f"{module}/post_act"),
                    readers(tail))
-        if proj in ids:
-            width = graph.node(proj).kind.filters
+        if proj in by_id:
+            width = by_id[proj].kind.filters
             if rng.random() < 0.3:
                 source = squeeze.inputs[0]
                 insert(source, LayerNode(f"m{i}_res_pool", MaxPool(3, 1), (source,),
@@ -328,7 +326,7 @@ def oracle_shapes(graph: ModelGraph) -> dict[str, tuple[int, int, int]]:
     """Per-node output shapes from index-range enumeration.
 
     Relies on graph.nodes being stored in topological order, which holds for
-    anything built through add_layer.
+    any graph that ``topo_sort`` or ``validate`` accepts.
     """
     shapes: dict[str, tuple[int, int, int]] = {}
     for node in graph.nodes:

@@ -31,8 +31,8 @@ from cndkit.graph import (
     ModelGraph,
     SeparableConv2D,
     TensorShape,
-    add_layer,
     is_conv,
+    topo_sort,
     validate,
 )
 from cndkit.transforms import strategy3_audit
@@ -40,10 +40,9 @@ from graphgen import oracle_macs, random_graph, random_topological_order, rename
 
 
 def _tiny(h, w, c, *nodes):
-    graph = ModelGraph(name="t", input_shape=TensorShape(h, w, c), num_classes=2)
-    graph = add_layer(graph, LayerNode("in", Input()))
-    for node in nodes:
-        graph = add_layer(graph, node)
+    """``in`` on ``h``x``w``x``c`` followed by ``nodes``, checked by ``topo_sort``."""
+    graph = ModelGraph("t", TensorShape(h, w, c), 2, (LayerNode("in", Input()), *nodes))
+    topo_sort(graph)
     return graph
 
 

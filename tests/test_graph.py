@@ -44,7 +44,6 @@ from cndkit.graph import (
     ModelGraph,
     SeparableConv2D,
     TensorShape,
-    add_layer,
     group_modules,
     infer_shapes,
     is_conv,
@@ -70,14 +69,14 @@ def _empty(h=8, w=8, c=3):
 
 
 def _stored(*nodes):
-    """A graph holding ``nodes`` as given, without add_layer's checks."""
+    """A graph holding ``nodes`` as given, unchecked."""
     return dataclasses.replace(_empty(), nodes=nodes)
 
 
 def _chain(*nodes):
-    graph = _empty()
-    for node in nodes:
-        graph = add_layer(graph, node)
+    """``_stored(*nodes)``, checked by ``topo_sort`` to store each node after its inputs."""
+    graph = _stored(*nodes)
+    topo_sort(graph)
     return graph
 
 
@@ -249,29 +248,31 @@ class TestCountsAndChoices:
 
 
 class TestAddLayer:
+    """Each node of a stored list must follow the nodes before it: a new id,
+    known inputs and its kind's arity. ``topo_sort`` checks every one."""
+
     def test_input_base_case(self):
-        graph = add_layer(_empty(), LayerNode("in", Input()))
-        assert len(graph.nodes) == 1
+        assert topo_sort(_stored(LayerNode("in", Input()))) == ["in"]
 
     def test_duplicate_id(self):
-        graph = add_layer(_empty(), LayerNode("in", Input()))
-        with pytest.raises(DuplicateIdError):
-            add_layer(graph, LayerNode("in", Conv2D(4, 1), ("in",)))
+        with pytest.raises(DuplicateIdError, match="^node id 'in' already present$"):
+            topo_sort(_stored(LayerNode("in", Input()), LayerNode("in", Conv2D(4, 1), ("in",))))
 
     def test_unknown_input(self):
-        graph = add_layer(_empty(), LayerNode("in", Input()))
         with pytest.raises(UnknownInputError):
-            add_layer(graph, LayerNode("c", Conv2D(4, 1), ("missing",)))
+            topo_sort(_stored(LayerNode("in", Input()), LayerNode("c", Conv2D(4, 1), ("missing",))))
 
     def test_add_arity_is_two(self):
-        graph = add_layer(_empty(), LayerNode("in", Input()))
         with pytest.raises(ArityError):
-            add_layer(graph, LayerNode("sum", Add(), ("in",)))
+            topo_sort(_stored(LayerNode("in", Input()), LayerNode("sum", Add(), ("in",))))
 
     def test_does_not_mutate_argument(self):
-        graph = add_layer(_empty(), LayerNode("in", Input()))
-        add_layer(graph, LayerNode("c", Conv2D(4, 1), ("in",)))
-        assert len(graph.nodes) == 1
+        nodes = (LayerNode("in", Input()), LayerNode("c", Conv2D(4, 1), ("in",)))
+        graph, broken = _stored(*nodes), _stored(*nodes, nodes[0])
+        topo_sort(graph)
+        with pytest.raises(DuplicateIdError):
+            topo_sort(broken)
+        assert graph.nodes == nodes and broken.nodes == (*nodes, nodes[0])
 
 
 class TestTopoSort:
@@ -423,11 +424,10 @@ class TestTopoSortProperties:
 
 class TestInferShapes:
     def test_stem_conv_valid_stride2(self):
-        graph = ModelGraph(name="t", input_shape=TensorShape(299, 299, 3), num_classes=2)
-        graph = add_layer(graph, LayerNode("in", Input()))
-        graph = add_layer(
-            graph, LayerNode("c", Conv2D(32, 3, stride=2, padding="valid"), ("in",))
-        )
+        graph = ModelGraph(name="t", input_shape=TensorShape(299, 299, 3), num_classes=2, nodes=(
+            LayerNode("in", Input()),
+            LayerNode("c", Conv2D(32, 3, stride=2, padding="valid"), ("in",)),
+        ))
         assert infer_shapes(graph)["c"] == TensorShape(149, 149, 32)
 
     def test_pointwise_same_identity_on_spatial(self):
@@ -438,10 +438,11 @@ class TestInferShapes:
         assert infer_shapes(graph)["s"] == TensorShape(8, 8, 16)
 
     def test_add_preserves_shape(self):
-        graph = ModelGraph(name="t", input_shape=TensorShape(19, 19, 728), num_classes=2)
-        graph = add_layer(graph, LayerNode("in", Input()))
-        graph = add_layer(graph, LayerNode("a", SeparableConv2D(728, 3), ("in",)))
-        graph = add_layer(graph, LayerNode("sum", Add(), ("a", "in")))
+        graph = ModelGraph(name="t", input_shape=TensorShape(19, 19, 728), num_classes=2, nodes=(
+            LayerNode("in", Input()),
+            LayerNode("a", SeparableConv2D(728, 3), ("in",)),
+            LayerNode("sum", Add(), ("a", "in")),
+        ))
         assert infer_shapes(graph)["sum"] == TensorShape(19, 19, 728)
 
     def test_add_shape_mismatch(self):
@@ -530,7 +531,7 @@ class TestKindTables:
         with pytest.raises(ValidationError, match="node 'x': unknown layer kind"):
             count_params_layer(graph.nodes[1], 3)
         with pytest.raises(ValidationError, match="node 'x': unknown layer kind"):
-            add_layer(_stored(graph.nodes[0]), graph.nodes[1])
+            topo_sort(_stored(*graph.nodes[:2]))
 
     def test_is_conv_takes_exact_classes(self):
         assert is_conv(Conv2D(4, 1)) and is_conv(SeparableConv2D(4, 1))

@@ -9,6 +9,7 @@ fails here.
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -53,7 +54,7 @@ class TestPublicSurface:
         assert cndkit.__all__ == [
             "Activation", "Add", "BatchNorm", "Conv2D", "Dense", "GlobalAvgPool", "Input",
             "LayerKind", "LayerNode", "MaxPool", "ModelGraph", "SeparableConv2D", "TensorShape",
-            "add_layer", "infer_shapes", "topo_sort",
+            "infer_shapes", "topo_sort",
             "validate", "serialize", "deserialize", "save_model", "load_model",
             "FireModuleSpec", "OptimizedConfig", "DEFAULT_OPTIMIZED_CONFIG",
             "build_xception", "build_optimized_xception", "build_mobilenet_v2", "make_fire_module",
@@ -82,6 +83,20 @@ class TestPublicSurface:
         import cndkit.graph
 
         assert cndkit.LayerParams is cndkit.graph.LayerParams is cndkit.analyzer.LayerParams
+
+    def test_every_public_function_has_a_caller_in_the_package(self):
+        # Every public function is called inside the package, but for the
+        # five that wait to be wired to the CLI or deleted (ROADMAP item 15).
+        exempt = {"strategy3_audit", "structurally_equal", "export_plot_data",
+                  "validate_fire_constraints", "load_fixture"}
+        called = set()
+        for path in Path(cndkit.__file__).parent.glob("*.py"):
+            if path.name != "__init__.py":
+                for call in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                    if isinstance(call, ast.Call):
+                        called.add(getattr(call.func, "id", getattr(call.func, "attr", None)))
+        functions = {name for name in PUBLIC if inspect.isfunction(getattr(cndkit, name))}
+        assert sorted(functions - called) == sorted(exempt)
 
     def test_dir_covers_all(self):
         assert set(cndkit.__all__) <= set(dir(cndkit))

@@ -33,10 +33,10 @@ from cndkit.graph import (
     ModelGraph,
     SeparableConv2D,
     TensorShape,
-    add_layer,
     infer_shapes,
     group_modules,
     is_conv,
+    topo_sort,
     validate,
 )
 from cndkit.serialize import deserialize, serialize
@@ -66,11 +66,11 @@ from graphgen import (
 )
 
 
-def _graph(*nodes):
-    """``nodes`` added in order to an empty graph on 8x8x16 with 4 classes."""
-    graph = ModelGraph(name="g", input_shape=TensorShape(8, 8, 16), num_classes=4)
-    for node in nodes:
-        graph = add_layer(graph, node)
+def _graph(*nodes, name="g", input_shape=TensorShape(8, 8, 16), num_classes=4):
+    """A graph of ``nodes`` as stored, on 8x8x16 with 4 classes unless given,
+    checked by ``topo_sort``: a fragment with no head passes too."""
+    graph = ModelGraph(name, input_shape, num_classes, nodes)
+    topo_sort(graph)
     return graph
 
 
@@ -99,21 +99,17 @@ def inference_calls(monkeypatch):
 
 def _single_module_graph(kernels=(3, 3), filters=128, channels=64, with_residual=True):
     """input -> sepA -> bn -> sepB -> bn [-> add with 1x1 projection]."""
-    graph = ModelGraph(name="module", input_shape=TensorShape(16, 16, channels), num_classes=2)
-    graph = add_layer(graph, LayerNode("in", Input()))
+    nodes = [LayerNode("in", Input())]
     tip = "in"
     for i, kernel in enumerate(kernels, start=1):
         conv = f"sep{i}"
-        graph = add_layer(
-            graph,
-            LayerNode(conv, SeparableConv2D(filters, kernel), (tip,), f"flow/m1/sep{i}"),
-        )
-        graph = add_layer(graph, LayerNode(f"{conv}_bn", BatchNorm(), (conv,), f"flow/m1/sep{i}_bn"))
+        nodes.append(LayerNode(conv, SeparableConv2D(filters, kernel), (tip,), f"flow/m1/sep{i}"))
+        nodes.append(LayerNode(f"{conv}_bn", BatchNorm(), (conv,), f"flow/m1/sep{i}_bn"))
         tip = f"{conv}_bn"
     if with_residual:
-        graph = add_layer(graph, LayerNode("res", Conv2D(filters, 1), ("in",), "flow/m1/residual"))
-        graph = add_layer(graph, LayerNode("sum", Add(), (tip, "res"), "flow/m1/add"))
-    return graph
+        nodes.append(LayerNode("res", Conv2D(filters, 1), ("in",), "flow/m1/residual"))
+        nodes.append(LayerNode("sum", Add(), (tip, "res"), "flow/m1/add"))
+    return _graph(*nodes, name="module", input_shape=TensorShape(16, 16, channels), num_classes=2)
 
 
 class TestStrategy1:
@@ -122,9 +118,10 @@ class TestStrategy1:
         graph = dataclasses.replace(_single_module_graph(), num_classes=128)
         out, report = strategy1_replace_kernels(graph)
         assert [c.node_id for c in report.nodes_changed] == ["sep1"]
-        assert out.node("sep1").kind.kernel == 1
-        assert out.node("sep2").kind.kernel == 3
-        assert out.node("sep1").kind.filters == 128
+        by_id = {n.id: n for n in out.nodes}
+        assert by_id["sep1"].kind.kernel == 1
+        assert by_id["sep2"].kind.kernel == 3
+        assert by_id["sep1"].kind.filters == 128
 
     def test_no_matches_is_identity(self):
         graph = _single_module_graph(kernels=(1, 1))
@@ -137,8 +134,9 @@ class TestStrategy1:
         graph = dataclasses.replace(_single_module_graph(), num_classes=128)
         shapes = infer_shapes(graph)
         out, report = strategy1_replace_kernels(graph)
+        by_id = {n.id: n for n in graph.nodes}
         for change in report.nodes_changed:
-            channels = shapes[graph.node(change.node_id).inputs[0]].channels
+            channels = shapes[by_id[change.node_id].inputs[0]].channels
             before = channels * 9
             after = channels * 1
             assert before == 9 * after
@@ -179,33 +177,34 @@ class TestStrategy1:
         monkeypatch.setattr(transforms, "_describe",
                             lambda kind: (described.append(kind), real_describe(kind))[1])
         out, report = strategy1_replace_kernels(xception)
-        targets = [xception.node(change.node_id).kind for change in report.nodes_changed]
+        before, after = ({n.id: n for n in g.nodes} for g in (xception, out))
+        targets = [before[change.node_id].kind for change in report.nodes_changed]
         assert len(targets) == 13
         assert len(built) == len(set(targets)) == 4
         assert sorted(described, key=repr) == sorted(set(targets) | set(built), key=repr)
         # each new kind is one object, shared by every node that got it
-        new_kinds = [out.node(change.node_id).kind for change in report.nodes_changed]
+        new_kinds = [after[change.node_id].kind for change in report.nodes_changed]
         assert {id(kind) for kind in new_kinds} == {id(kind) for kind in built}
 
     @pytest.mark.parametrize("padding", ["same", "valid"])
     def test_params_after_counts_the_result(self, padding):
         # Under valid padding the 1x1 kernel widens the map the Dense flattens.
-        graph = ModelGraph(name="flat", input_shape=TensorShape(8, 8, 4), num_classes=2)
-        graph = add_layer(graph, LayerNode("in", Input()))
-        graph = add_layer(graph, LayerNode(
-            "sep1", SeparableConv2D(8, 3, padding=padding), ("in",), "flow/m1/sep1"))
-        graph = add_layer(graph, LayerNode("head", Dense(2), ("sep1",)))
+        graph = _graph(
+            LayerNode("in", Input()),
+            LayerNode("sep1", SeparableConv2D(8, 3, padding=padding), ("in",), "flow/m1/sep1"),
+            LayerNode("head", Dense(2), ("sep1",)),
+            name="flat", input_shape=TensorShape(8, 8, 4), num_classes=2)
         out, report = strategy1_replace_kernels(graph)
         assert report.params_after == count_params(out).total
 
     def test_valid_padding_leading_conv_is_kept(self):
         # A 1x1 kernel would widen the valid-padding map to 8x8, and the
         # Dense that flattens it from 288 to 512 inputs (646 -> 1,062 params).
-        graph = ModelGraph(name="flat", input_shape=TensorShape(8, 8, 4), num_classes=2)
-        for node in (LayerNode("in", Input()),
-                     LayerNode("sep1", SeparableConv2D(8, 3, padding="valid"), ("in",), "flow/m1/sep1"),
-                     LayerNode("head", Dense(2), ("sep1",))):
-            graph = add_layer(graph, node)
+        graph = _graph(
+            LayerNode("in", Input()),
+            LayerNode("sep1", SeparableConv2D(8, 3, padding="valid"), ("in",), "flow/m1/sep1"),
+            LayerNode("head", Dense(2), ("sep1",)),
+            name="flat", input_shape=TensorShape(8, 8, 4), num_classes=2)
         out, report = strategy1_replace_kernels(graph)
         assert out is graph
         assert report.nodes_changed == ()
@@ -299,20 +298,22 @@ class TestStrategy2:
         assert report.nodes_changed == ()
 
     def test_identity_residual_kept_when_width_matches(self):
-        graph = ModelGraph(name="mid", input_shape=TensorShape(16, 16, 64), num_classes=64)
-        graph = add_layer(graph, LayerNode("in", Input()))
-        graph = add_layer(graph, LayerNode("sep1", SeparableConv2D(64, 3), ("in",), "flow/m1/sep1"))
-        graph = add_layer(graph, LayerNode("sum", Add(), ("sep1", "in"), "flow/m1/add"))
+        graph = _graph(
+            LayerNode("in", Input()),
+            LayerNode("sep1", SeparableConv2D(64, 3), ("in",), "flow/m1/sep1"),
+            LayerNode("sum", Add(), ("sep1", "in"), "flow/m1/add"),
+            name="mid", input_shape=TensorShape(16, 16, 64), num_classes=64)
         out, _ = strategy2_insert_fire(graph, {"flow/m1": FireModuleSpec(16, 32, 64)})
-        add_node = out.node("sum")
+        add_node = {n.id: n for n in out.nodes}["sum"]
         assert "in" in add_node.inputs  # residual is still the module input itself
 
     def test_projection_inserted_when_width_changes(self):
         # num_classes is the width of the rewritten end (expand3's 48)
-        graph = ModelGraph(name="mid", input_shape=TensorShape(16, 16, 64), num_classes=48)
-        graph = add_layer(graph, LayerNode("in", Input()))
-        graph = add_layer(graph, LayerNode("sep1", SeparableConv2D(64, 3), ("in",), "flow/m1/sep1"))
-        graph = add_layer(graph, LayerNode("sum", Add(), ("sep1", "in"), "flow/m1/add"))
+        graph = _graph(
+            LayerNode("in", Input()),
+            LayerNode("sep1", SeparableConv2D(64, 3), ("in",), "flow/m1/sep1"),
+            LayerNode("sum", Add(), ("sep1", "in"), "flow/m1/add"),
+            name="mid", input_shape=TensorShape(16, 16, 64), num_classes=48)
         out, _ = strategy2_insert_fire(graph, {"flow/m1": FireModuleSpec(16, 32, 48)})
         projs = [n for n in out.nodes if is_conv(n.kind) and n.tag == "flow/m1/residual"]
         assert len(projs) == 1 and projs[0].kind.filters == 48
@@ -395,16 +396,14 @@ class TestStrategy2:
     def test_width_passes_through_untagged_nodes(self):
         # in -> m1 (sep + Add) -> relu -> m2 (sep + Add): m2 is fed m1's new
         # width (48) through the untagged relu, not the 64 it had before.
-        graph = ModelGraph(name="two", input_shape=TensorShape(16, 16, 64), num_classes=64)
-        for node in (
+        graph = _graph(
             LayerNode("in", Input()),
             LayerNode("s1", SeparableConv2D(64, 3), ("in",), "flow/m1/sep1"),
             LayerNode("a1", Add(), ("s1", "in"), "flow/m1/add"),
             LayerNode("relu", Activation("relu"), ("a1",)),
             LayerNode("s2", SeparableConv2D(64, 3), ("relu",), "flow/m2/sep1"),
             LayerNode("a2", Add(), ("s2", "relu"), "flow/m2/add"),
-        ):
-            graph = add_layer(graph, node)
+            name="two", input_shape=TensorShape(16, 16, 64), num_classes=64)
         specs = {"flow/m1": FireModuleSpec(16, 32, 48), "flow/m2": FireModuleSpec(16, 32, 64)}
         out, report = strategy2_insert_fire(graph, specs)
         projs = {n.tag: n.kind.filters for n in out.nodes if n.tag and n.tag.endswith("/residual")}
@@ -415,13 +414,11 @@ class TestStrategy2:
     def test_broken_residual_outside_module(self):
         # The Add joining m1's output to its input is untagged, so the pass
         # leaves it alone and its inputs end up 48 vs 64 channels wide.
-        graph = ModelGraph(name="outside", input_shape=TensorShape(16, 16, 64), num_classes=2)
-        for node in (
+        graph = _graph(
             LayerNode("in", Input()),
             LayerNode("s1", SeparableConv2D(64, 3), ("in",), "flow/m1/sep1"),
             LayerNode("sum", Add(), ("s1", "in")),
-        ):
-            graph = add_layer(graph, node)
+            name="outside", input_shape=TensorShape(16, 16, 64), num_classes=2)
         with pytest.raises(ResidualShapeBrokenError) as exc:
             strategy2_insert_fire(graph, {"flow/m1": FireModuleSpec(16, 32, 48)})
         assert str(exc.value) == (
@@ -440,13 +437,11 @@ class TestStrategy2:
         # Two terminals, and with num_classes=0 a second fault that
         # validate reports first; or one terminal, the Add, which the
         # rewrite narrows from the 64 channels num_classes asks for to 48.
-        graph = ModelGraph(name="ends", input_shape=TensorShape(16, 16, 64), num_classes=num_classes)
-        for node in (
+        graph = _graph(
             LayerNode("in", Input()),
             LayerNode("s1", SeparableConv2D(64, 3), ("in",), "flow/m1/sep1"),
             last,
-        ):
-            graph = add_layer(graph, node)
+            name="ends", input_shape=TensorShape(16, 16, 64), num_classes=num_classes)
         with pytest.raises(ValidationError) as exc:
             strategy2_insert_fire(graph, {"flow/m1": FireModuleSpec(16, 32, 48)})
         assert str(exc.value) == message
@@ -536,9 +531,10 @@ class TestStrategy2:
         )
         out, report = strategy2_insert_fire(graph, {"f/m1": FireModuleSpec(4, 8, 32)})
         assert [n.id for n in out.nodes][-6:] == ["r", "r_bn", "r_act", "a1", "gap", "head"]
-        assert out.node("r").kind == Conv2D(32, 1) and out.node("r").inputs == ("in",)
-        assert out.node("r_act") == graph.node("r_act")
-        assert out.node("a1").inputs == ("f_m1_fire_expand3_act", "r_act")
+        before, after = ({n.id: n for n in g.nodes} for g in (graph, out))
+        assert after["r"].kind == Conv2D(32, 1) and after["r"].inputs == ("in",)
+        assert after["r_act"] == before["r_act"]
+        assert after["a1"].inputs == ("f_m1_fire_expand3_act", "r_act")
         assert report.nodes_changed[-1] == NodeChange("r", "Conv2D(f16,k1,s1)", "Conv2D(f32,k1,s1)")
 
     def test_residual_branch_pool_stays_on_its_branch(self):
@@ -554,9 +550,10 @@ class TestStrategy2:
             LayerNode("head", Dense(4), ("gap",)),
         )
         out, report = strategy2_insert_fire(graph, {"f/m1": FireModuleSpec(4, 8, 16)})
-        assert out.node("p") == graph.node("p")
-        assert out.node("a1").inputs == ("f_m1_fire_expand3_act", "p")
-        assert out.node("f_m1_fire_expand3").kind.stride == 2
+        before, after = ({n.id: n for n in g.nodes} for g in (graph, out))
+        assert after["p"] == before["p"]
+        assert after["a1"].inputs == ("f_m1_fire_expand3_act", "p")
+        assert after["f_m1_fire_expand3"].kind.stride == 2
         assert not any(n.tag == "f/m1/residual" for n in out.nodes)
         assert [c.node_id for c in report.nodes_changed] == ["s1", "f_m1_fire_expand1", "f_m1_fire_expand3"]
 
@@ -573,7 +570,7 @@ class TestStrategy2:
             LayerNode("head", Dense(4), ("gap",)),
         )
         out, _ = strategy2_insert_fire(graph, {"f/m1": FireModuleSpec(4, 8, e3x3)})
-        assert out.node("a1").inputs == inputs
+        assert {n.id: n for n in out.nodes}["a1"].inputs == inputs
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -728,7 +725,8 @@ class TestStrategy2:
 
     def test_untouched_nodes_kept(self, xception):
         out, _ = strategy2_insert_fire(xception, {"middle_flow/m5": FireModuleSpec(414, 600, 728)})
-        assert out.node("exit_m14_sep2") is xception.node("exit_m14_sep2")
+        before, after = ({n.id: n for n in g.nodes} for g in (xception, out))
+        assert after["exit_m14_sep2"] is before["exit_m14_sep2"]
 
     def test_preserves_macro_structure(self, xception):
         out, _ = strategy2_insert_fire(xception, default_specs())
@@ -934,34 +932,28 @@ class TestStrategy3Audit:
         assert all(0.0 <= f <= 1.0 for f in fractions)
 
     def test_all_early_pooling_flag_false(self):
-        graph = ModelGraph(name="early", input_shape=TensorShape(64, 64, 4), num_classes=2)
-        graph = add_layer(graph, LayerNode("in", Input()))
-        graph = add_layer(graph, LayerNode("p1", MaxPool(3, 2), ("in",)))
-        graph = add_layer(graph, LayerNode("p2", MaxPool(3, 2), ("p1",)))
-        tip = "p2"
+        nodes = [LayerNode("in", Input()), LayerNode("p1", MaxPool(3, 2), ("in",)),
+                 LayerNode("p2", MaxPool(3, 2), ("p1",))]
         for i in range(17):
-            graph = add_layer(graph, LayerNode(f"c{i}", Conv2D(8, 1), (tip,)))
-            tip = f"c{i}"
+            nodes.append(LayerNode(f"c{i}", Conv2D(8, 1), (nodes[-1].id,)))
+        graph = _graph(*nodes, name="early", input_shape=TensorShape(64, 64, 4), num_classes=2)
         audit = strategy3_audit(graph)
         assert audit.early_pool_count == 2
         assert audit.late_downsample_flag is False
 
     def test_single_final_downsample_flag_true(self):
-        graph = ModelGraph(name="late", input_shape=TensorShape(64, 64, 4), num_classes=2)
-        graph = add_layer(graph, LayerNode("in", Input()))
-        tip = "in"
+        nodes = [LayerNode("in", Input())]
         for i in range(10):
-            graph = add_layer(graph, LayerNode(f"c{i}", Conv2D(8, 1), (tip,)))
-            tip = f"c{i}"
-        graph = add_layer(graph, LayerNode("down", Conv2D(8, 3, stride=2), (tip,)))
+            nodes.append(LayerNode(f"c{i}", Conv2D(8, 1), (nodes[-1].id,)))
+        nodes.append(LayerNode("down", Conv2D(8, 3, stride=2), (nodes[-1].id,)))
+        graph = _graph(*nodes, name="late", input_shape=TensorShape(64, 64, 4), num_classes=2)
         audit = strategy3_audit(graph)
         assert [e.node_id for e in audit.entries] == ["down"]
         assert audit.late_downsample_flag is True
 
     def test_no_downsampling_flag_false(self):
-        graph = ModelGraph(name="flat", input_shape=TensorShape(8, 8, 4), num_classes=2)
-        graph = add_layer(graph, LayerNode("in", Input()))
-        graph = add_layer(graph, LayerNode("c", Conv2D(8, 1), ("in",)))
+        graph = _graph(LayerNode("in", Input()), LayerNode("c", Conv2D(8, 1), ("in",)),
+                       name="flat", input_shape=TensorShape(8, 8, 4), num_classes=2)
         audit = strategy3_audit(graph)
         assert audit.entries == ()
         assert audit.late_downsample_flag is False
@@ -972,11 +964,12 @@ class TestFireConstraints:
         assert validate_fire_constraints(optimized) == []
 
     def test_violating_triple_reported(self):
-        graph = ModelGraph(name="bad", input_shape=TensorShape(16, 16, 8), num_classes=2)
-        graph = add_layer(graph, LayerNode("in", Input()))
-        graph = add_layer(graph, LayerNode("s", SeparableConv2D(64, 1), ("in",), "f/m1/squeeze"))
-        graph = add_layer(graph, LayerNode("e1", SeparableConv2D(32, 1), ("s",), "f/m1/expand1"))
-        graph = add_layer(graph, LayerNode("e3", SeparableConv2D(16, 3), ("e1",), "f/m1/expand3"))
+        graph = _graph(
+            LayerNode("in", Input()),
+            LayerNode("s", SeparableConv2D(64, 1), ("in",), "f/m1/squeeze"),
+            LayerNode("e1", SeparableConv2D(32, 1), ("s",), "f/m1/expand1"),
+            LayerNode("e3", SeparableConv2D(16, 3), ("e1",), "f/m1/expand3"),
+            name="bad", input_shape=TensorShape(16, 16, 8), num_classes=2)
         violations = validate_fire_constraints(graph)
         assert len(violations) == 1
         assert "64" in violations[0] and "48" in violations[0]
@@ -993,19 +986,23 @@ class TestFireConstraints:
         assert report.violations == tuple(validate_fire_constraints(out)) == (
             "middle_flow/m7: s1x1=1400 must be < e1x1+e3x3=1328 (e1x1=600, e3x3=728)",
         )
+        # With no specs the result is the input, violations included.
+        out, report = strategy2_insert_fire(graph, {})
+        assert out is graph and report.nodes_changed == ()
+        assert report.violations == tuple(validate_fire_constraints(graph)) == (
+            "middle_flow/m5: s1x1=1400 must be < e1x1+e3x3=1328 (e1x1=600, e3x3=728)",
+            "middle_flow/m7: s1x1=1400 must be < e1x1+e3x3=1328 (e1x1=600, e3x3=728)",
+        )
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_pass_reports_the_violations_of_its_result_on_random_graphs(self, seed):
-        # With no specs the pass returns its input with an empty report, so
-        # at least one module is targeted, each with a valid spec.
+        # From none to all of the modules are targeted, each with a valid spec.
         rng = random.Random(seed)
         graph = random_fire_graph(rng)
         modules = list(group_modules(graph.nodes))
-        if not modules:
-            return
         specs = {}
-        for module in rng.sample(modules, rng.randint(1, len(modules))):
+        for module in rng.sample(modules, rng.randint(0, len(modules))):
             s1x1 = rng.randint(1, 30)
             specs[module] = FireModuleSpec(s1x1, rng.randint(1, 30), rng.randint(s1x1, 40))
         try:
@@ -1022,9 +1019,8 @@ class TestFireConstraints:
             FireModuleSpec(1, 1, big)
 
     def test_untagged_graph_vacuously_clean(self):
-        graph = ModelGraph(name="plain", input_shape=TensorShape(8, 8, 3), num_classes=2)
-        graph = add_layer(graph, LayerNode("in", Input()))
-        graph = add_layer(graph, LayerNode("c", Conv2D(4, 1), ("in",)))
+        graph = _graph(LayerNode("in", Input()), LayerNode("c", Conv2D(4, 1), ("in",)),
+                       name="plain", input_shape=TensorShape(8, 8, 3), num_classes=2)
         assert validate_fire_constraints(graph) == []
 
 
@@ -1100,16 +1096,13 @@ class TestStructuralEquality:
     @staticmethod
     def _twins(prefix="", tag="flow/m1/act", fn="relu"):
         """in -> relu (tagged) -> relu (untagged) -> gap -> dense: twin kinds."""
-        graph = ModelGraph(name="twins", input_shape=TensorShape(8, 8, 4), num_classes=2)
-        for node in (
+        return _graph(
             LayerNode(f"{prefix}in", Input()),
             LayerNode(f"{prefix}a", Activation(fn), (f"{prefix}in",), tag),
             LayerNode(f"{prefix}b", Activation("relu"), (f"{prefix}a",)),
             LayerNode(f"{prefix}gap", GlobalAvgPool(), (f"{prefix}b",)),
             LayerNode(f"{prefix}fc", Dense(2), (f"{prefix}gap",)),
-        ):
-            graph = add_layer(graph, node)
-        return graph
+            name="twins", input_shape=TensorShape(8, 8, 4), num_classes=2)
 
     def test_tagged_and_untagged_twins(self):
         twins = self._twins()
