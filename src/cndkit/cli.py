@@ -1,24 +1,23 @@
 """Command-line entry point wiring builders, passes, analysis, and Pareto.
 
 Exit codes: 0 success, 1 validation/constraint failure, 2 I/O error,
-3 parse/schema error. Click also exits 2 on a usage error (an unknown
-option, a bad choice or a malformed ``--input``), so 2 alone does not tell
-the two apart; a usage error prints ``Usage:`` and ``Error:`` lines.
+3 parse/schema error. A usage error (an unknown option, a bad choice or a
+malformed ``--input``) also exits 2, so 2 alone does not tell the two apart;
+a usage error prints a ``usage:`` line and a ``cndkit <command>: error:``
+line that names the option at fault.
 
-Only ``click``, the standard library and ``errors`` are imported here. Each
-command imports the modules it uses, ``json`` included, so a process loads
-no more than its command needs.
+Only the standard library (``argparse`` the largest) and ``errors`` are
+imported here. Each command imports the modules it uses, ``json`` included,
+so a process loads no more than its command needs.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import click
 
 from .errors import CndkitError, ParseError, SchemaVersionError, capped, parse_json, read_text
 
@@ -31,40 +30,32 @@ EXIT_OK = 0
 EXIT_CONSTRAINT = 1
 EXIT_IO = 2
 EXIT_PARSE = 3
+MESSAGE_LIMIT = 120  # with its "cndkit <command>: error: " prefix, an error line stays under 160
 
 
-@contextmanager
-def _handled():
-    try:
-        yield
-    except (ParseError, SchemaVersionError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
-    except BrokenPipeError:
-        # Downstream consumer (e.g. `head`) closed the pipe; die quietly.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(EXIT_IO)
-    except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_IO)
-    except CndkitError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONSTRAINT)
+class _Parser(argparse.ArgumentParser):
+    """``--help`` but no ``-h``, no abbreviated options, and each usage error cut
+    to ``MESSAGE_LIMIT`` characters, as argparse echoes the argument at fault whole."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message):
+        super().error(capped(message, str, MESSAGE_LIMIT))
 
 
-def _parse_input_shape(ctx, param, value: str) -> TensorShape:
-    """``--input`` callback, so click names the option in its usage error."""
+def _input_shape(value: str) -> TensorShape:
+    """``--input``'s type, so a bad value is a usage error naming the option."""
     from .graph import TensorShape
 
     parts = value.lower().split("x")
     if len(parts) != 3:
-        raise click.BadParameter(f"expected HxWxC, got {capped(value)}")
+        raise argparse.ArgumentTypeError(f"expected HxWxC, got {value!r}")
     try:
         return TensorShape(*(int(p) for p in parts))
-    except ValueError as exc:  # int() echoes up to 200 characters of a part
-        raise click.BadParameter(capped(str(exc), str)) from exc
-    except CndkitError as exc:
-        raise click.BadParameter(str(exc)) from exc
+    except (ValueError, CndkitError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _fire_spec_from_obj(obj, where: str) -> FireModuleSpec:
@@ -111,83 +102,51 @@ def _load_specs_map(path: str) -> dict[str, FireModuleSpec]:
     return {tag: _fire_spec_from_obj(obj, tag) for tag, obj in doc.items()}
 
 
-@click.group()
-def main():
-    """Compact-network-design toolkit: build, rewrite, and analyze CNN graphs."""
-
-
-@main.command("build")
-@click.argument("model", type=click.Choice(["xception", "optimized-xception", "mobilenetv2"]))
-@click.option("--classes", default=101, show_default=True, help="Classifier output units.")
-@click.option("--input", "shape", default="299x299x3", show_default=True,
-              callback=_parse_input_shape, help="Input shape as HxWxC.")
-@click.option("--config", "config_path", default=None,
-              help="JSON fire-module config for optimized-xception.")
-@click.option("--out", "out_path", default=None, help="Write the model JSON here.")
 def cmd_build(model, classes, shape, config_path, out_path):
     """Build a zoo model and print a one-line parameter summary."""
     from . import analyzer, zoo
     from .serialize import save_model
 
     if config_path is not None and model != "optimized-xception":
-        raise click.BadOptionUsage(
-            "config_path", f"--config applies to optimized-xception only, not {model}"
-        )
-    with _handled():
-        if model == "xception":
-            graph = zoo.build_xception(shape, classes)
-        elif model == "mobilenetv2":
-            graph = zoo.build_mobilenet_v2(shape, classes)
-        else:
-            config = _load_optimized_config(config_path) if config_path else zoo.DEFAULT_OPTIMIZED_CONFIG
-            graph = zoo.build_optimized_xception(shape, classes, config)
-        report = analyzer.count_params(graph)
-        if out_path:
-            save_model(graph, out_path)
-        click.echo(
-            f"{graph.name}: {report.total:,} params "
-            f"({analyzer.round_params_millions(report.total):.1f}M)"
-        )
+        raise argparse.ArgumentError(None, f"--config applies to optimized-xception only, not {model}")
+    if model == "xception":
+        graph = zoo.build_xception(shape, classes)
+    elif model == "mobilenetv2":
+        graph = zoo.build_mobilenet_v2(shape, classes)
+    else:
+        config = _load_optimized_config(config_path) if config_path else zoo.DEFAULT_OPTIMIZED_CONFIG
+        graph = zoo.build_optimized_xception(shape, classes, config)
+    report = analyzer.count_params(graph)
+    if out_path:
+        save_model(graph, out_path)
+    print(f"{graph.name}: {report.total:,} params ({analyzer.round_params_millions(report.total):.1f}M)")
 
 
-@main.command("transform")
-@click.option("--in", "in_path", required=True, help="Input model JSON.")
-@click.option("--pass", "pass_name", type=click.Choice(["strategy1", "strategy2", "all"]),
-              default="all", show_default=True)
-@click.option("--specs", "specs_path", default=None,
-              help="JSON map of module tag -> fire spec (strategy2).")
-@click.option("--out", "out_path", required=True, help="Write transformed model JSON here.")
-@click.option("--report", "report_path", default=None, help="Write pass report JSON here.")
 def cmd_transform(in_path, pass_name, specs_path, out_path, report_path):
     """Run parameter-reduction passes over a model."""
     from . import transforms
     from .serialize import load_model, save_model
 
     if specs_path is not None and pass_name == "strategy1":
-        raise click.BadOptionUsage(
-            "specs_path", "--specs applies to strategy2 and all only, not strategy1"
-        )
-    with _handled():
-        graph = load_model(in_path)
-        specs = _load_specs_map(specs_path) if specs_path else {}
-        reports = []
-        if pass_name in ("strategy1", "all"):
-            graph, report = transforms.strategy1_replace_kernels(graph)
-            reports.append(report)
-        if pass_name in ("strategy2", "all"):
-            graph, report = transforms.strategy2_insert_fire(graph, specs)
-            reports.append(report)
-        save_model(graph, out_path)
-        if report_path:
-            import json
+        raise argparse.ArgumentError(None, "--specs applies to strategy2 and all only, not strategy1")
+    graph = load_model(in_path)
+    specs = _load_specs_map(specs_path) if specs_path else {}
+    reports = []
+    if pass_name in ("strategy1", "all"):
+        graph, report = transforms.strategy1_replace_kernels(graph)
+        reports.append(report)
+    if pass_name in ("strategy2", "all"):
+        graph, report = transforms.strategy2_insert_fire(graph, specs)
+        reports.append(report)
+    save_model(graph, out_path)
+    if report_path:
+        import json
 
-            payload = [r.as_dict() for r in reports]
-            Path(report_path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        for report in reports:
-            click.echo(
-                f"{report.pass_name}: {len(report.nodes_changed)} node(s) changed, "
-                f"params {report.params_before:,} -> {report.params_after:,}"
-            )
+        payload = [r.as_dict() for r in reports]
+        Path(report_path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    for report in reports:
+        print(f"{report.pass_name}: {len(report.nodes_changed)} node(s) changed, "
+              f"params {report.params_before:,} -> {report.params_after:,}")
 
 
 def _analysis_payload(graph: ModelGraph, batch: int, mode: str, optimizer: str) -> dict:
@@ -236,81 +195,121 @@ def _analysis_table(payload: dict) -> str:
     return "\n".join(lines)
 
 
-@main.command("analyze")
-@click.option("--in", "in_path", required=True, help="Input model JSON.")
-@click.option("--format", "fmt", type=click.Choice(["json", "table"]), default="table",
-              show_default=True)
-@click.option("--batch", default=1, show_default=True)
-@click.option("--mode", type=click.Choice(["training", "inference"]), default="training",
-              show_default=True)
-@click.option("--optimizer", type=click.Choice(["sgd", "adam"]), default="adam",
-              show_default=True)
 def cmd_analyze(in_path, fmt, batch, mode, optimizer):
     """Print parameter, FLOP, and memory analysis for a model."""
     from .serialize import load_model
 
-    with _handled():
-        graph = load_model(in_path)
-        optimizer_name = "sgd_momentum" if optimizer == "sgd" else optimizer
-        payload = _analysis_payload(graph, batch, mode, optimizer_name)
-        if fmt == "json":
-            import json
+    graph = load_model(in_path)
+    optimizer_name = "sgd_momentum" if optimizer == "sgd" else optimizer
+    payload = _analysis_payload(graph, batch, mode, optimizer_name)
+    if fmt == "json":
+        import json
 
-            click.echo(json.dumps(payload, indent=2))
-        else:
-            click.echo(_analysis_table(payload))
+        print(json.dumps(payload, indent=2))
+    else:
+        print(_analysis_table(payload))
 
 
-@main.command("diff")
-@click.option("--a", "a_path", required=True, help="Baseline model JSON.")
-@click.option("--b", "b_path", required=True, help="Comparison model JSON.")
 def cmd_diff(a_path, b_path):
     """Show a per-module comparison of two models."""
     from . import transforms
     from .serialize import load_model
 
-    with _handled():
-        a = load_model(a_path)
-        b = load_model(b_path)
-        click.echo(transforms.diff(a, b), nl=False)
+    sys.stdout.write(transforms.diff(load_model(a_path), load_model(b_path)))
 
 
-@main.command("pareto")
-@click.option("--csv", "csv_path", required=True, help="Measurement CSV.")
-@click.option("--accuracy-frontier", default=70.0, show_default=True)
-@click.option("--memory-frontier", "memory_frontier_opt", default="auto", show_default=True,
-              help="'auto' for the min/max midpoint, or an explicit value in MB.")
-@click.option("--out", "out_path", default=None, help="Write plot-data CSV here.")
 def cmd_pareto(csv_path, accuracy_frontier, memory_frontier_opt, out_path):
     """Quadrant and non-dominated-set analysis of measurement records."""
     from . import pareto
 
-    with _handled():
-        records = pareto.load_measurements(read_text(csv_path))
-        if memory_frontier_opt == "auto":
-            explicit = None
-        else:
-            try:
-                explicit = float(memory_frontier_opt)
-            except ValueError as exc:
-                raise ParseError(
-                    "--memory-frontier must be 'auto' or a number, "
-                    f"got {capped(memory_frontier_opt)}"
-                ) from exc
-        config = pareto.QuadrantConfig(accuracy_frontier=accuracy_frontier, memory_frontier=explicit)
-        frontier_mem, front, placements = pareto.place_records(records, config)
-        placements = list(placements)  # printed here, then written to the plot
-        click.echo(f"accuracy_frontier={config.accuracy_frontier:g}")
-        click.echo(f"memory_frontier={frontier_mem:g}")
-        for record, quadrant, on_front in placements:
-            click.echo(
-                f"{record.model}: test_acc={record.test_acc:g} mem={record.avg_mem_mb:g} "
-                f"quadrant={quadrant.value} on_front={'true' if on_front else 'false'}"
-            )
-        click.echo("pareto_front: " + ", ".join(r.model for r in front))
-        if out_path:
-            Path(out_path).write_text(pareto.plot_data(config, frontier_mem, placements), encoding="utf-8")
+    records = pareto.load_measurements(read_text(csv_path))
+    try:
+        explicit = None if memory_frontier_opt == "auto" else float(memory_frontier_opt)
+    except ValueError as exc:
+        raise ParseError(
+            f"--memory-frontier must be 'auto' or a number, got {capped(memory_frontier_opt)}") from exc
+    config = pareto.QuadrantConfig(accuracy_frontier=accuracy_frontier, memory_frontier=explicit)
+    frontier_mem, front, placements = pareto.place_records(records, config)
+    placements = list(placements)  # printed here, then written to the plot
+    print(f"accuracy_frontier={config.accuracy_frontier:g}")
+    print(f"memory_frontier={frontier_mem:g}")
+    for record, quadrant, on_front in placements:
+        print(f"{record.model}: test_acc={record.test_acc:g} mem={record.avg_mem_mb:g} "
+              f"quadrant={quadrant.value} on_front={'true' if on_front else 'false'}")
+    print("pareto_front: " + ", ".join(r.model for r in front))
+    if out_path:
+        Path(out_path).write_text(pareto.plot_data(config, frontier_mem, placements), encoding="utf-8")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, whose ``run`` takes its options as keywords."""
+    parser = _Parser(prog="cndkit", description=(
+        "Compact-network-design toolkit: build, rewrite, and analyze CNN graphs."))
+    commands = parser.add_subparsers(dest="command", required=True)
+    default = "(default: %(default)s)"
+
+    def command(run):
+        sub = commands.add_parser(run.__name__[4:], help=run.__doc__, description=run.__doc__)
+        sub.set_defaults(run=run, error=sub.error)
+        return sub.add_argument
+
+    arg = command(cmd_build)
+    arg("model", choices=["xception", "optimized-xception", "mobilenetv2"])
+    arg("--classes", type=int, default=101, help=f"Classifier output units {default}.")
+    arg("--input", dest="shape", type=_input_shape, default="299x299x3",
+        help=f"Input shape as HxWxC {default}.")
+    arg("--config", dest="config_path", help="JSON fire-module config for optimized-xception.")
+    arg("--out", dest="out_path", help="Write the model JSON here.")
+
+    arg = command(cmd_transform)
+    arg("--in", dest="in_path", required=True, help="Input model JSON.")
+    arg("--pass", dest="pass_name", choices=["strategy1", "strategy2", "all"], default="all", help=default)
+    arg("--specs", dest="specs_path", help="JSON map of module tag -> fire spec (strategy2).")
+    arg("--out", dest="out_path", required=True, help="Write transformed model JSON here.")
+    arg("--report", dest="report_path", help="Write pass report JSON here.")
+
+    arg = command(cmd_analyze)
+    arg("--in", dest="in_path", required=True, help="Input model JSON.")
+    arg("--format", dest="fmt", choices=["json", "table"], default="table", help=default)
+    arg("--batch", type=int, default=1, help=default)
+    arg("--mode", choices=["training", "inference"], default="training", help=default)
+    arg("--optimizer", choices=["sgd", "adam"], default="adam", help=default)
+
+    arg = command(cmd_diff)
+    arg("--a", dest="a_path", required=True, help="Baseline model JSON.")
+    arg("--b", dest="b_path", required=True, help="Comparison model JSON.")
+
+    arg = command(cmd_pareto)
+    arg("--csv", dest="csv_path", required=True, help="Measurement CSV.")
+    arg("--accuracy-frontier", type=float, default=70.0, help=default)
+    arg("--memory-frontier", dest="memory_frontier_opt", default="auto",
+        help=f"'auto' for the min/max midpoint, or an explicit value in MB {default}.")
+    arg("--out", dest="out_path", help="Write plot-data CSV here.")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run the command that ``argv`` (default ``sys.argv[1:]``) names; return its
+    exit code. ``--help`` and a usage error raise ``SystemExit`` (0 and 2)."""
+    args = vars(build_parser().parse_args(argv))
+    run, error, _ = args.pop("run"), args.pop("error"), args.pop("command")
+    try:
+        run(**args)
+        sys.stdout.flush()  # here, so that a closed pipe is caught below
+    except argparse.ArgumentError as exc:  # a rule between two options, checked by the command
+        error(str(exc))
+    except BrokenPipeError:
+        # Downstream consumer (e.g. `head`) closed the pipe; die quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
+    except (OSError, CndkitError) as exc:
+        code = (EXIT_IO if isinstance(exc, OSError) else
+                EXIT_PARSE if isinstance(exc, (ParseError, SchemaVersionError)) else EXIT_CONSTRAINT)
+        # an OSError's message holds its file name whole
+        print(f"error: {capped(exc, str, MESSAGE_LIMIT) if code == EXIT_IO else exc}", file=sys.stderr)
+        return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

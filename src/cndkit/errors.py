@@ -10,17 +10,16 @@ from typing import Callable
 ECHO_LIMIT = 80
 
 
-def capped(value: object, form: Callable[[object], str] = repr) -> str:
-    """``form(value)``, its repr by default, cut to about ``ECHO_LIMIT``
-    characters, so a message that echoes an outside value stays short. A
-    value that cannot be printed (an int past
-    ``sys.get_int_max_str_digits()``, or a container holding one) is named
-    by its type."""
+def capped(value: object, form: Callable[[object], str] = repr, limit: int = ECHO_LIMIT) -> str:
+    """``form(value)``, its repr by default, cut to ``limit`` characters, so a
+    message that echoes an outside value stays short. A value that cannot be
+    printed (an int past ``sys.get_int_max_str_digits()``, or a container
+    holding one) is named by its type."""
     try:
         text = form(value)
     except ValueError:
         return f"<{type(value).__name__} too large to print>"
-    return text if len(text) <= ECHO_LIMIT else f"{text[:ECHO_LIMIT - 3]}..."
+    return text if len(text) <= limit else f"{text[:limit - 3]}..."
 
 
 class CndkitError(Exception):

@@ -1,6 +1,36 @@
+import io
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from typing import NamedTuple
+
 import pytest
 
+from cndkit.cli import main
 from cndkit.zoo import build_mobilenet_v2, build_optimized_xception, build_xception
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: SystemExit | None  # the SystemExit of a non-zero exit
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+def run_cli(args: list[str]) -> CliResult:
+    """Run ``sys.exit(main(args))`` in this process, as ``python -m cndkit.cli``
+    does, with stdout and stderr captured. Any exception but ``SystemExit``
+    propagates to the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            sys.exit(main(args))
+        except SystemExit as exc:
+            ended = exc
+    return CliResult(ended.code, out.getvalue(), err.getvalue(), ended if ended.code else None)
 
 
 @pytest.fixture(scope="session")

@@ -7,10 +7,7 @@ criterion; any assertion failure marks that criterion red.
 import random
 import time
 
-from click.testing import CliRunner
-
 from cndkit.analyzer import count_params, round_params_millions
-from cndkit.cli import main
 from cndkit.graph import (
     Add,
     group_modules,
@@ -29,6 +26,7 @@ from cndkit.pareto import (
 from cndkit.serialize import deserialize, serialize
 from cndkit.transforms import strategy1_replace_kernels, validate_fire_constraints
 from cndkit.zoo import build_mobilenet_v2, build_xception
+from conftest import run_cli
 from graphgen import oracle_params, oracle_pareto_front, oracle_shapes, random_graph
 
 
@@ -37,9 +35,8 @@ def _ok(criterion: int, message: str) -> None:
 
 
 def test_c01_xception_parameter_reproduction():
-    runner = CliRunner()
     start = time.perf_counter()
-    result = runner.invoke(main, ["build", "xception", "--classes", "101", "--input", "299x299x3"])
+    result = run_cli(["build", "xception", "--classes", "101", "--input", "299x299x3"])
     elapsed = time.perf_counter() - start
     assert result.exit_code == 0
     assert "(21.1M)" in result.output
@@ -50,9 +47,8 @@ def test_c01_xception_parameter_reproduction():
 
 
 def test_c02_mobilenet_parameter_reproduction():
-    runner = CliRunner()
     start = time.perf_counter()
-    result = runner.invoke(main, ["build", "mobilenetv2", "--classes", "101", "--input", "224x224x3"])
+    result = run_cli(["build", "mobilenetv2", "--classes", "101", "--input", "224x224x3"])
     elapsed = time.perf_counter() - start
     assert result.exit_code == 0
     assert "(2.4M)" in result.output

@@ -1,25 +1,24 @@
 import functools
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
-import click
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cndkit.cli import main
+import cndkit
+from cndkit.cli import build_parser
 from cndkit.errors import capped
 from cndkit.graph import TensorShape
 from cndkit.pareto import CSV_HEADER
 from cndkit.serialize import save_model, serialize
 from cndkit.zoo import DEFAULT_OPTIMIZED_CONFIG, build_xception
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
+from conftest import run_cli
 
 
 def fixture_path(name):
@@ -37,63 +36,64 @@ def default_specs_json():
 
 
 class TestBuild:
-    def test_xception_summary(self, runner):
-        result = runner.invoke(main, ["build", "xception", "--classes", "101"])
+    def test_xception_summary(self):
+        result = run_cli(["build", "xception", "--classes", "101"])
         assert result.exit_code == 0
         assert "21.1M" in result.output
 
-    def test_optimized_summary(self, runner):
-        result = runner.invoke(main, ["build", "optimized-xception", "--classes", "101"])
+    def test_optimized_summary(self):
+        result = run_cli(["build", "optimized-xception", "--classes", "101"])
         assert result.exit_code == 0
         assert "15.8M" in result.output
 
-    def test_mobilenet_summary(self, runner):
-        result = runner.invoke(main, ["build", "mobilenetv2", "--input", "224x224x3"])
+    def test_mobilenet_summary(self):
+        result = run_cli(["build", "mobilenetv2", "--input", "224x224x3"])
         assert result.exit_code == 0
         assert "2.4M" in result.output
 
-    def test_single_class_rejected(self, runner):
-        result = runner.invoke(main, ["build", "xception", "--classes", "1"])
+    def test_single_class_rejected(self):
+        result = run_cli(["build", "xception", "--classes", "1"])
         assert result.exit_code == 1
 
-    def test_unwritable_out_path(self, runner):
-        result = runner.invoke(
-            main, ["build", "xception", "--out", "/no/such/dir/model.json"]
+    def test_unwritable_out_path(self):
+        result = run_cli(
+            ["build", "xception", "--out", "/no/such/dir/model.json"]
         )
         assert result.exit_code == 2
 
-    def test_malformed_input_is_usage_error_exit_2(self, runner):
-        # Click's usage errors share exit code 2 with I/O errors.
-        result = runner.invoke(main, ["build", "xception", "--input", "1x2"])
+    def test_malformed_input_is_usage_error_exit_2(self):
+        # Usage errors share exit code 2 with I/O errors.
+        result = run_cli(["build", "xception", "--input", "1x2"])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
-        assert "Usage:" in result.output
-        assert "Invalid value for '--input': expected HxWxC, got '1x2'" in result.output
+        assert result.stderr.startswith("usage: cndkit build ")
+        assert "cndkit build: error: argument --input: expected HxWxC, got '1x2'\n" in result.stderr
 
     @pytest.mark.parametrize("value", ["a" * 5000, "a" * 5000 + "x1x1"], ids=["whole", "one-dim"])
-    def test_long_malformed_input_is_capped(self, runner, value):
-        result = runner.invoke(main, ["build", "xception", "--input", value])
+    def test_long_malformed_input_is_capped(self, value):
+        result = run_cli(["build", "xception", "--input", value])
         assert result.exit_code == 2
         error = result.output.splitlines()[-1]
-        assert error.startswith("Error: Invalid value for '--input': ") and len(error) < 160, error
+        assert error.startswith("cndkit build: error: argument --input: ") and len(error) < 160, error
 
     @pytest.mark.parametrize("model", ["xception", "mobilenetv2"])
-    def test_config_rejected_for_models_that_take_none(self, runner, model):
-        result = runner.invoke(main, ["build", model, "--config", "/nonexistent/none.json"])
+    def test_config_rejected_for_models_that_take_none(self, model):
+        result = run_cli(["build", model, "--config", "/nonexistent/none.json"])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
-        assert "Usage:" in result.output
-        assert f"Error: --config applies to optimized-xception only, not {model}" in result.output
+        assert result.stderr.startswith("usage: cndkit build ")
+        assert (f"cndkit build: error: --config applies to optimized-xception only, not {model}\n"
+                in result.stderr)
 
-    def test_bad_config_is_parse_error(self, runner, tmp_path):
+    def test_bad_config_is_parse_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
-        result = runner.invoke(
-            main, ["build", "optimized-xception", "--config", str(cfg)]
+        result = run_cli(
+            ["build", "optimized-xception", "--config", str(cfg)]
         )
         assert result.exit_code == 3
 
-    def test_eq2_violating_config_is_constraint_error(self, runner, tmp_path):
+    def test_eq2_violating_config_is_constraint_error(self, tmp_path):
         cfg = {
             "entry_fire": [
                 {"s1x1": 224, "e1x1": 96, "e3x3": 128},
@@ -104,159 +104,140 @@ class TestBuild:
         }
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        result = runner.invoke(main, ["build", "optimized-xception", "--config", str(path)])
+        result = run_cli(["build", "optimized-xception", "--config", str(path)])
         assert result.exit_code == 1
 
 
 class TestTransform:
     @pytest.fixture()
-    def baseline_path(self, runner, tmp_path):
+    def baseline_path(self, tmp_path):
         path = tmp_path / "x.json"
-        assert runner.invoke(main, ["build", "xception", "--out", str(path)]).exit_code == 0
+        assert run_cli(["build", "xception", "--out", str(path)]).exit_code == 0
         return path
 
-    def test_strategy1_report(self, runner, tmp_path, baseline_path):
+    def test_strategy1_report(self, tmp_path, baseline_path):
         out = tmp_path / "t.json"
         report = tmp_path / "r.json"
-        result = runner.invoke(
-            main,
-            ["transform", "--in", str(baseline_path), "--pass", "strategy1",
-             "--out", str(out), "--report", str(report)],
-        )
+        result = run_cli(["transform", "--in", str(baseline_path), "--pass", "strategy1",
+                          "--out", str(out), "--report", str(report)])
         assert result.exit_code == 0
         payload = json.loads(report.read_text())
         assert payload[0]["pass_name"] == "strategy1_replace_kernels"
         assert len(payload[0]["nodes_changed"]) == 13
 
     @pytest.mark.parametrize("text", ["{broken", default_specs_json()], ids=["malformed", "well-formed"])
-    def test_specs_rejected_for_strategy1(self, runner, tmp_path, baseline_path, text):
+    def test_specs_rejected_for_strategy1(self, tmp_path, baseline_path, text):
         # strategy1 reads no specs, so the file is neither read nor ignored.
         specs = tmp_path / "specs.json"
         specs.write_text(text)
         out = tmp_path / "t.json"
-        result = runner.invoke(
-            main,
-            ["transform", "--in", str(baseline_path), "--pass", "strategy1",
-             "--specs", str(specs), "--out", str(out)],
-        )
+        result = run_cli(["transform", "--in", str(baseline_path), "--pass", "strategy1",
+                          "--specs", str(specs), "--out", str(out)])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
-        assert "Usage:" in result.output
-        assert "Error: --specs applies to strategy2 and all only, not strategy1" in result.output
+        assert result.stderr.startswith("usage: cndkit transform ")
+        assert ("cndkit transform: error: --specs applies to strategy2 and all only, not strategy1\n"
+                in result.stderr)
         assert not out.exists()
 
-    def test_violating_spec_exits_1(self, runner, tmp_path, baseline_path):
+    def test_violating_spec_exits_1(self, tmp_path, baseline_path):
         specs = tmp_path / "specs.json"
         specs.write_text(json.dumps({"entry_flow/m2": {"s1x1": 300, "e1x1": 100, "e3x3": 128}}))
-        result = runner.invoke(
-            main,
-            ["transform", "--in", str(baseline_path), "--pass", "strategy2",
-             "--specs", str(specs), "--out", str(tmp_path / "t.json")],
-        )
+        result = run_cli(["transform", "--in", str(baseline_path), "--pass", "strategy2",
+                          "--specs", str(specs), "--out", str(tmp_path / "t.json")])
         assert result.exit_code == 1
         assert "entry_flow/m2" in result.output
 
-    def test_pass_all_is_strategy1_then_strategy2(self, runner, tmp_path, baseline_path):
+    def test_pass_all_is_strategy1_then_strategy2(self, tmp_path, baseline_path):
         specs = tmp_path / "specs.json"
         specs.write_text(default_specs_json())
         combined = tmp_path / "combined.json"
-        result = runner.invoke(
-            main,
-            ["transform", "--in", str(baseline_path), "--pass", "all",
-             "--specs", str(specs), "--out", str(combined)],
-        )
+        result = run_cli(["transform", "--in", str(baseline_path), "--pass", "all",
+                          "--specs", str(specs), "--out", str(combined)])
         assert result.exit_code == 0
         stage1 = tmp_path / "s1.json"
         stage2 = tmp_path / "s2.json"
-        assert runner.invoke(
-            main, ["transform", "--in", str(baseline_path), "--pass", "strategy1",
-                   "--out", str(stage1)],
-        ).exit_code == 0
-        assert runner.invoke(
-            main, ["transform", "--in", str(stage1), "--pass", "strategy2",
-                   "--specs", str(specs), "--out", str(stage2)],
-        ).exit_code == 0
+        assert run_cli(["transform", "--in", str(baseline_path), "--pass", "strategy1",
+                        "--out", str(stage1)]).exit_code == 0
+        assert run_cli(["transform", "--in", str(stage1), "--pass", "strategy2",
+                        "--specs", str(specs), "--out", str(stage2)]).exit_code == 0
         assert combined.read_text() == stage2.read_text()
 
-    def test_optimized_build_is_pass_all(self, runner, tmp_path, baseline_path):
+    def test_optimized_build_is_pass_all(self, tmp_path, baseline_path):
         specs = tmp_path / "specs.json"
         specs.write_text(default_specs_json())
         built = tmp_path / "built.json"
         passed = tmp_path / "passed.json"
-        assert runner.invoke(main, ["build", "optimized-xception", "--out", str(built)]).exit_code == 0
-        assert runner.invoke(
-            main, ["transform", "--in", str(baseline_path), "--pass", "all",
-                   "--specs", str(specs), "--out", str(passed)],
-        ).exit_code == 0
+        assert run_cli(["build", "optimized-xception", "--out", str(built)]).exit_code == 0
+        assert run_cli(["transform", "--in", str(baseline_path), "--pass", "all",
+                        "--specs", str(specs), "--out", str(passed)]).exit_code == 0
         a, b = json.loads(built.read_text()), json.loads(passed.read_text())
         assert (a.pop("name"), b.pop("name")) == ("optimized-xception", "xception")
         assert a.pop("metadata") == {"family": "xception", "variant": "optimized"}
         b.pop("metadata")
         assert a == b
 
-    def test_parse_error_exits_3(self, runner, tmp_path):
+    def test_parse_error_exits_3(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
-        result = runner.invoke(
-            main, ["transform", "--in", str(bad), "--out", str(tmp_path / "o.json")]
+        result = run_cli(
+            ["transform", "--in", str(bad), "--out", str(tmp_path / "o.json")]
         )
         assert result.exit_code == 3
 
-    def test_strategy2_without_specs_is_identity(self, runner, tmp_path, baseline_path):
+    def test_strategy2_without_specs_is_identity(self, tmp_path, baseline_path):
         out = tmp_path / "t.json"
-        result = runner.invoke(
-            main, ["transform", "--in", str(baseline_path), "--pass", "strategy2",
-                   "--out", str(out)],
-        )
+        result = run_cli(["transform", "--in", str(baseline_path), "--pass", "strategy2",
+                          "--out", str(out)])
         assert result.exit_code == 0
         assert out.read_text() == baseline_path.read_text()
 
 
 class TestAnalyze:
     @pytest.fixture()
-    def model_path(self, runner, tmp_path):
+    def model_path(self, tmp_path):
         path = tmp_path / "x.json"
-        assert runner.invoke(main, ["build", "xception", "--out", str(path)]).exit_code == 0
+        assert run_cli(["build", "xception", "--out", str(path)]).exit_code == 0
         return path
 
-    def test_table_total(self, runner, model_path):
-        result = runner.invoke(main, ["analyze", "--in", str(model_path)])
+    def test_table_total(self, model_path):
+        result = run_cli(["analyze", "--in", str(model_path)])
         assert result.exit_code == 0
         assert "21,068,429" in result.output
         assert "21.1M" in result.output
 
-    def test_inference_zeroes_optimizer_state(self, runner, model_path):
-        result = runner.invoke(
-            main, ["analyze", "--in", str(model_path), "--format", "json", "--mode", "inference"]
+    def test_inference_zeroes_optimizer_state(self, model_path):
+        result = run_cli(
+            ["analyze", "--in", str(model_path), "--format", "json", "--mode", "inference"]
         )
         payload = json.loads(result.output)
         assert payload["memory"]["optimizer_state_bytes"] == 0
         assert payload["memory"]["gradients_bytes"] == 0
 
-    def test_deterministic_output(self, runner, model_path):
+    def test_deterministic_output(self, model_path):
         args = ["analyze", "--in", str(model_path), "--format", "json", "--batch", "4"]
-        first = runner.invoke(main, args)
-        second = runner.invoke(main, args)
+        first = run_cli(args)
+        second = run_cli(args)
         assert first.output == second.output
 
-    def test_sgd_maps_to_momentum_multiplier(self, runner, model_path):
-        result = runner.invoke(
-            main, ["analyze", "--in", str(model_path), "--format", "json", "--optimizer", "sgd"]
+    def test_sgd_maps_to_momentum_multiplier(self, model_path):
+        result = run_cli(
+            ["analyze", "--in", str(model_path), "--format", "json", "--optimizer", "sgd"]
         )
         payload = json.loads(result.output)
         assert payload["memory"]["assumptions"]["optimizer"] == "sgd_momentum"
         assert payload["memory"]["assumptions"]["optimizer_state_multiplier"] == 1
 
-    def test_parse_error_exits_3(self, runner, tmp_path):
+    def test_parse_error_exits_3(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema_version": 1}')
-        result = runner.invoke(main, ["analyze", "--in", str(bad)])
+        result = run_cli(["analyze", "--in", str(bad)])
         assert result.exit_code == 3
 
-    def test_table_columns_line_up_on_long_ids(self, runner, tmp_path):
+    def test_table_columns_line_up_on_long_ids(self, tmp_path):
         path = tmp_path / "opt.json"
-        assert runner.invoke(main, ["build", "optimized-xception", "--out", str(path)]).exit_code == 0
-        lines = runner.invoke(main, ["analyze", "--in", str(path)]).output.splitlines()
+        assert run_cli(["build", "optimized-xception", "--out", str(path)]).exit_code == 0
+        lines = run_cli(["analyze", "--in", str(path)]).output.splitlines()
         header = lines[1]
         rows = lines[2:next(i for i, line in enumerate(lines) if line.startswith("total params"))]
         in_ch_end = header.index("in_ch") + len("in_ch")
@@ -267,54 +248,54 @@ class TestAnalyze:
 
 
 class TestDiff:
-    def test_reduction_line(self, runner, tmp_path):
+    def test_reduction_line(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
-        assert runner.invoke(main, ["build", "xception", "--out", str(a)]).exit_code == 0
-        assert runner.invoke(main, ["build", "optimized-xception", "--out", str(b)]).exit_code == 0
-        result = runner.invoke(main, ["diff", "--a", str(a), "--b", str(b)])
+        assert run_cli(["build", "xception", "--out", str(a)]).exit_code == 0
+        assert run_cli(["build", "optimized-xception", "--out", str(b)]).exit_code == 0
+        result = run_cli(["diff", "--a", str(a), "--b", str(b)])
         assert result.exit_code == 0
         assert "parameter reduction: 25.0%" in result.output
 
-    def test_identical_files(self, runner, tmp_path):
+    def test_identical_files(self, tmp_path):
         a = tmp_path / "a.json"
-        assert runner.invoke(main, ["build", "xception", "--out", str(a)]).exit_code == 0
-        result = runner.invoke(main, ["diff", "--a", str(a), "--b", str(a)])
+        assert run_cli(["build", "xception", "--out", str(a)]).exit_code == 0
+        result = run_cli(["diff", "--a", str(a), "--b", str(a)])
         assert result.exit_code == 0
         assert "parameter reduction: 0.0%" in result.output
 
-    def test_missing_file_exits_2(self, runner, tmp_path):
+    def test_missing_file_exits_2(self, tmp_path):
         a = tmp_path / "a.json"
-        assert runner.invoke(main, ["build", "xception", "--out", str(a)]).exit_code == 0
-        result = runner.invoke(main, ["diff", "--a", str(a), "--b", str(tmp_path / "nope.json")])
+        assert run_cli(["build", "xception", "--out", str(a)]).exit_code == 0
+        result = run_cli(["diff", "--a", str(a), "--b", str(tmp_path / "nope.json")])
         assert result.exit_code == 2
 
 
 class TestPareto:
-    def test_caltech_defaults(self, runner):
-        result = runner.invoke(main, ["pareto", "--csv", fixture_path("caltech101")])
+    def test_caltech_defaults(self):
+        result = run_cli(["pareto", "--csv", fixture_path("caltech101")])
         assert result.exit_code == 0
         assert "memory_frontier=848.8" in result.output
         assert "Optimized: test_acc=76.21 mem=847.9 quadrant=HighAccLowMem on_front=true" in result.output
         assert "pareto_front: EfficientNetV2B1, MobileNetV2, Optimized" in result.output
 
-    def test_pcb_efficientnet_high_memory(self, runner):
-        result = runner.invoke(main, ["pareto", "--csv", fixture_path("pcb_scratch")])
+    def test_pcb_efficientnet_high_memory(self):
+        result = run_cli(["pareto", "--csv", fixture_path("pcb_scratch")])
         assert result.exit_code == 0
         assert "EfficientNetV2B1" in result.output
         assert "quadrant=LowAccHighMem" in result.output
 
-    def test_high_accuracy_frontier_demotes_all(self, runner):
-        result = runner.invoke(
-            main, ["pareto", "--csv", fixture_path("caltech101"), "--accuracy-frontier", "95"]
+    def test_high_accuracy_frontier_demotes_all(self):
+        result = run_cli(
+            ["pareto", "--csv", fixture_path("caltech101"), "--accuracy-frontier", "95"]
         )
         assert result.exit_code == 0
         assert "HighAcc" not in result.output
 
-    def test_plot_export(self, runner, tmp_path):
+    def test_plot_export(self, tmp_path):
         out = tmp_path / "plot.csv"
-        result = runner.invoke(
-            main, ["pareto", "--csv", fixture_path("caltech101"), "--out", str(out)]
+        result = run_cli(
+            ["pareto", "--csv", fixture_path("caltech101"), "--out", str(out)]
         )
         assert result.exit_code == 0
         lines = out.read_text().strip().splitlines()
@@ -353,7 +334,7 @@ class TestPareto:
     }
 
     @pytest.mark.parametrize("name", sorted(PLACED))
-    def test_out_places_the_records_once(self, runner, tmp_path, monkeypatch, name):
+    def test_out_places_the_records_once(self, tmp_path, monkeypatch, name):
         from cndkit import pareto
 
         text, stdout, plot = self.PLACED[name]
@@ -364,33 +345,33 @@ class TestPareto:
         front = pareto.pareto_front
         monkeypatch.setattr(pareto, "pareto_front", lambda records: calls.append(1) or front(records))
         out = tmp_path / "plot.csv"
-        result = runner.invoke(main, ["pareto", "--csv", str(path), "--out", str(out)])
+        result = run_cli(["pareto", "--csv", str(path), "--out", str(out)])
         assert result.exit_code == 0
         assert len(calls) == 1
         assert (result.output, out.read_text()) == (stdout, plot)
 
-    def test_bad_csv_exits_3(self, runner, tmp_path):
+    def test_bad_csv_exits_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("model,acc\nm,1\n")
-        result = runner.invoke(main, ["pareto", "--csv", str(bad)])
+        result = run_cli(["pareto", "--csv", str(bad)])
         assert result.exit_code == 3
 
-    def test_explicit_memory_frontier(self, runner):
-        result = runner.invoke(
-            main, ["pareto", "--csv", fixture_path("caltech101"), "--memory-frontier", "840"]
+    def test_explicit_memory_frontier(self):
+        result = run_cli(
+            ["pareto", "--csv", fixture_path("caltech101"), "--memory-frontier", "840"]
         )
         assert result.exit_code == 0
         assert "memory_frontier=840" in result.output
         # only EfficientNetV2B1 and MobileNetV2 sit at or below 840 MB
         assert "Optimized: test_acc=76.21 mem=847.9 quadrant=HighAccHighMem" in result.output
 
-    def test_out_of_range_accuracy_exits_1(self, runner, tmp_path):
+    def test_out_of_range_accuracy_exits_1(self, tmp_path):
         bad = tmp_path / "range.csv"
         bad.write_text(
             "model,experiment,train_acc,test_acc,avg_mem_mb,avg_epoch_time_s,avg_inf_time_ms,params\n"
             "m,e,50,120,100,,,\n"
         )
-        result = runner.invoke(main, ["pareto", "--csv", str(bad)])
+        result = run_cli(["pareto", "--csv", str(bad)])
         assert result.exit_code == 1
 
 
@@ -404,27 +385,27 @@ class TestParetoNonFinite:
         return str(path)
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
-    def test_nonfinite_memory_cell_exits_1(self, runner, tmp_path, cell):
-        result = runner.invoke(main, ["pareto", "--csv", self._csv(tmp_path, cell)])
+    def test_nonfinite_memory_cell_exits_1(self, tmp_path, cell):
+        result = run_cli(["pareto", "--csv", self._csv(tmp_path, cell)])
         assert result.exit_code == 1
         assert "error: row 3: 'b': avg_mem_mb=" in result.output
         assert isinstance(result.exception, SystemExit)
 
-    def test_bad_optional_cell_exits_1(self, runner, tmp_path):
+    def test_bad_optional_cell_exits_1(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text(
             "model,experiment,train_acc,test_acc,avg_mem_mb,avg_epoch_time_s,avg_inf_time_ms,params\n"
             "m,e,50,60,100,nan,inf,-7\n"
         )
-        result = runner.invoke(main, ["pareto", "--csv", str(path)])
+        result = run_cli(["pareto", "--csv", str(path)])
         assert result.exit_code == 1
         assert "error: row 2: 'm': avg_epoch_time_s=nan must be finite" in result.output
         assert isinstance(result.exception, SystemExit)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-5", "0"])
-    def test_bad_explicit_memory_frontier_exits_1(self, runner, value):
-        result = runner.invoke(
-            main, ["pareto", "--csv", fixture_path("caltech101"), "--memory-frontier", value]
+    def test_bad_explicit_memory_frontier_exits_1(self, value):
+        result = run_cli(
+            ["pareto", "--csv", fixture_path("caltech101"), "--memory-frontier", value]
         )
         assert result.exit_code == 1
         assert "error: memory_frontier=" in result.output
@@ -470,32 +451,32 @@ class TestSizesAreBounded:
          "input_shape"),
         ('"filters": 32', f'"filters": {BIG_INT}', "nodes[1].attrs"),
     ], ids=["input_shape", "filters"])
-    def test_model_file(self, runner, tmp_path, old, new, field):
+    def test_model_file(self, tmp_path, old, new, field):
         # before: exit 1, ValueError traceback (a count past 4,300 digits)
         path = tmp_path / "big.json"
         path.write_text(serialize(build_xception(TensorShape(71, 71, 3), 10)).replace(old, new, 1))
         for fmt in ("table", "json"):
-            result = runner.invoke(main, ["analyze", "--in", str(path), "--format", fmt])
+            result = run_cli(["analyze", "--in", str(path), "--format", fmt])
             assert_exit_3_with_one_error_line(result)
             assert "must be at most 2147483647, got 999" in result.output
             assert result.output.endswith(f"(field {field!r})\n")
 
-    def test_config_exit_filter(self, runner, tmp_path):
+    def test_config_exit_filter(self, tmp_path):
         # before: exit 1, OverflowError from round_params_millions
         config = json.loads(BOOL_EXIT_FILTER_CONFIG)
         config["exit_filters"][0] = 0  # replaced by the big int in the text
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config).replace("[0,", f"[{BIG_INT},", 1))
-        result = runner.invoke(main, ["build", "optimized-xception", "--config", str(path)])
+        result = run_cli(["build", "optimized-xception", "--config", str(path)])
         assert_exit_3_with_one_error_line(result)
         assert result.output.startswith("error: exit filter must be at most 2147483647, got 999")
         assert result.output.endswith("(field 'exit_filters')\n")
 
-    def test_batch(self, runner, tmp_path):
+    def test_batch(self, tmp_path):
         # before: exit 1, ValueError traceback (byte counts past 4,300 digits)
         path = tmp_path / "model.json"
         save_model(build_xception(TensorShape(71, 71, 3), 10), path)
-        result = runner.invoke(main, ["analyze", "--in", str(path), "--batch", "9" * 4299])
+        result = run_cli(["analyze", "--in", str(path), "--batch", "9" * 4299])
         assert result.exit_code == 1, result.output
         assert result.output.startswith("error: batch must be at most 2147483647, got 999")
 
@@ -520,47 +501,47 @@ class TestUnreadableInputFiles:
     }
 
     @pytest.mark.parametrize("args", READERS.values(), ids=READERS)
-    def test_undecodable_file_is_named(self, runner, paths, args):
+    def test_undecodable_file_is_named(self, paths, args):
         Path(paths["bad"]).write_bytes(UNDECODABLE)
-        result = runner.invoke(main, [a.format(**paths) for a in args])
+        result = run_cli([a.format(**paths) for a in args])
         assert_exit_3_with_one_error_line(result)
         assert f"error: {paths['bad']} is not UTF-8 text: invalid start byte at byte 0" in result.output
 
     @pytest.mark.parametrize("args", [a for k, a in READERS.items() if k != "pareto-csv"],
                              ids=[k for k in READERS if k != "pareto-csv"])
-    def test_too_deeply_nested_json(self, runner, paths, args):
+    def test_too_deeply_nested_json(self, paths, args):
         Path(paths["bad"]).write_text(TOO_DEEP_JSON)
-        result = runner.invoke(main, [a.format(**paths) for a in args])
+        result = run_cli([a.format(**paths) for a in args])
         assert_exit_3_with_one_error_line(result)
         assert "nested too deeply" in result.output
 
-    def test_oversized_csv_cell(self, runner, paths):
+    def test_oversized_csv_cell(self, paths):
         Path(paths["bad"]).write_text(OVERSIZED_CELL_CSV)
-        result = runner.invoke(main, ["pareto", "--csv", paths["bad"]])
+        result = run_cli(["pareto", "--csv", paths["bad"]])
         assert_exit_3_with_one_error_line(result)
         assert "error: malformed CSV: field larger than field limit (131072) (row 2)" in result.output
 
     @pytest.mark.parametrize("reader", ["analyze-in", "diff-b", "transform-specs", "build-config"])
-    def test_integer_past_the_digit_limit(self, runner, paths, reader):
+    def test_integer_past_the_digit_limit(self, paths, reader):
         text = {"transform-specs": OVERSIZED_INT_SPECS,
                 "build-config": OVERSIZED_INT_CONFIG}.get(reader) or oversized_int_model()
         Path(paths["bad"]).write_text(text)
-        result = runner.invoke(main, [a.format(**paths) for a in self.READERS[reader]])
+        result = run_cli([a.format(**paths) for a in self.READERS[reader]])
         assert_exit_3_with_one_error_line(result)
         assert "an integer has more than 4300 digits" in result.output
 
-    def test_bool_exit_filter_is_located(self, runner, paths):
+    def test_bool_exit_filter_is_located(self, paths):
         Path(paths["bad"]).write_text(BOOL_EXIT_FILTER_CONFIG)
-        result = runner.invoke(main, ["build", "optimized-xception", "--config", paths["bad"]])
+        result = run_cli(["build", "optimized-xception", "--config", paths["bad"]])
         assert_exit_3_with_one_error_line(result)
         assert result.output == (
             "error: exit_filters must be a list of integers (field 'exit_filters')\n")
 
     @pytest.mark.parametrize("side", ["--a", "--b"])
-    def test_model_parse_error_names_its_file_on_either_side_of_diff(self, runner, paths, side):
+    def test_model_parse_error_names_its_file_on_either_side_of_diff(self, paths, side):
         Path(paths["bad"]).write_text("{oops")
         files = {"--a": paths["model"], "--b": paths["model"], side: paths["bad"]}
-        result = runner.invoke(main, ["diff", *(a for item in files.items() for a in item)])
+        result = run_cli(["diff", *(a for item in files.items() for a in item)])
         assert_exit_3_with_one_error_line(result)
         assert result.output == (f"error: {paths['bad']}: invalid JSON: Expecting property name "
                                  "enclosed in double quotes (line 1)\n")
@@ -616,17 +597,44 @@ class TestLongValuesAreCut:
     }
 
     @pytest.mark.parametrize("command, text, start, end", CASES.values(), ids=CASES)
-    def test_one_short_line_with_its_location(self, runner, tmp_path, command, text, start, end):
+    def test_one_short_line_with_its_location(self, tmp_path, command, text, start, end):
         paths = {"model": str(tmp_path / "model.json"), "bad": str(tmp_path / "bad"),
                  "out": str(tmp_path / "out.json")}
         Path(paths["model"]).write_text(fuzz_files()["model.json"])
         Path(paths["bad"]).write_text(text)
-        result = runner.invoke(main, [a.format(**paths) for a in self.COMMANDS[command]])
+        result = run_cli([a.format(**paths) for a in self.COMMANDS[command]])
         assert result.exit_code in (1, 3) and isinstance(result.exception, SystemExit)
         line = result.output
         assert line.count("\n") == 1 and len(line.encode()) < 1024, len(line)
         assert line.startswith("error: " + start), line
         assert line.endswith(end + "\n"), line
+
+
+class TestClosedStdout:
+    """A consumer that has closed its end of the pipe (``head``, say) ends the
+    command quietly: exit 2 and nothing on stderr, whether the output fills
+    the pipe's buffer or is written only when it is flushed at exit."""
+
+    @pytest.mark.parametrize("args", [
+        ["build", "xception"],
+        ["analyze", "--in", "{model}", "--format", "json"],
+        ["pareto", "--csv", fixture_path("caltech101")],
+    ], ids=["build", "analyze", "pareto"])
+    def test_exit_2_with_empty_stderr(self, tmp_path, xception, args):
+        model = tmp_path / "xception.json"
+        save_model(xception, model)
+        # buffered stdout, so that a short output is written only when flushed
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(cndkit.__file__).resolve().parents[1])
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cndkit.cli", *(a.format(model=model) for a in args)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (2, b"")
 
 
 @functools.cache
@@ -644,29 +652,36 @@ def fuzz_files() -> dict[str, str]:
 
 
 def run_isolated(args: list[str], fuzz: bytes = b""):
-    """Invoke the CLI in a fresh directory holding ``fuzz_files()`` and ``fuzz``
-    as ``fuzz.in``, and check that it ends with a documented exit code and no
-    exception."""
-    runner = CliRunner()
-    with runner.isolated_filesystem():
-        for name, text in fuzz_files().items():
-            Path(name).write_text(text, encoding="utf-8")
-        Path("fuzz.in").write_bytes(fuzz)
-        result = runner.invoke(main, args)
-    assert result.exception is None or isinstance(result.exception, SystemExit), (
-        args, result.exception)
+    """Run the CLI in a fresh directory holding ``fuzz_files()`` and ``fuzz``
+    as ``fuzz.in``, and check that it ends with a documented exit code and
+    short stderr lines. An exception other than ``SystemExit`` propagates."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in fuzz_files().items():
+                Path(name).write_text(text, encoding="utf-8")
+            Path("fuzz.in").write_bytes(fuzz)
+            result = run_cli(args)
+        finally:
+            os.chdir(cwd)
     assert result.exit_code in (0, 1, 2, 3), (args, result.output)
+    assert all(len(line) < 160 for line in result.stderr.splitlines()), (args, result.stderr)
     return result
 
 
-FLAGS = sorted({opt for command in main.commands.values() for param in command.params
-                for opt in param.opts if opt.startswith("-")} | {"--help"})
+SUBPARSERS = next(a.choices for a in build_parser()._actions if a.dest == "command")
+COMMANDS = {name: [a for a in sub._actions if a.dest != "help"] for name, sub in SUBPARSERS.items()}
+FLAGS = sorted({opt for params in COMMANDS.values() for param in params
+                for opt in param.option_strings} | {"--help"})
 FILE_PARAMS = {"in_path": "model.json", "a_path": "model.json", "b_path": "model.json",
                "csv_path": "data.csv", "specs_path": "specs.json", "config_path": "config.json",
                "out_path": "out.json", "report_path": "report.json"}
+LONG_ARG = "a" * 5000  # every error line that echoes it is cut short
 STRINGS = ["model.json", "data.csv", "missing.json", ".", "", "auto", "840", "71x71x3", "1x1x1",
-           "0x0x0", "abc"]
-NUMBERS = ["0", "1", "4", "70", "101", "-1", "0.5", "nan", "inf", "1e999", "99999999999999999999"]
+           "0x0x0", "abc", LONG_ARG]
+NUMBERS = ["0", "1", "4", "70", "101", "-1", "0.5", "nan", "inf", "1e999", "99999999999999999999",
+           "9" * 5000]
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
@@ -682,16 +697,15 @@ def argument_lists(draw) -> list[str]:
     """A command with its required and some of its optional parameters, each
     valued mostly by its type (a fuzz file for a path), else by any value;
     sometimes a stray flag or value too."""
-    name = draw(st.sampled_from(sorted(main.commands)))
+    name = draw(st.sampled_from(sorted(COMMANDS)))
     args = [name]
-    for param in main.commands[name].params:
-        typed = ([FILE_PARAMS[param.name]] if param.name in FILE_PARAMS
-                 else getattr(param.type, "choices", None) or NUMBERS)
+    for param in COMMANDS[name]:
+        typed = [FILE_PARAMS[param.dest]] if param.dest in FILE_PARAMS else param.choices or NUMBERS
         value = draw(st.sampled_from(list(typed) if draw(st.integers(0, 3)) else STRINGS + NUMBERS))
-        if param.param_type_name == "argument":
+        if not param.option_strings:
             args.append(value)
         elif param.required or draw(st.booleans()):
-            args += [param.opts[0], value]
+            args += [param.option_strings[0], value]
     if not draw(st.integers(0, 3)):
         args.append(draw(st.sampled_from(FLAGS + STRINGS)))
     return args
@@ -706,6 +720,13 @@ class TestFuzzedInvocations:
     raises nothing but SystemExit."""
 
     @given(args=argument_lists())
+    @example(args=["build", "xception", "--classes", LONG_ARG])
+    @example(args=["build", LONG_ARG])
+    @example(args=["build", "xception", "--" + LONG_ARG])
+    @example(args=["analyze", "--in", "model.json", "--batch", "9" * 5000])
+    @example(args=["analyze", "--in", "model.json", "--format", LONG_ARG])
+    @example(args=["analyze", "--in", LONG_ARG])
+    @example(args=["pareto", "--csv", "data.csv", "--accuracy-frontier", LONG_ARG])
     @settings(max_examples=60, deadline=None)
     def test_argument_lists_from_the_commands_flags(self, args):
         run_isolated(args)

@@ -146,6 +146,14 @@ class TestLaziness:
         assert "cndkit.cli" in loaded
         assert not loaded & {"cndkit.analyzer", "cndkit.pareto", "cndkit.transforms", "cndkit.zoo"}
 
+    def test_import_cli_loads_only_the_stdlib_and_cndkit(self):
+        # What the child had loaded before the import is left out: ``site``
+        # may run a ``.pth`` file that imports a third-party module.
+        added = set(child("import sys; before = set(sys.modules); import cndkit.cli; print(*{"
+                          "m.partition('.')[0] for m in set(sys.modules) - before})").split())
+        assert "cndkit" in added
+        assert added - {"cndkit"} <= set(sys.stdlib_module_names), added
+
     def test_pareto_command_loads_only_pareto(self):
         loaded = loaded_by(CLI_CHILD, "pareto", "--csv", FIXTURE)
         assert "cndkit.pareto" in loaded

@@ -2,11 +2,9 @@ import hashlib
 import json
 
 import pytest
-from click.testing import CliRunner
 
 from cndkit.analyzer import count_params, flops_estimate, round_params_millions
 from cndkit.errors import InvalidFireSpecError, ValidationError
-from cndkit.cli import main
 from cndkit.graph import (
     Activation,
     Add,
@@ -35,6 +33,7 @@ from cndkit.zoo import (
     build_optimized_xception,
     build_xception,
 )
+from conftest import run_cli
 
 XCEPTION_TOTAL = 21_068_429
 OPTIMIZED_TOTAL = 15_798_273
@@ -75,7 +74,7 @@ def test_transform_report_is_byte_stable(xception, tmp_path):
     (tmp_path / "specs.json").write_text(json.dumps(
         {tag: {"s1x1": s.s1x1, "e1x1": s.e1x1, "e3x3": s.e3x3} for tag, s in specs.items()}))
     save_model(xception, tmp_path / "x.json")
-    result = CliRunner().invoke(main, [
+    result = run_cli([
         "transform", "--in", str(tmp_path / "x.json"), "--pass", "all",
         "--specs", str(tmp_path / "specs.json"), "--out", str(tmp_path / "t.json"),
         "--report", str(tmp_path / "r.json")])
