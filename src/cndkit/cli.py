@@ -293,6 +293,8 @@ def main(argv: list[str] | None = None) -> int:
     exit code. ``--help`` and a usage error raise ``SystemExit`` (0 and 2)."""
     args = vars(build_parser().parse_args(argv))
     run, error, _ = args.pop("run"), args.pop("error"), args.pop("command")
+    if hasattr(sys.stdout, "reconfigure"):  # a name stdout cannot encode is escaped, not a crash
+        sys.stdout.reconfigure(errors="backslashreplace")
     try:
         run(**args)
         sys.stdout.flush()  # here, so that a closed pipe is caught below

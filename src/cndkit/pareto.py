@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import csv
 import enum
-import io
 import math
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from importlib import resources
-from itertools import groupby, takewhile
+from itertools import groupby
 from operator import attrgetter
 
 from .errors import EmptyInputError, MeasurementRangeError, ParseError, capped
@@ -149,12 +148,23 @@ def _parse_optional(value: str, row: int, column: str, kind) -> float | int | No
         raise ParseError(f"cannot parse {capped(value)}", row=row, column=column) from exc
 
 
+def _lines(text: str) -> Iterator[str]:
+    """The lines that iterating ``io.StringIO(text)`` gives, each with its
+    ``"\n"``, cut one at a time instead of from a UCS-4 copy of the text."""
+    start = 0
+    while end := text.find("\n", start) + 1:
+        yield text[start:end]
+        start = end
+    if start < len(text):
+        yield text[start:]
+
+
 def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
     """``(row number, cells)`` per CSV row; a ``csv.Error`` (a cell over the
     field limit, a line break in an unquoted cell) is a ParseError at its row."""
     row_num = 0
     try:
-        for row_num, cells in enumerate(csv.reader(io.StringIO(text)), start=1):
+        for row_num, cells in enumerate(csv.reader(_lines(text)), start=1):
             yield row_num, cells
     except csv.Error as exc:
         raise ParseError(f"malformed CSV: {exc}", row=row_num + 1) from exc
@@ -171,6 +181,7 @@ def load_measurements(text: str) -> list[ModelMeasurement]:
             f"header must be {','.join(CSV_HEADER)}", row=1
         )
     records: list[ModelMeasurement] = []
+    experiments: dict[str, str] = {}  # one string per distinct name, shared by the records
     for row_num, raw in rows:
         cells = [c.strip() for c in raw]
         if not any(cells):
@@ -186,7 +197,7 @@ def load_measurements(text: str) -> list[ModelMeasurement]:
             records.append(
                 ModelMeasurement(
                     model,
-                    experiment,
+                    experiments.setdefault(experiment, experiment),
                     _parse_float(train_acc, row_num, "train_acc"),
                     _parse_float(test_acc, row_num, "test_acc"),
                     _parse_float(avg_mem_mb, row_num, "avg_mem_mb"),
@@ -232,27 +243,28 @@ def classify_quadrant(
     return Quadrant.LOW_ACC_LOW_MEM if low_mem else Quadrant.LOW_ACC_HIGH_MEM
 
 
-def _sort_key(record: ModelMeasurement):
-    return (record.avg_mem_mb, -record.test_acc, record.model, record.experiment)
-
-
 def pareto_front(records: list[ModelMeasurement]) -> list[ModelMeasurement]:
     """Non-dominated subset, sorted by ascending memory.
 
-    Single sweep over the memory-sorted records, which ``_sort_key`` orders
-    by descending accuracy within an equal-memory group: only a group's
-    leading, highest-accuracy records survive, and a group survives only
-    when it improves on the best accuracy seen at strictly lower memory.
-    Duplicated points do not dominate each other and are all kept.
+    Single sweep over the records sorted by memory alone: an equal-memory
+    group survives only when its best accuracy beats the best seen at
+    strictly lower memory, and then only its records at that accuracy, in
+    ``(model, experiment)`` order. Duplicated points do not dominate each
+    other and are all kept.
     """
     front: list[ModelMeasurement] = []
     best_acc = -math.inf
-    for _mem, group in groupby(sorted(records, key=_sort_key), key=attrgetter("avg_mem_mb")):
-        first = next(group)
-        if first.test_acc > best_acc:
-            best_acc = first.test_acc
-            front.append(first)
-            front.extend(takewhile(lambda r: r.test_acc == best_acc, group))
+    by_mem, by_name = attrgetter("avg_mem_mb"), attrgetter("model", "experiment")
+    for _mem, group in groupby(sorted(records, key=by_mem), key=by_mem):
+        top = [next(group)]  # the group's records at its best accuracy
+        for record in group:
+            if record.test_acc > top[0].test_acc:
+                top = [record]
+            elif record.test_acc == top[0].test_acc:
+                top.append(record)
+        if top[0].test_acc > best_acc:
+            best_acc = top[0].test_acc
+            front += sorted(top, key=by_name)
     return front
 
 
@@ -308,4 +320,5 @@ def plot_data(config: QuadrantConfig, frontier_mem: float, placements: Iterable[
             f"{_csv_cell(record.model)},{record.test_acc:g},{record.avg_mem_mb:g},"
             f"{quadrant.value},{'true' if on_front else 'false'}"
         )
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, in the one join
+    return "\n".join(lines)

@@ -203,6 +203,7 @@ def deserialize(text: str) -> g.ModelGraph:
             raise ParseError(str(exc), field=f"nodes[{i}]") from exc
         ids[node.id] = node.id
         nodes.append(node)
+        nodes_raw[i] = None  # the entry's dicts are freed as the nodes are built
     model = g.ModelGraph(
         name=name, input_shape=shape, num_classes=num_classes, nodes=tuple(nodes),
         metadata=dict(metadata),

@@ -1,5 +1,7 @@
+import gc
 import io
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from typing import NamedTuple
 
@@ -31,6 +33,23 @@ def run_cli(args: list[str]) -> CliResult:
         except SystemExit as exc:
             ended = exc
     return CliResult(ended.code, out.getvalue(), err.getvalue(), ended if ended.code else None)
+
+
+def traced(call):
+    """``call()``'s result, the traced bytes still allocated after it (what
+    the result keeps alive) and the traced peak during it. ``gc.collect``
+    before and after empties the interpreter's free lists, which tracemalloc
+    would count as allocated."""
+    call()  # anything made once, on a first call, is made outside the trace
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call()
+        gc.collect()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
 
 
 @pytest.fixture(scope="session")

@@ -637,6 +637,31 @@ class TestClosedStdout:
         assert (proc.returncode, proc.stderr) == (2, b"")
 
 
+class TestUnencodableText:
+    """A model name that stdout's encoding cannot hold is written escaped, as
+    ``backslashreplace`` writes it, not raised as a ``UnicodeEncodeError``."""
+
+    @pytest.mark.parametrize("encoding, name, shown", [
+        ("utf-8:strict", "m\udc80", "m\\udc80"),
+        ("ascii:strict", "r\u00e9sum\u00e9", "r\\xe9sum\\xe9"),
+    ], ids=["lone-surrogate", "non-ascii"])
+    @pytest.mark.parametrize("command", ["analyze", "diff"])
+    def test_name_is_escaped(self, tmp_path, mobilenet, command, encoding, name, shown):
+        doc = json.loads(serialize(mobilenet))
+        doc["name"] = name
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        args = {"analyze": ["analyze", "--in", str(model)],
+                "diff": ["diff", "--a", str(model), "--b", str(model)]}[command]
+        env = dict(os.environ, PYTHONIOENCODING=encoding,
+                   PYTHONPATH=str(Path(cndkit.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "cndkit.cli", *args],
+                              capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert b"Traceback" not in proc.stderr
+        assert shown.encode() in proc.stdout.splitlines()[0]
+
+
 @functools.cache
 def fuzz_files() -> dict[str, str]:
     """Valid inputs for the fuzzed runs: a small xception, fire specs for it,

@@ -98,6 +98,31 @@ class TestPublicSurface:
         functions = {name for name in PUBLIC if inspect.isfunction(getattr(cndkit, name))}
         assert sorted(functions - called) == sorted(exempt)
 
+    def test_every_private_module_name_is_read_in_the_package(self):
+        # A module-level private function, class or constant that no code
+        # in the package reads is dead. Dunders are read by the interpreter.
+        trees = [ast.parse(path.read_text(encoding="utf-8"))
+                 for path in Path(cndkit.__file__).parent.glob("*.py")]
+        defined = set()
+        for tree in trees:
+            for stmt in tree.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    defined.add(stmt.name)
+                elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                    defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        read = set()
+        for tree in trees:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+        private = {n for n in defined
+                   if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))}
+        assert private, "no private module-level names found"
+        assert sorted(private - read) == []
+
     def test_dir_covers_all(self):
         assert set(cndkit.__all__) <= set(dir(cndkit))
 

@@ -20,6 +20,7 @@ from cndkit.pareto import (
     place_records,
     resolve_memory_frontier,
 )
+from conftest import traced
 from graphgen import oracle_pareto_front, reference_load_measurements
 
 HEADER_LINE = ",".join(CSV_HEADER)
@@ -210,6 +211,37 @@ class TestLoaderMatchesReference:
         count = 9 if extra else 7
         assert got[:3] == (ParseError, f"expected 8 cells, got {count} (row {at + 1})", at + 1)
         assert got == _outcome(reference_load_measurements, text)
+
+    EDGE_TEXTS = {
+        "no-final-newline": HEADER_LINE + "\na,e,50,60,100,,,\nb,e,40,70,90,,,",
+        "crlf-blank-rows": (HEADER_LINE + "\r\n\r\na,e,50,60,100,,,\r\n , ,\r\n"
+                            "b,e,40,70,90,1,2,3\r\n\r\n"),
+        "quoted-newline": HEADER_LINE + '\n"a\nb",e,50,60,100,,,\n"c",e,40,"70\n",90,,,\n',
+        "open-quote-at-end": HEADER_LINE + '\na,e,50,60,100,,,\nb,e,40,70,90,,,"3',
+        "open-quote-whole-row": HEADER_LINE + '\na,e,50,60,100,,,\n"b,e,40,70,90,,,',
+        "nul-ff-cr-in-cells": HEADER_LINE + '\n"a\x00b\x0cc\rd",e\x0cf\x00,50,60,100,,,\n',
+    }
+
+    @pytest.mark.parametrize("text", EDGE_TEXTS.values(), ids=EDGE_TEXTS)
+    def test_same_outcome_on_edge_texts(self, text):
+        assert _outcome(load_measurements, text) == _outcome(reference_load_measurements, text)
+
+    @pytest.mark.parametrize("text, row", [
+        ("", 1),
+        (HEADER_LINE + "\na,e,50,60,100,,,\n" + "m" * 131_073 + ",e,50,60,100,,,\n", 3),
+    ], ids=["empty", "cell-over-field-limit"])
+    def test_same_failure_on_edge_texts(self, text, row):
+        # The reference names an empty text's header as wrong and lets csv's
+        # own error out; the loader's ParseError is at the same row.
+        with pytest.raises((ParseError, csv.Error)) as want:
+            reference_load_measurements(text)
+        with pytest.raises(ParseError) as got:
+            load_measurements(text)
+        assert got.value.row == row
+        if isinstance(want.value, csv.Error):
+            assert got.value.message == f"malformed CSV: {want.value}"
+        else:
+            assert want.value.row == row
 
 
 _TEN_POW_400 = "1" + "0" * 76 + "..."  # as echoed: cut to 80 characters
@@ -456,3 +488,41 @@ class TestPlaceRecords:
     def test_empty_records_use_explicit_frontier(self):
         frontier, front, placements = place_records([], QuadrantConfig(memory_frontier=500.0))
         assert (frontier, front, list(placements)) == (500.0, [], [])
+
+
+def _sweep_csv(rows: int = 1500) -> str:
+    """A measurement CSV of ``rows`` records under one experiment name."""
+    rng = random.Random(27)
+    return "".join([HEADER_LINE + "\n"] + [
+        f"model{i},sweep,{rng.uniform(0, 100):.2f},{rng.uniform(0, 100):.2f},"
+        f"{rng.uniform(1, 1000):.3f},{rng.uniform(1, 100):.1f},{rng.uniform(1, 50):.2f},{i * 1000}\n"
+        for i in range(rows)
+    ])
+
+
+class TestMemory:
+    """Each step holds one copy of its input and output. At the last commit
+    before these guards, on the 1,500-record CSV: a load's transient peak
+    was 4.2x the text (StringIO's four bytes per character), the front's
+    peak 120 bytes per record (a key tuple each) and the export's peak 6.1x
+    its output."""
+
+    def test_load_peak_beyond_its_records_stays_under_its_text(self):
+        text = _sweep_csv()
+        records, kept, peak = traced(lambda: load_measurements(text))
+        assert len(records) == 1500
+        assert peak - kept <= len(text), (peak - kept, len(text))
+
+    def test_loaded_records_share_one_experiment_string(self):
+        records = load_measurements(_sweep_csv(2))
+        assert records[0].experiment is records[1].experiment
+
+    def test_front_peak_stays_under_40_bytes_per_record(self):
+        records = load_measurements(_sweep_csv())
+        _, _, peak = traced(lambda: pareto_front(records))
+        assert peak <= 40 * len(records), (peak, len(records))
+
+    def test_export_peak_stays_under_four_times_its_output(self):
+        records = load_measurements(_sweep_csv())
+        text, _, peak = traced(lambda: export_plot_data(records, QuadrantConfig()))
+        assert peak <= 4 * len(text), (peak, len(text))

@@ -1,11 +1,9 @@
 import dataclasses
 import functools
-import gc
 import importlib
 import json
 import random
 import re
-import tracemalloc
 from collections import Counter
 
 import pytest
@@ -39,6 +37,7 @@ from cndkit.graph import (
 from cndkit.serialize import deserialize, load_model, save_model, serialize
 from cndkit.transforms import FireModuleSpec, strategy1_replace_kernels, strategy2_insert_fire
 from cndkit.zoo import build_mobilenet_v2, build_optimized_xception, build_xception
+from conftest import traced
 from graphgen import random_fire_graph, random_graph
 
 
@@ -418,36 +417,27 @@ def test_serialized_text_always_reads_back(seed, shuffler):
 # -- memory -------------------------------------------------------------------
 
 
-def _traced(call):
-    """``call()``'s result, the traced bytes still allocated after it (what
-    the result keeps alive) and the traced peak during it. ``gc.collect``
-    before and after empties the interpreter's free lists, which tracemalloc
-    would count as allocated."""
-    call()  # anything made once, on a first call, is made outside the trace
-    gc.collect()
-    tracemalloc.start()
-    try:
-        result = call()
-        gc.collect()
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, kept, peak
-
-
 def test_serialize_peak_stays_under_three_times_its_text():
     # Joining the node texts into a block, then the block into the document,
     # built the text three times: a peak of 4.6x the text.
     graph = build_xception(TensorShape(299, 299, 3), 101)
-    text, _, peak = _traced(lambda: serialize(graph))
+    text, _, peak = traced(lambda: serialize(graph))
     assert peak <= 3 * len(text), (peak, len(text))
 
 
 def test_a_loaded_graph_keeps_under_twice_its_text_alive():
     # A kind object per node and a __dict__ per node and kind kept 2.2x.
     text = serialize(build_xception(TensorShape(299, 299, 3), 101))
-    _, kept, _ = _traced(lambda: deserialize(text))
+    _, kept, _ = traced(lambda: deserialize(text))
     assert kept <= 2 * len(text), (kept, len(text))
+
+
+def test_deserialize_peak_stays_under_four_times_its_text():
+    # Every parsed node entry stayed alive until the whole graph was built:
+    # a peak of 4.8x the text.
+    text = serialize(build_xception(TensorShape(299, 299, 3), 101))
+    _, _, peak = traced(lambda: deserialize(text))
+    assert peak <= 4 * len(text), (peak, len(text))
 
 
 # -- the writer against json.dumps --------------------------------------------
