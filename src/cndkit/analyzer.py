@@ -51,6 +51,9 @@ OPTIMIZER_STATE_MULTIPLIER = {"sgd_momentum": 1, "adam": 2}
 
 @dataclass(frozen=True)
 class ParamReport:
+    """Per-layer parameter entries in stored order, their total and the
+    trainable total (the total less BatchNorm's moving statistics)."""
+
     per_layer: tuple[LayerParams, ...]
     total: int
     total_trainable: int
@@ -139,6 +142,9 @@ def activation_sizes(graph: ModelGraph, batch: int = 1) -> list[tuple[str, int]]
 
 @dataclass(frozen=True)
 class MemoryAssumptions:
+    """What a ``MemoryEstimate`` assumed: bytes per scalar, the optimizer and
+    its state per weight, batch size, mode and a fixed overhead in bytes."""
+
     bytes_per_scalar: int
     optimizer: str
     optimizer_state_multiplier: int
@@ -149,6 +155,8 @@ class MemoryAssumptions:
 
 @dataclass(frozen=True)
 class MemoryEstimate:
+    """Modeled memory in bytes, part by part, and the assumptions behind it."""
+
     weights_bytes: int
     gradients_bytes: int
     optimizer_state_bytes: int

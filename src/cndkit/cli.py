@@ -19,7 +19,9 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import CndkitError, ParseError, SchemaVersionError, capped, parse_json, read_text
+from .errors import (
+    CndkitError, ParseError, SchemaVersionError, capped, chunks, parse_json, printable, read_text,
+)
 
 if TYPE_CHECKING:
     from .graph import ModelGraph, TensorShape
@@ -170,12 +172,13 @@ def _analysis_payload(graph: ModelGraph, batch: int, mode: str, optimizer: str) 
 
 def _analysis_table(payload: dict) -> str:
     listed = [e for e in payload["params"]["per_layer"] if e["kernel_params"] or e["aux_params"]]
-    width = max([28] + [len(e["id"]) for e in listed])
-    lines = [f"model: {payload['name']}"]
+    ids = [printable(e["id"]) for e in listed]
+    width = max([28] + [len(i) for i in ids])
+    lines = [f"model: {printable(payload['name'])}"]
     lines.append(f"{'id':<{width}} {'in_ch':>7} {'filters':>8} {'kernel':>7} {'params':>12} {'aux':>8}")
-    for e in listed:
+    for node_id, e in zip(ids, listed):
         lines.append(
-            f"{e['id']:<{width}} {e['channels_in']:>7} {e['filters']:>8} {e['kernel_elems']:>7} "
+            f"{node_id:<{width}} {e['channels_in']:>7} {e['filters']:>8} {e['kernel_elems']:>7} "
             f"{e['kernel_params']:>12,} {e['aux_params']:>8,}"
         )
     p = payload["params"]
@@ -234,11 +237,12 @@ def cmd_pareto(csv_path, accuracy_frontier, memory_frontier_opt, out_path):
     print(f"accuracy_frontier={config.accuracy_frontier:g}")
     print(f"memory_frontier={frontier_mem:g}")
     for record, quadrant, on_front in placements:
-        print(f"{record.model}: test_acc={record.test_acc:g} mem={record.avg_mem_mb:g} "
+        print(f"{printable(record.model)}: test_acc={record.test_acc:g} mem={record.avg_mem_mb:g} "
               f"quadrant={quadrant.value} on_front={'true' if on_front else 'false'}")
-    print("pareto_front: " + ", ".join(r.model for r in front))
+    print("pareto_front: " + ", ".join(printable(r.model) for r in front))
     if out_path:
-        Path(out_path).write_text(pareto.plot_data(config, frontier_mem, placements), encoding="utf-8")
+        with open(out_path, "w", encoding="utf-8") as out:  # each chunk written as it is made
+            out.writelines(chunks(pareto.plot_lines(config, frontier_mem, placements)))
 
 
 def build_parser() -> argparse.ArgumentParser:

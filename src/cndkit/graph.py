@@ -106,11 +106,13 @@ def _check_bool(owner: str, name: str, value: bool) -> None:
 
 @dataclass(frozen=True, slots=True)
 class Input:
-    pass
+    """The graph's one source node: its output is ``ModelGraph.input_shape``."""
 
 
 @dataclass(frozen=True, slots=True)
 class Conv2D:
+    """A square-kernel convolution; ``has_bias`` adds one param per filter."""
+
     filters: int
     kernel: int
     stride: int = 1
@@ -143,6 +145,8 @@ class SeparableConv2D:
 
 @dataclass(frozen=True, slots=True)
 class MaxPool:
+    """Max pooling over a square window; no params."""
+
     pool_size: int = 3
     stride: int = 2
     padding: str = PADDING_SAME
@@ -155,7 +159,7 @@ class MaxPool:
 
 @dataclass(frozen=True, slots=True)
 class GlobalAvgPool:
-    pass
+    """The mean of each channel over height and width, a 1x1 map; no params."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,6 +169,8 @@ class BatchNorm:
 
 @dataclass(frozen=True, slots=True)
 class Activation:
+    """The elementwise function ``fn``; no params."""
+
     fn: str = "relu"
 
     def __post_init__(self):
@@ -173,11 +179,13 @@ class Activation:
 
 @dataclass(frozen=True, slots=True)
 class Add:
-    pass
+    """The elementwise sum of two inputs of one shape; no params."""
 
 
 @dataclass(frozen=True, slots=True)
 class Dense:
+    """A fully connected layer of ``units`` outputs over its flattened input."""
+
     units: int
     has_bias: bool = True
 
@@ -192,6 +200,9 @@ def is_conv(kind: LayerKind) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class LayerNode:
+    """One node: its id, layer kind, the ids of its inputs in order, and an
+    optional ``flow/module/role`` tag."""
+
     id: str
     kind: LayerKind
     inputs: tuple[str, ...] = ()
@@ -222,6 +233,9 @@ class LayerNode:
 
 @dataclass(frozen=True, slots=True)
 class ModelGraph:
+    """A named layer graph: input shape, class count, nodes in stored order
+    and string metadata. ``validate`` checks it."""
+
     name: str
     input_shape: TensorShape
     num_classes: int

@@ -24,7 +24,7 @@ from importlib import resources
 from itertools import groupby
 from operator import attrgetter
 
-from .errors import EmptyInputError, MeasurementRangeError, ParseError, capped
+from .errors import EmptyInputError, MeasurementRangeError, ParseError, capped, chunks
 
 CSV_HEADER = (
     "model",
@@ -49,6 +49,9 @@ class Quadrant(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class ModelMeasurement:
+    """One measured model in one experiment: accuracies in percent, mean
+    memory in MB, and the optional time and parameter columns."""
+
     model: str
     experiment: str
     train_acc: float
@@ -117,6 +120,9 @@ Placement = tuple[ModelMeasurement, Quadrant, bool]  # (record, quadrant, on_fro
 
 @dataclass(frozen=True)
 class QuadrantConfig:
+    """The accuracy frontier in percent and the memory frontier in MB, or
+    None for the midpoint of the measured minimum and maximum."""
+
     accuracy_frontier: float = 70.0
     memory_frontier: float | None = None  # None -> midpoint of min/max
 
@@ -310,15 +316,18 @@ def export_plot_data(records: list[ModelMeasurement], config: QuadrantConfig) ->
 def plot_data(config: QuadrantConfig, frontier_mem: float, placements: Iterable[Placement]) -> str:
     """The text of ``export_plot_data`` from the memory frontier and
     placements that ``place_records`` gave for ``config``."""
-    lines = [
-        f"# accuracy_frontier={config.accuracy_frontier:g}",
-        f"# memory_frontier={frontier_mem:g}",
-        "model,test_acc,avg_mem_mb,quadrant,on_front",
-    ]
+    return "".join(chunks(plot_lines(config, frontier_mem, placements)))  # see CHUNK_ITEMS
+
+
+def plot_lines(
+    config: QuadrantConfig, frontier_mem: float, placements: Iterable[Placement]
+) -> Iterator[str]:
+    """Each line of ``plot_data``'s text, its newline included, as it is made."""
+    yield f"# accuracy_frontier={config.accuracy_frontier:g}\n"
+    yield f"# memory_frontier={frontier_mem:g}\n"
+    yield "model,test_acc,avg_mem_mb,quadrant,on_front\n"
     for record, quadrant, on_front in placements:
-        lines.append(
+        yield (
             f"{_csv_cell(record.model)},{record.test_acc:g},{record.avg_mem_mb:g},"
-            f"{quadrant.value},{'true' if on_front else 'false'}"
+            f"{quadrant.value},{'true' if on_front else 'false'}\n"
         )
-    lines.append("")  # the final newline, in the one join
-    return "\n".join(lines)

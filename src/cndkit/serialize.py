@@ -21,11 +21,14 @@ the C ``encode_basestring_ascii`` that ``json.dumps`` uses by default.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
 from . import graph as g
-from .errors import CndkitError, ParseError, SchemaVersionError, capped, parse_json, read_text
+from .errors import (
+    CndkitError, ParseError, SchemaVersionError, capped, chunks, parse_json, read_text,
+)
 
 SCHEMA_VERSION = 1
 
@@ -60,24 +63,11 @@ def _kind_text(kind: g.LayerKind) -> str:
     )
 
 
-def serialize(graph: g.ModelGraph) -> str:
-    """Render a validated graph as schema-v1 JSON text."""
-    g.validate(graph)  # so there is at least the Input node
-    shape = graph.input_shape
-    dims = [int.__repr__(shape.height), int.__repr__(shape.width), int.__repr__(shape.channels)]
-    metadata = [f"{_string(k)}: {_string(v)}" for k, v in graph.metadata.items()]
-    # The document's parts go into one list and are joined once: the node
-    # texts are not first gathered into a block of their own, which would
-    # build the largest part of the text twice more.
-    parts = [
-        f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "name": {_string(graph.name)},\n'
-        f'  "input_shape": {_block("[", "]", dims, "  ")},\n'
-        f'  "num_classes": {int.__repr__(graph.num_classes)},\n'
-        f'  "metadata": {_block("{", "}", metadata, "  ")},\n  "nodes": ['
-    ]
+def _node_texts(nodes: tuple[g.LayerNode, ...]) -> Iterator[str]:
+    """Each node's text in the ``"nodes"`` list, its leading separator included."""
     kind_texts: dict[g.LayerKind, str] = {}  # kinds are frozen: equal kinds share one text
     sep = "\n    "
-    for node in graph.nodes:
+    for node in nodes:
         kind_text = kind_texts.get(node.kind)
         if kind_text is None:
             kind_text = kind_texts[node.kind] = _kind_text(node.kind)
@@ -85,12 +75,24 @@ def serialize(graph: g.ModelGraph) -> str:
         inputs = ",\n        ".join(map(_string, node.inputs))
         inputs = f"[\n        {inputs}\n      ]" if inputs else "[]"
         tag = "null" if node.tag is None else _string(node.tag)
-        parts.append(
-            f'{sep}{{\n      "id": {_string(node.id)}{kind_text}{inputs},\n      "tag": {tag}\n    }}'
-        )
+        yield f'{sep}{{\n      "id": {_string(node.id)}{kind_text}{inputs},\n      "tag": {tag}\n    }}'
         sep = ",\n    "
-    parts.append("\n  ]\n}\n")
-    return "".join(parts)
+
+
+def serialize(graph: g.ModelGraph) -> str:
+    """Render a validated graph as schema-v1 JSON text."""
+    g.validate(graph)  # so there is at least the Input node
+    shape = graph.input_shape
+    dims = [int.__repr__(shape.height), int.__repr__(shape.width), int.__repr__(shape.channels)]
+    metadata = [f"{_string(k)}: {_string(v)}" for k, v in graph.metadata.items()]
+    head = (
+        f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "name": {_string(graph.name)},\n'
+        f'  "input_shape": {_block("[", "]", dims, "  ")},\n'
+        f'  "num_classes": {int.__repr__(graph.num_classes)},\n'
+        f'  "metadata": {_block("{", "}", metadata, "  ")},\n  "nodes": ['
+    )
+    # the node texts in chunks (see CHUNK_ITEMS), joined once with the head and tail
+    return "".join([head, *chunks(_node_texts(graph.nodes)), "\n  ]\n}\n"])
 
 
 def _expect(doc: dict, key: str, types, field: str):

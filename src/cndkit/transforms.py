@@ -43,6 +43,7 @@ from .errors import (
     UnknownModuleTagError,
     ValidationError,
     capped,
+    printable,
 )
 from .graph import (
     KINDS,
@@ -71,6 +72,9 @@ from .graph import (
 
 @dataclass(frozen=True)
 class NodeChange:
+    """One node a pass changed: its id and its kind before and after, as text
+    (``(none)`` before a node the pass added)."""
+
     node_id: str
     before: str
     after: str
@@ -78,6 +82,9 @@ class NodeChange:
 
 @dataclass(frozen=True)
 class PassReport:
+    """What one pass did: the nodes it changed, the graph's params before and
+    after, and the fire modules of its result that break the fire rule."""
+
     pass_name: str
     nodes_changed: tuple[NodeChange, ...]
     params_before: int
@@ -445,6 +452,9 @@ def strategy2_insert_fire(
 
 @dataclass(frozen=True)
 class DownsampleEntry:
+    """One stride-2 or pooling node: its position as a fraction of the graph's
+    depth, and its input and output shapes."""
+
     node_id: str
     depth_fraction: float
     input_shape: TensorShape
@@ -453,6 +463,9 @@ class DownsampleEntry:
 
 @dataclass(frozen=True)
 class DownsampleAudit:
+    """The downsampling nodes in order, how many sit in the first half of the
+    depth, and whether most of the spatial reduction happens late."""
+
     entries: tuple[DownsampleEntry, ...]
     early_pool_count: int
     late_downsample_flag: bool
@@ -585,13 +598,14 @@ def diff(original: ModelGraph, transformed: ModelGraph) -> str:
         f"{'module':<18} {'kernels A':>10} {'filters A':>16} {'params A':>12} "
         f"{'kernels B':>10} {'filters B':>16} {'params B':>12} {'delta':>12}"
     )
-    lines = [f"model A: {original.name}", f"model B: {transformed.name}", header, "-" * len(header)]
+    lines = [f"model A: {printable(original.name)}", f"model B: {printable(transformed.name)}",
+             header, "-" * len(header)]
     for module in modules:
         a = mods_a.get(module)
         b = mods_b.get(module)
         delta = (b["params"] if b else 0) - (a["params"] if a else 0)
         lines.append(
-            f"{module:<18} {fmt(a, 'kernels'):>10} {fmt(a, 'filters'):>16} {fmt(a, 'params'):>12} "
+            f"{printable(module):<18} {fmt(a, 'kernels'):>10} {fmt(a, 'filters'):>16} {fmt(a, 'params'):>12} "
             f"{fmt(b, 'kernels'):>10} {fmt(b, 'filters'):>16} {fmt(b, 'params'):>12} {delta:>+12,}"
         )
     reduction = percentage_reduction(total_a, total_b)

@@ -1,4 +1,5 @@
 import functools
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import cndkit
 from cndkit.cli import build_parser
 from cndkit.errors import capped
-from cndkit.graph import TensorShape
+from cndkit.graph import Conv2D, Dense, GlobalAvgPool, Input, LayerNode, ModelGraph, TensorShape
 from cndkit.pareto import CSV_HEADER
 from cndkit.serialize import save_model, serialize
 from cndkit.zoo import DEFAULT_OPTIMIZED_CONFIG, build_xception
@@ -662,6 +663,86 @@ class TestUnencodableText:
         assert shown.encode() in proc.stdout.splitlines()[0]
 
 
+# A control character in a name, how it prints, and how it prints when it
+# comes from a CSV cell: a file is read in universal-newline mode, so a lone
+# "\r" in a cell is read as "\n".
+CONTROL = pytest.mark.parametrize("char, shown, shown_from_csv", [
+    ("\n", "\\n", "\\n"),
+    ("\r", "\\r", "\\n"),
+    ("\x1b[2J", "\\x1b[2J", "\\x1b[2J"),
+    ("\u2028", "\\u2028", "\\u2028"),
+], ids=["newline", "carriage-return", "escape-sequence", "line-separator"])
+
+
+def _control_model(tmp_path: Path, char: str) -> str:
+    """A small model whose name, one node id and one module tag hold ``char``."""
+    conv = f"conv{char}" + "x" * 24  # over the id column's 28 once escaped
+    graph = ModelGraph(
+        name=f"m{char}total params: 1 (0.0M), trainable: 1", input_shape=TensorShape(32, 32, 3),
+        num_classes=10, nodes=(
+            LayerNode("input", Input()),
+            LayerNode(conv, Conv2D(8, 3), ("input",), f"flow/m{char}1/main"),
+            LayerNode("gap", GlobalAvgPool(), (conv,)),
+            LayerNode("fc", Dense(10), ("gap",)),
+        ))
+    path = tmp_path / "m.json"
+    save_model(graph, path)
+    return str(path)
+
+
+class TestControlCharactersInNames:
+    """A name holding a character that ``str.isprintable`` rejects prints on
+    one line in escaped form, so it cannot forge a line of output."""
+
+    @CONTROL
+    def test_pareto_record_and_front_lines(self, tmp_path, char, shown, shown_from_csv):
+        path = tmp_path / "m.csv"
+        path.write_text(",".join(CSV_HEADER) + f'\n"a{char}b: forged",run,90,80,10,,,\n'
+                        "plain,run,90,60,20,,,\n", encoding="utf-8", newline="")
+        result = run_cli(["pareto", "--csv", str(path)])
+        assert result.exit_code == 0, result.output
+        assert result.stdout.splitlines() == [
+            "accuracy_frontier=70",
+            "memory_frontier=15",
+            f"a{shown_from_csv}b: forged: test_acc=80 mem=10 quadrant=HighAccLowMem on_front=true",
+            "plain: test_acc=60 mem=20 quadrant=LowAccHighMem on_front=false",
+            f"pareto_front: a{shown_from_csv}b: forged",
+        ]
+
+    @CONTROL
+    def test_analyze_model_line_and_id_column(self, tmp_path, char, shown, shown_from_csv):
+        result = run_cli(["analyze", "--in", _control_model(tmp_path, char)])
+        assert result.exit_code == 0, result.output
+        lines = result.stdout.splitlines()
+        conv = f"conv{shown}" + "x" * 24
+        assert len(lines) == 7, lines  # model, header, conv, fc, params, flops, memory
+        assert lines[0] == f"model: m{shown}total params: 1 (0.0M), trainable: 1"
+        assert lines[1].startswith(f"{'id':<{len(conv)}} ")  # the width of the escaped id
+        assert lines[2].startswith(f"{conv}       3        8")
+        assert lines[4].startswith("total params: 306 ")
+
+    @CONTROL
+    def test_diff_model_lines_and_module_column(self, tmp_path, char, shown, shown_from_csv):
+        model = _control_model(tmp_path, char)
+        result = run_cli(["diff", "--a", model, "--b", model])
+        assert result.exit_code == 0, result.output
+        lines = result.stdout.splitlines()
+        assert len(lines) == 9, lines  # A, B, header, rule, module, untagged, rule, total, reduction
+        assert lines[:2] == [f"model A: m{shown}total params: 1 (0.0M), trainable: 1",
+                             f"model B: m{shown}total params: 1 (0.0M), trainable: 1"]
+        assert lines[4].startswith(f"{f'flow/m{shown}1':<18} ")
+
+    def test_json_and_plot_keep_names_as_they_are(self, tmp_path):
+        model = _control_model(tmp_path, "\x1b")
+        result = run_cli(["analyze", "--in", model, "--format", "json"])
+        assert json.loads(result.stdout)["name"] == "m\x1btotal params: 1 (0.0M), trainable: 1"
+        path = tmp_path / "m.csv"
+        path.write_text(",".join(CSV_HEADER) + '\n"a\nb\x1b",run,90,80,10,,,\n', encoding="utf-8")
+        plot = tmp_path / "plot.csv"
+        assert run_cli(["pareto", "--csv", str(path), "--out", str(plot)]).exit_code == 0
+        assert '"a\nb\x1b",80,10,HighAccLowMem,true' in plot.read_text(encoding="utf-8")
+
+
 @functools.cache
 def fuzz_files() -> dict[str, str]:
     """Valid inputs for the fuzzed runs: a small xception, fire specs for it,
@@ -794,3 +875,15 @@ class TestFuzzedInvocations:
     @settings(max_examples=60, deadline=None)
     def test_any_bytes_as_model_or_csv(self, command, data):
         run_isolated([*command, "fuzz.in"], data)
+
+
+def test_cli_snapshot_calls_every_command():
+    # tools/cli_snapshot.py is the byte-identity check on CLI output: a command
+    # it does not call would go unchecked.
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_snapshot.py"
+    spec = importlib.util.spec_from_file_location("cli_snapshot", path)
+    snapshot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snapshot)
+    names = [name for name, _ in snapshot.CALLS]
+    assert len(set(names)) == len(names)  # one set of output files per call
+    assert set(SUBPARSERS) <= {args[0] for _, args in snapshot.CALLS if args}

@@ -1,16 +1,18 @@
 import csv
 import random
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cndkit.errors import EmptyInputError, MeasurementRangeError, ParseError
+from cndkit.errors import CHUNK_ITEMS, EmptyInputError, MeasurementRangeError, ParseError
 from cndkit.pareto import (
     CSV_HEADER,
     ModelMeasurement,
     Quadrant,
     QuadrantConfig,
+    _csv_cell,
     classify_quadrant,
     export_plot_data,
     load_fixture,
@@ -18,9 +20,10 @@ from cndkit.pareto import (
     memory_frontier,
     pareto_front,
     place_records,
+    plot_data,
     resolve_memory_frontier,
 )
-from conftest import traced
+from conftest import run_cli, traced
 from graphgen import oracle_pareto_front, reference_load_measurements
 
 HEADER_LINE = ",".join(CSV_HEADER)
@@ -469,6 +472,52 @@ class TestExportPlotData:
             assert [row.split(",")[4] == "true" for row in rows] == [r in front for r in records]
 
 
+def reference_plot_data(config, frontier_mem, placements) -> str:
+    """``plot_data`` as it was before it joined its rows in chunks: every line
+    in one list, joined once."""
+    lines = [
+        f"# accuracy_frontier={config.accuracy_frontier:g}",
+        f"# memory_frontier={frontier_mem:g}",
+        "model,test_acc,avg_mem_mb,quadrant,on_front",
+    ]
+    for record, quadrant, on_front in placements:
+        lines.append(
+            f"{_csv_cell(record.model)},{record.test_acc:g},{record.avg_mem_mb:g},"
+            f"{quadrant.value},{'true' if on_front else 'false'}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+class TestPlotChunks:
+    # The three header lines share the first chunk with the first records, so
+    # CHUNK_ITEMS - 3 records fill it exactly.
+    @pytest.mark.parametrize("rows", [0, 1, CHUNK_ITEMS - 3, CHUNK_ITEMS - 2, CHUNK_ITEMS,
+                                      CHUNK_ITEMS + 1])
+    def test_matches_the_single_join_at_chunk_boundaries(self, rows):
+        rng = random.Random(rows)
+        records = [_record(model=f"m{i}" if i % 5 else f"m,{i}", acc=rng.uniform(0, 100),
+                           mem=rng.uniform(1, 1000)) for i in range(rows)]
+        config = QuadrantConfig(memory_frontier=500.0)
+        frontier, _, placements = place_records(records, config)
+        placements = list(placements)
+        text = plot_data(config, frontier, placements)
+        assert text == reference_plot_data(config, frontier, placements)
+        assert text == export_plot_data(records, config)
+        assert text.count("\n") == 3 + rows
+
+    @pytest.mark.parametrize("source", ["caltech101", "pcb_scratch", "pcb_pretrained", "sweep"])
+    def test_out_file_is_the_export_text(self, tmp_path, source):
+        path = tmp_path / "in.csv"
+        text = _sweep_csv() if source == "sweep" else (
+            resources.files("cndkit") / "fixtures" / f"{source}.csv").read_text(encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
+        result = run_cli(["pareto", "--csv", str(path), "--out", str(tmp_path / "plot.csv")])
+        assert result.exit_code == 0, result.output
+        records = load_measurements(text)
+        expected = export_plot_data(records, QuadrantConfig())
+        assert (tmp_path / "plot.csv").read_bytes() == expected.encode("utf-8")
+
+
 class TestPlaceRecords:
     def test_matches_separate_derivations(self):
         rng = random.Random(5)
@@ -526,3 +575,10 @@ class TestMemory:
         records = load_measurements(_sweep_csv())
         text, _, peak = traced(lambda: export_plot_data(records, QuadrantConfig()))
         assert peak <= 4 * len(text), (peak, len(text))
+
+    def test_export_peak_stays_under_two_and_a_half_times_its_output(self):
+        # One string per row, all kept in one list until the one join: a peak
+        # of 3.35x the output. Joined in chunks of CHUNK_ITEMS rows: 2.07x.
+        records = load_measurements(_sweep_csv())
+        text, _, peak = traced(lambda: export_plot_data(records, QuadrantConfig()))
+        assert peak <= 2.5 * len(text), (peak, len(text))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import cndkit.graph
 from cndkit.analyzer import count_params, flops_estimate
 from cndkit.errors import (
+    CHUNK_ITEMS,
     ECHO_LIMIT,
     CndkitError,
     ParseError,
@@ -25,6 +26,7 @@ from cndkit.errors import (
 from cndkit.graph import (
     Activation,
     Add,
+    BatchNorm,
     Conv2D,
     Dense,
     GlobalAvgPool,
@@ -425,6 +427,14 @@ def test_serialize_peak_stays_under_three_times_its_text():
     assert peak <= 3 * len(text), (peak, len(text))
 
 
+def test_serialize_peak_stays_under_two_and_a_quarter_times_its_text():
+    # One string per node, all kept in one list until the one join: a peak of
+    # 2.48x the text. Joined in chunks of CHUNK_ITEMS nodes: 2.09x.
+    graph = build_xception(TensorShape(299, 299, 3), 101)
+    text, _, peak = traced(lambda: serialize(graph))
+    assert peak <= 2.25 * len(text), (peak, len(text))
+
+
 def test_a_loaded_graph_keeps_under_twice_its_text_alive():
     # A kind object per node and a __dict__ per node and kind kept 2.2x.
     text = serialize(build_xception(TensorShape(299, 299, 3), 101))
@@ -459,6 +469,53 @@ def test_writer_matches_json_dumps_on_zoo_and_pass_outputs(xception, optimized, 
     s2, _ = strategy2_insert_fire(xception, {"middle_flow/m5": FireModuleSpec(414, 600, 728)})
     for graph in (xception, optimized, mobilenet, s1, strategy1_replace_kernels(mobilenet)[0], s2):
         _assert_json_dumps_layout(serialize(graph))
+
+
+def reference_serialize(graph: ModelGraph) -> str:
+    """The writer as it was before it joined its node texts in chunks: every
+    part of the document in one list, joined once."""
+    from cndkit.serialize import SCHEMA_VERSION, _block, _kind_text, _string
+
+    validate(graph)
+    shape = graph.input_shape
+    dims = [str(shape.height), str(shape.width), str(shape.channels)]
+    metadata = [f"{_string(k)}: {_string(v)}" for k, v in graph.metadata.items()]
+    parts = [
+        f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "name": {_string(graph.name)},\n'
+        f'  "input_shape": {_block("[", "]", dims, "  ")},\n'
+        f'  "num_classes": {graph.num_classes},\n'
+        f'  "metadata": {_block("{", "}", metadata, "  ")},\n  "nodes": ['
+    ]
+    sep = "\n    "
+    for node in graph.nodes:
+        inputs = ",\n        ".join(map(_string, node.inputs))
+        inputs = f"[\n        {inputs}\n      ]" if inputs else "[]"
+        tag = "null" if node.tag is None else _string(node.tag)
+        parts.append(f'{sep}{{\n      "id": {_string(node.id)}{_kind_text(node.kind)}{inputs},'
+                     f'\n      "tag": {tag}\n    }}')
+        sep = ",\n    "
+    parts.append("\n  ]\n}\n")
+    return "".join(parts)
+
+
+def _chain(nodes: int) -> ModelGraph:
+    """in -> (relu | batchnorm)... -> gap -> dense: ``nodes`` nodes, every third tagged."""
+    body = [LayerNode(f"n{i}", Activation() if i % 2 else BatchNorm(), (f"n{i - 1}",),
+                      None if i % 3 else f"flow/m{i // 9}/r{i}") for i in range(1, nodes - 2)]
+    return ModelGraph(name="chain", input_shape=TensorShape(8, 8, 4), num_classes=3, nodes=(
+        LayerNode("n0", Input()), *body,
+        LayerNode("gap", GlobalAvgPool(), (f"n{nodes - 3}",)), LayerNode("fc", Dense(3), ("gap",)),
+    ))
+
+
+@pytest.mark.parametrize("nodes", [CHUNK_ITEMS - 1, CHUNK_ITEMS, CHUNK_ITEMS + 1,
+                                   2 * CHUNK_ITEMS + 1])
+def test_writer_matches_the_single_join_at_chunk_boundaries(nodes):
+    graph = _chain(nodes)
+    assert len(graph.nodes) == nodes
+    text = serialize(graph)
+    assert text == reference_serialize(graph)
+    _assert_json_dumps_layout(text)
 
 
 ODD = 'q"b\\s \u00e9 \u2028 \x01'  # quote, backslash, non-ASCII, line separator, control
