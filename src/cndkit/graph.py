@@ -4,7 +4,13 @@ A model is a directed acyclic graph of typed layer nodes, each stored after
 its inputs; tensor shapes are inferred along the edges rather than stored.
 A graph is made once from its list of nodes, then checked once by ``validate``.
 Graphs are immutable values: every operation returns a new graph and never
-mutates its argument, so they are safe to share across threads.
+changes its argument's fields. A graph object does keep its nodes' output
+shapes, one tuple in stored order, once its stored order has been checked and
+its shapes inferred (by ``infer_shapes``, a load, either pass or the optimized
+build; ``_keep_shapes`` is the one writer), and ``infer_shapes`` reads them
+back instead of checking and inferring again. The shapes follow from the
+frozen nodes and input shape alone, so graphs stay safe to share across
+threads: two threads that both write the tuple store equal values.
 
 Tags follow a ``flow/module/role`` convention, e.g. ``entry_flow/m2/sep1``:
 the first two components name the architectural module a node belongs to and
@@ -234,13 +240,17 @@ class LayerNode:
 @dataclass(frozen=True, slots=True)
 class ModelGraph:
     """A named layer graph: input shape, class count, nodes in stored order
-    and string metadata. ``validate`` checks it."""
+    and string metadata. ``validate`` checks it. ``_shapes`` holds the nodes'
+    output shapes once they are inferred (see the module docstring); it is no
+    init argument nor part of ``repr`` or ``==``, and a ``dataclasses.replace``
+    copy starts without it."""
 
     name: str
     input_shape: TensorShape
     num_classes: int
     nodes: tuple[LayerNode, ...] = ()
     metadata: dict[str, str] = field(default_factory=dict)
+    _shapes: tuple[TensorShape, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -458,20 +468,36 @@ LayerKind = Union[KIND_CLASSES]
 
 
 def infer_shapes(graph: ModelGraph) -> dict[str, TensorShape]:
-    """Output shape of every node, keyed by node id in stored order.
+    """Output shape of every node, keyed by node id in stored order: a new
+    dict on every call.
 
     ``topo_sort`` checks that order first. Same padding: ceil(dim/stride).
     Valid padding: floor((dim-k)/stride)+1. Dense and GlobalAvgPool collapse
-    spatial dims to 1x1. Nodes with equal output dims share one shape.
+    spatial dims to 1x1. Nodes with equal output dims share one shape. The
+    graph keeps them, so a later call skips the order check and shape loop.
     """
+    kept = graph._shapes
+    if kept is not None:
+        return dict(zip([node.id for node in graph.nodes], kept))
     topo_sort(graph)
-    return shapes_in_order(graph)
+    shapes = shapes_in_order(graph)
+    _keep_shapes(graph, tuple(shapes.values()))
+    return shapes
+
+
+def _keep_shapes(graph: ModelGraph, shapes: tuple[TensorShape, ...] | None) -> None:
+    """Store ``shapes`` as ``graph``'s output shapes in stored order: the one
+    writer of ``ModelGraph._shapes``. Call it only where ``graph``'s stored
+    order has just been checked as ``topo_sort`` checks it and ``shapes``
+    inferred over that order."""
+    object.__setattr__(graph, "_shapes", shapes)
 
 
 def shapes_in_order(graph: ModelGraph) -> dict[str, TensorShape]:
     """``infer_shapes`` over a stored order already checked as ``topo_sort``
     checks it (so every kind has a row in ``KINDS``): the one shape loop.
-    ``input_shape`` is checked before any shape is read."""
+    ``input_shape`` is checked before any shape is read. Nothing enforces that
+    precondition here, so the shapes are not kept on ``graph``."""
     if type(graph.input_shape) is not TensorShape:
         raise ValidationError(f"input_shape must be a TensorShape, got {capped(graph.input_shape)}")
     shapes: dict[str, TensorShape] = {}

@@ -169,8 +169,9 @@ def deserialize(text: str) -> g.ModelGraph:
     ids seen so far (duplicate id, unknown or forward input, arity), so a
     rejection names the first bad entry as ``field="nodes[i]"``. The sweep
     is O(V + E) and is the load's one order check: the graph is built once
-    after it, and then its shapes are inferred over that order and its
-    whole-graph rules checked (``check_endpoints``), as ``validate`` does.
+    after it, and then its shapes are inferred over that order, kept on the
+    graph, and its whole-graph rules checked (``check_endpoints``), as
+    ``validate`` does.
     """
     doc = parse_json(text)
     if not isinstance(doc, dict):
@@ -212,6 +213,7 @@ def deserialize(text: str) -> g.ModelGraph:
     )
     try:
         shapes = g.shapes_in_order(model)
+        g._keep_shapes(model, tuple(shapes.values()))  # the sweep above checked the order
         g.check_endpoints(model, next(reversed(shapes.values()), None))
     except CndkitError as exc:
         raise ParseError(f"graph failed validation: {exc}") from exc

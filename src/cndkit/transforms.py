@@ -60,6 +60,7 @@ from .graph import (
     ModelGraph,
     SeparableConv2D,
     TensorShape,
+    _keep_shapes,
     _window_dim,
     check_append,
     check_endpoints,
@@ -154,6 +155,7 @@ def strategy1_replace_kernels(graph: ModelGraph) -> tuple[ModelGraph, PassReport
     last_shape = rows[-1].shape_out
     del rows, new_nodes
     check_endpoints(result, last_shape)
+    _keep_shapes(result, graph._shapes)  # the input's, kept by analyze
     return result, PassReport("strategy1_replace_kernels", tuple(changed), params_before, params_after)
 
 
@@ -445,6 +447,7 @@ def strategy2_insert_fire(
         violations=violations,
     )
     check_endpoints(result, table[-1].shape_out)
+    _keep_shapes(result, tuple(row.shape_out for row in table))  # emit checked every node
     return result, report
 
 

@@ -34,6 +34,7 @@ from .graph import (
     ModelGraph,
     SeparableConv2D,
     TensorShape,
+    _keep_shapes,
     check_size,
     make_tag,
     validate,
@@ -200,8 +201,10 @@ def build_optimized_xception(
     specs = {f"entry_flow/m{i + 2}": spec for i, spec in enumerate(config.entry_fire)}
     specs.update({f"middle_flow/m{i + 5}": spec for i, spec in enumerate(config.middle_fire)})
     graph, _ = strategy2_insert_fire(graph, specs)
-    return dataclasses.replace(graph, name="optimized-xception",
-                               metadata={"family": "xception", "variant": "optimized"})
+    optimized = dataclasses.replace(graph, name="optimized-xception",
+                                    metadata={"family": "xception", "variant": "optimized"})
+    _keep_shapes(optimized, graph._shapes)  # the same nodes, kept by strategy2
+    return optimized
 
 
 # (expansion factor, output channels, repeats, first stride) per stage

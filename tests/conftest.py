@@ -7,6 +7,7 @@ from typing import NamedTuple
 
 import pytest
 
+import cndkit.graph
 from cndkit.cli import main
 from cndkit.zoo import build_mobilenet_v2, build_optimized_xception, build_xception
 
@@ -65,3 +66,12 @@ def optimized():
 @pytest.fixture(scope="session")
 def mobilenet():
     return build_mobilenet_v2()
+
+
+@pytest.fixture()
+def shape_passes(monkeypatch):
+    """Names of the graphs the one shape loop, ``graph.shapes_in_order``, runs on."""
+    passes = []
+    real = cndkit.graph.shapes_in_order
+    monkeypatch.setattr(cndkit.graph, "shapes_in_order", lambda g: passes.append(g.name) or real(g))
+    return passes

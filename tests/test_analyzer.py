@@ -348,6 +348,8 @@ class TestAnalyzeTable:
         "analysis", [count_params, flops_estimate, activation_sizes, strategy3_audit, validate]
     )
     def test_one_topological_sort_per_analysis(self, analysis, xception, monkeypatch):
+        # A graph not yet checked gets one topological sort in its first
+        # analysis, whichever it is, and none in the five that follow.
         calls = []
         real = cndkit.graph.topo_sort
 
@@ -356,5 +358,9 @@ class TestAnalyzeTable:
             return real(graph)
 
         monkeypatch.setattr(cndkit.graph, "topo_sort", counting)
-        analysis(xception)
+        fresh = dataclasses.replace(xception)
+        analysis(fresh)
+        assert calls == [xception.name]
+        for each in (count_params, flops_estimate, activation_sizes, strategy3_audit, validate):
+            each(fresh)
         assert calls == [xception.name]

@@ -235,6 +235,14 @@ class TestAnalyze:
         result = run_cli(["analyze", "--in", str(bad)])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("mode", ["training", "inference"])
+    def test_one_shape_pass_per_loaded_model(self, model_path, shape_passes, mode):
+        # the load's; count_params, memory_estimate and flops_estimate read
+        # the shapes the loaded graph keeps
+        result = run_cli(["analyze", "--in", str(model_path), "--mode", mode])
+        assert result.exit_code == 0
+        assert shape_passes == ["xception"]
+
     def test_table_columns_line_up_on_long_ids(self, tmp_path):
         path = tmp_path / "opt.json"
         assert run_cli(["build", "optimized-xception", "--out", str(path)]).exit_code == 0
@@ -546,6 +554,83 @@ class TestUnreadableInputFiles:
         assert_exit_3_with_one_error_line(result)
         assert result.output == (f"error: {paths['bad']}: invalid JSON: Expecting property name "
                                  "enclosed in double quotes (line 1)\n")
+
+
+BOM = "\ufeff".encode()  # b"\xef\xbb\xbf"
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of a file the CLI reads is
+    dropped; one anywhere else stays, as the character U+FEFF."""
+
+    @pytest.fixture()
+    def paths(self, tmp_path):
+        files = {
+            "model": serialize(build_xception(TensorShape(71, 71, 3), 10)),
+            "specs": json.dumps({"middle_flow/m5": {"s1x1": 414, "e1x1": 600, "e3x3": 728}}),
+            "config": BOOL_EXIT_FILTER_CONFIG.replace("true", "728"),
+            "csv": Path(fixture_path("caltech101")).read_text(encoding="utf-8"),
+        }
+        paths = {"out": str(tmp_path / "out"), "plain": str(tmp_path / "plain.json")}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8", newline="")
+            paths[name] = str(tmp_path / name)
+        Path(paths["plain"]).write_text(files["model"], encoding="utf-8")
+        return paths
+
+    CALLS = {
+        "analyze-in": ("model", ["analyze", "--in", "{model}", "--format", "json"]),
+        "diff-a": ("model", ["diff", "--a", "{model}", "--b", "{plain}"]),
+        "transform-in": ("model", ["transform", "--in", "{model}", "--out", "{out}"]),
+        "transform-specs": ("specs", ["transform", "--in", "{plain}", "--pass", "strategy2",
+                                      "--specs", "{specs}", "--out", "{out}"]),
+        "build-config": ("config", ["build", "optimized-xception", "--config", "{config}",
+                                    "--out", "{out}"]),
+        "pareto-csv": ("csv", ["pareto", "--csv", "{csv}", "--out", "{out}"]),
+    }
+
+    def _run(self, paths, args):
+        out = Path(paths["out"])
+        out.unlink(missing_ok=True)
+        result = run_cli([a.format(**paths) for a in args])
+        return result.exit_code, result.output, out.read_bytes() if out.exists() else None
+
+    @pytest.mark.parametrize("kind, args", CALLS.values(), ids=CALLS)
+    def test_leading_mark_is_dropped(self, paths, kind, args):
+        plain = self._run(paths, args)
+        assert plain[0] == 0
+        path = Path(paths[kind])
+        path.write_bytes(BOM + path.read_bytes())
+        assert self._run(paths, args) == plain
+
+    @pytest.mark.parametrize("kind, args", CALLS.values(), ids=CALLS)
+    @pytest.mark.parametrize("where", ["twice", "second-byte", "end"])
+    def test_mark_elsewhere_is_an_error(self, paths, kind, args, where):
+        path = Path(paths[kind])
+        data = path.read_bytes()
+        path.write_bytes({"twice": BOM + BOM + data, "second-byte": data[:1] + BOM + data[1:],
+                          "end": data + BOM}[where])
+        code, output, written = self._run(paths, args)
+        assert code == 3 and written is None
+        assert output.count("\n") == 1 and output.startswith("error: ")
+        if kind == "csv" and where == "end":
+            # the mark after the last line's break is a record of one cell
+            assert output == "error: expected 8 cells, got 1 (row 6)\n"
+
+    def test_csv_of_only_a_mark_is_empty(self, paths):
+        Path(paths["csv"]).write_bytes(BOM)
+        result = run_cli(["pareto", "--csv", paths["csv"]])
+        assert_exit_3_with_one_error_line(result)
+        assert result.output == "error: empty input: missing header row (row 1)\n"
+
+    @pytest.mark.parametrize("data, offset", [(BOM + b"\xff", 3), (BOM[:2], 0), (b"a" + BOM[:2], 1)],
+                             ids=["after-mark", "cut-mark", "cut-mark-later"])
+    def test_undecodable_offset_counts_the_mark(self, paths, data, offset):
+        Path(paths["csv"]).write_bytes(data)
+        result = run_cli(["pareto", "--csv", paths["csv"]])
+        assert_exit_3_with_one_error_line(result)
+        assert "is not UTF-8 text: " in result.output and result.output.endswith(
+            f" at byte {offset}\n")
 
 
 LONG = "x" * 100_000

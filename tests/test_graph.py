@@ -15,7 +15,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cndkit.serialize  # noqa: F401  (loads the module; cndkit.serialize is the function)
-from cndkit.analyzer import activation_sizes, analyze, count_params_layer, memory_estimate
+from cndkit.analyzer import (
+    activation_sizes,
+    analyze,
+    count_params,
+    count_params_layer,
+    flops_estimate,
+    memory_estimate,
+)
 from cndkit.errors import (
     ECHO_LIMIT,
     ArityError,
@@ -51,14 +58,22 @@ from cndkit.graph import (
     validate,
 )
 from cndkit.pareto import FIXTURE_NAMES, load_fixture
-from cndkit.transforms import FireModuleSpec, strategy1_replace_kernels, strategy2_insert_fire
+from cndkit.serialize import serialize
+from cndkit.transforms import (
+    FireModuleSpec,
+    strategy1_replace_kernels,
+    strategy2_insert_fire,
+    strategy3_audit,
+)
 from cndkit.zoo import build_mobilenet_v2, build_optimized_xception, build_xception
 from graphgen import (
     VERDICT_RULES,
     oracle_split_tag,
     oracle_topo_sort,
     oracle_verdict,
+    random_fire_graph,
     random_graph,
+    random_tags,
     random_topological_order,
     random_wiring,
 )
@@ -480,9 +495,123 @@ class TestInferShapes:
         assert len({id(s) for s in made}) == len(set(made)) < len(made)
 
     def test_shapes_are_not_shared_across_calls(self, xception):
+        # Each call returns its own dict; a graph keeps its own shapes, and no
+        # two graph objects share them, so no cache outlives a graph.
         first, second = infer_shapes(xception), infer_shapes(xception)
-        assert first == second
-        assert all(first[k] is not second[k] for k in first if first[k] is not xception.input_shape)
+        assert first == second and first is not second
+        first[next(iter(first))] = None
+        assert infer_shapes(xception) == second
+        third = infer_shapes(dataclasses.replace(xception))
+        assert third == second
+        assert all(third[k] is not second[k] for k in third if third[k] is not xception.input_shape)
+
+
+def _analyses(make, specs):
+    """Every analysis of the graph ``make()`` returns, one call each, as values
+    that compare equal across graph objects; each pass's result with the
+    shapes it keeps (strategy2 with ``specs``)."""
+    s1, report1 = strategy1_replace_kernels(make())
+    s2, report2 = strategy2_insert_fire(make(), specs)
+    return (
+        infer_shapes(make()),
+        analyze(make()),
+        count_params(make()),
+        flops_estimate(make()),
+        activation_sizes(make(), batch=2),
+        memory_estimate(make(), batch=2, mode="training"),
+        memory_estimate(make(), mode="inference", optimizer="sgd_momentum"),
+        strategy3_audit(make()),
+        validate(make()),
+        serialize(make()),
+        (s1, s1._shapes, report1),
+        (s2, s2._shapes, report2),
+    )
+
+
+def _some_graph(rng):
+    """A random valid chain with random tags and no specs, or a random fire
+    graph and a spec for each of its modules."""
+    if rng.random() < 0.5:
+        return random_tags(random_graph(rng), rng), {}
+    graph = random_fire_graph(rng)
+    return graph, {module: FireModuleSpec(4, 8, 16) for module in group_modules(graph.nodes)}
+
+
+class TestKeptShapes:
+    """A graph object keeps its nodes' output shapes once its stored order is
+    checked and its shapes inferred; every later analysis reads them back."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_analyses_match_a_fresh_copy(self, seed):
+        graph, specs = _some_graph(random.Random(seed))
+        validate(graph)
+        assert graph._shapes == tuple(infer_shapes(dataclasses.replace(graph)).values())
+        assert dataclasses.replace(graph)._shapes is None
+        assert _analyses(lambda: graph, specs) == _analyses(lambda: dataclasses.replace(graph), specs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_stored_graphs())
+    def test_failed_inference_keeps_nothing(self, case):
+        # cycles, dangling inputs and repeated ids, and Add width mismatches
+        # in random wirings: every call raises the first one's error again
+        graph, _culprits = case
+        outcomes = []
+        for call in (infer_shapes, analyze, activation_sizes, infer_shapes, count_params):
+            try:
+                call(graph)
+                outcomes.append(None)
+            except ValidationError as exc:
+                outcomes.append((type(exc), str(exc)))
+                assert graph._shapes is None
+        assert outcomes.count(outcomes[0]) == len(outcomes)
+        if outcomes[0] is not None:
+            with pytest.raises(outcomes[0][0], match=f"^{re.escape(outcomes[0][1])}$"):
+                validate(graph)
+            assert graph._shapes is None
+        else:
+            assert graph._shapes == tuple(infer_shapes(dataclasses.replace(graph)).values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from(("num_classes", "name", "metadata", "two_terminals", "two_inputs")))
+    def test_bad_endpoints_raise_on_every_validate(self, seed, fault):
+        good = random_graph(random.Random(seed))
+        validate(good)
+        graph = {
+            "num_classes": lambda: dataclasses.replace(good, num_classes=good.num_classes + 1),
+            "name": lambda: dataclasses.replace(good, name=7),
+            "metadata": lambda: good,
+            "two_terminals": lambda: dataclasses.replace(
+                good, nodes=(*good.nodes, LayerNode("extra", Activation(), (good.nodes[0].id,)))),
+            "two_inputs": lambda: dataclasses.replace(
+                good, nodes=(*good.nodes, LayerNode("extra", Input()))),
+        }[fault]()
+        infer_shapes(graph)  # its shapes check out, and it keeps them
+        assert graph._shapes is not None
+        if fault == "metadata":
+            graph.metadata["key"] = 1  # the dict stays mutable after the check
+        messages = set()
+        for call in (validate, validate, serialize, validate):
+            with pytest.raises(ValidationError) as exc:
+                call(graph)
+            messages.add(str(exc.value))
+        assert len(messages) == 1
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_pickled_and_copied_graphs_keep_their_shapes(self, seed):
+        graph, specs = _some_graph(random.Random(seed))
+        validate(graph)
+        for other in (pickle.loads(pickle.dumps(graph)), copy.deepcopy(graph), copy.copy(graph)):
+            assert other == graph and other._shapes == graph._shapes
+            assert _analyses(lambda: other, specs) == _analyses(lambda: graph, specs)
+
+    def test_shape_loop_keeps_nothing(self, xception):
+        # shapes_in_order keeps nothing, as nothing checks its precondition
+        fresh = dataclasses.replace(xception)
+        assert cndkit.graph.shapes_in_order(fresh) == infer_shapes(xception)
+        assert fresh._shapes is None
 
 
 _ONE_OF_EACH = {type(k): k for k in (

@@ -87,6 +87,9 @@ INPUTS = {
     "short-row.csv": CSV_HEADER + "short,run,90\n",
     "empty.csv": "",
     "range.csv": CSV_HEADER + "bad,run,90,120,10,,,\n",
+    # a UTF-8 byte-order mark at the start of a file is dropped
+    "bom.csv": "\ufeff" + CSV_HEADER + 'plain,run,90,80,10,,,\n"comma, name",run,90,85,20,1.5,2.5,1000\n',
+    "bom.json": "\ufeff" + _control_model(),
     "invalid.json": "{not json",
     "schema-2.json": json.dumps({"schema_version": 2}),
 }
@@ -135,6 +138,8 @@ CALLS: list[tuple[str, list[str]]] = [
     ("pareto-control", ["pareto", "--csv", "control.csv", "--out", "plot-control.csv"]),
     ("analyze-control-table", ["analyze", "--in", "control.json"]),
     ("analyze-control-json", ["analyze", "--in", "control.json", "--format", "json"]),
+    ("pareto-bom", ["pareto", "--csv", "bom.csv", "--out", "plot-bom.csv"]),
+    ("analyze-bom-json", ["analyze", "--in", "bom.json", "--format", "json"]),
     ("diff-control", ["diff", "--a", "control.json", "--b", "control.json"]),
     # errors: exit 1 (constraint), 2 (I/O) and 3 (parse)
     ("error-range", ["pareto", "--csv", "range.csv"]),
