@@ -34,7 +34,7 @@ _HOME = {
         "round_params_millions"), "analyzer"),
     **dict.fromkeys((
         "PassReport", "DownsampleAudit", "strategy1_replace_kernels", "strategy2_insert_fire",
-        "strategy3_audit", "validate_fire_constraints", "diff", "structurally_equal"),
+        "strategy3_audit", "diff", "structurally_equal"),
         "transforms"),
     **dict.fromkeys((
         "ModelMeasurement", "Quadrant", "QuadrantConfig", "load_measurements", "load_fixture",

@@ -73,7 +73,7 @@ def count_params_layer(node: LayerNode, input_channels: int) -> LayerParams:
     row = KINDS.get(type(node.kind))
     if row is None:
         raise unknown_kind(node)
-    return row[4](node.id, node.kind, input_channels)
+    return row.params(node.id, node.kind, input_channels)
 
 
 class LayerRow(NamedTuple):
@@ -101,13 +101,13 @@ def _layer_rows(nodes: Iterable[LayerNode], shapes: dict[str, TensorShape]) -> l
     rows: list[LayerRow] = []
     for node in nodes:
         kind = node.kind
-        _, _, _, channels_of, rule = KINDS[type(kind)]
+        kind_row = KINDS[type(kind)]
         if node.inputs:
             shape_in = shapes[node.inputs[0]]
-            entry = rule(node.id, kind, channels_of(shape_in))
+            entry = kind_row.params(node.id, kind, kind_row.channels(shape_in))
         else:
             shape_in = None
-            entry = rule(node.id, kind, 0)
+            entry = kind_row.params(node.id, kind, 0)
         # tuple.__new__ skips the Python-level __new__ that NamedTuple adds
         rows.append(tuple.__new__(LayerRow, (node, shape_in, shapes[node.id], entry)))
     return rows

@@ -20,18 +20,15 @@ module with their roles; untagged and flat (one- or two-part) tags belong to
 no module. Residual-projection convolutions carry the ``residual`` role and
 are not counted as part of a module's main stack.
 
-Everything the toolkit knows about a layer kind is one row of ``KINDS``,
-keyed by the kind's exact class: its number of inputs, its shape rule, its
-attr names, its input-channel rule and its parameter rule (the formulas are
-in the ``analyzer`` docstring). ``check_append``, which every path that
-builds or checks a graph goes through, rejects any other object, a subclass
-of a kind included, as an unknown layer kind.
+Everything the toolkit knows about a layer kind is its ``KindRow`` in ``KINDS``,
+keyed by its exact class, and each kind attr has one value rule. Every path
+that builds or checks a graph goes through ``check_append``, which rejects any
+other object, a subclass of a kind included, as an unknown layer kind.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Union
 
@@ -105,17 +102,41 @@ class TensorShape:
 
 # Flags must be exact bools: 1, None or "no" would be read by truth value but
 # written back to model JSON as a number, null or string.
-def _check_bool(owner: str, name: str, value: bool) -> None:
+def _check_bool(what: str, value: bool) -> None:
     if type(value) is not bool:
-        raise ValidationError(f"{owner} {name} must be a bool, got {capped(value)}")
+        raise ValidationError(f"{what} must be a bool, got {capped(value)}")
 
 
-@dataclass(frozen=True, slots=True)
+# Each kind attr's one value rule, (what, value) -> None, keyed by attr name.
+_ATTR_RULES: dict[str, Callable[[str, object], None]] = {
+    "filters": check_size, "units": check_size, "has_bias": _check_bool,
+    **{name: lambda what, value, choices=choices: check_choice(what, value, choices)
+       for name, choices in (("kernel", VALID_KERNELS), ("pool_size", VALID_KERNELS),
+                             ("stride", VALID_STRIDES), ("padding", VALID_PADDINGS),
+                             ("fn", VALID_ACTIVATIONS))},
+}
+
+
+def _check_attrs(kind: LayerKind) -> None:
+    """Every kind's one ``__post_init__``: each attr's rule, in field order."""
+    for name, what, rule in kind._checks:
+        rule(what, getattr(kind, name))
+
+
+def _kind(cls: type) -> type:
+    """``cls`` as a frozen slotted dataclass, its attr checks worked out once into ``_checks``."""
+    cls.__post_init__ = _check_attrs
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls._checks = tuple((f.name, f"{cls.__name__} {f.name}", _ATTR_RULES[f.name]) for f in fields(cls))
+    return cls
+
+
+@_kind
 class Input:
     """The graph's one source node: its output is ``ModelGraph.input_shape``."""
 
 
-@dataclass(frozen=True, slots=True)
+@_kind
 class Conv2D:
     """A square-kernel convolution; ``has_bias`` adds one param per filter."""
 
@@ -125,15 +146,8 @@ class Conv2D:
     padding: str = PADDING_SAME
     has_bias: bool = False
 
-    def __post_init__(self):
-        check_size("Conv2D filters", self.filters)
-        check_choice("Conv2D kernel", self.kernel, VALID_KERNELS)
-        check_choice("Conv2D stride", self.stride, VALID_STRIDES)
-        check_choice("Conv2D padding", self.padding, VALID_PADDINGS)
-        _check_bool("Conv2D", "has_bias", self.has_bias)
 
-
-@dataclass(frozen=True, slots=True)
+@_kind
 class SeparableConv2D:
     """Depthwise + pointwise convolution fused into a single node."""
 
@@ -142,14 +156,8 @@ class SeparableConv2D:
     stride: int = 1
     padding: str = PADDING_SAME
 
-    def __post_init__(self):
-        check_size("SeparableConv2D filters", self.filters)
-        check_choice("SeparableConv2D kernel", self.kernel, VALID_KERNELS)
-        check_choice("SeparableConv2D stride", self.stride, VALID_STRIDES)
-        check_choice("SeparableConv2D padding", self.padding, VALID_PADDINGS)
 
-
-@dataclass(frozen=True, slots=True)
+@_kind
 class MaxPool:
     """Max pooling over a square window; no params."""
 
@@ -157,47 +165,35 @@ class MaxPool:
     stride: int = 2
     padding: str = PADDING_SAME
 
-    def __post_init__(self):
-        check_choice("MaxPool pool_size", self.pool_size, VALID_KERNELS)
-        check_choice("MaxPool stride", self.stride, VALID_STRIDES)
-        check_choice("MaxPool padding", self.padding, VALID_PADDINGS)
 
-
-@dataclass(frozen=True, slots=True)
+@_kind
 class GlobalAvgPool:
     """The mean of each channel over height and width, a 1x1 map; no params."""
 
 
-@dataclass(frozen=True, slots=True)
+@_kind
 class BatchNorm:
     """Per-channel normalization: 2 trainable + 2 statistic params per channel."""
 
 
-@dataclass(frozen=True, slots=True)
+@_kind
 class Activation:
     """The elementwise function ``fn``; no params."""
 
     fn: str = "relu"
 
-    def __post_init__(self):
-        check_choice("Activation fn", self.fn, VALID_ACTIVATIONS)
 
-
-@dataclass(frozen=True, slots=True)
+@_kind
 class Add:
     """The elementwise sum of two inputs of one shape; no params."""
 
 
-@dataclass(frozen=True, slots=True)
+@_kind
 class Dense:
     """A fully connected layer of ``units`` outputs over its flattened input."""
 
     units: int
     has_bias: bool = True
-
-    def __post_init__(self):
-        check_size("Dense units", self.units)
-        _check_bool("Dense", "has_bias", self.has_bias)
 
 
 def is_conv(kind: LayerKind) -> bool:
@@ -254,6 +250,8 @@ class ModelGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
+        if isinstance(self.metadata, dict):  # a graph never shares its caller's dict
+            object.__setattr__(self, "metadata", dict(self.metadata))
 
     def terminal_id(self) -> str:
         consumed = {src for n in self.nodes for src in n.inputs}
@@ -299,7 +297,7 @@ def check_append(ids: set[str] | dict[str, object], node: LayerNode) -> None:
                 f"node {capped(node.id)} references unknown input {capped(src)}"
             )
     try:
-        want = KINDS[type(node.kind)][0]
+        want = KINDS[type(node.kind)].arity
     except KeyError:
         raise unknown_kind(node) from None
     if len(node.inputs) != want:
@@ -352,8 +350,6 @@ def _shared(made: dict, height: int, width: int, channels: int) -> TensorShape:
         shape = made[key] = TensorShape(height, width, channels)
     return shape
 
-
-# Shape rules: (graph, node, shapes so far, shared shapes) -> output shape.
 
 def _input_shape(graph, node, shapes, made):
     return graph.input_shape
@@ -416,9 +412,6 @@ class LayerParams(NamedTuple):
         return self.kernel_params + self.aux_params
 
 
-# Param rules: (node id, kind, input channels) -> entry, one per formula of
-# the analyzer docstring.
-
 def _conv_params(node_id: str, kind: Conv2D, c: int) -> LayerParams:
     k = kind.kernel * kind.kernel
     return LayerParams(node_id, c, kind.filters, k, c * kind.filters * k,
@@ -442,15 +435,22 @@ def _no_params(node_id: str, kind, c: int) -> LayerParams:
     return LayerParams(node_id, c, 0, 0, 0, 0)
 
 
+class KindRow(NamedTuple):
+    """A kind's row of ``KINDS``; an object whose exact class has none is no kind."""
+
+    arity: int  # number of inputs
+    shape: Callable  # (graph, node, shapes so far, shared shapes) -> output shape
+    attrs: tuple[str, ...]  # the dataclass fields, which are the schema-v1 attrs
+    channels: Callable  # first input's shape -> input channels
+    params: Callable  # (node id, kind, input channels) -> LayerParams, by the analyzer formulas
+
+
 _CHANNELS = attrgetter("channels")
 _FLATTENED = attrgetter("elements")  # Dense reads H*W*C of its input
 
-# kind class -> (number of inputs, shape rule, attr names, input-channel rule,
-# param rule). The attr names are the dataclass fields, which are also the
-# kind's schema-v1 attrs. Any object whose exact class has no row is unknown.
-KINDS: dict[type, tuple[int, Callable, tuple[str, ...], Callable, Callable]] = {
-    cls: (arity, rule, tuple(f.name for f in dataclasses.fields(cls)), channels_of, params)
-    for cls, arity, rule, channels_of, params in (
+KINDS: dict[type, KindRow] = {
+    cls: KindRow(arity, shape, tuple(f.name for f in fields(cls)), channels, params)
+    for cls, arity, shape, channels, params in (
         (Input, 0, _input_shape, _CHANNELS, _no_params),
         (Conv2D, 1, _conv_shape, _CHANNELS, _conv_params),
         (SeparableConv2D, 1, _conv_shape, _CHANNELS, _separable_params),
@@ -503,7 +503,7 @@ def shapes_in_order(graph: ModelGraph) -> dict[str, TensorShape]:
     shapes: dict[str, TensorShape] = {}
     made: dict[tuple[int, int, int], TensorShape] = {}
     for node in graph.nodes:
-        shapes[node.id] = KINDS[type(node.kind)][1](graph, node, shapes, made)
+        shapes[node.id] = KINDS[type(node.kind)].shape(graph, node, shapes, made)
     return shapes
 
 

@@ -33,7 +33,7 @@ from .errors import (
 SCHEMA_VERSION = 1
 
 _KIND_BY_NAME = {cls.__name__: cls for cls in g.KIND_CLASSES}
-_ATTR_NAMES = {cls.__name__: frozenset(g.KINDS[cls][2]) for cls in g.KIND_CLASSES}
+_ATTR_NAMES = {cls.__name__: frozenset(row.attrs) for cls, row in g.KINDS.items()}
 
 
 def _block(open_: str, close: str, items: list[str], indent: str) -> str:
@@ -56,7 +56,7 @@ def _scalar(value: str | bool | int) -> str:
 def _kind_text(kind: g.LayerKind) -> str:
     """The text between a node's id and its input list: kind name and attrs."""
     name = type(kind).__name__
-    attrs = [f"{_string(f)}: {_scalar(getattr(kind, f))}" for f in g.KINDS[type(kind)][2]]
+    attrs = [f"{_string(f)}: {_scalar(getattr(kind, f))}" for f in g.KINDS[type(kind)].attrs]
     return (
         f',\n      "kind": {_string(name)},\n      "attrs": {_block("{", "}", attrs, "      ")}'
         ',\n      "inputs": '
@@ -208,8 +208,7 @@ def deserialize(text: str) -> g.ModelGraph:
         nodes.append(node)
         nodes_raw[i] = None  # the entry's dicts are freed as the nodes are built
     model = g.ModelGraph(
-        name=name, input_shape=shape, num_classes=num_classes, nodes=tuple(nodes),
-        metadata=dict(metadata),
+        name=name, input_shape=shape, num_classes=num_classes, nodes=tuple(nodes), metadata=metadata,
     )
     try:
         shapes = g.shapes_in_order(model)

@@ -167,7 +167,7 @@ class FireModuleSpec:
 
     A usable spec keeps the squeeze width below the combined expand width
     (s1x1 < e1x1 + e3x3); construction allows any positive counts so that
-    validators and passes can report the violation themselves.
+    ``check_fire_spec`` and strategy2's ``violations`` can report the violation.
     """
 
     s1x1: int
@@ -377,7 +377,7 @@ def strategy2_insert_fire(
             shapes[node.id] = row.shape_out
         else:
             try:  # a shape rule reads only input_shape of its graph, which the result keeps
-                shape = shapes[node.id] = KINDS[type(node.kind)][1](graph, node, shapes, shared)
+                shape = shapes[node.id] = KINDS[type(node.kind)].shape(graph, node, shapes, shared)
             except ShapeMismatchError as exc:
                 raise ResidualShapeBrokenError(
                     f"fire insertion broke residual shapes in {capped(graph.name)}: {exc}"
@@ -507,19 +507,12 @@ def strategy3_audit(graph: ModelGraph) -> DownsampleAudit:
     return DownsampleAudit(tuple(entries), early, flag)
 
 
-# -- fire-module validator --------------------------------------------------------
-
-def validate_fire_constraints(graph: ModelGraph) -> list[str]:
-    """Check every squeeze/expand1/expand3 triple for s1x1 < e1x1 + e3x3.
-
-    Returns one message per violating module; an empty list means the graph
-    has no violating fire module (vacuously true without fire tags).
-    """
-    return _fire_violations(group_modules(graph.nodes).items())
-
+# -- fire-module rule ------------------------------------------------------------
 
 def _fire_violations(modules) -> list[str]:
-    """The one fire rule, over ``(module, (role, node) members)`` pairs."""
+    """The one fire rule: a message for each ``(module, (role, node) members)``
+    pair whose squeeze, expand1 and expand3 convs break s1x1 < e1x1 + e3x3.
+    A module without all three has none."""
     violations: list[str] = []
     for module, members in modules:
         filters = {role: node.kind.filters for role, node in members

@@ -599,3 +599,62 @@ def oracle_verdict(site: str, value: object) -> bool:
         _, least, most = rule
         return type(value) is int and least <= value and (most is None or value <= most)
     return type(value) in (int, str) and (type(value), value) in {(type(c), c) for c in rule[1]}
+
+
+# -- kind attr errors --------------------------------------------------------------
+
+_SIZE = ("size", 1, _ORACLE_MAX_SIZE)
+_FLAG = ("bool",)
+
+# Each layer kind's attrs in field order, with a valid value and the rule the
+# README states for it ("File formats" and "Layer kinds"): a size, one of the
+# choices, or an exact bool.
+ORACLE_KIND_ATTRS: dict[str, tuple[tuple[str, object, tuple], ...]] = {
+    "Input": (), "GlobalAvgPool": (), "BatchNorm": (), "Add": (),
+    "Conv2D": (("filters", 8, _SIZE), ("kernel", 3, ("choice", (1, 3))),
+               ("stride", 1, ("choice", (1, 2))), ("padding", "same", ("choice", ("same", "valid"))),
+               ("has_bias", False, _FLAG)),
+    "SeparableConv2D": (("filters", 8, _SIZE), ("kernel", 3, ("choice", (1, 3))),
+                        ("stride", 1, ("choice", (1, 2))),
+                        ("padding", "same", ("choice", ("same", "valid")))),
+    "MaxPool": (("pool_size", 3, ("choice", (1, 3))), ("stride", 2, ("choice", (1, 2))),
+                ("padding", "same", ("choice", ("same", "valid")))),
+    "Activation": (("fn", "relu", ("choice", ("relu", "softmax", "sigmoid"))),),
+    "Dense": (("units", 10, _SIZE), ("has_bias", True, _FLAG)),
+}
+
+
+def _oracle_echo(value: object) -> str:
+    """``value`` as an error message shows it: its repr, cut to 80 characters
+    with a trailing ``...``, or its type for an int of more than 4,300 digits,
+    which Python does not print."""
+    if type(value) is int and abs(value) >= 10**4300:
+        return "<int too large to print>"
+    text = repr(value)
+    return text if len(text) <= 80 else f"{text[:77]}..."
+
+
+def oracle_attr_error(kind: str, attrs: dict[str, object]) -> str | None:
+    """The error text of building ``kind`` with ``attrs``: the first attr, in
+    field order, that breaks its rule, or None when every one holds.
+
+    A size is an exact int (not a bool) from 1 to 2,147,483,647; a choice
+    equals one of its choices with that choice's exact class; a flag is an
+    exact bool."""
+    for name, _, rule in ORACLE_KIND_ATTRS[kind]:
+        if name not in attrs:
+            continue
+        value, what = attrs[name], f"{kind} {name}"
+        if rule[0] == "size":
+            if type(value) is not int:
+                return f"{what} must be an int, got {_oracle_echo(value)}"
+            if value < rule[1]:
+                return f"{what} must be >= {rule[1]}, got {_oracle_echo(value)}"
+            if value > rule[2]:
+                return f"{what} must be at most {rule[2]}, got {_oracle_echo(value)}"
+        elif rule[0] == "bool":
+            if type(value) is not bool:
+                return f"{what} must be a bool, got {_oracle_echo(value)}"
+        elif not any(type(value) is type(c) and value == c for c in rule[1]):
+            return f"{what} must be one of {rule[1]}, got {_oracle_echo(value)}"
+    return None

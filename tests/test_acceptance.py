@@ -24,7 +24,7 @@ from cndkit.pareto import (
     pareto_front,
 )
 from cndkit.serialize import deserialize, serialize
-from cndkit.transforms import strategy1_replace_kernels, validate_fire_constraints
+from cndkit.transforms import strategy1_replace_kernels, strategy2_insert_fire
 from cndkit.zoo import build_mobilenet_v2, build_xception
 from conftest import run_cli
 from graphgen import oracle_params, oracle_pareto_front, oracle_shapes, random_graph
@@ -63,7 +63,7 @@ def test_c03_optimized_model_target(xception, optimized):
     target = 15_800_000
     assert abs(total - target) <= 0.05 * target
     assert total < count_params(xception).total
-    assert validate_fire_constraints(optimized) == []
+    assert strategy2_insert_fire(optimized, {})[1].violations == ()
     _ok(3, f"optimized total {total:,} within 15.8M +/- 5%, below baseline, fire-clean")
 
 

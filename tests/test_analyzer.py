@@ -98,16 +98,16 @@ class TestLayerParams:
             Input(), Conv2D(4, 3, has_bias=True), SeparableConv2D(4, 3), MaxPool(),
             GlobalAvgPool(), BatchNorm(), Activation(), Add(), Dense(4))}
         assert set(one_of_each) == set(cndkit.graph.KINDS)
-        for cls, (arity, _, _, channels_of, params) in cndkit.graph.KINDS.items():
-            if arity == 0:
+        for cls, kind_row in cndkit.graph.KINDS.items():
+            if kind_row.arity == 0:
                 row = analyze(_tiny(2, 3, 5))[0]
-                assert row.params == params("in", Input(), 0) == ("in", 0, 0, 0, 0, 0)
+                assert row.params == kind_row.params("in", Input(), 0) == ("in", 0, 0, 0, 0, 0)
                 continue
-            node = LayerNode("n", one_of_each[cls], ("in",) * arity)
+            node = LayerNode("n", one_of_each[cls], ("in",) * kind_row.arity)
             row = analyze(_tiny(2, 3, 5, node))[-1]
-            c = channels_of(row.shape_in)
+            c = kind_row.channels(row.shape_in)
             assert c == (30 if cls is Dense else 5)
-            assert row.params == params("n", node.kind, c) == count_params_layer(node, c)
+            assert row.params == kind_row.params("n", node.kind, c) == count_params_layer(node, c)
 
     @given(c=st.integers(1, 2048), m=st.integers(1, 2048), kernel=st.sampled_from([1, 3]),
            bias=st.booleans())

@@ -962,13 +962,32 @@ class TestFuzzedInvocations:
         run_isolated([*command, "fuzz.in"], data)
 
 
-def test_cli_snapshot_calls_every_command():
-    # tools/cli_snapshot.py is the byte-identity check on CLI output: a command
-    # it does not call would go unchecked.
+def _snapshot_tool():
     path = Path(__file__).resolve().parents[1] / "tools" / "cli_snapshot.py"
     spec = importlib.util.spec_from_file_location("cli_snapshot", path)
     snapshot = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(snapshot)
+    return snapshot
+
+
+def test_cli_snapshot_calls_every_command():
+    # tools/cli_snapshot.py is the byte-identity check on CLI output: a command
+    # it does not call would go unchecked.
+    snapshot = _snapshot_tool()
     names = [name for name, _ in snapshot.CALLS]
     assert len(set(names)) == len(names)  # one set of output files per call
     assert set(SUBPARSERS) <= {args[0] for _, args in snapshot.CALLS if args}
+
+
+def test_cli_snapshot_lists_every_difference(tmp_path):
+    # --against's comparison: a file on one side only, or with other bytes.
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side, files in ((parent, {"same.exit": b"0\n", "gone.stdout": b"x", "moved.exit": b"0\n"}),
+                        (change, {"same.exit": b"0\n", "new.json": b"{}", "moved.exit": b"1\n"})):
+        side.mkdir()
+        for name, data in files.items():
+            (side / name).write_bytes(data)
+    tool = _snapshot_tool()
+    assert tool.differences(parent, change) == [
+        "only in parent: gone.stdout", "only in change: new.json", "differs: moved.exit"]
+    assert tool.differences(parent, parent) == []

@@ -2,6 +2,7 @@ import ast
 import copy
 import dataclasses
 import importlib
+import json
 import pickle
 import pkgutil
 import random
@@ -29,6 +30,7 @@ from cndkit.errors import (
     DuplicateIdError,
     MeasurementRangeError,
     NonPositiveDimError,
+    ParseError,
     ShapeMismatchError,
     UnknownInputError,
     ValidationError,
@@ -58,7 +60,7 @@ from cndkit.graph import (
     validate,
 )
 from cndkit.pareto import FIXTURE_NAMES, load_fixture
-from cndkit.serialize import serialize
+from cndkit.serialize import deserialize, serialize
 from cndkit.transforms import (
     FireModuleSpec,
     strategy1_replace_kernels,
@@ -67,7 +69,9 @@ from cndkit.transforms import (
 )
 from cndkit.zoo import build_mobilenet_v2, build_optimized_xception, build_xception
 from graphgen import (
+    ORACLE_KIND_ATTRS,
     VERDICT_RULES,
+    oracle_attr_error,
     oracle_split_tag,
     oracle_topo_sort,
     oracle_verdict,
@@ -637,14 +641,66 @@ class TestKindTables:
             assert not [v for v in vars(module).values() if isinstance(v, dict) and v is not KINDS
                         and set(v) & set(KIND_CLASSES)], info.name
         assert set(_ONE_OF_EACH) == set(KIND_CLASSES)
-        for cls, (arity, rule, attrs, channels_of, params) in KINDS.items():
-            assert arity in (0, 1, 2) and callable(rule)
-            assert attrs == tuple(f.name for f in dataclasses.fields(cls))
-            assert channels_of(TensorShape(2, 3, 5)) == (30 if cls is Dense else 5)
-            node = LayerNode("n", _ONE_OF_EACH[cls], ("x",) * arity)
-            entry = params("n", node.kind, 5)
+        for cls, row in KINDS.items():
+            assert row._fields == ("arity", "shape", "attrs", "channels", "params")
+            assert row.arity in (0, 1, 2) and callable(row.shape)
+            assert row.attrs == tuple(f.name for f in dataclasses.fields(cls))
+            assert row.channels(TensorShape(2, 3, 5)) == (30 if cls is Dense else 5)
+            node = LayerNode("n", _ONE_OF_EACH[cls], ("x",) * row.arity)
+            entry = row.params("n", node.kind, 5)
             assert type(entry) is LayerParams and entry[:2] == ("n", 5)
             assert count_params_layer(node, 5) == entry
+
+    def test_every_attr_has_one_rule_and_every_rule_a_kind(self):
+        # Each attr name has one value rule, applied by the one __post_init__
+        # all kinds share, with each kind's checks worked out once.
+        rules = cndkit.graph._ATTR_RULES
+        assert set(rules) == {attr for row in KINDS.values() for attr in row.attrs}
+        for cls, row in KINDS.items():
+            assert cls.__post_init__ is cndkit.graph._check_attrs, cls.__name__
+            assert cls._checks == tuple((a, f"{cls.__name__} {a}", rules[a]) for a in row.attrs)
+
+    def test_no_module_reads_a_kind_row_by_position(self):
+        # KINDS rows are read by column name: an int subscript or a whole-row
+        # unpack of a row would break when a column is added.
+        def is_lookup(expr):  # KINDS[...] or KINDS.get(...), as a name or an attribute
+            if isinstance(expr, ast.Call) and getattr(expr.func, "attr", None) == "get":
+                expr = expr.func.value
+            elif isinstance(expr, ast.Subscript):
+                expr = expr.value
+            else:
+                return False
+            return getattr(expr, "id", getattr(expr, "attr", None)) == "KINDS"
+
+        def is_rows(expr):  # KINDS.values() or KINDS.items()
+            return (isinstance(expr, ast.Call) and getattr(expr.func, "attr", None) in ("values", "items")
+                    and getattr(expr.func.value, "id", getattr(expr.func.value, "attr", None)) == "KINDS")
+
+        found = []
+        for path in sorted(Path(cndkit.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            rows = set()  # names bound to a row
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Assign) and is_lookup(node.value):
+                    for target in node.targets:
+                        if isinstance(target, ast.Name):
+                            rows.add(target.id)
+                        else:
+                            found.append((path.name, node.lineno, "unpacked"))
+                elif isinstance(node, (ast.For, ast.comprehension)) and is_rows(node.iter):
+                    row = node.target
+                    if node.iter.func.attr == "items" and isinstance(row, ast.Tuple):
+                        row = row.elts[-1]
+                    if isinstance(row, ast.Name):
+                        rows.add(row.id)
+                    else:
+                        found.append((path.name, getattr(node, "lineno", node.iter.lineno), "unpacked"))
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+                        and type(node.slice.value) is int
+                        and (is_lookup(node.value) or getattr(node.value, "id", None) in rows)):
+                    found.append((path.name, node.lineno, "subscripted"))
+        assert found == []
 
     @pytest.mark.parametrize("kind", [_SubConv(4, 1), object(), "Conv2D", None, 3])
     def test_unknown_kind_is_a_validation_error(self, kind):
@@ -675,6 +731,57 @@ class TestKindTables:
         for analysis in (infer_shapes, validate, analyze):
             with pytest.raises(ValidationError):
                 analysis(graph)
+
+
+# Values drawn for every kind attr, beside each attr's valid value and choices.
+_ATTR_VALUES = (0, -1, 1, 2**31 - 1, 2**31, 10**5000, True, False, 1.0, "3", "same", None, [3])
+
+
+class TestKindAttrOracle:
+    """Every attr of every kind, built three ways, is accepted or raises
+    exactly the text ``graphgen.oracle_attr_error`` writes from the README's
+    rules; with more than one bad attr the first field's error wins."""
+
+    def test_oracle_lists_every_kind_s_fields_in_order(self):
+        assert {cls.__name__: tuple(f.name for f in dataclasses.fields(cls)) for cls in KIND_CLASSES} \
+            == {kind: tuple(name for name, _, _ in attrs) for kind, attrs in ORACLE_KIND_ATTRS.items()}
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_constructor_replace_and_load_raise_the_oracle_s_text(self, data):
+        cls = data.draw(st.sampled_from(KIND_CLASSES))
+        name = cls.__name__
+        attrs = ORACLE_KIND_ATTRS[name]
+        valid = {attr: value for attr, value, _ in attrs}
+        changes = {}
+        for attr, value, rule in attrs:
+            if data.draw(st.booleans()):
+                choices = rule[1] if rule[0] == "choice" else ()
+                changes[attr] = data.draw(st.sampled_from((value, *choices, *_ATTR_VALUES)))
+        expected = oracle_attr_error(name, {**valid, **changes})
+        for build in (lambda: cls(**{**valid, **changes}),
+                      lambda: dataclasses.replace(cls(**valid), **changes)):
+            if expected is None:
+                assert type(build()) is cls
+            else:
+                with pytest.raises(ValidationError) as exc:
+                    build()
+                assert str(exc.value) == expected
+        if HUGE in changes.values():
+            return  # JSON text cannot carry an int Python will not print
+        entry = {"id": "n", "kind": name, "attrs": {**valid, **changes}, "inputs": [], "tag": None}
+        doc = {"schema_version": 1, "name": "t", "input_shape": [8, 8, 3], "num_classes": 3,
+               "metadata": {}, "nodes": [entry]}
+        try:
+            deserialize(json.dumps(doc))
+        except ParseError as exc:
+            got = (exc.message, exc.field)
+        else:
+            got = None
+        if expected is None:  # a later check (the arity) may still reject the entry
+            assert got is None or got[1] != "nodes[0].attrs"
+        else:
+            assert got == (f"bad attrs for {name}: {expected}", "nodes[0].attrs")
 
 
 class TestSlottedValues:
@@ -850,6 +957,23 @@ class TestFieldTypes:
     def test_metadata_must_map_strings_to_strings(self, metadata):
         with pytest.raises(ValidationError, match="graph metadata must"):
             validate(self._graph(metadata=metadata))
+
+    def test_a_graph_keeps_its_own_metadata(self):
+        # A pass result, a dataclasses.replace copy and a graph whose caller
+        # changes its dict afterwards each hold a dict of their own.
+        base = build_xception()
+        before = dict(base.metadata)
+        made = [strategy1_replace_kernels(base)[0],
+                strategy2_insert_fire(base, {"entry_flow/m2": FireModuleSpec(64, 96, 128)})[0],
+                dataclasses.replace(base, name="copy")]
+        for graph in made:
+            assert graph is not base and graph.metadata == before
+            graph.metadata["variant"] = "changed"
+        assert base.metadata == before
+        theirs = {"family": "t"}
+        graph = self._graph(metadata=theirs)
+        theirs["family"] = "changed"
+        assert graph.metadata == {"family": "t"}
 
     @pytest.mark.parametrize("num_classes", [2.0, True, "2", None])
     def test_num_classes_must_be_an_exact_int(self, num_classes):

@@ -62,7 +62,7 @@ class TestPublicSurface:
             "count_params_layer", "flops_estimate", "activation_sizes", "memory_estimate",
             "round_params_millions",
             "PassReport", "DownsampleAudit", "strategy1_replace_kernels", "strategy2_insert_fire",
-            "strategy3_audit", "validate_fire_constraints", "diff", "structurally_equal",
+            "strategy3_audit", "diff", "structurally_equal",
             "ModelMeasurement", "Quadrant", "QuadrantConfig", "load_measurements", "load_fixture",
             "memory_frontier", "classify_quadrant", "pareto_front", "export_plot_data",
             "__version__",
@@ -86,9 +86,8 @@ class TestPublicSurface:
 
     def test_every_public_function_has_a_caller_in_the_package(self):
         # Every public function is called inside the package, but for the
-        # five that wait to be wired to the CLI or deleted (ROADMAP item 15).
-        exempt = {"strategy3_audit", "structurally_equal", "export_plot_data",
-                  "validate_fire_constraints", "load_fixture"}
+        # four that wait to be wired to the CLI or deleted (ROADMAP item 15).
+        exempt = {"strategy3_audit", "structurally_equal", "export_plot_data", "load_fixture"}
         called = set()
         for path in Path(cndkit.__file__).parent.glob("*.py"):
             if path.name != "__init__.py":

@@ -48,7 +48,6 @@ from cndkit.transforms import (
     strategy2_insert_fire,
     strategy3_audit,
     structurally_equal,
-    validate_fire_constraints,
 )
 from cndkit.zoo import DEFAULT_OPTIMIZED_CONFIG, FireModuleSpec, build_optimized_xception
 from graphgen import (
@@ -989,9 +988,14 @@ class TestStrategy3Audit:
         assert audit.late_downsample_flag is False
 
 
+def violations_of(graph):
+    """The fire-rule violations of ``graph``: strategy2's report with no specs."""
+    return strategy2_insert_fire(graph, {})[1].violations
+
+
 class TestFireConstraints:
     def test_optimized_zoo_is_clean(self, optimized):
-        assert validate_fire_constraints(optimized) == []
+        assert violations_of(optimized) == ()
 
     def test_violating_triple_reported(self):
         graph = _graph(
@@ -1000,7 +1004,7 @@ class TestFireConstraints:
             LayerNode("e1", SeparableConv2D(32, 1), ("s",), "f/m1/expand1"),
             LayerNode("e3", SeparableConv2D(16, 3), ("e1",), "f/m1/expand3"),
             name="bad", input_shape=TensorShape(16, 16, 8), num_classes=2)
-        violations = validate_fire_constraints(graph)
+        violations = violations_of(graph)
         assert len(violations) == 1
         assert "64" in violations[0] and "48" in violations[0]
 
@@ -1013,13 +1017,13 @@ class TestFireConstraints:
 
         graph = dataclasses.replace(optimized, nodes=tuple(widened(n) for n in optimized.nodes))
         out, report = strategy2_insert_fire(graph, {"middle_flow/m5": FireModuleSpec(414, 600, 728)})
-        assert report.violations == tuple(validate_fire_constraints(out)) == (
+        assert report.violations == violations_of(out) == (
             "middle_flow/m7: s1x1=1400 must be < e1x1+e3x3=1328 (e1x1=600, e3x3=728)",
         )
         # With no specs the result is the input, violations included.
         out, report = strategy2_insert_fire(graph, {})
         assert out is graph and report.nodes_changed == ()
-        assert report.violations == tuple(validate_fire_constraints(graph)) == (
+        assert report.violations == (
             "middle_flow/m5: s1x1=1400 must be < e1x1+e3x3=1328 (e1x1=600, e3x3=728)",
             "middle_flow/m7: s1x1=1400 must be < e1x1+e3x3=1328 (e1x1=600, e3x3=728)",
         )
@@ -1039,7 +1043,7 @@ class TestFireConstraints:
             out, report = strategy2_insert_fire(graph, specs)
         except CndkitError:
             return
-        assert report.violations == tuple(validate_fire_constraints(out))
+        assert report.violations == violations_of(out)
 
     def test_spec_widths_are_at_most_max_size(self):
         big = cndkit.graph.MAX_SIZE + 1
@@ -1051,7 +1055,7 @@ class TestFireConstraints:
     def test_untagged_graph_vacuously_clean(self):
         graph = _graph(LayerNode("in", Input()), LayerNode("c", Conv2D(4, 1), ("in",)),
                        name="plain", input_shape=TensorShape(8, 8, 3), num_classes=2)
-        assert validate_fire_constraints(graph) == []
+        assert violations_of(graph) == ()
 
 
 class TestDiff:

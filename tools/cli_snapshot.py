@@ -1,6 +1,7 @@
 """Run a fixed list of ``cndkit`` calls and keep everything they print and write.
 
     python tools/cli_snapshot.py DIR [--src CHECKOUT/src]
+    python tools/cli_snapshot.py DIR --against REV
 
 Each call in ``CALLS`` runs as ``python -m cndkit.cli ARGS`` in ``DIR``, with
 the package taken from ``--src`` (by default the ``src`` beside this script).
@@ -17,16 +18,29 @@ two directories, compare byte for byte::
 
 A call that writes no file, such as a rejected transform, shows that too:
 ``diff -r`` reports a file only one side has.
+
+``--against REV`` makes both snapshots and compares them in one run: it takes
+``REV``'s ``src`` with ``git archive`` into a temporary directory, snapshots it
+into ``DIR/parent`` and this checkout's ``src`` into ``DIR/change``, prints
+each file that differs or that only one side has, and exits 1 if there is any
+(0 when every file, exit codes included, is byte-identical, and 2 when ``REV``
+cannot be archived). Neither
+directory may exist yet, so no file left from an earlier run is compared::
+
+    python tools/cli_snapshot.py /tmp/snap --against HEAD~1
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 MODELS = ("xception", "optimized-xception", "mobilenetv2")
@@ -181,14 +195,61 @@ def snapshot(directory: Path, src: Path) -> None:
         (directory / f"{name}.exit").write_text(f"{proc.returncode}\n", encoding="utf-8")
 
 
-def main() -> None:
+def differences(old: Path, new: Path) -> list[str]:
+    """One line per file, by path relative to ``old`` and ``new``, that
+    differs between the two trees or that only one of them has."""
+    def files(root: Path) -> set[Path]:
+        return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+    found, ours = files(old), files(new)
+    return ([f"only in {old.name}: {p}" for p in sorted(found - ours)]
+            + [f"only in {new.name}: {p}" for p in sorted(ours - found)]
+            + [f"differs: {p}" for p in sorted(found & ours)
+               if (old / p).read_bytes() != (new / p).read_bytes()])
+
+
+def against(directory: Path, rev: str, src: Path) -> int:
+    """Snapshot ``rev``'s src and ``src`` into ``directory``; print each
+    difference and return 1 if there is any, else 0 (2 when ``git archive``
+    fails)."""
+    repo = Path(__file__).resolve().parents[1]
+    archive = subprocess.run(["git", "-C", str(repo), "archive", rev, "src"], capture_output=True)
+    if archive.returncode:
+        print(f"git archive {rev} failed: {archive.stderr.decode(errors='replace').strip()}",
+              file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            # The data filter (Python 3.12, 3.11.4 and 3.10.12 on) refuses members that
+            # would land outside tmp; older versions extract this repository's own archive as is.
+            tar.extractall(tmp, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+        snapshot(directory / "parent", Path(tmp) / "src")
+    snapshot(directory / "change", src)
+    lines = differences(directory / "parent", directory / "change")
+    for line in lines:
+        print(line)
+    if not lines:
+        print(f"{sum(p.is_file() for p in (directory / 'change').rglob('*'))} files, all byte-identical")
+    return 1 if lines else 0
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
     parser.add_argument("dir", type=Path, help="Directory to write the snapshot into.")
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
                         help="The src directory of the checkout to run (default: this one's).")
+    parser.add_argument("--against", metavar="REV",
+                        help="Also snapshot REV's src (by git archive) and compare the two: "
+                             "DIR/parent against DIR/change.")
     args = parser.parse_args()
-    snapshot(args.dir, args.src)
+    if args.against is None:
+        snapshot(args.dir, args.src)
+        return 0
+    for side in ("parent", "change"):
+        if (args.dir / side).exists():
+            parser.error(f"{args.dir / side} exists; give a DIR without it")
+    return against(args.dir, args.against, args.src)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
