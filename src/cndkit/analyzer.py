@@ -1,9 +1,10 @@
 """Static resource analysis: parameters, FLOPs, activations, memory.
 
-Every analysis here is a fold over ``analyze(graph)``: one row per node, in
-stored order (which ``topo_sort`` checks is a dependency order), holding the
-node, its input and output shapes and its parameter entry
-(``activation_sizes`` needs only the shapes). The entry, a
+Every analysis here is a fold over two columns a checked graph keeps, in
+stored order (which ``topo_sort`` checks is a dependency order): its nodes'
+output shapes and their parameter entries, built once per graph by the first
+analysis that needs them (``activation_sizes`` reads only the shapes).
+``analyze`` zips both into one row per node. An entry, a
 ``graph.LayerParams``, comes from the input-channel and param rules in the
 kind's row of ``graph.KINDS`` (C = input channels, M = filters, K = kernel
 elements, i.e. 1 or 9):
@@ -39,6 +40,7 @@ from .graph import (
     LayerParams,
     ModelGraph,
     TensorShape,
+    _keep_shapes,
     check_choice,
     check_size,
     infer_shapes,
@@ -90,48 +92,53 @@ class LayerRow(NamedTuple):
 
 
 def analyze(graph: ModelGraph) -> list[LayerRow]:
-    """One row per node, in stored order, from a single shape inference."""
-    shapes = infer_shapes(graph)  # rejects a kind with no row in KINDS
-    return _layer_rows(graph.nodes, shapes)
+    """One row per node, in stored order, from the shapes and entries the graph keeps."""
+    entries = _entries(graph)
+    shapes = infer_shapes(graph)
+    # tuple.__new__ skips the Python-level __new__ that NamedTuple adds
+    return [tuple.__new__(LayerRow, (node, shapes[node.inputs[0]] if node.inputs else None, shape, entry))
+            for node, shape, entry in zip(graph.nodes, shapes.values(), entries)]
 
 
-def _layer_rows(nodes: Iterable[LayerNode], shapes: dict[str, TensorShape]) -> list[LayerRow]:
-    """The rows of ``nodes`` by their kinds' param rules, from ``shapes``,
-    which holds each node's output shape and its inputs': the one row rule."""
-    rows: list[LayerRow] = []
-    for node in nodes:
-        kind = node.kind
-        kind_row = KINDS[type(kind)]
-        if node.inputs:
-            shape_in = shapes[node.inputs[0]]
-            entry = kind_row.params(node.id, kind, kind_row.channels(shape_in))
-        else:
-            shape_in = None
-            entry = kind_row.params(node.id, kind, 0)
-        # tuple.__new__ skips the Python-level __new__ that NamedTuple adds
-        rows.append(tuple.__new__(LayerRow, (node, shape_in, shapes[node.id], entry)))
-    return rows
+def _entry(node: LayerNode, shapes: dict[str, TensorShape]) -> LayerParams:
+    """``node``'s entry by its kind's rules, its first input's shape read from
+    ``shapes``: the one row rule."""
+    kind_row = KINDS[type(node.kind)]
+    channels = kind_row.channels(shapes[node.inputs[0]]) if node.inputs else 0
+    return kind_row.params(node.id, node.kind, channels)
 
 
-def total_params(rows: list[LayerRow]) -> int:
-    return sum(row.params.total for row in rows)
+def _entries(graph: ModelGraph) -> tuple[LayerParams, ...]:
+    """The graph's entries in stored order: the one row pass, on the first
+    call only, as the graph keeps them."""
+    entries = graph._params
+    if entries is None:
+        shapes = infer_shapes(graph)  # rejects a kind with no row in KINDS
+        entries = tuple([_entry(node, shapes) for node in graph.nodes])
+        _keep_shapes(graph, graph._shapes, entries)
+    return entries
 
 
-def _moving_stats(rows: list[LayerRow]) -> int:
+def total_params(entries: Iterable[LayerParams]) -> int:
+    return sum(entry.total for entry in entries)
+
+
+def _moving_stats(nodes: Iterable[LayerNode], entries: Iterable[LayerParams]) -> int:
     """BatchNorm mean and variance: counted in the total, never trained."""
-    return sum(2 * r.params.channels_in for r in rows if type(r.node.kind) is BatchNorm)
+    return sum(2 * e.channels_in for node, e in zip(nodes, entries) if type(node.kind) is BatchNorm)
 
 
 def count_params(graph: ModelGraph) -> ParamReport:
-    """Parameter report over the whole graph, per-layer entries in stored order."""
-    rows = analyze(graph)
-    total = total_params(rows)
-    return ParamReport(tuple(row.params for row in rows), total, total - _moving_stats(rows))
+    """Parameter report over the whole graph; ``per_layer`` is the tuple the graph keeps."""
+    entries = _entries(graph)
+    total = total_params(entries)
+    return ParamReport(entries, total, total - _moving_stats(graph.nodes, entries))
 
 
 def flops_estimate(graph: ModelGraph) -> int:
     """Multiply-accumulate count for one forward pass at batch 1."""
-    return sum(row.macs for row in analyze(graph))
+    entries = _entries(graph)
+    return sum(shape.area * entry.kernel_params for shape, entry in zip(graph._shapes, entries))
 
 
 def activation_sizes(graph: ModelGraph, batch: int = 1) -> list[tuple[str, int]]:
@@ -182,14 +189,14 @@ def memory_estimate(
     check_size("batch", batch)
     check_size("overhead_bytes", overhead_bytes, least=0)
 
-    rows = analyze(graph)
-    total = total_params(rows)
+    entries = _entries(graph)
+    total = total_params(entries)
     weights = total * BYTES_PER_SCALAR
     multiplier = OPTIMIZER_STATE_MULTIPLIER[optimizer]
     sizes = activation_sizes(graph, batch)
 
     if mode == "training":
-        trainable = total - _moving_stats(rows)
+        trainable = total - _moving_stats(graph.nodes, entries)
         gradients = trainable * BYTES_PER_SCALAR
         optimizer_state = multiplier * trainable * BYTES_PER_SCALAR
         activations = 2 * sum(elems for _, elems in sizes) * BYTES_PER_SCALAR

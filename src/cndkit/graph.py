@@ -8,9 +8,11 @@ changes its argument's fields. A graph object does keep its nodes' output
 shapes, one tuple in stored order, once its stored order has been checked and
 its shapes inferred (by ``infer_shapes``, a load, either pass or the optimized
 build; ``_keep_shapes`` is the one writer), and ``infer_shapes`` reads them
-back instead of checking and inferring again. The shapes follow from the
-frozen nodes and input shape alone, so graphs stay safe to share across
-threads: two threads that both write the tuple store equal values.
+back instead of checking and inferring again. The first analysis that builds
+the nodes' parameter entries keeps them the same way, next to the shapes, and
+each pass hands its result's entries on. Both follow from the frozen nodes
+and input shape alone, so graphs stay safe to share across threads: two
+threads that both write a tuple store equal values.
 
 Tags follow a ``flow/module/role`` convention, e.g. ``entry_flow/m2/sep1``:
 the first two components name the architectural module a node belongs to and
@@ -237,9 +239,10 @@ class LayerNode:
 class ModelGraph:
     """A named layer graph: input shape, class count, nodes in stored order
     and string metadata. ``validate`` checks it. ``_shapes`` holds the nodes'
-    output shapes once they are inferred (see the module docstring); it is no
-    init argument nor part of ``repr`` or ``==``, and a ``dataclasses.replace``
-    copy starts without it."""
+    output shapes once they are inferred and ``_params`` their parameter
+    entries once an analysis builds them (see the module docstring); neither
+    is an init argument nor part of ``repr`` or ``==``, and a
+    ``dataclasses.replace`` copy starts without them."""
 
     name: str
     input_shape: TensorShape
@@ -247,6 +250,7 @@ class ModelGraph:
     nodes: tuple[LayerNode, ...] = ()
     metadata: dict[str, str] = field(default_factory=dict)
     _shapes: tuple[TensorShape, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    _params: tuple[LayerParams, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -485,12 +489,16 @@ def infer_shapes(graph: ModelGraph) -> dict[str, TensorShape]:
     return shapes
 
 
-def _keep_shapes(graph: ModelGraph, shapes: tuple[TensorShape, ...] | None) -> None:
-    """Store ``shapes`` as ``graph``'s output shapes in stored order: the one
-    writer of ``ModelGraph._shapes``. Call it only where ``graph``'s stored
-    order has just been checked as ``topo_sort`` checks it and ``shapes``
-    inferred over that order."""
+def _keep_shapes(graph: ModelGraph, shapes: tuple[TensorShape, ...] | None,
+                 params: tuple[LayerParams, ...] | None = None) -> None:
+    """Store ``shapes`` as ``graph``'s output shapes and ``params`` as its
+    parameter entries, both in stored order: the one writer of
+    ``ModelGraph._shapes`` and ``_params``. Call it only where ``graph``'s
+    stored order has just been checked as ``topo_sort`` checks it, ``shapes``
+    inferred over that order and ``params`` built by the kinds' param rules
+    from those shapes."""
     object.__setattr__(graph, "_shapes", shapes)
+    object.__setattr__(graph, "_params", params)
 
 
 def shapes_in_order(graph: ModelGraph) -> dict[str, TensorShape]:

@@ -56,6 +56,7 @@ from .graph import (
     Conv2D,
     LayerKind,
     LayerNode,
+    LayerParams,
     MaxPool,
     ModelGraph,
     SeparableConv2D,
@@ -71,7 +72,7 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeChange:
     """One node a pass changed: its id and its kind before and after, as text
     (``(none)`` before a node the pass added)."""
@@ -120,7 +121,7 @@ def strategy1_replace_kernels(graph: ModelGraph) -> tuple[ModelGraph, PassReport
     kernel are touched, which makes the pass idempotent and keeps every
     node's shape. Filters, stride, and padding are untouched.
     """
-    rows = analyzer.analyze(graph)
+    entries = analyzer._entries(graph)
     leading = (
         next((node for _, node in members if type(node.kind) is SeparableConv2D), None)
         for members in group_modules(graph.nodes).values()
@@ -128,34 +129,30 @@ def strategy1_replace_kernels(graph: ModelGraph) -> tuple[ModelGraph, PassReport
     targets = {node.id for node in leading
                if node is not None and (node.kind.kernel, node.kind.padding) == (3, PADDING_SAME)}
 
-    params_before = analyzer.total_params(rows)
+    params_before = analyzer.total_params(entries)
     if not targets:
         return graph, PassReport("strategy1_replace_kernels", (), params_before, params_before)
 
     changed: list[NodeChange] = []
-    new_nodes: list[LayerNode] = []
+    new_nodes = list(graph.nodes)
+    new_entries = list(entries)  # every untargeted entry shared with the input
     params_after = params_before
     made: dict[LayerKind, tuple[LayerKind, str, str]] = {}  # one 1x1 kind per targeted kind
-    for row in rows:
-        node = row.node
+    for i, node in enumerate(graph.nodes):
         if node.id in targets:
             if node.kind not in made:
                 new_kind = dataclasses.replace(node.kind, kernel=1)
                 made[node.kind] = (new_kind, _describe(node.kind), _describe(new_kind))
             new_kind, before, after = made[node.kind]
             changed.append(NodeChange(node.id, before, after))
-            node = LayerNode(node.id, new_kind, node.inputs, node.tag)
-            params_after += (
-                analyzer.count_params_layer(node, row.params.channels_in).total - row.params.total
-            )
-        new_nodes.append(node)
+            new_nodes[i] = LayerNode(node.id, new_kind, node.inputs, node.tag)
+            new_entries[i] = entry = analyzer.count_params_layer(new_nodes[i], entries[i].channels_in)
+            params_after += entry.total - entries[i].total
     result = dataclasses.replace(graph, nodes=tuple(new_nodes))
-    # A same-padding 1x1 kernel changes no node's shape, so the input's last
-    # shape stands for the result's; the input's table goes before any check.
-    last_shape = rows[-1].shape_out
-    del rows, new_nodes
-    check_endpoints(result, last_shape)
-    _keep_shapes(result, graph._shapes)  # the input's, kept by analyze
+    # A same-padding 1x1 kernel changes no node's shape, so the result keeps
+    # the input's shapes, which analyzer._entries kept.
+    check_endpoints(result, graph._shapes[-1])
+    _keep_shapes(result, graph._shapes, tuple(new_entries))
     return result, PassReport("strategy1_replace_kernels", tuple(changed), params_before, params_after)
 
 
@@ -245,12 +242,13 @@ _REWRITABLE_KINDS = (Conv2D, SeparableConv2D, MaxPool, BatchNorm, Activation, Ad
 
 
 def _module_structure(members: list[tuple[str, LayerNode]], module: str, fed_out: dict[str, str],
-                      row_of: dict[str, analyzer.LayerRow]):
+                      index: dict[str, int], shapes: tuple[TensorShape, ...]):
     """Pick apart one tagged module, given its ``(role, node)`` members in
     stored order, ``fed_out`` (node id -> a consumer outside its module) and
-    ``row_of``: its input, main stack (id -> node), the stack's one output
-    and the expand3 stride that keeps the stack's output size. Only its tail,
-    the one node no module node consumes, may feed a node outside."""
+    its graph's ``index`` (node id -> stored position) and output ``shapes``:
+    its input, main stack (id -> node), the stack's one output and the
+    expand3 stride that keeps the stack's output size. Only its tail, the
+    one node no module node consumes, may feed a node outside."""
     id_set = {node.id for _, node in members}
     external: list[str] = []
     consumed: set[str] = set()
@@ -309,7 +307,7 @@ def _module_structure(members: list[tuple[str, LayerNode]], module: str, fed_out
         raise ModuleStructureError(
             f"module {capped(module)} must have one main-stack output, found {capped(outputs)}"
         )
-    shape_in, shape_out = row_of[external[0]].shape_out, row_of[outputs[0]].shape_out
+    shape_in, shape_out = shapes[index[external[0]]], shapes[index[outputs[0]]]
     strides = [s for s in VALID_STRIDES if (shape_out.height, shape_out.width) == tuple(
         _window_dim(d, 3, s, PADDING_SAME, module) for d in (shape_in.height, shape_in.width))]
     if not strides:
@@ -327,12 +325,13 @@ def strategy2_insert_fire(
     ``specs`` maps module tags (e.g. ``"entry_flow/m2"``) to the fire widths
     to insert. Every other node of the module keeps its id and its wiring;
     the projection is resized to the new output width, or inserted where an
-    identity residual no longer matches. The pass infers shapes once, for
-    its input, and builds its result and the result's table in one walk:
-    each node it emits passes ``check_append`` and keeps its input row when
-    it is the same node object and none of its inputs changed shape, or
-    gets its kind's shape rule and ``analyzer``'s row rule. An identity
-    residual reads its width from that table; ``params_after`` is its total.
+    identity residual no longer matches. The pass reads its input's shapes
+    and entries, which the input keeps, and builds its result's in one walk:
+    each node it emits passes ``check_append`` and keeps its input shape and
+    entry when it is the same node object and none of its inputs changed
+    shape, or gets its kind's shape rule and ``analyzer``'s row rule. An
+    identity residual reads its width from those shapes; ``params_after`` is
+    the total of those entries, which the result keeps.
     """
     if not isinstance(specs, dict):
         raise ValidationError(
@@ -345,8 +344,8 @@ def strategy2_insert_fire(
                 f"no module tagged {capped(tag)} in graph {capped(graph.name)}"
             )
         check_fire_spec(spec, module=tag)
-    rows = analyzer.analyze(graph)
-    params_before = analyzer.total_params(rows)
+    entries = analyzer._entries(graph)  # so the input keeps its shapes too
+    params_before = analyzer.total_params(entries)
     # Every spec is valid and every other module is kept as it is, tags
     # included, so the result's violations are those of the modules left.
     violations = tuple(_fire_violations((m, g) for m, g in groups.items() if m not in specs))
@@ -354,27 +353,28 @@ def strategy2_insert_fire(
         return graph, PassReport("strategy2_insert_fire", (), params_before, params_before,
                                  violations=violations)
 
-    row_of = {row.node.id: row for row in rows}
+    index = {node.id: i for i, node in enumerate(graph.nodes)}
     owner = {node.id: module for module in specs for _, node in groups[module]}
     fed_out = {src: node.id for node in reversed(graph.nodes) for src in node.inputs
                if src in owner and owner[src] != owner.get(node.id)}
     # every module is checked before any is rewritten; modules in stored order
-    structures = {module: _module_structure(groups[module], module, fed_out, row_of)
+    structures = {module: _module_structure(groups[module], module, fed_out, index, graph._shapes)
                   for module in groups if module in specs}
-    del rows, groups, fed_out  # the walk reads the input's rows by id only
+    del groups, fed_out  # the walk reads the input's columns by position only
     remap: dict[str, str] = {}  # each replaced stack's output -> its fire tail
     changed: list[NodeChange] = []
-    table: list[analyzer.LayerRow] = []  # the result's rows, so far
+    nodes: list[LayerNode] = []  # the result's nodes so far, and their entries
+    new_entries: list[LayerParams] = []
     shapes: dict[str, TensorShape] = {}  # the result's ids so far -> output shape
     shared: dict[tuple[int, int, int], TensorShape] = {}
-    moved: set[str] = set()  # ids whose shape is not their input row's, new ids included
+    moved: set[str] = set()  # ids whose shape is not their input shape, new ids included
 
     def emit(node: LayerNode) -> None:
-        """Append ``node`` to the result and its row to ``table``."""
+        """Append ``node`` to the result, with its shape and entry."""
         check_append(shapes, node)
-        row = row_of.get(node.id)
-        if row is not None and row.node is node and moved.isdisjoint(node.inputs):
-            shapes[node.id] = row.shape_out
+        i = index.get(node.id)
+        if i is not None and graph.nodes[i] is node and moved.isdisjoint(node.inputs):
+            shapes[node.id], entry = graph._shapes[i], entries[i]
         else:
             try:  # a shape rule reads only input_shape of its graph, which the result keeps
                 shape = shapes[node.id] = KINDS[type(node.kind)].shape(graph, node, shapes, shared)
@@ -382,10 +382,11 @@ def strategy2_insert_fire(
                 raise ResidualShapeBrokenError(
                     f"fire insertion broke residual shapes in {capped(graph.name)}: {exc}"
                 ) from exc
-            if row is None or shape != row.shape_out:
+            if i is None or shape != graph._shapes[i]:
                 moved.add(node.id)
-            (row,) = analyzer._layer_rows((node,), shapes)
-        table.append(row)
+            entry = analyzer._entry(node, shapes)
+        nodes.append(node)
+        new_entries.append(entry)
 
     def fresh(base: str, build) -> list[LayerNode]:
         """Emit and return the nodes ``build(made, prefix)`` appends to
@@ -395,7 +396,7 @@ def strategy2_insert_fire(
         while True:
             made: list[LayerNode] = []
             build(made, base)
-            if not any(node.id in row_of or node.id in shapes for node in made):
+            if not any(node.id in index or node.id in shapes for node in made):
                 for node in made:
                     emit(node)
                 return made
@@ -437,17 +438,12 @@ def strategy2_insert_fire(
         emit(node if remap.keys().isdisjoint(node.inputs) else LayerNode(
             node.id, node.kind, tuple([remap.get(i, i) for i in node.inputs]), node.tag))
 
-    del row_of, owner, shapes, moved  # the checks below read the result's table only
-    result = dataclasses.replace(graph, nodes=tuple(row.node for row in table))
-    report = PassReport(
-        "strategy2_insert_fire",
-        tuple(changed),
-        params_before,
-        analyzer.total_params(table),
-        violations=violations,
-    )
-    check_endpoints(result, table[-1].shape_out)
-    _keep_shapes(result, tuple(row.shape_out for row in table))  # emit checked every node
+    result = dataclasses.replace(graph, nodes=tuple(nodes))
+    _keep_shapes(result, tuple(shapes.values()), tuple(new_entries))  # emit checked every node
+    del index, owner, shapes, moved, nodes, new_entries  # the checks below read the result only
+    report = PassReport("strategy2_insert_fire", tuple(changed), params_before,
+                        analyzer.total_params(result._params), violations=violations)
+    check_endpoints(result, result._shapes[-1])
     return result, report
 
 
@@ -532,7 +528,9 @@ def structurally_equal(a: ModelGraph, b: ModelGraph) -> bool:
     """True when two graphs match node-for-node up to a renaming of ids.
 
     Nodes are compared by kind (with attrs), tag, and canonicalized wiring;
-    name, metadata and the stored order of the nodes are ignored.
+    name, metadata and the stored order of the nodes are ignored. A graph
+    that keeps its shapes had its stored order checked already; another
+    one gets ``topo_sort``'s check and error.
     """
     # One key -> number table for both graphs, so a structure gets the same
     # number in either graph whatever order its nodes are stored in.
@@ -540,7 +538,8 @@ def structurally_equal(a: ModelGraph, b: ModelGraph) -> bool:
 
     def canon(graph: ModelGraph):
         assigned: dict[str, int] = {}
-        topo_sort(graph)
+        if graph._shapes is None:
+            topo_sort(graph)
         for node in graph.nodes:
             # kinds are frozen dataclasses, equal by class and fields
             key = (node.kind, node.tag, tuple(assigned[i] for i in node.inputs))
@@ -551,12 +550,12 @@ def structurally_equal(a: ModelGraph, b: ModelGraph) -> bool:
     return canon(a) == canon(b)
 
 
-def _module_summary(rows: list[analyzer.LayerRow], total: int) -> dict[str, dict]:
+def _module_summary(graph: ModelGraph, entries: tuple[LayerParams, ...], total: int) -> dict[str, dict]:
     """Main-conv kernels and filters and params per module, then the params
     of nodes in no module, if any, as ``(untagged)``."""
-    params = {row.node.id: row.params.total for row in rows}
+    params = {entry.node_id: entry.total for entry in entries}
     out: dict[str, dict] = {}
-    for module, members in group_modules(row.node for row in rows).items():
+    for module, members in group_modules(graph.nodes).items():
         convs = [node.kind for role, node in members if is_conv(node.kind) and role != "residual"]
         out[module] = {"kernels": [k.kernel for k in convs], "filters": [k.filters for k in convs],
                        "params": sum(params[node.id] for _, node in members)}
@@ -574,12 +573,12 @@ def percentage_reduction(params_before: int, params_after: int) -> float:
 
 def diff(original: ModelGraph, transformed: ModelGraph) -> str:
     """Side-by-side per-module comparison of kernels, filters, and params."""
-    rows_a = analyzer.analyze(original)
-    rows_b = analyzer.analyze(transformed)
-    total_a = analyzer.total_params(rows_a)
-    total_b = analyzer.total_params(rows_b)
-    mods_a = _module_summary(rows_a, total_a)
-    mods_b = _module_summary(rows_b, total_b)
+    entries_a = analyzer._entries(original)
+    entries_b = analyzer._entries(transformed)
+    total_a = analyzer.total_params(entries_a)
+    total_b = analyzer.total_params(entries_b)
+    mods_a = _module_summary(original, entries_a, total_a)
+    mods_b = _module_summary(transformed, entries_b, total_b)
     modules = {**mods_a, **mods_b}  # A's modules, then those only B has
 
     def fmt(info: dict | None, field: str) -> str:

@@ -203,7 +203,7 @@ def build_optimized_xception(
     graph, _ = strategy2_insert_fire(graph, specs)
     optimized = dataclasses.replace(graph, name="optimized-xception",
                                     metadata={"family": "xception", "variant": "optimized"})
-    _keep_shapes(optimized, graph._shapes)  # the same nodes, kept by strategy2
+    _keep_shapes(optimized, graph._shapes, graph._params)  # the same nodes, kept by strategy2
     return optimized
 
 

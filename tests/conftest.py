@@ -75,3 +75,17 @@ def shape_passes(monkeypatch):
     real = cndkit.graph.shapes_in_order
     monkeypatch.setattr(cndkit.graph, "shapes_in_order", lambda g: passes.append(g.name) or real(g))
     return passes
+
+
+@pytest.fixture()
+def param_rule_calls(monkeypatch):
+    """Ids of the nodes the kinds' param rules (``KINDS[cls].params``) build
+    an entry for, one per call: the row passes, counted entry by entry."""
+    calls = []
+    for cls, row in list(cndkit.graph.KINDS.items()):
+        def counting(node_id, kind, channels, rule=row.params):
+            calls.append(node_id)
+            return rule(node_id, kind, channels)
+        monkeypatch.setitem(cndkit.graph.KINDS, cls, row._replace(params=counting))
+    return calls
+

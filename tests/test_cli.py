@@ -236,12 +236,15 @@ class TestAnalyze:
         assert result.exit_code == 3
 
     @pytest.mark.parametrize("mode", ["training", "inference"])
-    def test_one_shape_pass_per_loaded_model(self, model_path, shape_passes, mode):
+    def test_one_shape_pass_per_loaded_model(self, model_path, shape_passes, param_rule_calls,
+                                             xception, mode):
         # the load's; count_params, memory_estimate and flops_estimate read
-        # the shapes the loaded graph keeps
+        # the shapes the loaded graph keeps, and the latter two the entries
+        # count_params keeps: one row pass
         result = run_cli(["analyze", "--in", str(model_path), "--mode", mode])
         assert result.exit_code == 0
         assert shape_passes == ["xception"]
+        assert param_rule_calls == [node.id for node in xception.nodes]
 
     def test_table_columns_line_up_on_long_ids(self, tmp_path):
         path = tmp_path / "opt.json"

@@ -513,7 +513,7 @@ class TestInferShapes:
 def _analyses(make, specs):
     """Every analysis of the graph ``make()`` returns, one call each, as values
     that compare equal across graph objects; each pass's result with the
-    shapes it keeps (strategy2 with ``specs``)."""
+    shapes and entries it keeps (strategy2 with ``specs``)."""
     s1, report1 = strategy1_replace_kernels(make())
     s2, report2 = strategy2_insert_fire(make(), specs)
     return (
@@ -527,8 +527,8 @@ def _analyses(make, specs):
         strategy3_audit(make()),
         validate(make()),
         serialize(make()),
-        (s1, s1._shapes, report1),
-        (s2, s2._shapes, report2),
+        (s1, s1._shapes, s1._params, report1),
+        (s2, s2._shapes, s2._params, report2),
     )
 
 
@@ -543,7 +543,8 @@ def _some_graph(rng):
 
 class TestKeptShapes:
     """A graph object keeps its nodes' output shapes once its stored order is
-    checked and its shapes inferred; every later analysis reads them back."""
+    checked and its shapes inferred, and their parameter entries once an
+    analysis builds them; every later analysis reads them back."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -551,8 +552,23 @@ class TestKeptShapes:
         graph, specs = _some_graph(random.Random(seed))
         validate(graph)
         assert graph._shapes == tuple(infer_shapes(dataclasses.replace(graph)).values())
+        assert graph._params is None  # validate builds no entries
         assert dataclasses.replace(graph)._shapes is None
         assert _analyses(lambda: graph, specs) == _analyses(lambda: dataclasses.replace(graph), specs)
+        assert graph._params == count_params(dataclasses.replace(graph)).per_layer
+        assert count_params(graph).per_layer is graph._params
+        assert dataclasses.replace(graph)._params is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_strategy1_shares_every_untargeted_entry(self, seed):
+        graph, _ = _some_graph(random.Random(seed))
+        result, report = strategy1_replace_kernels(graph)
+        targets = {change.node_id for change in report.nodes_changed}
+        assert len(result._params) == len(graph._params) == len(graph.nodes)
+        for node, before, after in zip(graph.nodes, graph._params, result._params):
+            assert (after is before) == (node.id not in targets), node.id
+        assert result._params == count_params(dataclasses.replace(result)).per_layer
 
     @settings(max_examples=200, deadline=None)
     @given(_stored_graphs())
@@ -567,14 +583,15 @@ class TestKeptShapes:
                 outcomes.append(None)
             except ValidationError as exc:
                 outcomes.append((type(exc), str(exc)))
-                assert graph._shapes is None
+                assert graph._shapes is None and graph._params is None
         assert outcomes.count(outcomes[0]) == len(outcomes)
         if outcomes[0] is not None:
             with pytest.raises(outcomes[0][0], match=f"^{re.escape(outcomes[0][1])}$"):
                 validate(graph)
-            assert graph._shapes is None
+            assert graph._shapes is None and graph._params is None
         else:
             assert graph._shapes == tuple(infer_shapes(dataclasses.replace(graph)).values())
+            assert graph._params == count_params(dataclasses.replace(graph)).per_layer
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1),
@@ -606,9 +623,11 @@ class TestKeptShapes:
     @given(st.integers(0, 2**32 - 1))
     def test_pickled_and_copied_graphs_keep_their_shapes(self, seed):
         graph, specs = _some_graph(random.Random(seed))
-        validate(graph)
+        count_params(graph)
+        assert graph._shapes is not None and graph._params is not None
         for other in (pickle.loads(pickle.dumps(graph)), copy.deepcopy(graph), copy.copy(graph)):
             assert other == graph and other._shapes == graph._shapes
+            assert other._params == graph._params
             assert _analyses(lambda: other, specs) == _analyses(lambda: graph, specs)
 
     def test_shape_loop_keeps_nothing(self, xception):

@@ -1,7 +1,11 @@
+import copy
 import dataclasses
+import importlib.util
+import pickle
 import random
 import re
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -78,6 +82,16 @@ def default_specs():
     specs = {f"entry_flow/m{i + 2}": s for i, s in enumerate(cfg.entry_fire)}
     specs.update({f"middle_flow/m{i + 5}": s for i, s in enumerate(cfg.middle_fire)})
     return specs
+
+
+def _benchmark_generators():
+    """``perfbench/gen.py``, the benchmark's seeded input generators, which
+    import nothing from cndkit."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
@@ -711,22 +725,33 @@ class TestStrategy2:
         assert dict(zip([n.id for n in built.nodes], dims)) == oracle_shapes(built)
 
     def test_one_shape_inference_per_call(self, xception, inference_calls):
-        # of the input graph; the result's table is patched from the input's
-        strategy2_insert_fire(xception, default_specs())
+        # of an input graph that keeps no entries yet, and none once it keeps
+        # them; the result's columns are built from the input's
+        fresh = dataclasses.replace(xception)
+        strategy2_insert_fire(fresh, default_specs())
+        assert inference_calls == [xception.name]
+        strategy2_insert_fire(fresh, default_specs())
         assert inference_calls == [xception.name]
 
-    def test_optimized_build_infers_shapes_three_times(self, inference_calls, shape_passes):
-        # build_xception's validate, strategy1 and strategy2's one; only the
-        # first runs the shape loop, as each pass's result keeps its shapes
-        build_optimized_xception()
-        assert len(inference_calls) == 3
+    def test_optimized_build_infers_shapes_twice(self, xception, inference_calls, shape_passes,
+                                                 param_rule_calls):
+        # build_xception's validate and strategy1's one, which keeps the
+        # entries; strategy2 reads the shapes and entries strategy1's result
+        # keeps. Only the first runs the shape loop, and only strategy1 makes
+        # a whole row pass: its 13 targets and strategy2's 110 new or moved
+        # nodes get the only other entries.
+        built = build_optimized_xception()
+        assert len(inference_calls) == 2
         assert shape_passes == ["xception"]
+        assert len(param_rule_calls) == len(xception.nodes) + 13 + 110 == 259
+        assert built._params == count_params(dataclasses.replace(built)).per_layer
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_deep_graphs_sequence_makes_one_shape_pass(self, seed, monkeypatch):
+    def test_deep_graphs_sequence_makes_one_shape_pass(self, seed, monkeypatch, param_rule_calls):
         # The benchmark's deep_graphs operation on a random fire graph: the
         # load infers the shapes, and the analyses, both passes and the save
-        # read the shapes each graph keeps.
+        # read the shapes each graph keeps. count_params makes the one row
+        # pass; each pass builds entries only for the nodes it changes.
         rng = random.Random(seed)
         graph = random_fire_graph(rng)
         specs = {module: FireModuleSpec(4, 8, 16) for module in group_modules(graph.nodes)}
@@ -735,22 +760,43 @@ class TestStrategy2:
         real = cndkit.graph.shapes_in_order
         monkeypatch.setattr(cndkit.graph, "shapes_in_order",
                             lambda g: passes.append(g.name) or real(g))
-        counts = []
+        counts, entries = [], []
 
         def counted(call, *args):
-            before = len(passes)
+            before, built = len(passes), len(param_rule_calls)
             out = call(*args)
             counts.append(len(passes) - before)
+            entries.append(len(param_rule_calls) - built)
             return out
 
         loaded = counted(deserialize, text)
         counted(count_params, loaded)
         counted(memory_estimate, loaded)
-        after_s1, _ = counted(strategy1_replace_kernels, loaded)
+        after_s1, report1 = counted(strategy1_replace_kernels, loaded)
         after_s2, _ = counted(strategy2_insert_fire, after_s1, specs)
         counted(serialize, after_s2)
         assert counts == [1, 0, 0, 0, 0, 0]
         assert len(passes) == 1
+        handed_on = {id(e) for e in after_s1._params}
+        built_by_s2 = sum(id(e) not in handed_on for e in after_s2._params)
+        assert entries == [0, len(loaded.nodes), 0, len(report1.nodes_changed), built_by_s2, 0]
+
+    def test_deep_graphs_operation_builds_each_entry_once(self, param_rule_calls):
+        # The benchmark's 993-node deep_graphs case: 993 entries for the
+        # loaded graph, 116 for strategy1's targets and 290 for the nodes
+        # strategy2 adds or moves, where each analysis and pass once built
+        # all of its graph's entries (4,378 calls).
+        gen = _benchmark_generators()
+        case = gen.deep_case(random.Random(7), 1000)
+        specs = {tag: FireModuleSpec(w["s1x1"], w["e1x1"], w["e3x3"]) for tag, w in case.specs.items()}
+        loaded = deserialize(case.text)
+        count_params(loaded)
+        memory_estimate(loaded)
+        after_s1, _ = strategy1_replace_kernels(loaded)
+        after_s2, _ = strategy2_insert_fire(after_s1, specs)
+        serialize(after_s2)
+        assert len(loaded.nodes) == 993
+        assert len(param_rule_calls) == 993 + 116 + 290 == 1399
 
     def test_untouched_nodes_kept(self, xception):
         out, _ = strategy2_insert_fire(xception, {"middle_flow/m5": FireModuleSpec(414, 600, 728)})
@@ -771,26 +817,27 @@ class TestStrategy2:
 
 
 def _strategy2_table(graph, specs):
-    """strategy2's report (None when it raised) and, when its walk built a
-    table for its result, ``(result, table, row_of)``: ``result`` holds the
-    nodes the walk passed to ``check_append``, ``table`` is the rows it
-    summed for ``params_after`` or the shape error its walk raised, and
-    ``row_of`` the input's rows by id, as summed for ``params_before``."""
-    emitted, summed = [], []
-    real_append, real_total = transforms.check_append, cndkit.analyzer.total_params
+    """strategy2's report (None when it raised) and, when its walk built the
+    columns of its result, ``(result, table, before)``: ``result`` holds the
+    nodes the walk passed to ``check_append``, ``table`` is the rows of the
+    shapes and entries the walk kept on its result (``params_after`` is their
+    total) or the shape error its walk raised, and ``before`` the input's
+    entries by id, as summed for ``params_before``."""
+    emitted, kept = [], []
+    real_append, real_keep = transforms.check_append, transforms._keep_shapes
 
     def append(ids, node):
         emitted.append(node)
         real_append(ids, node)
 
-    def total(rows):
-        summed.append(rows)
-        return real_total(rows)
+    def keep(g, shapes, params):
+        kept.append((g, shapes, params))
+        real_keep(g, shapes, params)
 
     table = None
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(transforms, "check_append", append)
-        patch.setattr(cndkit.analyzer, "total_params", total)
+        patch.setattr(transforms, "_keep_shapes", keep)
         try:
             out, report = strategy2_insert_fire(graph, specs)
         except ResidualShapeBrokenError as exc:
@@ -798,15 +845,22 @@ def _strategy2_table(graph, specs):
             assert isinstance(table, ShapeMismatchError)
         except CndkitError:
             report = None
-    assert len(summed) <= 2
-    if len(summed) == 2:
-        table = summed[1]
+    assert len(kept) <= 1
+    result = dataclasses.replace(graph, nodes=tuple(emitted))
+    if kept:
+        kept_on, shapes, params = kept[0]
+        assert kept_on == result and len(shapes) == len(params) == len(result.nodes)
+        shape_of = dict(zip([n.id for n in result.nodes], shapes))
+        table = [cndkit.analyzer.LayerRow(n, shape_of[n.inputs[0]] if n.inputs else None, s, p)
+                 for n, s, p in zip(result.nodes, shapes, params)]
     if table is None:
         return report, None
-    result = dataclasses.replace(graph, nodes=tuple(emitted))
+    before = graph._params
     if report is not None:
-        assert out == result
-    return report, (result, table, {row.node.id: row for row in summed[0]})
+        assert out is kept_on
+        assert report.params_before == sum(e.total for e in before)
+        assert report.params_after == sum(row.params.total for row in table)
+    return report, (result, table, {e.node_id: e for e in before})
 
 
 def _random_specs(graph, rng):
@@ -819,11 +873,12 @@ def _random_specs(graph, rng):
 
 
 class TestStrategy2Table:
-    """The result table strategy2 patches from its input's rows is the one
-    ``analyze`` gives for its result, and its total is ``params_after``."""
+    """The shapes and entries strategy2 keeps on its result, built from its
+    input's, make the rows ``analyze`` gives for a fresh copy of its result,
+    and their total is ``params_after``."""
 
     def _check(self, graph, specs):
-        # The patched table equals analyze's, or both raise the same shape
+        # The kept table equals analyze's, or both raise the same shape
         # error; with no table, the pass stopped before its rewrite.
         report, seen = _strategy2_table(graph, specs)
         if seen is None:
@@ -867,8 +922,8 @@ class TestStrategy2Table:
         assert report.params_after == count_params(out).total
 
     @staticmethod
-    def _recomputed(table, row_of):
-        return [row.node.id for row in table if row_of.get(row.node.id) is not row]
+    def _recomputed(table, before):
+        return [row.node.id for row in table if before.get(row.node.id) is not row.params]
 
     def test_untagged_chain_between_rewritten_modules(self):
         # m1's new width (48) reaches m2 through an untagged BatchNorm and
@@ -885,12 +940,12 @@ class TestStrategy2Table:
             LayerNode("head", Dense(4), ("gap",)),
         )
         specs = {"f/m1": FireModuleSpec(4, 8, 48), "f/m2": FireModuleSpec(4, 8, 16)}
-        report, (out, table, row_of) = _strategy2_table(graph, specs)
+        report, (out, table, before) = _strategy2_table(graph, specs)
         assert table == analyze(out)
         rows = {row.node.id: row for row in table}
         assert rows["bn"].params.total == 4 * 48
         assert rows["relu"].shape_out == TensorShape(8, 8, 48)
-        assert {"bn", "relu"} <= set(self._recomputed(table, row_of))
+        assert {"bn", "relu"} <= set(self._recomputed(table, before))
         assert report.params_after == count_params(out).total
 
     def test_dense_head_after_width_change(self):
@@ -901,10 +956,10 @@ class TestStrategy2Table:
             LayerNode("gap", GlobalAvgPool(), ("a1",)),
             LayerNode("head", Dense(4), ("gap",)),
         )
-        report, (out, table, row_of) = _strategy2_table(graph, {"f/m1": FireModuleSpec(4, 8, 32)})
+        report, (out, table, before) = _strategy2_table(graph, {"f/m1": FireModuleSpec(4, 8, 32)})
         assert table == analyze(out)
         assert table[-1].params.total == 32 * 4 + 4
-        assert self._recomputed(table, row_of)[-2:] == ["gap", "head"]
+        assert self._recomputed(table, before)[-2:] == ["gap", "head"]
         assert report.params_after == count_params(out).total
 
     def test_equal_width_recomputes_no_downstream_row(self):
@@ -919,11 +974,11 @@ class TestStrategy2Table:
             LayerNode("gap", GlobalAvgPool(), ("relu",)),
             LayerNode("head", Dense(4), ("gap",)),
         )
-        report, (out, table, row_of) = _strategy2_table(graph, {"f/m1": FireModuleSpec(4, 8, 16)})
+        report, (out, table, before) = _strategy2_table(graph, {"f/m1": FireModuleSpec(4, 8, 16)})
         assert table == analyze(out)
-        fire = [n.id for n in out.nodes if n.id not in row_of]
+        fire = [n.id for n in out.nodes if n.id not in before]
         assert len(fire) == 9
-        assert self._recomputed(table, row_of) == fire + ["a1"]
+        assert self._recomputed(table, before) == fire + ["a1"]
         assert report.params_after == count_params(out).total
 
 
@@ -946,6 +1001,25 @@ class TestPassResults:
             validate(out)
             text = serialize(out)
             assert serialize(deserialize(text)) == text
+
+
+class TestSlottedNodeChange:
+    """``NodeChange`` is slotted: a pass reports one per node it changes."""
+
+    def test_no_change_has_a_dict(self, xception):
+        _, report = strategy2_insert_fire(xception, default_specs())
+        assert report.nodes_changed
+        assert not any(hasattr(change, "__dict__") for change in report.nodes_changed)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.nodes_changed[0].after = "(none)"
+
+    def test_pickle_and_deepcopy_round_trips(self, xception):
+        for _, report in (strategy1_replace_kernels(xception),
+                          strategy2_insert_fire(xception, default_specs())):
+            assert report.nodes_changed
+            for value in (report.nodes_changed, report):
+                assert pickle.loads(pickle.dumps(value)) == value
+                assert copy.deepcopy(value) == value
 
 
 class TestStrategy3Audit:
@@ -1165,6 +1239,27 @@ class TestStructuralEquality:
 
     def test_stored_order_is_ignored(self):
         assert structurally_equal(self._diamond(("in", "a", "b")), self._diamond(("in", "b", "a")))
+
+    def test_order_checked_only_where_no_shapes_are_kept(self, monkeypatch):
+        # a graph that keeps its shapes had its stored order checked already
+        checked = []
+        real = transforms.topo_sort
+        monkeypatch.setattr(transforms, "topo_sort", lambda g: checked.append(g) or real(g))
+        kept, fresh = self._diamond(("in", "a", "b")), self._diamond(("in", "b", "a"))
+        infer_shapes(kept)
+        assert structurally_equal(kept, fresh) and structurally_equal(fresh, kept)
+        assert checked == [fresh, fresh] and fresh._shapes is None
+
+    @pytest.mark.parametrize("order", [("a", "in", "b"), ("in", "b", "b")])
+    def test_misordered_graph_raises_the_order_error(self, order):
+        # an unchecked graph still gets topo_sort's located error, on either side
+        graph, good = self._diamond(order), self._diamond(("in", "a", "b"))
+        infer_shapes(good)
+        with pytest.raises(ValidationError) as expected:
+            topo_sort(graph)
+        for a, b in ((graph, good), (good, graph)):
+            with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+                structurally_equal(a, b)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1))

@@ -81,6 +81,20 @@ def _control_model() -> str:
                        "nodes": nodes})
 
 
+def _conv_model(**attrs) -> str:
+    """A small model whose one Conv2D has ``attrs`` on top of 8 filters and a
+    3x3 kernel: with a bad value, a kind attr error read from model JSON."""
+    nodes = [
+        {"id": "input", "kind": "Input", "attrs": {}, "inputs": [], "tag": None},
+        {"id": "conv", "kind": "Conv2D", "attrs": {"filters": 8, "kernel": 3, **attrs},
+         "inputs": ["input"], "tag": None},
+        {"id": "pool", "kind": "GlobalAvgPool", "attrs": {}, "inputs": ["conv"], "tag": None},
+        {"id": "head", "kind": "Dense", "attrs": {"units": 10}, "inputs": ["pool"], "tag": None},
+    ]
+    return json.dumps({"schema_version": 1, "name": "conv", "input_shape": [32, 32, 3],
+                       "num_classes": 10, "metadata": {}, "nodes": nodes})
+
+
 # Inputs written to DIR before the calls, by file name.
 INPUTS = {
     "specs-default.json": _specs(_DEFAULT_FIRE),
@@ -105,6 +119,8 @@ INPUTS = {
     "bom.csv": "\ufeff" + CSV_HEADER + 'plain,run,90,80,10,,,\n"comma, name",run,90,85,20,1.5,2.5,1000\n',
     "bom.json": "\ufeff" + _control_model(),
     "invalid.json": "{not json",
+    "kernel-5.json": _conv_model(kernel=5),
+    "bias-1.json": _conv_model(has_bias=1),
     "schema-2.json": json.dumps({"schema_version": 2}),
 }
 
@@ -160,6 +176,8 @@ CALLS: list[tuple[str, list[str]]] = [
     ("error-missing", ["analyze", "--in", "missing.json"]),
     ("error-out-dir", ["pareto", "--csv", "caltech101.csv", "--out", "."]),
     ("error-invalid-json", ["analyze", "--in", "invalid.json"]),
+    ("error-kernel-5", ["analyze", "--in", "kernel-5.json"]),
+    ("error-bias-1", ["analyze", "--in", "bias-1.json"]),
     ("error-schema", ["diff", "--a", "schema-2.json", "--b", "xception.json"]),
     ("error-config", ["build", "optimized-xception", "--config", "config-bad.json"]),
     ("error-memory-frontier", ["pareto", "--csv", "caltech101.csv", "--memory-frontier", "x"]),
