@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .graph import (
@@ -119,13 +120,18 @@ def _entries(graph: ModelGraph) -> tuple[LayerParams, ...]:
     return entries
 
 
-def total_params(entries: Iterable[LayerParams]) -> int:
-    return sum(entry.total for entry in entries)
+_KERNEL_PARAMS, _AUX_PARAMS = (itemgetter(LayerParams._fields.index(name))
+                                for name in ("kernel_params", "aux_params"))
+
+
+def total_params(entries: tuple[LayerParams, ...]) -> int:
+    """The sum of the entries' ``total``s, folded column by column."""
+    return sum(map(_KERNEL_PARAMS, entries)) + sum(map(_AUX_PARAMS, entries))
 
 
 def _moving_stats(nodes: Iterable[LayerNode], entries: Iterable[LayerParams]) -> int:
     """BatchNorm mean and variance: counted in the total, never trained."""
-    return sum(2 * e.channels_in for node, e in zip(nodes, entries) if type(node.kind) is BatchNorm)
+    return 2 * sum([e.channels_in for node, e in zip(nodes, entries) if type(node.kind) is BatchNorm])
 
 
 def count_params(graph: ModelGraph) -> ParamReport:
@@ -144,7 +150,9 @@ def flops_estimate(graph: ModelGraph) -> int:
 def activation_sizes(graph: ModelGraph, batch: int = 1) -> list[tuple[str, int]]:
     """Output element count (batch * H * W * C) per node, in stored order."""
     check_size("batch", batch)
-    return [(node_id, batch * shape.elements) for node_id, shape in infer_shapes(graph).items()]
+    if graph._shapes is None:
+        infer_shapes(graph)
+    return [(node.id, batch * shape.elements) for node, shape in zip(graph.nodes, graph._shapes)]
 
 
 @dataclass(frozen=True)

@@ -141,9 +141,10 @@ class EmptyInputError(ValidationError):
 def read_text(path: str | Path) -> str:
     """The file's text, decoded as UTF-8, less one leading byte-order mark
     (U+FEFF, as ``utf-8-sig`` drops it); undecodable bytes are a
-    ``ParseError`` naming the file and the first one's offset in it."""
+    ``ParseError`` naming the file and the first one's offset in it. Line
+    ends are kept as written: a ``"\\r"`` in a quoted CSV cell stays one."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     # Decoded as plain UTF-8, so that offsets count the mark and a cut-off

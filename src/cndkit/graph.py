@@ -212,27 +212,32 @@ class LayerNode:
     inputs: tuple[str, ...] = ()
     tag: str | None = None
 
-    def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            raise ValidationError(f"node id must be a non-empty string, got {capped(self.id)}")
-        if self.tag is not None and not isinstance(self.tag, str):
-            raise ValidationError(
-                f"node {capped(self.id)} tag must be a string or None, got {capped(self.tag)}"
-            )
-        inputs = self.inputs
+    # ``dataclass`` keeps this one constructor: it checks, then writes each slot
+    # once by its descriptor, with no ``object.__setattr__`` or ``__post_init__`` call.
+    def __init__(self, id: str, kind: LayerKind, inputs: tuple[str, ...] = (),
+                 tag: str | None = None):
+        if not isinstance(id, str) or not id:
+            raise ValidationError(f"node id must be a non-empty string, got {capped(id)}")
+        if tag is not None and not isinstance(tag, str):
+            raise ValidationError(f"node {capped(id)} tag must be a string or None, got {capped(tag)}")
         if type(inputs) is not tuple:
             # tuple("in") would be ("i", "n"): a string is one id, not a sequence of them
             if isinstance(inputs, str) or not hasattr(inputs, "__iter__"):
                 raise ValidationError(
-                    f"node {capped(self.id)} inputs must be a sequence of node ids, got {capped(inputs)}"
+                    f"node {capped(id)} inputs must be a sequence of node ids, got {capped(inputs)}"
                 )
             inputs = tuple(inputs)
-            object.__setattr__(self, "inputs", inputs)
         for src in inputs:
             if not isinstance(src, str):
-                raise ValidationError(
-                    f"node {capped(self.id)} input ids must be strings, got {capped(src)}"
-                )
+                raise ValidationError(f"node {capped(id)} input ids must be strings, got {capped(src)}")
+        _set_id(self, id)
+        _set_kind(self, kind)
+        _set_inputs(self, inputs)
+        _set_tag(self, tag)
+
+
+_set_id, _set_kind, _set_inputs, _set_tag = (
+    LayerNode.id.__set__, LayerNode.kind.__set__, LayerNode.inputs.__set__, LayerNode.tag.__set__)
 
 
 @dataclass(frozen=True, slots=True)
@@ -473,7 +478,7 @@ LayerKind = Union[KIND_CLASSES]
 
 def infer_shapes(graph: ModelGraph) -> dict[str, TensorShape]:
     """Output shape of every node, keyed by node id in stored order: a new
-    dict on every call.
+    dict on every call, for the callers that look shapes up by id.
 
     ``topo_sort`` checks that order first. Same padding: ceil(dim/stride).
     Valid padding: floor((dim-k)/stride)+1. Dense and GlobalAvgPool collapse
@@ -521,8 +526,9 @@ def validate(graph: ModelGraph) -> ModelGraph:
     """Check all structural invariants and return the graph unchanged:
     ``infer_shapes`` (stored order, see ``topo_sort``, and shape consistency,
     including Add input equality), then ``check_endpoints``."""
-    shapes = infer_shapes(graph)
-    check_endpoints(graph, next(reversed(shapes.values()), None))
+    if graph._shapes is None:
+        infer_shapes(graph)
+    check_endpoints(graph, graph._shapes[-1] if graph._shapes else None)
     return graph
 
 

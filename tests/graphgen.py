@@ -658,3 +658,25 @@ def oracle_attr_error(kind: str, attrs: dict[str, object]) -> str | None:
         elif not any(type(value) is type(c) and value == c for c in rule[1]):
             return f"{what} must be one of {rule[1]}, got {_oracle_echo(value)}"
     return None
+
+
+# -- node field errors --------------------------------------------------------------
+
+def oracle_node_error(node_id: object, inputs: object, tag: object) -> str | None:
+    """The error text of building a ``LayerNode`` with these fields: the first
+    rule, in this order, that they break, or None when all hold.
+
+    The id is a non-empty string; the tag is a string or None; the inputs are
+    a sequence of ids: any object with ``__iter__`` but a string, which would
+    be its characters; and each input id is a string."""
+    if not isinstance(node_id, str) or node_id == "":
+        return f"node id must be a non-empty string, got {_oracle_echo(node_id)}"
+    name = _oracle_echo(node_id)
+    if tag is not None and not isinstance(tag, str):
+        return f"node {name} tag must be a string or None, got {_oracle_echo(tag)}"
+    if isinstance(inputs, str) or not hasattr(inputs, "__iter__"):
+        return f"node {name} inputs must be a sequence of node ids, got {_oracle_echo(inputs)}"
+    for src in list(inputs):
+        if not isinstance(src, str):
+            return f"node {name} input ids must be strings, got {_oracle_echo(src)}"
+    return None

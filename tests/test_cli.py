@@ -562,9 +562,9 @@ class TestUnreadableInputFiles:
 BOM = "\ufeff".encode()  # b"\xef\xbb\xbf"
 
 
-class TestByteOrderMark:
-    """A UTF-8 byte-order mark at the start of a file the CLI reads is
-    dropped; one anywhere else stays, as the character U+FEFF."""
+class _FileReads:
+    """Each kind of file the CLI reads, written as a test may alter it, and a
+    call that reads it."""
 
     @pytest.fixture()
     def paths(self, tmp_path):
@@ -598,7 +598,12 @@ class TestByteOrderMark:
         result = run_cli([a.format(**paths) for a in args])
         return result.exit_code, result.output, out.read_bytes() if out.exists() else None
 
-    @pytest.mark.parametrize("kind, args", CALLS.values(), ids=CALLS)
+
+class TestByteOrderMark(_FileReads):
+    """A UTF-8 byte-order mark at the start of a file the CLI reads is
+    dropped; one anywhere else stays, as the character U+FEFF."""
+
+    @pytest.mark.parametrize("kind, args", _FileReads.CALLS.values(), ids=_FileReads.CALLS)
     def test_leading_mark_is_dropped(self, paths, kind, args):
         plain = self._run(paths, args)
         assert plain[0] == 0
@@ -606,7 +611,7 @@ class TestByteOrderMark:
         path.write_bytes(BOM + path.read_bytes())
         assert self._run(paths, args) == plain
 
-    @pytest.mark.parametrize("kind, args", CALLS.values(), ids=CALLS)
+    @pytest.mark.parametrize("kind, args", _FileReads.CALLS.values(), ids=_FileReads.CALLS)
     @pytest.mark.parametrize("where", ["twice", "second-byte", "end"])
     def test_mark_elsewhere_is_an_error(self, paths, kind, args, where):
         path = Path(paths[kind])
@@ -634,6 +639,53 @@ class TestByteOrderMark:
         assert_exit_3_with_one_error_line(result)
         assert "is not UTF-8 text: " in result.output and result.output.endswith(
             f" at byte {offset}\n")
+
+
+class TestLineEnds(_FileReads):
+    """A file is read with its line ends as written: a file whose lines end
+    in ``"\\r\\n"`` reads as its ``"\\n"`` form does, errors keep their JSON
+    line and CSV row, and a ``"\\r"`` in a quoted CSV cell stays one."""
+
+    @pytest.mark.parametrize("kind, args", _FileReads.CALLS.values(), ids=_FileReads.CALLS)
+    def test_crlf_file_reads_as_its_lf_form(self, paths, kind, args):
+        path = Path(paths[kind])
+        assert b"\r" not in path.read_bytes()
+        plain = self._run(paths, args)
+        assert plain[0] == 0
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert self._run(paths, args) == plain
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_json_error_names_its_line(self, tmp_path, newline):
+        path = tmp_path / "bad.json"
+        path.write_bytes(newline.join(["{", '  "schema_version": 1,', "}", ""]).encode())
+        result = run_cli(["analyze", "--in", str(path)])
+        assert_exit_3_with_one_error_line(result)
+        assert result.output == (f"error: {path}: invalid JSON: Expecting property name "
+                                 "enclosed in double quotes (line 3)\n")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_csv_error_names_its_row(self, tmp_path, newline):
+        path = tmp_path / "bad.csv"
+        rows = [",".join(CSV_HEADER), "a,e,50,60,100,,,", '"b\nc",e,50,sixty,100,,,', ""]
+        path.write_bytes(newline.join(rows).encode())
+        result = run_cli(["pareto", "--csv", str(path)])
+        assert_exit_3_with_one_error_line(result)
+        assert result.output == "error: cannot parse 'sixty' as a number (row 3, column 'test_acc')\n"
+
+    def test_lone_carriage_return_line_ends_are_malformed(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes((",".join(CSV_HEADER) + "\ra,e,90,80,10,,,\r").encode())
+        result = run_cli(["pareto", "--csv", str(path)])
+        assert_exit_3_with_one_error_line(result)
+        assert result.output.startswith("error: malformed CSV: new-line character seen in unquoted field")
+        assert result.output.endswith(" (row 1)\n")
+
+    def test_quoted_carriage_return_is_written_back(self, tmp_path):
+        path, plot = tmp_path / "m.csv", tmp_path / "plot.csv"
+        path.write_bytes((",".join(CSV_HEADER) + '\r\n"a\rb",e,90,80,10,,,\r\n').encode())
+        assert run_cli(["pareto", "--csv", str(path), "--out", str(plot)]).exit_code == 0
+        assert '"a\rb",80,10,HighAccLowMem,true' in plot.read_bytes().decode()
 
 
 LONG = "x" * 100_000
@@ -751,14 +803,14 @@ class TestUnencodableText:
         assert shown.encode() in proc.stdout.splitlines()[0]
 
 
-# A control character in a name, how it prints, and how it prints when it
-# comes from a CSV cell: a file is read in universal-newline mode, so a lone
-# "\r" in a cell is read as "\n".
-CONTROL = pytest.mark.parametrize("char, shown, shown_from_csv", [
-    ("\n", "\\n", "\\n"),
-    ("\r", "\\r", "\\n"),
-    ("\x1b[2J", "\\x1b[2J", "\\x1b[2J"),
-    ("\u2028", "\\u2028", "\\u2028"),
+# A control character in a name and how it prints, whether the name comes
+# from model JSON or from a CSV cell: a file is read with its line ends as
+# written, so a lone "\r" in a quoted cell stays one.
+CONTROL = pytest.mark.parametrize("char, shown", [
+    ("\n", "\\n"),
+    ("\r", "\\r"),
+    ("\x1b[2J", "\\x1b[2J"),
+    ("\u2028", "\\u2028"),
 ], ids=["newline", "carriage-return", "escape-sequence", "line-separator"])
 
 
@@ -783,7 +835,7 @@ class TestControlCharactersInNames:
     one line in escaped form, so it cannot forge a line of output."""
 
     @CONTROL
-    def test_pareto_record_and_front_lines(self, tmp_path, char, shown, shown_from_csv):
+    def test_pareto_record_and_front_lines(self, tmp_path, char, shown):
         path = tmp_path / "m.csv"
         path.write_text(",".join(CSV_HEADER) + f'\n"a{char}b: forged",run,90,80,10,,,\n'
                         "plain,run,90,60,20,,,\n", encoding="utf-8", newline="")
@@ -792,13 +844,13 @@ class TestControlCharactersInNames:
         assert result.stdout.splitlines() == [
             "accuracy_frontier=70",
             "memory_frontier=15",
-            f"a{shown_from_csv}b: forged: test_acc=80 mem=10 quadrant=HighAccLowMem on_front=true",
+            f"a{shown}b: forged: test_acc=80 mem=10 quadrant=HighAccLowMem on_front=true",
             "plain: test_acc=60 mem=20 quadrant=LowAccHighMem on_front=false",
-            f"pareto_front: a{shown_from_csv}b: forged",
+            f"pareto_front: a{shown}b: forged",
         ]
 
     @CONTROL
-    def test_analyze_model_line_and_id_column(self, tmp_path, char, shown, shown_from_csv):
+    def test_analyze_model_line_and_id_column(self, tmp_path, char, shown):
         result = run_cli(["analyze", "--in", _control_model(tmp_path, char)])
         assert result.exit_code == 0, result.output
         lines = result.stdout.splitlines()
@@ -810,7 +862,7 @@ class TestControlCharactersInNames:
         assert lines[4].startswith("total params: 306 ")
 
     @CONTROL
-    def test_diff_model_lines_and_module_column(self, tmp_path, char, shown, shown_from_csv):
+    def test_diff_model_lines_and_module_column(self, tmp_path, char, shown):
         model = _control_model(tmp_path, char)
         result = run_cli(["diff", "--a", model, "--b", model])
         assert result.exit_code == 0, result.output

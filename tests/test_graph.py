@@ -72,6 +72,7 @@ from graphgen import (
     ORACLE_KIND_ATTRS,
     VERDICT_RULES,
     oracle_attr_error,
+    oracle_node_error,
     oracle_split_tag,
     oracle_topo_sort,
     oracle_verdict,
@@ -801,6 +802,66 @@ class TestKindAttrOracle:
             assert got is None or got[1] != "nodes[0].attrs"
         else:
             assert got == (f"bad attrs for {name}: {expected}", "nodes[0].attrs")
+
+
+_IDS = st.text(max_size=3)
+_NODE_IDS = st.one_of(_IDS, st.just(""), st.integers(), st.none(), st.just(10**5000),
+                      st.lists(_IDS, max_size=2), st.just("x" * 100))
+_NODE_TAGS = st.one_of(st.none(), st.text(max_size=5), st.integers(), st.lists(_IDS, max_size=2))
+_ITEMS = st.one_of(_IDS, st.integers(), st.none(), st.just(b"in"))
+_NODE_INPUTS = st.one_of(
+    st.lists(_IDS, max_size=3).map(tuple), st.lists(_IDS, max_size=3),
+    st.lists(_ITEMS, max_size=3).map(tuple), st.lists(_ITEMS, max_size=3),
+    st.dictionaries(_IDS, st.integers(), max_size=2), _IDS, st.integers(), st.none(),
+)
+
+
+class TestNodeOracle:
+    """``LayerNode``, built directly or by ``dataclasses.replace``, accepts
+    its fields or raises exactly the text ``graphgen.oracle_node_error``
+    writes from the node rules, checked in their order; it stays a frozen
+    slotted value."""
+
+    KIND = Conv2D(8, 3)
+
+    @given(_NODE_IDS, _NODE_INPUTS, _NODE_TAGS, st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_constructor_and_replace_raise_the_oracle_s_text(self, node_id, inputs, tag, data):
+        base = LayerNode("base", Input())
+        changes = {name: value for name, value in (("id", node_id), ("inputs", inputs), ("tag", tag))
+                   if data.draw(st.booleans(), label=f"replace {name}")}
+        want = {"id": base.id, "inputs": base.inputs, "tag": base.tag, **changes}
+        builds = {
+            "positional": (lambda: LayerNode(node_id, self.KIND, inputs, tag),
+                           (node_id, inputs, tag)),
+            "keyword": (lambda: LayerNode(tag=tag, inputs=inputs, kind=self.KIND, id=node_id),
+                        (node_id, inputs, tag)),
+            "defaults": (lambda: LayerNode(node_id, self.KIND), (node_id, (), None)),
+            "replace": (lambda: dataclasses.replace(base, **changes),
+                        (want["id"], want["inputs"], want["tag"])),
+        }
+        for how, (build, (i, ins, t)) in builds.items():
+            expected = oracle_node_error(i, ins, t)
+            if expected is None:
+                node = build()
+                assert (node.id, node.inputs, node.tag) == (i, tuple(ins), t), how
+                assert type(node.inputs) is tuple, how
+            else:
+                with pytest.raises(ValidationError) as exc:
+                    build()
+                assert str(exc.value) == expected, how
+
+    def test_frozen_slotted_value(self):
+        node = LayerNode("n", self.KIND, ["in"], "f/m1/sep1")
+        assert not hasattr(node, "__dict__")
+        for name in ("id", "kind", "inputs", "tag"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, "x")
+        assert (node.id, node.kind, node.inputs, node.tag) == ("n", self.KIND, ("in",), "f/m1/sep1")
+        for copied in (pickle.loads(pickle.dumps(node)), copy.deepcopy(node), copy.copy(node)):
+            assert copied == node and hash(copied) == hash(node) and repr(copied) == repr(node)
+        assert repr(node) == ("LayerNode(id='n', kind=Conv2D(filters=8, kernel=3, stride=1, "
+                              "padding='same', has_bias=False), inputs=('in',), tag='f/m1/sep1')")
 
 
 class TestSlottedValues:

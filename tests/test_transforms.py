@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import cndkit.analyzer
 import cndkit.graph
 from cndkit import transforms
-from cndkit.analyzer import analyze, count_params, memory_estimate
+from cndkit.analyzer import activation_sizes, analyze, count_params, memory_estimate
 from cndkit.errors import (
     CndkitError,
     InvalidFireSpecError,
@@ -870,6 +870,33 @@ def _random_specs(graph, rng):
             s = rng.randint(1, 20)
             specs[module] = FireModuleSpec(s, rng.randint(s, 40), rng.randint(1, 40))
     return specs
+
+
+class TestKeptShapeReads:
+    """``validate`` and ``activation_sizes`` read the shapes a graph keeps by
+    position, so on such a graph they build no id -> shape dict."""
+
+    def test_no_inference_on_a_graph_that_keeps_its_shapes(self, xception, inference_calls):
+        assert xception._shapes is not None
+        validate(xception)
+        activation_sizes(xception, 2)
+        assert inference_calls == []
+
+    def test_one_inference_on_a_graph_that_keeps_none(self, xception, inference_calls):
+        fresh = dataclasses.replace(xception)
+        validate(fresh)
+        sizes = activation_sizes(fresh, 2)
+        assert inference_calls == [xception.name]
+        assert sizes == [(n.id, 2 * s.elements) for n, s in zip(xception.nodes, xception._shapes)]
+
+    @pytest.mark.parametrize("mode", ["training", "inference"])
+    def test_memory_estimate_calls_activation_sizes_once(self, xception, monkeypatch, mode):
+        calls = []
+        real = cndkit.analyzer.activation_sizes
+        monkeypatch.setattr(cndkit.analyzer, "activation_sizes",
+                            lambda graph, batch: calls.append((graph.name, batch)) or real(graph, batch))
+        memory_estimate(xception, batch=4, mode=mode)
+        assert calls == [(xception.name, 4)]
 
 
 class TestStrategy2Table:

@@ -118,6 +118,10 @@ INPUTS = {
     # a UTF-8 byte-order mark at the start of a file is dropped
     "bom.csv": "\ufeff" + CSV_HEADER + 'plain,run,90,80,10,,,\n"comma, name",run,90,85,20,1.5,2.5,1000\n',
     "bom.json": "\ufeff" + _control_model(),
+    # "\r\n" line ends, kept as written: the quoted "\r" stays in its name
+    "crlf.csv": (CSV_HEADER.replace("\n", "\r\n") + '"carriage\rreturn",run,90,80,10,,,\r\n'
+                 'plain,run,90,60,20,,,\r\n'),
+    "crlf.json": json.dumps(json.loads(_conv_model()), indent=2).replace("\n", "\r\n") + "\r\n",
     "invalid.json": "{not json",
     "kernel-5.json": _conv_model(kernel=5),
     "bias-1.json": _conv_model(has_bias=1),
@@ -170,6 +174,8 @@ CALLS: list[tuple[str, list[str]]] = [
     ("analyze-control-json", ["analyze", "--in", "control.json", "--format", "json"]),
     ("pareto-bom", ["pareto", "--csv", "bom.csv", "--out", "plot-bom.csv"]),
     ("analyze-bom-json", ["analyze", "--in", "bom.json", "--format", "json"]),
+    ("pareto-crlf", ["pareto", "--csv", "crlf.csv", "--out", "plot-crlf.csv"]),
+    ("analyze-crlf-table", ["analyze", "--in", "crlf.json"]),
     ("diff-control", ["diff", "--a", "control.json", "--b", "control.json"]),
     # errors: exit 1 (constraint), 2 (I/O) and 3 (parse)
     ("error-range", ["pareto", "--csv", "range.csv"]),
