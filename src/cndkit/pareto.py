@@ -50,7 +50,12 @@ class Quadrant(enum.Enum):
 @dataclass(frozen=True, slots=True)
 class ModelMeasurement:
     """One measured model in one experiment: accuracies in percent, mean
-    memory in MB, and the optional time and parameter columns."""
+    memory in MB, and the optional time and parameter columns.
+
+    ``dataclass`` keeps the one ``__init__`` below: it checks the fields in
+    order, then writes each slot once by its descriptor, with no
+    ``object.__setattr__`` or ``__post_init__`` call. With it and one step per
+    row, ``load_measurements`` takes 5.7 ms, not 7.4, on 1,500 rows (README)."""
 
     model: str
     experiment: str
@@ -61,30 +66,41 @@ class ModelMeasurement:
     avg_inf_time_ms: float | None = None
     params: int | None = None
 
-    def __post_init__(self):
-        if not isinstance(self.model, str):
-            raise MeasurementRangeError(f"model must be a string, got {capped(self.model)}")
-        if not isinstance(self.experiment, str):
+    def __init__(self, model: str, experiment: str, train_acc: float, test_acc: float,
+                 avg_mem_mb: float, avg_epoch_time_s: float | None = None,
+                 avg_inf_time_ms: float | None = None, params: int | None = None):
+        if not isinstance(model, str):
+            raise MeasurementRangeError(f"model must be a string, got {capped(model)}")
+        if not isinstance(experiment, str):
             raise MeasurementRangeError(
-                f"{capped(self.model)}: experiment must be a string, got {capped(self.experiment)}"
+                f"{capped(model)}: experiment must be a string, got {capped(experiment)}"
             )
-        _check_percent(self.model, "train_acc", self.train_acc)
-        _check_percent(self.model, "test_acc", self.test_acc)
-        _check_finite(self.model, "avg_mem_mb", self.avg_mem_mb)
-        _check_finite(self.model, "avg_epoch_time_s", self.avg_epoch_time_s)
-        _check_finite(self.model, "avg_inf_time_ms", self.avg_inf_time_ms)
-        if self.avg_mem_mb <= 0:
+        _check_percent(model, "train_acc", train_acc)
+        _check_percent(model, "test_acc", test_acc)
+        _check_finite(model, "avg_mem_mb", avg_mem_mb)
+        _check_finite(model, "avg_epoch_time_s", avg_epoch_time_s)
+        _check_finite(model, "avg_inf_time_ms", avg_inf_time_ms)
+        if avg_mem_mb <= 0:
+            raise MeasurementRangeError(f"{capped(model)}: avg_mem_mb={capped(avg_mem_mb)} must be positive")
+        if params is not None and type(params) is not int:
             raise MeasurementRangeError(
-                f"{capped(self.model)}: avg_mem_mb={capped(self.avg_mem_mb)} must be positive"
+                f"{capped(model)}: params must be an int or None, got {capped(params)}"
             )
-        if self.params is not None and type(self.params) is not int:
-            raise MeasurementRangeError(
-                f"{capped(self.model)}: params must be an int or None, got {capped(self.params)}"
-            )
-        if self.params is not None and self.params < 0:
-            raise MeasurementRangeError(
-                f"{capped(self.model)}: params={capped(self.params)} must not be negative"
-            )
+        if params is not None and params < 0:
+            raise MeasurementRangeError(f"{capped(model)}: params={capped(params)} must not be negative")
+        _set_model(self, model)
+        _set_experiment(self, experiment)
+        _set_train_acc(self, train_acc)
+        _set_test_acc(self, test_acc)
+        _set_avg_mem_mb(self, avg_mem_mb)
+        _set_avg_epoch_time_s(self, avg_epoch_time_s)
+        _set_avg_inf_time_ms(self, avg_inf_time_ms)
+        _set_params(self, params)
+
+
+(_set_model, _set_experiment, _set_train_acc, _set_test_acc, _set_avg_mem_mb,
+ _set_avg_epoch_time_s, _set_avg_inf_time_ms, _set_params) = (
+    getattr(ModelMeasurement, name).__set__ for name in ModelMeasurement.__slots__)
 
 
 # Numbers must be exact ints or floats: a string, None or a bool is not a
@@ -165,15 +181,23 @@ def _lines(text: str) -> Iterator[str]:
         yield text[start:]
 
 
+# csv's text for a "\r" not followed by "\n"; its advice names a Python file mode
+_LONE_CR = "new-line character seen in unquoted field"
+
+
 def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
     """``(row number, cells)`` per CSV row; a ``csv.Error`` (a cell over the
-    field limit, a line break in an unquoted cell) is a ParseError at its row."""
+    field limit, a line break in an unquoted cell) is a ParseError at its row,
+    and a lone ``"\\r"`` line end is named as one."""
     row_num = 0
     try:
         for row_num, cells in enumerate(csv.reader(_lines(text)), start=1):
             yield row_num, cells
     except csv.Error as exc:
-        raise ParseError(f"malformed CSV: {exc}", row=row_num + 1) from exc
+        message = str(exc)
+        if message.startswith(_LONE_CR):
+            message = f"{_LONE_CR}: a line ends in a lone \\r, not \\n or \\r\\n"
+        raise ParseError(f"malformed CSV: {message}", row=row_num + 1) from exc
 
 
 def load_measurements(text: str) -> list[ModelMeasurement]:
@@ -183,37 +207,33 @@ def load_measurements(text: str) -> list[ModelMeasurement]:
     if header is None:
         raise ParseError("empty input: missing header row", row=1)
     if tuple(h.strip() for h in header[1]) != CSV_HEADER:
-        raise ParseError(
-            f"header must be {','.join(CSV_HEADER)}", row=1
-        )
+        raise ParseError(f"header must be {','.join(CSV_HEADER)}", row=1)
     records: list[ModelMeasurement] = []
     experiments: dict[str, str] = {}  # one string per distinct name, shared by the records
     for row_num, raw in rows:
-        cells = [c.strip() for c in raw]
+        cells = list(map(str.strip, raw))
         if not any(cells):
             continue
         if len(cells) != len(CSV_HEADER):
-            raise ParseError(
-                f"expected {len(CSV_HEADER)} cells, got {len(cells)}", row=row_num
-            )
+            raise ParseError(f"expected {len(CSV_HEADER)} cells, got {len(cells)}", row=row_num)
         model, experiment, train_acc, test_acc, avg_mem_mb, epoch_s, inf_ms, params = cells
         if not model:
             raise ParseError("model name must not be empty", row=row_num, column="model")
         try:
-            records.append(
-                ModelMeasurement(
-                    model,
-                    experiments.setdefault(experiment, experiment),
-                    _parse_float(train_acc, row_num, "train_acc"),
-                    _parse_float(test_acc, row_num, "test_acc"),
-                    _parse_float(avg_mem_mb, row_num, "avg_mem_mb"),
-                    _parse_optional(epoch_s, row_num, "avg_epoch_time_s", float),
-                    _parse_optional(inf_ms, row_num, "avg_inf_time_ms", float),
-                    _parse_optional(params, row_num, "params", int),
-                )
-            )
+            records.append(ModelMeasurement(
+                model, experiments.setdefault(experiment, experiment),
+                float(train_acc), float(test_acc), float(avg_mem_mb),
+                float(epoch_s) if epoch_s else None, float(inf_ms) if inf_ms else None,
+                int(params) if params else None,
+            ))
         except MeasurementRangeError as exc:
             raise MeasurementRangeError(f"row {row_num}: {exc}") from exc
+        except ValueError:  # a cell is not a number: the helpers name the first one
+            for column, cell in zip(CSV_HEADER[2:5], cells[2:5]):
+                _parse_float(cell, row_num, column)
+            for column, cell, kind in zip(CSV_HEADER[5:], cells[5:], (float, float, int)):
+                _parse_optional(cell, row_num, column, kind)
+            raise
     return records
 
 
@@ -329,5 +349,5 @@ def plot_lines(
     for record, quadrant, on_front in placements:
         yield (
             f"{_csv_cell(record.model)},{record.test_acc:g},{record.avg_mem_mb:g},"
-            f"{quadrant.value},{'true' if on_front else 'false'}\n"
+            f"{quadrant._value_},{'true' if on_front else 'false'}\n"
         )

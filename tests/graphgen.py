@@ -680,3 +680,48 @@ def oracle_node_error(node_id: object, inputs: object, tag: object) -> str | Non
         if not isinstance(src, str):
             return f"node {name} input ids must be strings, got {_oracle_echo(src)}"
     return None
+
+
+# -- measurement field errors --------------------------------------------------------
+
+_ORACLE_FLOAT_MAX = 1.7976931348623157e308
+
+
+def oracle_measurement_error(fields: dict[str, object]) -> tuple[type, str] | None:
+    """The error class and text of building a ``ModelMeasurement`` from
+    ``fields`` (every field by name): the first rule, in this order, that they
+    break, or None when all hold.
+
+    The model and experiment are strings; each accuracy is an exact int or
+    float (not a bool) within [0, 100]; memory and each time are exact
+    numbers within the float range, each time optional; memory is positive;
+    ``params`` is None or a non-negative exact int. A None memory passes the
+    number rules, as the times may, and then fails the positivity comparison
+    with Python's own ``TypeError``."""
+    model = fields["model"]
+    if not isinstance(model, str):
+        return MeasurementRangeError, f"model must be a string, got {_oracle_echo(model)}"
+    name = _oracle_echo(model)
+    if not isinstance(fields["experiment"], str):
+        return (MeasurementRangeError,
+                f"{name}: experiment must be a string, got {_oracle_echo(fields['experiment'])}")
+    for column in _PERCENT_COLUMNS + _FINITE_COLUMNS:
+        value = fields[column]
+        if value is None and column in _FINITE_COLUMNS:
+            continue
+        if type(value) not in (int, float):
+            return MeasurementRangeError, f"{name}: {column} must be a number, got {_oracle_echo(value)}"
+        if column in _PERCENT_COLUMNS and not 0 <= value <= 100:
+            return MeasurementRangeError, f"{name}: {column}={_oracle_echo(value)} outside [0, 100]"
+        if column in _FINITE_COLUMNS and not abs(value) <= _ORACLE_FLOAT_MAX:
+            return MeasurementRangeError, f"{name}: {column}={_oracle_echo(value)} must be finite"
+    mem, params = fields["avg_mem_mb"], fields["params"]
+    if mem is None:
+        return TypeError, "'<=' not supported between instances of 'NoneType' and 'int'"
+    if mem <= 0:
+        return MeasurementRangeError, f"{name}: avg_mem_mb={_oracle_echo(mem)} must be positive"
+    if params is not None and type(params) is not int:
+        return MeasurementRangeError, f"{name}: params must be an int or None, got {_oracle_echo(params)}"
+    if params is not None and params < 0:
+        return MeasurementRangeError, f"{name}: params={_oracle_echo(params)} must not be negative"
+    return None

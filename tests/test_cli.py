@@ -678,8 +678,8 @@ class TestLineEnds(_FileReads):
         path.write_bytes((",".join(CSV_HEADER) + "\ra,e,90,80,10,,,\r").encode())
         result = run_cli(["pareto", "--csv", str(path)])
         assert_exit_3_with_one_error_line(result)
-        assert result.output.startswith("error: malformed CSV: new-line character seen in unquoted field")
-        assert result.output.endswith(" (row 1)\n")
+        assert result.output == ("error: malformed CSV: new-line character seen in unquoted field: "
+                                 "a line ends in a lone \\r, not \\n or \\r\\n (row 1)\n")
 
     def test_quoted_carriage_return_is_written_back(self, tmp_path):
         path, plot = tmp_path / "m.csv", tmp_path / "plot.csv"

@@ -1,4 +1,8 @@
+import copy
 import csv
+import dataclasses
+import math
+import pickle
 import random
 from importlib import resources
 
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cndkit import pareto
 from cndkit.errors import CHUNK_ITEMS, EmptyInputError, MeasurementRangeError, ParseError
 from cndkit.pareto import (
     CSV_HEADER,
@@ -24,7 +29,7 @@ from cndkit.pareto import (
     resolve_memory_frontier,
 )
 from conftest import run_cli, traced
-from graphgen import oracle_pareto_front, reference_load_measurements
+from graphgen import oracle_measurement_error, oracle_pareto_front, reference_load_measurements
 
 HEADER_LINE = ",".join(CSV_HEADER)
 
@@ -247,6 +252,63 @@ class TestLoaderMatchesReference:
             assert want.value.row == row
 
 
+_REQUIRED_NUMBERS = CSV_HEADER[2:5]
+# Cells that do not convert, per numeric column ("" is a missing optional
+# cell, not a bad one), and cells that convert but break a range rule.
+_NOT_NUMBERS = {
+    **{column: ["", "x", "1.2.3", "sixty", "0x10"] for column in _REQUIRED_NUMBERS},
+    "avg_epoch_time_s": ["x", "1e", "0x10"],
+    "avg_inf_time_ms": ["1.2.3", "five", "--1"],
+    "params": ["1.5", "x", "1e3", "0x10", "nan"],
+}
+_OUT_OF_RANGE = {
+    "train_acc": ["120", "-1", "nan"], "test_acc": ["100.5", "-0.1", "inf"],
+    "avg_mem_mb": ["0", "-3", "inf"], "avg_epoch_time_s": ["nan", "-inf"],
+    "avg_inf_time_ms": ["inf"], "params": ["-7"],
+}
+
+
+class TestLoaderLocatesBadCells:
+    """A row whose numeric cells do not all convert is a ``ParseError`` at
+    that row, naming its first such cell in ``CSV_HEADER`` order, whatever the
+    other cells hold; the helpers that locate it run only then."""
+
+    @given(measurement_csvs().filter(lambda c: c[1]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_parse_error_names_the_row_and_first_bad_column(self, csv_lines, data):
+        lines, rows = csv_lines
+        at = data.draw(st.sampled_from(rows), label="bad row")
+        bad = data.draw(st.sets(st.sampled_from(sorted(_NOT_NUMBERS)), min_size=1, max_size=3))
+        cells = next(csv.reader([lines[at]]))
+        for column in CSV_HEADER[2:]:
+            if column in bad:
+                cells[CSV_HEADER.index(column)] = data.draw(st.sampled_from(_NOT_NUMBERS[column]))
+            elif data.draw(st.booleans()):
+                cells[CSV_HEADER.index(column)] = data.draw(st.sampled_from(_OUT_OF_RANGE[column]))
+        lines = lines[:]
+        lines[at] = ",".join(_csv_text(c, ("", ""), False) for c in cells)
+        first = min(bad, key=CSV_HEADER.index)
+        cell = cells[CSV_HEADER.index(first)]
+        with pytest.raises(ParseError) as exc:
+            load_measurements("\n".join(lines) + "\n")
+        as_a_number = " as a number" if first in _REQUIRED_NUMBERS else ""
+        assert (exc.value.row, exc.value.column, exc.value.message) == (
+            at + 1, first, f"cannot parse {cell!r}{as_a_number}")
+
+    def test_a_valid_set_calls_no_locating_helper(self, monkeypatch):
+        calls = []
+        for name in ("_parse_float", "_parse_optional"):
+            def counted(*args, _name=name, _real=getattr(pareto, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(pareto, name, counted)
+        assert len(load_measurements(_sweep_csv())) == 1500
+        assert calls == []
+        with pytest.raises(ParseError, match="^cannot parse 'x' \\(row 3, column 'params'\\)$"):
+            load_measurements(HEADER_LINE + "\na,e,50,60,100,,,\nb,e,50,60,100,1,2,x\n")
+        assert calls == ["_parse_float"] * 3 + ["_parse_optional"] * 3
+
+
 _TEN_POW_400 = "1" + "0" * 76 + "..."  # as echoed: cut to 80 characters
 
 
@@ -274,6 +336,105 @@ class TestPythonApiTypes:
         with pytest.raises(MeasurementRangeError) as exc:
             QuadrantConfig(**fields)
         assert str(exc.value) == message
+
+
+_TEXTS = st.one_of(st.text(max_size=5), st.just("m" * 100))
+_PERCENTS = st.one_of(st.floats(0, 100), st.integers(0, 100))
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-10**300, 10**300))
+_ODD = [True, False, "50", None, b"m", math.nan, math.inf, -math.inf, 10**400, -10**400, 10**5000,
+        -1, -0.5, 0, 100.5, 101, 1.5, 2**64]
+_ODD_VALUES = st.sampled_from(_ODD)
+_ANY_NUMBER = st.one_of(st.floats(), st.integers(-10**4, 10**4), _ODD_VALUES)
+_VALID_FIELDS = {
+    "model": _TEXTS, "experiment": _TEXTS, "train_acc": _PERCENTS, "test_acc": _PERCENTS,
+    "avg_mem_mb": st.one_of(st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+                            st.integers(1, 10**300)),
+    "avg_epoch_time_s": st.one_of(st.none(), _FINITE),
+    "avg_inf_time_ms": st.one_of(st.none(), _FINITE),
+    "params": st.one_of(st.none(), st.integers(0, 10**30)),
+}
+_ANY_FIELDS = {
+    **{name: _ANY_NUMBER for name in CSV_HEADER[2:]},
+    "model": st.one_of(_TEXTS, st.none(), st.integers(), st.just(b"m"), _ODD_VALUES),
+    "experiment": st.one_of(_TEXTS, st.none(), st.integers(), st.just(["e"])),
+}
+
+
+class TestMeasurementOracle:
+    """``ModelMeasurement``, built directly or by ``dataclasses.replace``,
+    keeps its fields or raises exactly the error ``graphgen``'s
+    ``oracle_measurement_error`` gives from the field rules, checked in their
+    order; it stays a frozen slotted value."""
+
+    @given(st.integers(0, len(CSV_HEADER)), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_constructor_and_replace_raise_the_oracle_s_error(self, free, data):
+        # The fields before ``free`` hold and that one may hold anything, so
+        # every rule in the order is reached; the ones after are either.
+        def values(i, name):
+            if i == free:
+                return _ANY_FIELDS[name]
+            return _VALID_FIELDS[name] if i < free else st.one_of(_VALID_FIELDS[name], _ANY_FIELDS[name])
+        fields = {name: data.draw(values(i, name), label=name) for i, name in enumerate(CSV_HEADER)}
+        base = ModelMeasurement("base", "e", 50, 60.5, 100, 1.5, None, 7)
+        changes = {name: value for name, value in fields.items()
+                   if data.draw(st.booleans(), label=f"replace {name}")}
+        no_times = {"avg_epoch_time_s": None, "avg_inf_time_ms": None, "params": None}
+        builds = {
+            "positional": (lambda: ModelMeasurement(*fields.values()), fields),
+            "keyword": (lambda: ModelMeasurement(**dict(reversed(fields.items()))), fields),
+            "defaults": (lambda: ModelMeasurement(*list(fields.values())[:5]), {**fields, **no_times}),
+            "replace": (lambda: dataclasses.replace(base, **changes),
+                        {**dataclasses.asdict(base), **changes}),
+        }
+        for how, (build, want) in builds.items():
+            expected = oracle_measurement_error(want)
+            if expected is None:
+                record = build()
+                assert all(getattr(record, name) is want[name] for name in CSV_HEADER), how
+            else:
+                with pytest.raises(expected[0]) as exc:
+                    build()
+                assert (type(exc.value), str(exc.value)) == expected, how
+
+    def test_each_odd_value_in_each_field(self):
+        # Every rule, the rare ones included: a None memory, an infinite time.
+        good = dict(model="m", experiment="e", train_acc=50, test_acc=60.5, avg_mem_mb=100,
+                    avg_epoch_time_s=None, avg_inf_time_ms=1.5, params=3)
+        errors = set()
+        for name in CSV_HEADER:
+            for value in _ODD:
+                fields = {**good, name: value}
+                expected = oracle_measurement_error(fields)
+                if expected is None:
+                    assert getattr(ModelMeasurement(**fields), name) is value
+                    continue
+                with pytest.raises(expected[0]) as exc:
+                    ModelMeasurement(**fields)
+                assert (type(exc.value), str(exc.value)) == expected
+                errors.add(expected)
+        assert TypeError in {kind for kind, _ in errors}
+        assert all(any(f"{name}=" in text for _, text in errors) for name in CSV_HEADER[2:])
+        assert all(any(f"{name} must be" in text for _, text in errors) for name in CSV_HEADER)
+
+    def test_frozen_slotted_value(self):
+        record = ModelMeasurement(params=3, avg_mem_mb=100, test_acc=60.5, train_acc=50,
+                                  experiment="e", model="m")
+        assert not hasattr(record, "__dict__")
+        assert repr(record) == ("ModelMeasurement(model='m', experiment='e', train_acc=50, "
+                                "test_acc=60.5, avg_mem_mb=100, avg_epoch_time_s=None, "
+                                "avg_inf_time_ms=None, params=3)")
+        for name in CSV_HEADER:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, 1)
+        assert record == ModelMeasurement("m", "e", 50, 60.5, 100, None, None, 3)
+        assert hash(record) == hash(ModelMeasurement("m", "e", 50, 60.5, 100, None, None, 3))
+        moved = dataclasses.replace(record, test_acc=70, avg_inf_time_ms=2.5)
+        assert (moved.test_acc, moved.avg_inf_time_ms, moved.params) == (70, 2.5, 3)
+        with pytest.raises(MeasurementRangeError, match="^'m': test_acc=170 outside \\[0, 100\\]$"):
+            dataclasses.replace(record, test_acc=170)
+        for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record)):
+            assert copied == record and hash(copied) == hash(record) and repr(copied) == repr(record)
 
 
 class TestMemoryFrontier:

@@ -115,6 +115,12 @@ INPUTS = {
     "short-row.csv": CSV_HEADER + "short,run,90\n",
     "empty.csv": "",
     "range.csv": CSV_HEADER + "bad,run,90,120,10,,,\n",
+    # cells that do not convert: the error names the first one in its row
+    "not-a-number.csv": CSV_HEADER + "plain,run,90,80,10,,,\nbad,run,90,eighty,10,,,\n",
+    "params-1.5.csv": CSV_HEADER + "bad,run,90,80,10,,,1.5\n",
+    "two-bad-cells.csv": CSV_HEADER + "plain,run,90,80,10,,,\nbad,run,ninety,120,ten,,,\n",
+    # lines that end in a lone "\r"
+    "lone-cr.csv": CSV_HEADER.replace("\n", "\r") + "plain,run,90,80,10,,,\r",
     # a UTF-8 byte-order mark at the start of a file is dropped
     "bom.csv": "\ufeff" + CSV_HEADER + 'plain,run,90,80,10,,,\n"comma, name",run,90,85,20,1.5,2.5,1000\n',
     "bom.json": "\ufeff" + _control_model(),
@@ -179,6 +185,10 @@ CALLS: list[tuple[str, list[str]]] = [
     ("diff-control", ["diff", "--a", "control.json", "--b", "control.json"]),
     # errors: exit 1 (constraint), 2 (I/O) and 3 (parse)
     ("error-range", ["pareto", "--csv", "range.csv"]),
+    ("error-not-a-number", ["pareto", "--csv", "not-a-number.csv"]),
+    ("error-params-1.5", ["pareto", "--csv", "params-1.5.csv"]),
+    ("error-two-bad-cells", ["pareto", "--csv", "two-bad-cells.csv"]),
+    ("error-lone-cr", ["pareto", "--csv", "lone-cr.csv"]),
     ("error-missing", ["analyze", "--in", "missing.json"]),
     ("error-out-dir", ["pareto", "--csv", "caltech101.csv", "--out", "."]),
     ("error-invalid-json", ["analyze", "--in", "invalid.json"]),
