@@ -1,13 +1,11 @@
 """Static resource analysis: parameters, FLOPs, activations, memory.
 
-Every analysis here is a fold over two columns a checked graph keeps, in
-stored order (which ``topo_sort`` checks is a dependency order): its nodes'
-output shapes and their parameter entries, built once per graph by the first
-analysis that needs them (``activation_sizes`` reads only the shapes).
-``analyze`` zips both into one row per node. An entry, a
-``graph.LayerParams``, comes from the input-channel and param rules in the
-kind's row of ``graph.KINDS`` (C = input channels, M = filters, K = kernel
-elements, i.e. 1 or 9):
+Every analysis here is a fold over the two columns a graph keeps in stored
+order, read through ``graph.shapes_of`` and ``graph.entries_of``: the nodes'
+output shapes and their parameter entries. ``analyze`` zips both into one row
+per node. An entry, a ``graph.LayerParams``, comes from the input-channel and
+param rules in the kind's row of ``graph.KINDS`` (C = input channels, M =
+filters, K = kernel elements, i.e. 1 or 9):
 
     kind              kernel params       aux params               MACs
     Conv2D            C*M*K               M if bias else 0         H'W' * C*M*K
@@ -41,10 +39,11 @@ from .graph import (
     LayerParams,
     ModelGraph,
     TensorShape,
-    _keep_shapes,
     check_choice,
     check_size,
+    entries_of,
     infer_shapes,
+    shapes_of,
     unknown_kind,
 )
 
@@ -94,30 +93,11 @@ class LayerRow(NamedTuple):
 
 def analyze(graph: ModelGraph) -> list[LayerRow]:
     """One row per node, in stored order, from the shapes and entries the graph keeps."""
-    entries = _entries(graph)
+    entries = entries_of(graph)
     shapes = infer_shapes(graph)
     # tuple.__new__ skips the Python-level __new__ that NamedTuple adds
     return [tuple.__new__(LayerRow, (node, shapes[node.inputs[0]] if node.inputs else None, shape, entry))
             for node, shape, entry in zip(graph.nodes, shapes.values(), entries)]
-
-
-def _entry(node: LayerNode, shapes: dict[str, TensorShape]) -> LayerParams:
-    """``node``'s entry by its kind's rules, its first input's shape read from
-    ``shapes``: the one row rule."""
-    kind_row = KINDS[type(node.kind)]
-    channels = kind_row.channels(shapes[node.inputs[0]]) if node.inputs else 0
-    return kind_row.params(node.id, node.kind, channels)
-
-
-def _entries(graph: ModelGraph) -> tuple[LayerParams, ...]:
-    """The graph's entries in stored order: the one row pass, on the first
-    call only, as the graph keeps them."""
-    entries = graph._params
-    if entries is None:
-        shapes = infer_shapes(graph)  # rejects a kind with no row in KINDS
-        entries = tuple([_entry(node, shapes) for node in graph.nodes])
-        _keep_shapes(graph, graph._shapes, entries)
-    return entries
 
 
 _KERNEL_PARAMS, _AUX_PARAMS = (itemgetter(LayerParams._fields.index(name))
@@ -136,23 +116,20 @@ def _moving_stats(nodes: Iterable[LayerNode], entries: Iterable[LayerParams]) ->
 
 def count_params(graph: ModelGraph) -> ParamReport:
     """Parameter report over the whole graph; ``per_layer`` is the tuple the graph keeps."""
-    entries = _entries(graph)
+    entries = entries_of(graph)
     total = total_params(entries)
     return ParamReport(entries, total, total - _moving_stats(graph.nodes, entries))
 
 
 def flops_estimate(graph: ModelGraph) -> int:
     """Multiply-accumulate count for one forward pass at batch 1."""
-    entries = _entries(graph)
-    return sum(shape.area * entry.kernel_params for shape, entry in zip(graph._shapes, entries))
+    return sum(shape.area * entry.kernel_params for shape, entry in zip(shapes_of(graph), entries_of(graph)))
 
 
 def activation_sizes(graph: ModelGraph, batch: int = 1) -> list[tuple[str, int]]:
     """Output element count (batch * H * W * C) per node, in stored order."""
     check_size("batch", batch)
-    if graph._shapes is None:
-        infer_shapes(graph)
-    return [(node.id, batch * shape.elements) for node, shape in zip(graph.nodes, graph._shapes)]
+    return [(node.id, batch * shape.elements) for node, shape in zip(graph.nodes, shapes_of(graph))]
 
 
 @dataclass(frozen=True)
@@ -197,7 +174,7 @@ def memory_estimate(
     check_size("batch", batch)
     check_size("overhead_bytes", overhead_bytes, least=0)
 
-    entries = _entries(graph)
+    entries = entries_of(graph)
     total = total_params(entries)
     weights = total * BYTES_PER_SCALAR
     multiplier = OPTIMIZER_STATE_MULTIPLIER[optimizer]

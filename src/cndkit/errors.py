@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the toolkit, the one text-file reader and
 JSON parser, the cap on values echoed in error messages, the escape for names
-printed within a line of output, and the chunking both text writers share."""
+printed within a line of output, the chunking both text writers share, and the
+frozen slotted dataclass form of every IR value and measurement record."""
 
 from __future__ import annotations
 
@@ -46,6 +47,26 @@ def chunks(texts: Iterable[str]) -> Iterator[str]:
     texts = iter(texts)
     while batch := list(islice(texts, CHUNK_ITEMS)):
         yield "".join(batch)
+
+
+def frozen_value(cls: type) -> type:
+    """``cls`` as a frozen slotted dataclass that refuses a set or delete with
+    ``FrozenInstanceError`` as an unslotted one does: ``dataclass``'s own
+    methods test the class ``slots=True`` replaced, so raised ``TypeError``."""
+    from dataclasses import FrozenInstanceError, dataclass  # not at import: the CLI loads this module
+
+    cls = dataclass(frozen=True, slots=True)(cls)
+
+    def refuse(verb: str, allowed: Callable) -> Callable:
+        def method(self, name, *value):
+            if type(self) is cls or name in cls.__dataclass_fields__:
+                raise FrozenInstanceError(f"cannot {verb} field {name!r}")
+            allowed(self, name, *value)  # a subclass's own name
+        return method
+
+    cls.__setattr__ = refuse("assign to", object.__setattr__)
+    cls.__delattr__ = refuse("delete", object.__delattr__)
+    return cls
 
 
 class CndkitError(Exception):

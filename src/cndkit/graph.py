@@ -4,15 +4,11 @@ A model is a directed acyclic graph of typed layer nodes, each stored after
 its inputs; tensor shapes are inferred along the edges rather than stored.
 A graph is made once from its list of nodes, then checked once by ``validate``.
 Graphs are immutable values: every operation returns a new graph and never
-changes its argument's fields. A graph object does keep its nodes' output
-shapes, one tuple in stored order, once its stored order has been checked and
-its shapes inferred (by ``infer_shapes``, a load, either pass or the optimized
-build; ``_keep_shapes`` is the one writer), and ``infer_shapes`` reads them
-back instead of checking and inferring again. The first analysis that builds
-the nodes' parameter entries keeps them the same way, next to the shapes, and
-each pass hands its result's entries on. Both follow from the frozen nodes
-and input shape alone, so graphs stay safe to share across threads: two
-threads that both write a tuple store equal values.
+changes its argument's fields. A graph object does keep two columns in stored
+order, owned here alone: its nodes' output shapes (``shapes_of``) and their
+parameter entries (``entries_of``), each built on first use, or kept by
+``checked`` for a load's or a pass's result. Both follow from the frozen nodes
+and input shape alone, so graphs stay safe to share across threads.
 
 Tags follow a ``flow/module/role`` convention, e.g. ``entry_flow/m2/sep1``:
 the first two components name the architectural module a node belongs to and
@@ -30,7 +26,7 @@ other object, a subclass of a kind included, as an unknown layer kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import field, fields
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Union
 
@@ -42,6 +38,7 @@ from .errors import (
     UnknownInputError,
     ValidationError,
     capped,
+    frozen_value,
 )
 
 PADDING_SAME = "same"
@@ -80,7 +77,7 @@ def check_choice(what: str, value: object, choices: tuple) -> None:
     raise ValidationError(f"{what} must be one of {choices}, got {capped(value)}")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class TensorShape:
     """Spatial extent and channel count of an activation map."""
 
@@ -128,7 +125,7 @@ def _check_attrs(kind: LayerKind) -> None:
 def _kind(cls: type) -> type:
     """``cls`` as a frozen slotted dataclass, its attr checks worked out once into ``_checks``."""
     cls.__post_init__ = _check_attrs
-    cls = dataclass(frozen=True, slots=True)(cls)
+    cls = frozen_value(cls)
     cls._checks = tuple((f.name, f"{cls.__name__} {f.name}", _ATTR_RULES[f.name]) for f in fields(cls))
     return cls
 
@@ -202,7 +199,7 @@ def is_conv(kind: LayerKind) -> bool:
     return type(kind) in (Conv2D, SeparableConv2D)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class LayerNode:
     """One node: its id, layer kind, the ids of its inputs in order, and an
     optional ``flow/module/role`` tag."""
@@ -240,14 +237,11 @@ _set_id, _set_kind, _set_inputs, _set_tag = (
     LayerNode.id.__set__, LayerNode.kind.__set__, LayerNode.inputs.__set__, LayerNode.tag.__set__)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class ModelGraph:
     """A named layer graph: input shape, class count, nodes in stored order
-    and string metadata. ``validate`` checks it. ``_shapes`` holds the nodes'
-    output shapes once they are inferred and ``_params`` their parameter
-    entries once an analysis builds them (see the module docstring); neither
-    is an init argument nor part of ``repr`` or ``==``, and a
-    ``dataclasses.replace`` copy starts without them."""
+    and string metadata. ``validate`` checks it. ``_shapes`` and ``_params`` are
+    the kept columns (module docstring), not in ``__init__``, ``repr`` or ``==``."""
 
     name: str
     input_shape: TensorShape
@@ -476,34 +470,59 @@ KIND_CLASSES: tuple[type, ...] = tuple(KINDS)
 LayerKind = Union[KIND_CLASSES]
 
 
-def infer_shapes(graph: ModelGraph) -> dict[str, TensorShape]:
-    """Output shape of every node, keyed by node id in stored order: a new
-    dict on every call, for the callers that look shapes up by id.
+def node_entry(node: LayerNode, shapes: dict[str, TensorShape]) -> LayerParams:
+    """``node``'s entry by its kind's rules, its first input's shape read from
+    ``shapes``: the one row rule."""
+    row = KINDS[type(node.kind)]
+    return row.params(node.id, node.kind, row.channels(shapes[node.inputs[0]]) if node.inputs else 0)
 
-    ``topo_sort`` checks that order first. Same padding: ceil(dim/stride).
-    Valid padding: floor((dim-k)/stride)+1. Dense and GlobalAvgPool collapse
-    spatial dims to 1x1. Nodes with equal output dims share one shape. The
-    graph keeps them, so a later call skips the order check and shape loop.
-    """
-    kept = graph._shapes
-    if kept is not None:
-        return dict(zip([node.id for node in graph.nodes], kept))
-    topo_sort(graph)
-    shapes = shapes_in_order(graph)
-    _keep_shapes(graph, tuple(shapes.values()))
+
+# -- kept columns: their one owner ---------------------------------------------
+
+def shapes_of(graph: ModelGraph) -> tuple[TensorShape, ...]:
+    """The nodes' output shapes in stored order, kept by the first call, which
+    checks that order (``topo_sort``) and infers them; a failed call keeps none."""
+    shapes = graph._shapes
+    if shapes is None:
+        topo_sort(graph)
+        shapes = tuple(shapes_in_order(graph).values())
+        object.__setattr__(graph, "_shapes", shapes)
     return shapes
 
 
-def _keep_shapes(graph: ModelGraph, shapes: tuple[TensorShape, ...] | None,
-                 params: tuple[LayerParams, ...] | None = None) -> None:
-    """Store ``shapes`` as ``graph``'s output shapes and ``params`` as its
-    parameter entries, both in stored order: the one writer of
-    ``ModelGraph._shapes`` and ``_params``. Call it only where ``graph``'s
-    stored order has just been checked as ``topo_sort`` checks it, ``shapes``
-    inferred over that order and ``params`` built by the kinds' param rules
-    from those shapes."""
+def entries_of(graph: ModelGraph) -> tuple[LayerParams, ...]:
+    """The nodes' parameter entries in stored order, kept by the first call:
+    the one row pass, which nothing else runs."""
+    entries = graph._params
+    if entries is None:
+        shapes = infer_shapes(graph)  # rejects a kind with no row in KINDS
+        entries = tuple([node_entry(node, shapes) for node in graph.nodes])
+        object.__setattr__(graph, "_params", entries)
+    return entries
+
+
+def checked(graph: ModelGraph, shapes: tuple[TensorShape, ...],
+            entries: tuple[LayerParams, ...] | None = None) -> ModelGraph:
+    """``graph`` keeping ``shapes`` and ``entries`` once ``check_endpoints``
+    passes: the one writer, for a load or pass that checked its stored order
+    as ``topo_sort`` does and built the columns over that order."""
+    check_endpoints(graph, shapes)
     object.__setattr__(graph, "_shapes", shapes)
-    object.__setattr__(graph, "_params", params)
+    object.__setattr__(graph, "_params", entries)
+    return graph
+
+
+def check_order(graph: ModelGraph) -> None:
+    """``topo_sort``'s check alone, unless the graph keeps shapes (and so was checked)."""
+    if graph._shapes is None:
+        topo_sort(graph)
+
+
+def infer_shapes(graph: ModelGraph) -> dict[str, TensorShape]:
+    """``shapes_of`` as a new dict keyed by node id. Same padding: ceil(dim/stride).
+    Valid padding: floor((dim-k)/stride)+1. Dense and GlobalAvgPool collapse
+    spatial dims to 1x1. Nodes with equal output dims share one shape."""
+    return dict(zip([node.id for node in graph.nodes], shapes_of(graph)))
 
 
 def shapes_in_order(graph: ModelGraph) -> dict[str, TensorShape]:
@@ -524,20 +543,17 @@ def shapes_in_order(graph: ModelGraph) -> dict[str, TensorShape]:
 
 def validate(graph: ModelGraph) -> ModelGraph:
     """Check all structural invariants and return the graph unchanged:
-    ``infer_shapes`` (stored order, see ``topo_sort``, and shape consistency,
+    ``shapes_of`` (stored order, see ``topo_sort``, and shape consistency,
     including Add input equality), then ``check_endpoints``."""
-    if graph._shapes is None:
-        infer_shapes(graph)
-    check_endpoints(graph, graph._shapes[-1] if graph._shapes else None)
+    check_endpoints(graph, shapes_of(graph))
     return graph
 
 
-def check_endpoints(graph: ModelGraph, last_shape: TensorShape | None) -> None:
+def check_endpoints(graph: ModelGraph, shapes: tuple[TensorShape, ...]) -> None:
     """The whole-graph checks after shape inference, for ``validate`` and
-    strategy2's result: exactly one Input node, a string ``name``, string to
-    string ``metadata``, an exact-int ``num_classes`` from 1 to ``MAX_SIZE``
-    and exactly one terminal node, with ``num_classes`` channels in
-    ``last_shape`` (in a checked stored order the terminal is the last node)."""
+    ``checked``: exactly one Input node, a string ``name``, string to string
+    ``metadata``, an exact-int ``num_classes`` from 1 to ``MAX_SIZE`` and one
+    terminal node, the last in a checked order, whose shape has that many channels."""
     inputs = [n.id for n in graph.nodes if type(n.kind) is Input]
     if len(inputs) != 1:
         raise ValidationError(f"graph must have exactly one Input node, found {capped(inputs)}")
@@ -550,8 +566,8 @@ def check_endpoints(graph: ModelGraph, last_shape: TensorShape | None) -> None:
         )
     check_size("num_classes", graph.num_classes)
     tail = graph.terminal_id()
-    if last_shape.channels != graph.num_classes:
+    if shapes[-1].channels != graph.num_classes:
         raise ValidationError(
-            f"terminal node {capped(tail)} outputs {last_shape.channels} channels, "
+            f"terminal node {capped(tail)} outputs {shapes[-1].channels} channels, "
             f"but num_classes is {graph.num_classes}"
         )

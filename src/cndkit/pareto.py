@@ -24,7 +24,7 @@ from importlib import resources
 from itertools import groupby
 from operator import attrgetter
 
-from .errors import EmptyInputError, MeasurementRangeError, ParseError, capped, chunks
+from .errors import EmptyInputError, MeasurementRangeError, ParseError, capped, chunks, frozen_value
 
 CSV_HEADER = (
     "model",
@@ -47,7 +47,7 @@ class Quadrant(enum.Enum):
     LOW_ACC_HIGH_MEM = "LowAccHighMem"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class ModelMeasurement:
     """One measured model in one experiment: accuracies in percent, mean
     memory in MB, and the optional time and parameter columns.
@@ -77,7 +77,7 @@ class ModelMeasurement:
             )
         _check_percent(model, "train_acc", train_acc)
         _check_percent(model, "test_acc", test_acc)
-        _check_finite(model, "avg_mem_mb", avg_mem_mb)
+        _check_finite(model, "avg_mem_mb", avg_mem_mb, optional=False)
         _check_finite(model, "avg_epoch_time_s", avg_epoch_time_s)
         _check_finite(model, "avg_inf_time_ms", avg_inf_time_ms)
         if avg_mem_mb <= 0:
@@ -122,8 +122,8 @@ def _check_percent(model: str, name: str, value: float) -> None:
         raise MeasurementRangeError(f"{capped(model)}: {name}={capped(value)} outside [0, 100]")
 
 
-def _check_finite(model: str, name: str, value: float | None) -> None:
-    if value is None:
+def _check_finite(model: str, name: str, value: float | None, optional: bool = True) -> None:
+    if value is None and optional:
         return
     if type(value) is not float and type(value) is not int:
         raise _not_a_number(model, name, value)

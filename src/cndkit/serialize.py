@@ -168,10 +168,8 @@ def deserialize(text: str) -> g.ModelGraph:
     One sweep over the node list parses each entry and checks it against the
     ids seen so far (duplicate id, unknown or forward input, arity), so a
     rejection names the first bad entry as ``field="nodes[i]"``. The sweep
-    is O(V + E) and is the load's one order check: the graph is built once
-    after it, and then its shapes are inferred over that order, kept on the
-    graph, and its whole-graph rules checked (``check_endpoints``), as
-    ``validate`` does.
+    is O(V + E) and is the load's one order check; then ``graph.checked``
+    keeps the shapes inferred over that order once the whole-graph rules pass.
     """
     doc = parse_json(text)
     if not isinstance(doc, dict):
@@ -210,13 +208,10 @@ def deserialize(text: str) -> g.ModelGraph:
     model = g.ModelGraph(
         name=name, input_shape=shape, num_classes=num_classes, nodes=tuple(nodes), metadata=metadata,
     )
-    try:
-        shapes = g.shapes_in_order(model)
-        g._keep_shapes(model, tuple(shapes.values()))  # the sweep above checked the order
-        g.check_endpoints(model, next(reversed(shapes.values()), None))
+    try:  # the sweep above checked the order
+        return g.checked(model, tuple(g.shapes_in_order(model).values()))
     except CndkitError as exc:
         raise ParseError(f"graph failed validation: {exc}") from exc
-    return model
 
 
 def save_model(graph: g.ModelGraph, path: str | Path) -> None:

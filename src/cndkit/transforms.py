@@ -13,11 +13,7 @@ Two rewrite passes are provided, applied per tagged module:
     before an Add on the module input when that input's width differs.
     expand3's stride keeps the stack's output size. A module with no such
     stride, a second kept conv, or a stack fed by anything but the module
-    input or without one output is a ModuleStructureError. The pass builds
-    its result and the result's per-node table in one walk: a node it keeps
-    as it was, with no input of a new shape, keeps its input row; every
-    other node gets its kind's shape rule, and the projection decision
-    reads the module input's width from that table.
+    input or without one output is a ModuleStructureError.
 
 ``cndkit.zoo.build_optimized_xception`` is both passes applied to
 ``build_xception``, so fire-module and residual wiring lives only here.
@@ -43,6 +39,7 @@ from .errors import (
     UnknownModuleTagError,
     ValidationError,
     capped,
+    frozen_value,
     printable,
 )
 from .graph import (
@@ -61,18 +58,20 @@ from .graph import (
     ModelGraph,
     SeparableConv2D,
     TensorShape,
-    _keep_shapes,
     _window_dim,
     check_append,
-    check_endpoints,
+    check_order,
     check_size,
+    checked,
+    entries_of,
     group_modules,
     is_conv,
-    topo_sort,
+    node_entry,
+    shapes_of,
 )
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class NodeChange:
     """One node a pass changed: its id and its kind before and after, as text
     (``(none)`` before a node the pass added)."""
@@ -121,7 +120,7 @@ def strategy1_replace_kernels(graph: ModelGraph) -> tuple[ModelGraph, PassReport
     kernel are touched, which makes the pass idempotent and keeps every
     node's shape. Filters, stride, and padding are untouched.
     """
-    entries = analyzer._entries(graph)
+    entries = entries_of(graph)
     leading = (
         next((node for _, node in members if type(node.kind) is SeparableConv2D), None)
         for members in group_modules(graph.nodes).values()
@@ -148,11 +147,9 @@ def strategy1_replace_kernels(graph: ModelGraph) -> tuple[ModelGraph, PassReport
             new_nodes[i] = LayerNode(node.id, new_kind, node.inputs, node.tag)
             new_entries[i] = entry = analyzer.count_params_layer(new_nodes[i], entries[i].channels_in)
             params_after += entry.total - entries[i].total
-    result = dataclasses.replace(graph, nodes=tuple(new_nodes))
-    # A same-padding 1x1 kernel changes no node's shape, so the result keeps
-    # the input's shapes, which analyzer._entries kept.
-    check_endpoints(result, graph._shapes[-1])
-    _keep_shapes(result, graph._shapes, tuple(new_entries))
+    # A same-padding 1x1 kernel changes no node's shape, so the result keeps the input's.
+    result = checked(dataclasses.replace(graph, nodes=tuple(new_nodes)), shapes_of(graph),
+                     tuple(new_entries))
     return result, PassReport("strategy1_replace_kernels", tuple(changed), params_before, params_after)
 
 
@@ -325,13 +322,11 @@ def strategy2_insert_fire(
     ``specs`` maps module tags (e.g. ``"entry_flow/m2"``) to the fire widths
     to insert. Every other node of the module keeps its id and its wiring;
     the projection is resized to the new output width, or inserted where an
-    identity residual no longer matches. The pass reads its input's shapes
-    and entries, which the input keeps, and builds its result's in one walk:
-    each node it emits passes ``check_append`` and keeps its input shape and
-    entry when it is the same node object and none of its inputs changed
-    shape, or gets its kind's shape rule and ``analyzer``'s row rule. An
-    identity residual reads its width from those shapes; ``params_after`` is
-    the total of those entries, which the result keeps.
+    identity residual no longer matches. One walk builds the result and its
+    kept columns: each node passes ``check_append`` and keeps its input's
+    shape and entry if it is the same node with no input of a new shape, or
+    gets its kind's shape rule and ``node_entry``; an identity residual reads
+    its width from those shapes.
     """
     if not isinstance(specs, dict):
         raise ValidationError(
@@ -344,7 +339,7 @@ def strategy2_insert_fire(
                 f"no module tagged {capped(tag)} in graph {capped(graph.name)}"
             )
         check_fire_spec(spec, module=tag)
-    entries = analyzer._entries(graph)  # so the input keeps its shapes too
+    entries, shapes_in = entries_of(graph), shapes_of(graph)
     params_before = analyzer.total_params(entries)
     # Every spec is valid and every other module is kept as it is, tags
     # included, so the result's violations are those of the modules left.
@@ -358,7 +353,7 @@ def strategy2_insert_fire(
     fed_out = {src: node.id for node in reversed(graph.nodes) for src in node.inputs
                if src in owner and owner[src] != owner.get(node.id)}
     # every module is checked before any is rewritten; modules in stored order
-    structures = {module: _module_structure(groups[module], module, fed_out, index, graph._shapes)
+    structures = {module: _module_structure(groups[module], module, fed_out, index, shapes_in)
                   for module in groups if module in specs}
     del groups, fed_out  # the walk reads the input's columns by position only
     remap: dict[str, str] = {}  # each replaced stack's output -> its fire tail
@@ -374,7 +369,7 @@ def strategy2_insert_fire(
         check_append(shapes, node)
         i = index.get(node.id)
         if i is not None and graph.nodes[i] is node and moved.isdisjoint(node.inputs):
-            shapes[node.id], entry = graph._shapes[i], entries[i]
+            shapes[node.id], entry = shapes_in[i], entries[i]
         else:
             try:  # a shape rule reads only input_shape of its graph, which the result keeps
                 shape = shapes[node.id] = KINDS[type(node.kind)].shape(graph, node, shapes, shared)
@@ -382,9 +377,9 @@ def strategy2_insert_fire(
                 raise ResidualShapeBrokenError(
                     f"fire insertion broke residual shapes in {capped(graph.name)}: {exc}"
                 ) from exc
-            if i is None or shape != graph._shapes[i]:
+            if i is None or shape != shapes_in[i]:
                 moved.add(node.id)
-            entry = analyzer._entry(node, shapes)
+            entry = node_entry(node, shapes)
         nodes.append(node)
         new_entries.append(entry)
 
@@ -438,13 +433,12 @@ def strategy2_insert_fire(
         emit(node if remap.keys().isdisjoint(node.inputs) else LayerNode(
             node.id, node.kind, tuple([remap.get(i, i) for i in node.inputs]), node.tag))
 
-    result = dataclasses.replace(graph, nodes=tuple(nodes))
-    _keep_shapes(result, tuple(shapes.values()), tuple(new_entries))  # emit checked every node
-    del index, owner, shapes, moved, nodes, new_entries  # the checks below read the result only
-    report = PassReport("strategy2_insert_fire", tuple(changed), params_before,
-                        analyzer.total_params(result._params), violations=violations)
-    check_endpoints(result, result._shapes[-1])
-    return result, report
+    # emit checked every node; the walk's state goes before the final checks
+    out_nodes, out_shapes, out_entries = tuple(nodes), tuple(shapes.values()), tuple(new_entries)
+    del index, owner, shapes, moved, nodes, new_entries
+    result = checked(dataclasses.replace(graph, nodes=out_nodes), out_shapes, out_entries)
+    return result, PassReport("strategy2_insert_fire", tuple(changed), params_before,
+                              analyzer.total_params(out_entries), violations=violations)
 
 
 # -- strategy 3: downsampling audit ---------------------------------------------
@@ -528,9 +522,8 @@ def structurally_equal(a: ModelGraph, b: ModelGraph) -> bool:
     """True when two graphs match node-for-node up to a renaming of ids.
 
     Nodes are compared by kind (with attrs), tag, and canonicalized wiring;
-    name, metadata and the stored order of the nodes are ignored. A graph
-    that keeps its shapes had its stored order checked already; another
-    one gets ``topo_sort``'s check and error.
+    name, metadata and the stored order of the nodes are ignored. Each
+    graph gets ``check_order``, not shape inference.
     """
     # One key -> number table for both graphs, so a structure gets the same
     # number in either graph whatever order its nodes are stored in.
@@ -538,8 +531,7 @@ def structurally_equal(a: ModelGraph, b: ModelGraph) -> bool:
 
     def canon(graph: ModelGraph):
         assigned: dict[str, int] = {}
-        if graph._shapes is None:
-            topo_sort(graph)
+        check_order(graph)
         for node in graph.nodes:
             # kinds are frozen dataclasses, equal by class and fields
             key = (node.kind, node.tag, tuple(assigned[i] for i in node.inputs))
@@ -550,9 +542,11 @@ def structurally_equal(a: ModelGraph, b: ModelGraph) -> bool:
     return canon(a) == canon(b)
 
 
-def _module_summary(graph: ModelGraph, entries: tuple[LayerParams, ...], total: int) -> dict[str, dict]:
+def _module_summary(graph: ModelGraph) -> tuple[dict[str, dict], int]:
     """Main-conv kernels and filters and params per module, then the params
-    of nodes in no module, if any, as ``(untagged)``."""
+    of nodes in no module, if any, as ``(untagged)``; and the total."""
+    entries = entries_of(graph)
+    total = analyzer.total_params(entries)
     params = {entry.node_id: entry.total for entry in entries}
     out: dict[str, dict] = {}
     for module, members in group_modules(graph.nodes).items():
@@ -562,7 +556,7 @@ def _module_summary(graph: ModelGraph, entries: tuple[LayerParams, ...], total: 
     untagged = total - sum(info["params"] for info in out.values())
     if untagged:
         out["(untagged)"] = {"kernels": [], "filters": [], "params": untagged}
-    return out
+    return out, total
 
 
 def percentage_reduction(params_before: int, params_after: int) -> float:
@@ -573,12 +567,7 @@ def percentage_reduction(params_before: int, params_after: int) -> float:
 
 def diff(original: ModelGraph, transformed: ModelGraph) -> str:
     """Side-by-side per-module comparison of kernels, filters, and params."""
-    entries_a = analyzer._entries(original)
-    entries_b = analyzer._entries(transformed)
-    total_a = analyzer.total_params(entries_a)
-    total_b = analyzer.total_params(entries_b)
-    mods_a = _module_summary(original, entries_a, total_a)
-    mods_b = _module_summary(transformed, entries_b, total_b)
+    (mods_a, total_a), (mods_b, total_b) = _module_summary(original), _module_summary(transformed)
     modules = {**mods_a, **mods_b}  # A's modules, then those only B has
 
     def fmt(info: dict | None, field: str) -> str:

@@ -34,9 +34,11 @@ from .graph import (
     ModelGraph,
     SeparableConv2D,
     TensorShape,
-    _keep_shapes,
     check_size,
+    checked,
+    entries_of,
     make_tag,
+    shapes_of,
     validate,
 )
 from .transforms import FireModuleSpec, conv_unit, strategy1_replace_kernels, strategy2_insert_fire
@@ -203,8 +205,7 @@ def build_optimized_xception(
     graph, _ = strategy2_insert_fire(graph, specs)
     optimized = dataclasses.replace(graph, name="optimized-xception",
                                     metadata={"family": "xception", "variant": "optimized"})
-    _keep_shapes(optimized, graph._shapes, graph._params)  # the same nodes, kept by strategy2
-    return optimized
+    return checked(optimized, shapes_of(graph), entries_of(graph))  # the same nodes, kept by strategy2
 
 
 # (expansion factor, output channels, repeats, first stride) per stage

@@ -695,9 +695,8 @@ def oracle_measurement_error(fields: dict[str, object]) -> tuple[type, str] | No
     The model and experiment are strings; each accuracy is an exact int or
     float (not a bool) within [0, 100]; memory and each time are exact
     numbers within the float range, each time optional; memory is positive;
-    ``params`` is None or a non-negative exact int. A None memory passes the
-    number rules, as the times may, and then fails the positivity comparison
-    with Python's own ``TypeError``."""
+    ``params`` is None or a non-negative exact int. A None memory is not a
+    number, as it is not optional."""
     model = fields["model"]
     if not isinstance(model, str):
         return MeasurementRangeError, f"model must be a string, got {_oracle_echo(model)}"
@@ -707,7 +706,7 @@ def oracle_measurement_error(fields: dict[str, object]) -> tuple[type, str] | No
                 f"{name}: experiment must be a string, got {_oracle_echo(fields['experiment'])}")
     for column in _PERCENT_COLUMNS + _FINITE_COLUMNS:
         value = fields[column]
-        if value is None and column in _FINITE_COLUMNS:
+        if value is None and column in ("avg_epoch_time_s", "avg_inf_time_ms"):
             continue
         if type(value) not in (int, float):
             return MeasurementRangeError, f"{name}: {column} must be a number, got {_oracle_echo(value)}"
@@ -716,8 +715,6 @@ def oracle_measurement_error(fields: dict[str, object]) -> tuple[type, str] | No
         if column in _FINITE_COLUMNS and not abs(value) <= _ORACLE_FLOAT_MAX:
             return MeasurementRangeError, f"{name}: {column}={_oracle_echo(value)} must be finite"
     mem, params = fields["avg_mem_mb"], fields["params"]
-    if mem is None:
-        return TypeError, "'<=' not supported between instances of 'NoneType' and 'int'"
     if mem <= 0:
         return MeasurementRangeError, f"{name}: avg_mem_mb={_oracle_echo(mem)} must be positive"
     if params is not None and type(params) is not int:

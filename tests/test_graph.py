@@ -59,10 +59,11 @@ from cndkit.graph import (
     topo_sort,
     validate,
 )
-from cndkit.pareto import FIXTURE_NAMES, load_fixture
+from cndkit.pareto import FIXTURE_NAMES, ModelMeasurement, load_fixture
 from cndkit.serialize import deserialize, serialize
 from cndkit.transforms import (
     FireModuleSpec,
+    NodeChange,
     strategy1_replace_kernels,
     strategy2_insert_fire,
     strategy3_audit,
@@ -722,6 +723,23 @@ class TestKindTables:
                     found.append((path.name, node.lineno, "subscripted"))
         assert found == []
 
+    def test_only_graph_py_names_the_kept_columns(self):
+        # graph.py owns a graph's kept shapes and entries: every other module
+        # reads them through shapes_of and entries_of and keeps a pass's or
+        # load's through checked, so it never names the fields or a raw writer
+        names = {"_shapes", "_params", "_keep_shapes"}
+        found = []
+        for path in sorted(Path(cndkit.__file__).parent.glob("*.py")):
+            if path.name == "graph.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                named = (getattr(node, "attr", None), getattr(node, "id", None),
+                         getattr(node, "name", None) if isinstance(node, ast.alias) else None,
+                         node.value if isinstance(node, ast.Constant) else None)
+                if names.intersection(n for n in named if isinstance(n, str)):
+                    found.append((path.name, node.lineno))
+        assert found == []
+
     @pytest.mark.parametrize("kind", [_SubConv(4, 1), object(), "Conv2D", None, 3])
     def test_unknown_kind_is_a_validation_error(self, kind):
         graph = _stored(
@@ -867,6 +885,27 @@ class TestNodeOracle:
 class TestSlottedValues:
     """The IR classes are slotted: a graph holds one node per layer, and a
     ``__dict__`` would add about a hundred bytes to each."""
+
+    @pytest.mark.parametrize("value", [
+        TensorShape(1, 2, 3), *_ONE_OF_EACH.values(), LayerNode("n", Input()),
+        _empty(), ModelMeasurement("m", "e", 50, 60.5, 100), NodeChange("n", "a", "b"),
+    ], ids=lambda value: type(value).__name__)
+    def test_setting_or_deleting_any_name_is_frozen(self, value):
+        # as on an unslotted frozen dataclass, for a field or any other name
+        shown = repr(value)
+        for name in [f.name for f in dataclasses.fields(value)] + ["extra"]:
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+                setattr(value, name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+                delattr(value, name)
+        assert repr(value) == shown
+
+    def test_a_subclass_may_set_its_own_names(self):
+        sub = _SubConv(4, 3)
+        sub.extra = 1
+        del sub.extra
+        with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot assign to field 'filters'$"):
+            sub.filters = 8
 
     def test_no_instance_has_a_dict(self, xception):
         values = [_ONE_OF_EACH[cls] for cls in KIND_CLASSES]

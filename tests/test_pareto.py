@@ -413,7 +413,7 @@ class TestMeasurementOracle:
                     ModelMeasurement(**fields)
                 assert (type(exc.value), str(exc.value)) == expected
                 errors.add(expected)
-        assert TypeError in {kind for kind, _ in errors}
+        assert (MeasurementRangeError, "'m': avg_mem_mb must be a number, got None") in errors
         assert all(any(f"{name}=" in text for _, text in errors) for name in CSV_HEADER[2:])
         assert all(any(f"{name} must be" in text for _, text in errors) for name in CSV_HEADER)
 

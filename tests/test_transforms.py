@@ -733,15 +733,16 @@ class TestStrategy2:
         strategy2_insert_fire(fresh, default_specs())
         assert inference_calls == [xception.name]
 
-    def test_optimized_build_infers_shapes_twice(self, xception, inference_calls, shape_passes,
-                                                 param_rule_calls):
-        # build_xception's validate and strategy1's one, which keeps the
-        # entries; strategy2 reads the shapes and entries strategy1's result
-        # keeps. Only the first runs the shape loop, and only strategy1 makes
-        # a whole row pass: its 13 targets and strategy2's 110 new or moved
-        # nodes get the only other entries.
+    def test_optimized_build_infers_shapes_once(self, xception, inference_calls, shape_passes,
+                                                param_rule_calls):
+        # build_xception's validate runs the one shape loop and keeps the
+        # shapes, building no id -> shape dict; strategy1's row pass is the
+        # one infer_shapes call, and its result keeps the entries. strategy2
+        # reads the shapes and entries strategy1's result keeps. Only
+        # strategy1 makes a whole row pass: its 13 targets and strategy2's
+        # 110 new or moved nodes get the only other entries.
         built = build_optimized_xception()
-        assert len(inference_calls) == 2
+        assert len(inference_calls) == 1
         assert shape_passes == ["xception"]
         assert len(param_rule_calls) == len(xception.nodes) + 13 + 110 == 259
         assert built._params == count_params(dataclasses.replace(built)).per_layer
@@ -820,11 +821,12 @@ def _strategy2_table(graph, specs):
     """strategy2's report (None when it raised) and, when its walk built the
     columns of its result, ``(result, table, before)``: ``result`` holds the
     nodes the walk passed to ``check_append``, ``table`` is the rows of the
-    shapes and entries the walk kept on its result (``params_after`` is their
-    total) or the shape error its walk raised, and ``before`` the input's
-    entries by id, as summed for ``params_before``."""
+    shapes and entries the walk handed to ``graph.checked``, the one column
+    writer, for its result (``params_after`` is their total) or the shape
+    error its walk raised, and ``before`` the input's entries by id, as
+    summed for ``params_before``."""
     emitted, kept = [], []
-    real_append, real_keep = transforms.check_append, transforms._keep_shapes
+    real_append, real_checked = transforms.check_append, transforms.checked
 
     def append(ids, node):
         emitted.append(node)
@@ -832,12 +834,12 @@ def _strategy2_table(graph, specs):
 
     def keep(g, shapes, params):
         kept.append((g, shapes, params))
-        real_keep(g, shapes, params)
+        return real_checked(g, shapes, params)
 
     table = None
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(transforms, "check_append", append)
-        patch.setattr(transforms, "_keep_shapes", keep)
+        patch.setattr(transforms, "checked", keep)
         try:
             out, report = strategy2_insert_fire(graph, specs)
         except ResidualShapeBrokenError as exc:
@@ -882,11 +884,13 @@ class TestKeptShapeReads:
         activation_sizes(xception, 2)
         assert inference_calls == []
 
-    def test_one_inference_on_a_graph_that_keeps_none(self, xception, inference_calls):
+    def test_one_inference_on_a_graph_that_keeps_none(self, xception, inference_calls, shape_passes):
+        # validate's shapes_of runs the one shape loop and builds no dict
         fresh = dataclasses.replace(xception)
         validate(fresh)
         sizes = activation_sizes(fresh, 2)
-        assert inference_calls == [xception.name]
+        assert shape_passes == [xception.name]
+        assert inference_calls == []
         assert sizes == [(n.id, 2 * s.elements) for n, s in zip(xception.nodes, xception._shapes)]
 
     @pytest.mark.parametrize("mode", ["training", "inference"])
@@ -1270,12 +1274,24 @@ class TestStructuralEquality:
     def test_order_checked_only_where_no_shapes_are_kept(self, monkeypatch):
         # a graph that keeps its shapes had its stored order checked already
         checked = []
-        real = transforms.topo_sort
-        monkeypatch.setattr(transforms, "topo_sort", lambda g: checked.append(g) or real(g))
         kept, fresh = self._diamond(("in", "a", "b")), self._diamond(("in", "b", "a"))
         infer_shapes(kept)
+        real = cndkit.graph.topo_sort
+        monkeypatch.setattr(cndkit.graph, "topo_sort", lambda g: checked.append(g) or real(g))
         assert structurally_equal(kept, fresh) and structurally_equal(fresh, kept)
         assert checked == [fresh, fresh] and fresh._shapes is None
+
+    def test_unchecked_graph_gets_the_order_check_only(self):
+        # no shape inference: an Add of two widths still compares, and the
+        # graph keeps no shapes
+        nodes = (LayerNode("in", Input()), LayerNode("c", Conv2D(8, 1), ("in",)),
+                 LayerNode("sum", Add(), ("in", "c")), LayerNode("gap", GlobalAvgPool(), ("sum",)),
+                 LayerNode("fc", Dense(2), ("gap",)))
+        graph = ModelGraph(name="widths", input_shape=TensorShape(8, 8, 4), num_classes=2, nodes=nodes)
+        with pytest.raises(ShapeMismatchError):
+            infer_shapes(dataclasses.replace(graph))
+        assert structurally_equal(graph, dataclasses.replace(graph))
+        assert graph._shapes is None
 
     @pytest.mark.parametrize("order", [("a", "in", "b"), ("in", "b", "b")])
     def test_misordered_graph_raises_the_order_error(self, order):
