@@ -30,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .graph import (
     KINDS,
@@ -109,16 +109,13 @@ def total_params(entries: tuple[LayerParams, ...]) -> int:
     return sum(map(_KERNEL_PARAMS, entries)) + sum(map(_AUX_PARAMS, entries))
 
 
-def _moving_stats(nodes: Iterable[LayerNode], entries: Iterable[LayerParams]) -> int:
-    """BatchNorm mean and variance: counted in the total, never trained."""
-    return 2 * sum([e.channels_in for node, e in zip(nodes, entries) if type(node.kind) is BatchNorm])
-
-
 def count_params(graph: ModelGraph) -> ParamReport:
     """Parameter report over the whole graph; ``per_layer`` is the tuple the graph keeps."""
     entries = entries_of(graph)
     total = total_params(entries)
-    return ParamReport(entries, total, total - _moving_stats(graph.nodes, entries))
+    # BatchNorm's moving mean and variance count in the total but are never trained
+    stats = 2 * sum([e.channels_in for node, e in zip(graph.nodes, entries) if type(node.kind) is BatchNorm])
+    return ParamReport(entries, total, total - stats)
 
 
 def flops_estimate(graph: ModelGraph) -> int:
@@ -174,16 +171,14 @@ def memory_estimate(
     check_size("batch", batch)
     check_size("overhead_bytes", overhead_bytes, least=0)
 
-    entries = entries_of(graph)
-    total = total_params(entries)
-    weights = total * BYTES_PER_SCALAR
+    report = count_params(graph)
+    weights = report.total * BYTES_PER_SCALAR
     multiplier = OPTIMIZER_STATE_MULTIPLIER[optimizer]
     sizes = activation_sizes(graph, batch)
 
     if mode == "training":
-        trainable = total - _moving_stats(graph.nodes, entries)
-        gradients = trainable * BYTES_PER_SCALAR
-        optimizer_state = multiplier * trainable * BYTES_PER_SCALAR
+        gradients = report.total_trainable * BYTES_PER_SCALAR
+        optimizer_state = multiplier * report.total_trainable * BYTES_PER_SCALAR
         activations = 2 * sum(elems for _, elems in sizes) * BYTES_PER_SCALAR
     else:
         gradients = 0

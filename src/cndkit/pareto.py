@@ -253,12 +253,6 @@ def memory_frontier(records: list[ModelMeasurement]) -> float:
     return (min(values) + max(values)) / 2
 
 
-def resolve_memory_frontier(records: list[ModelMeasurement], config: QuadrantConfig) -> float:
-    if config.memory_frontier is not None:
-        return config.memory_frontier
-    return memory_frontier(records)
-
-
 def classify_quadrant(
     record: ModelMeasurement, config: QuadrantConfig, frontier_mem: float
 ) -> Quadrant:
@@ -311,10 +305,9 @@ def place_records(
     membership is by identity: equal records always land in the same front
     group, so this matches equality and keeps the sweep O(n log n).
     """
-    if records or config.memory_frontier is not None:
-        frontier_mem = resolve_memory_frontier(records, config)
-    else:
-        frontier_mem = float("nan")
+    frontier_mem = config.memory_frontier
+    if frontier_mem is None:
+        frontier_mem = memory_frontier(records) if records else float("nan")
     front = pareto_front(records)
     on_front_ids = {id(r) for r in front}
     placements = (
@@ -330,19 +323,13 @@ def export_plot_data(records: list[ModelMeasurement], config: QuadrantConfig) ->
     Model names are the only free-text cell and are quoted when needed.
     """
     frontier_mem, _front, placements = place_records(records, config)
-    return plot_data(config, frontier_mem, placements)
-
-
-def plot_data(config: QuadrantConfig, frontier_mem: float, placements: Iterable[Placement]) -> str:
-    """The text of ``export_plot_data`` from the memory frontier and
-    placements that ``place_records`` gave for ``config``."""
     return "".join(chunks(plot_lines(config, frontier_mem, placements)))  # see CHUNK_ITEMS
 
 
 def plot_lines(
     config: QuadrantConfig, frontier_mem: float, placements: Iterable[Placement]
 ) -> Iterator[str]:
-    """Each line of ``plot_data``'s text, its newline included, as it is made."""
+    """Each line of ``export_plot_data``'s text, its newline included, as it is made."""
     yield f"# accuracy_frontier={config.accuracy_frontier:g}\n"
     yield f"# memory_frontier={frontier_mem:g}\n"
     yield "model,test_acc,avg_mem_mb,quadrant,on_front\n"

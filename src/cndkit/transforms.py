@@ -106,9 +106,7 @@ class PassReport:
 
 
 def _describe(kind) -> str:
-    if is_conv(kind):
-        return f"{type(kind).__name__}(f{kind.filters},k{kind.kernel},s{kind.stride})"
-    return type(kind).__name__
+    return f"{type(kind).__name__}(f{kind.filters},k{kind.kernel},s{kind.stride})"
 
 
 # -- strategy 1: kernel replacement -------------------------------------------
@@ -135,7 +133,6 @@ def strategy1_replace_kernels(graph: ModelGraph) -> tuple[ModelGraph, PassReport
     changed: list[NodeChange] = []
     new_nodes = list(graph.nodes)
     new_entries = list(entries)  # every untargeted entry shared with the input
-    params_after = params_before
     made: dict[LayerKind, tuple[LayerKind, str, str]] = {}  # one 1x1 kind per targeted kind
     for i, node in enumerate(graph.nodes):
         if node.id in targets:
@@ -145,12 +142,12 @@ def strategy1_replace_kernels(graph: ModelGraph) -> tuple[ModelGraph, PassReport
             new_kind, before, after = made[node.kind]
             changed.append(NodeChange(node.id, before, after))
             new_nodes[i] = LayerNode(node.id, new_kind, node.inputs, node.tag)
-            new_entries[i] = entry = analyzer.count_params_layer(new_nodes[i], entries[i].channels_in)
-            params_after += entry.total - entries[i].total
+            new_entries[i] = analyzer.count_params_layer(new_nodes[i], entries[i].channels_in)
     # A same-padding 1x1 kernel changes no node's shape, so the result keeps the input's.
     result = checked(dataclasses.replace(graph, nodes=tuple(new_nodes)), shapes_of(graph),
                      tuple(new_entries))
-    return result, PassReport("strategy1_replace_kernels", tuple(changed), params_before, params_after)
+    return result, PassReport("strategy1_replace_kernels", tuple(changed), params_before,
+                              analyzer.total_params(entries_of(result)))
 
 
 # -- strategy 2: fire-module insertion -----------------------------------------

@@ -68,8 +68,6 @@ class OptimizedConfig:
             if not isinstance(value, (tuple, list)):
                 raise ValidationError(f"{name} must be a tuple or list, got {capped(value)}")
             object.__setattr__(self, name, tuple(value))
-
-    def check(self) -> None:
         if len(self.entry_fire) != len(ENTRY_MODULE_FILTERS):
             raise ValidationError(
                 f"entry_fire needs {len(ENTRY_MODULE_FILTERS)} specs, got {len(self.entry_fire)}"
@@ -197,7 +195,6 @@ def build_optimized_xception(
     """
     if not isinstance(config, OptimizedConfig):
         raise ValidationError(f"config must be an OptimizedConfig, got {capped(config)}")
-    config.check()
     graph = build_xception(input_shape, num_classes, exit_filters=config.exit_filters)
     graph, _ = strategy1_replace_kernels(graph)
     specs = {f"entry_flow/m{i + 2}": spec for i, spec in enumerate(config.entry_fire)}

@@ -472,6 +472,33 @@ def oracle_macs(graph: ModelGraph) -> int:
     return total
 
 
+def oracle_memory(graph: ModelGraph, batch: int, mode: str, optimizer: str) -> dict[str, int]:
+    """Modeled bytes by ``MemoryEstimate`` field, from the analyzer docstring's
+    words: 4 bytes per scalar; gradients and optimizer state sized by the
+    trainable params (all but BatchNorm's 2C moving statistics), the state
+    once per weight for momentum SGD and twice for Adam; training activations
+    twice the forward sum of every node's batch*H*W*C output; inference
+    activations the largest one-layer footprint, its output plus its inputs."""
+    shapes = oracle_shapes(graph)
+    _, params = oracle_params(graph)
+    stats = sum(sum(1 for _ in product(range(shapes[n.id][2]), range(2)))
+                for n in graph.nodes if isinstance(n.kind, BatchNorm))
+    elements = {node_id: batch * h * w * c for node_id, (h, w, c) in shapes.items()}
+    if mode == "training":
+        trainable = params - stats
+        parts = {
+            "gradients_bytes": 4 * trainable,
+            "optimizer_state_bytes": {"sgd_momentum": 1, "adam": 2}[optimizer] * 4 * trainable,
+            "activations_bytes": 4 * 2 * sum(elements.values()),
+        }
+    else:
+        footprints = [elements[n.id] + sum(elements[i] for i in n.inputs) for n in graph.nodes]
+        parts = {"gradients_bytes": 0, "optimizer_state_bytes": 0,
+                 "activations_bytes": 4 * max(footprints)}
+    parts = {"weights_bytes": 4 * params, **parts}
+    return {**parts, "total_bytes": sum(parts.values())}
+
+
 def oracle_pareto_front(records):
     """O(n^2) brute-force non-dominated filtering, sorted like pareto_front."""
     front = []

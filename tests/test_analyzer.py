@@ -36,7 +36,7 @@ from cndkit.graph import (
     validate,
 )
 from cndkit.transforms import strategy3_audit
-from graphgen import oracle_macs, random_graph, random_topological_order, rename_ids
+from graphgen import oracle_macs, oracle_memory, random_graph, random_topological_order, rename_ids
 
 
 def _tiny(h, w, c, *nodes):
@@ -269,6 +269,29 @@ class TestMemoryEstimate:
         totals = [memory_estimate(mobilenet, batch=b).total_bytes for b in (1, 2, 8)]
         assert totals == sorted(totals)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 64),
+           st.sampled_from(["training", "inference"]), st.sampled_from(["sgd_momentum", "adam"]))
+    def test_matches_the_oracle_on_random_graphs(self, seed, batch, mode, optimizer):
+        graph = random_graph(random.Random(seed), max_layers=12)
+        est = memory_estimate(graph, batch=batch, mode=mode, optimizer=optimizer)
+        assert {name: value for name, value in dataclasses.asdict(est).items()
+                if name != "assumptions"} == oracle_memory(graph, batch, mode, optimizer)
+
+    # xception on 299x299x3 with 101 classes: weights, gradients, optimizer
+    # state, activations and total bytes (adam; inference keeps no state), as
+    # oracle_memory gives them
+    @pytest.mark.parametrize("batch, mode, expected", [
+        (1, "training", (84_273_716, 84_055_604, 168_111_208, 537_607_784, 874_048_312)),
+        (32, "training", (84_273_716, 84_055_604, 168_111_208, 17_203_449_088, 17_539_889_616)),
+        (1, "inference", (84_273_716, 0, 0, 22_127_616, 106_401_332)),
+        (32, "inference", (84_273_716, 0, 0, 708_083_712, 792_357_428)),
+    ])
+    def test_xception_pinned(self, xception, batch, mode, expected):
+        est = memory_estimate(xception, batch=batch, mode=mode)
+        assert (est.weights_bytes, est.gradients_bytes, est.optimizer_state_bytes,
+                est.activations_bytes, est.total_bytes) == expected
+
     def test_monotone_in_params(self):
         small = _tiny(8, 8, 3, LayerNode("c", Conv2D(8, 3), ("in",)))
         large = _tiny(8, 8, 3, LayerNode("c", Conv2D(32, 3), ("in",)))
@@ -283,11 +306,11 @@ class TestAnalyzeTable:
         rng = random.Random(23)
         for _ in range(40):
             graph = random_graph(rng)
-            assert flops_estimate(graph) == oracle_macs(graph)
+            assert flops_estimate(graph) == sum(row.macs for row in analyze(graph)) == oracle_macs(graph)
 
     def test_flops_match_oracle_on_zoo(self, xception, optimized, mobilenet):
         for graph in (xception, optimized, mobilenet):
-            assert flops_estimate(graph) == oracle_macs(graph)
+            assert flops_estimate(graph) == sum(row.macs for row in analyze(graph)) == oracle_macs(graph)
 
     def test_rows_follow_topological_order(self):
         graph = random_graph(random.Random(5), max_layers=12)

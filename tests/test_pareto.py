@@ -25,8 +25,6 @@ from cndkit.pareto import (
     memory_frontier,
     pareto_front,
     place_records,
-    plot_data,
-    resolve_memory_frontier,
 )
 from conftest import run_cli, traced
 from graphgen import oracle_measurement_error, oracle_pareto_front, reference_load_measurements
@@ -331,7 +329,9 @@ class TestPythonApiTypes:
     @pytest.mark.parametrize("fields, message", [
         (dict(accuracy_frontier=10**5000), "accuracy_frontier=<int too large to print> outside (0, 100)"),
         (dict(memory_frontier=10**400), f"memory_frontier={_TEN_POW_400} must be positive and finite"),
-    ], ids=["huge-int-accuracy", "int-past-float-range"])
+        (dict(accuracy_frontier="70"), "accuracy_frontier must be a number, got '70'"),
+        (dict(memory_frontier=True), "memory_frontier must be a number or None, got True"),
+    ], ids=["huge-int-accuracy", "int-past-float-range", "string-accuracy", "bool-memory"])
     def test_config_fields(self, fields, message):
         with pytest.raises(MeasurementRangeError) as exc:
             QuadrantConfig(**fields)
@@ -458,7 +458,7 @@ class TestMemoryFrontier:
 
     def test_explicit_config_wins(self):
         cfg = QuadrantConfig(memory_frontier=123.0)
-        assert resolve_memory_frontier(load_fixture("caltech101"), cfg) == 123.0
+        assert place_records(load_fixture("caltech101"), cfg)[0] == 123.0
 
 
 class TestQuadrants:
@@ -588,7 +588,7 @@ class TestExportPlotData:
     def test_quadrant_column_consistent(self):
         records = load_fixture("pcb_scratch")
         cfg = QuadrantConfig()
-        frontier = resolve_memory_frontier(records, cfg)
+        frontier = place_records(records, cfg)[0]
         rows = export_plot_data(records, cfg).strip().splitlines()[3:]
         for record, row in zip(records, rows):
             assert classify_quadrant(record, cfg, frontier).value == row.split(",")[3]
@@ -611,7 +611,7 @@ class TestExportPlotData:
         cfg = QuadrantConfig()
         for name in ("caltech101", "pcb_scratch", "pcb_pretrained"):
             records = load_fixture(name)
-            frontier = resolve_memory_frontier(records, cfg)
+            frontier = place_records(records, cfg)[0]
             front = oracle_pareto_front(records)
             rows = export_plot_data(records, cfg).splitlines()[3:]
             assert rows == [
@@ -634,8 +634,8 @@ class TestExportPlotData:
 
 
 def reference_plot_data(config, frontier_mem, placements) -> str:
-    """``plot_data`` as it was before it joined its rows in chunks: every line
-    in one list, joined once."""
+    """``export_plot_data``'s text as it was before it joined its rows in
+    chunks: every line in one list, joined once."""
     lines = [
         f"# accuracy_frontier={config.accuracy_frontier:g}",
         f"# memory_frontier={frontier_mem:g}",
@@ -661,9 +661,8 @@ class TestPlotChunks:
         config = QuadrantConfig(memory_frontier=500.0)
         frontier, _, placements = place_records(records, config)
         placements = list(placements)
-        text = plot_data(config, frontier, placements)
+        text = export_plot_data(records, config)
         assert text == reference_plot_data(config, frontier, placements)
-        assert text == export_plot_data(records, config)
         assert text.count("\n") == 3 + rows
 
     @pytest.mark.parametrize("source", ["caltech101", "pcb_scratch", "pcb_pretrained", "sweep"])

@@ -521,7 +521,15 @@ class TestStrategy2:
         # no stack at all
         ((LayerNode("a1", Activation("relu"), ("in",), "f/m1/act"),),
          "module 'f/m1' must have one main-stack output, found []"),
-    ], ids=["second-residual-conv", "pre-activation", "two-stack-outputs", "no-stack"])
+        # two branches that only an Add outside the module joins
+        ((LayerNode("c0", Conv2D(16, 3), ("in",)),
+          LayerNode("a", SeparableConv2D(16, 3), ("c0",), "f/m1/sep1"),
+          LayerNode("b", SeparableConv2D(16, 3), ("a",), "f/m1/sep2"),
+          LayerNode("c", SeparableConv2D(16, 3), ("a",), "f/m1/sep3"),
+          LayerNode("add", Add(), ("b", "c"))),
+         "module 'f/m1' must have a single output, found ['b', 'c']"),
+    ], ids=["second-residual-conv", "pre-activation", "two-stack-outputs", "no-stack",
+            "two-outputs"])
     def test_module_structure_errors(self, nodes, message):
         tail = nodes[-1].id
         graph = _graph(LayerNode("in", Input()), *nodes, LayerNode("gap", GlobalAvgPool(), (tail,)),
@@ -1173,6 +1181,11 @@ class TestDiff:
         text = diff(xception, xception)
         assert "parameter reduction: 0.0%" in text
         assert "+0" in text
+
+    def test_a_module_only_one_graph_has_shows_dashes(self, xception, mobilenet):
+        rows = {line.split()[0]: line.split()[1:] for line in diff(xception, mobilenet).splitlines()}
+        assert rows["entry_flow/m1"] == ["3,3", "32,64", "19,680", "-", "-", "-", "-19,680"]
+        assert rows["stem/m1"] == ["-", "-", "-", "3", "32", "992", "+992"]
 
     def test_percentage_definition(self):
         assert percentage_reduction(200, 150) == 25.0

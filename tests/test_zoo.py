@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -215,18 +216,27 @@ class TestOptimizedXception:
         (lambda: OptimizedConfig(None, DEFAULT_OPTIMIZED_CONFIG.middle_fire),
          "entry_fire must be a tuple or list, got None"),
         (lambda: build_optimized_xception(config=None), "config must be an OptimizedConfig, got None"),
-    ], ids=["exit_filters", "entry_fire", "config"])
+        (lambda: dataclasses.replace(DEFAULT_OPTIMIZED_CONFIG, middle_fire=DEFAULT_OPTIMIZED_CONFIG.middle_fire * 2),
+         "middle_fire needs 8 specs, got 16"),
+        (lambda: dataclasses.replace(DEFAULT_OPTIMIZED_CONFIG, exit_filters=(728, 1024, 1536)),
+         "exit_filters needs 4 counts, got 3"),
+        (lambda: dataclasses.replace(DEFAULT_OPTIMIZED_CONFIG, exit_filters=(728, 1024, 1536, 0)),
+         "exit_filters[3] must be >= 1, got 0"),
+    ], ids=["exit_filters", "entry_fire", "config", "middle_fire-length", "exit_filters-length",
+            "exit_filters-width"])
     def test_config_fields_are_typed(self, build, message):
         with pytest.raises(ValidationError) as exc:
             build()
         assert str(exc.value) == message
 
     def test_config_length_checked(self):
-        with pytest.raises(ValidationError):
+        # checked when the config is built, not when a model is built from it
+        with pytest.raises(ValidationError) as exc:
             OptimizedConfig(
                 entry_fire=DEFAULT_OPTIMIZED_CONFIG.entry_fire[:2],
                 middle_fire=DEFAULT_OPTIMIZED_CONFIG.middle_fire,
-            ).check()
+            )
+        assert str(exc.value) == "entry_fire needs 3 specs, got 2"
 
     def test_random_reduction_configs_shrink_params(self, xception):
         # Squeeze-style configs: expand1/squeeze narrower than the module
