@@ -277,10 +277,17 @@ def group_modules(nodes: Iterable[LayerNode]) -> dict[str, list[tuple[str, Layer
     ``flow/module`` with role ``role``; untagged and flat-tagged nodes belong
     to none. The one place a tag is split."""
     groups: dict[str, list[tuple[str, LayerNode]]] = {}
+    module, members = None, []  # the module of the last member seen, and its list
     for node in nodes:
-        parts = () if node.tag is None else node.tag.split("/")
-        if len(parts) >= 3:
-            groups.setdefault(f"{parts[0]}/{parts[1]}", []).append((parts[-1], node))
+        head, _, role = (node.tag or "").rpartition("/")
+        if head != module:  # a new run, a deeper tag or no member: find the module
+            first = head.find("/")
+            if first < 0:
+                continue
+            end = head.find("/", first + 1)
+            if (name := head if end < 0 else head[:end]) != module:
+                module, members = name, groups.setdefault(name, [])
+        members.append((role, node))
     return groups
 
 
@@ -401,7 +408,7 @@ def _dense_shape(graph, node, shapes, made):
 
 
 class LayerParams(NamedTuple):
-    """Per-layer parameter accounting entry."""
+    """Per-layer parameter accounting entry; the param rules skip its Python-level ``__new__``."""
 
     node_id: str
     channels_in: int
@@ -417,25 +424,26 @@ class LayerParams(NamedTuple):
 
 def _conv_params(node_id: str, kind: Conv2D, c: int) -> LayerParams:
     k = kind.kernel * kind.kernel
-    return LayerParams(node_id, c, kind.filters, k, c * kind.filters * k,
-                       kind.filters if kind.has_bias else 0)
+    return tuple.__new__(LayerParams, (node_id, c, kind.filters, k, c * kind.filters * k,
+                                       kind.filters if kind.has_bias else 0))
 
 
 def _separable_params(node_id: str, kind: SeparableConv2D, c: int) -> LayerParams:
     k = kind.kernel * kind.kernel
-    return LayerParams(node_id, c, kind.filters, k, c * k + c * kind.filters, 0)
+    return tuple.__new__(LayerParams, (node_id, c, kind.filters, k, c * k + c * kind.filters, 0))
 
 
 def _batchnorm_params(node_id: str, kind: BatchNorm, c: int) -> LayerParams:
-    return LayerParams(node_id, c, c, 0, 0, 4 * c)
+    return tuple.__new__(LayerParams, (node_id, c, c, 0, 0, 4 * c))
 
 
 def _dense_params(node_id: str, kind: Dense, c: int) -> LayerParams:
-    return LayerParams(node_id, c, kind.units, 1, kind.units * c, kind.units if kind.has_bias else 0)
+    return tuple.__new__(LayerParams, (node_id, c, kind.units, 1, kind.units * c,
+                                       kind.units if kind.has_bias else 0))
 
 
 def _no_params(node_id: str, kind, c: int) -> LayerParams:
-    return LayerParams(node_id, c, 0, 0, 0, 0)
+    return tuple.__new__(LayerParams, (node_id, c, 0, 0, 0, 0))
 
 
 class KindRow(NamedTuple):

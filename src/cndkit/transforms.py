@@ -320,10 +320,12 @@ def strategy2_insert_fire(
     to insert. Every other node of the module keeps its id and its wiring;
     the projection is resized to the new output width, or inserted where an
     identity residual no longer matches. One walk builds the result and its
-    kept columns: each node passes ``check_append`` and keeps its input's
-    shape and entry if it is the same node with no input of a new shape, or
-    gets its kind's shape rule and ``node_entry``; an identity residual reads
-    its width from those shapes.
+    kept columns. A node outside the targeted modules with no replaced or
+    reshaped input is carried: the input's object, shape and entry, unchecked,
+    as no added id is an input's and only a module's tail, which its fire
+    replaces, feeds outside it. Any other node passes ``check_append`` and
+    keeps its input's shape and entry if unchanged with no reshaped input, or
+    gets its kind's shape rule and ``node_entry``.
     """
     if not isinstance(specs, dict):
         raise ValidationError(
@@ -396,8 +398,13 @@ def strategy2_insert_fire(
 
     # The fire triplet takes the place of the module's first node and the
     # module's other nodes follow in stored order: a topological order still.
-    for node in graph.nodes:
+    for i, node in enumerate(graph.nodes):
         module = owner.get(node.id)
+        if module is None and moved.isdisjoint(node.inputs) and remap.keys().isdisjoint(node.inputs):
+            shapes[node.id] = shapes_in[i]  # carried, as the docstring says
+            nodes.append(node)
+            new_entries.append(entries[i])
+            continue
         if module is not None:
             spec = specs[module]
             module_input, stack, stack_out, stride = structures[module]
@@ -430,7 +437,7 @@ def strategy2_insert_fire(
         emit(node if remap.keys().isdisjoint(node.inputs) else LayerNode(
             node.id, node.kind, tuple([remap.get(i, i) for i in node.inputs]), node.tag))
 
-    # emit checked every node; the walk's state goes before the final checks
+    # emit checked every node not carried; the walk's state goes before the final checks
     out_nodes, out_shapes, out_entries = tuple(nodes), tuple(shapes.values()), tuple(new_entries)
     del index, owner, shapes, moved, nodes, new_entries
     result = checked(dataclasses.replace(graph, nodes=out_nodes), out_shapes, out_entries)

@@ -1135,6 +1135,13 @@ class TestTags:
 
     @given(st.lists(_TAGS, max_size=12))
     @example([None, "flat", "a/b", "a//b", "f/m1/x/sep1", "f/m1/sep2", "f/m2/residual", "a//c"])
+    # runs of one module: left and re-entered, broken by a flat tag, a 4-part
+    # tag beside 3-part ones, None and "" between members, and only slashes
+    @example(["f/m1/a", "g/m2/a", "f/m1/b"])
+    @example(["f/m1/a", "f/m1", "f/m1/b"])
+    @example(["f/m1/x/a", "f/m1/b", "f/m1/x/c"])
+    @example(["f/m1/a", None, "f/m1/b", "", "f/m1/c"])
+    @example(["///", "//", "///"])
     @settings(max_examples=200, deadline=None)
     def test_grouping_matches_an_independent_split(self, tags):
         nodes = tuple(LayerNode(f"n{i}", Input(), (), tag) for i, tag in enumerate(tags))

@@ -110,6 +110,15 @@ def inference_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def append_calls(monkeypatch):
+    """The nodes ``transforms`` passes to ``check_append``, in order."""
+    calls = []
+    real = transforms.check_append
+    monkeypatch.setattr(transforms, "check_append", lambda ids, node: calls.append(node) or real(ids, node))
+    return calls
+
+
 def _single_module_graph(kernels=(3, 3), filters=128, channels=64, with_residual=True):
     """input -> sepA -> bn -> sepB -> bn [-> add with 1x1 projection]."""
     nodes = [LayerNode("in", Input())]
@@ -807,6 +816,34 @@ class TestStrategy2:
         assert len(loaded.nodes) == 993
         assert len(param_rule_calls) == 993 + 116 + 290 == 1399
 
+    def test_deep_graphs_checks_only_the_nodes_it_builds_or_rewires(self, append_calls):
+        # On the same 993-node case, 742 of the 1,035 result nodes are in no
+        # targeted module and have no replaced or reshaped input: strategy2
+        # carries them, so 293 pass check_append, where all 1,035 once did.
+        gen = _benchmark_generators()
+        case = gen.deep_case(random.Random(7), 1000)
+        specs = {tag: FireModuleSpec(w["s1x1"], w["e1x1"], w["e3x3"]) for tag, w in case.specs.items()}
+        after_s1, _ = strategy1_replace_kernels(deserialize(case.text))
+        append_calls.clear()
+        out, _ = strategy2_insert_fire(after_s1, specs)
+        assert (len(append_calls), len(out.nodes)) == (293, 1035)
+
+    def test_carried_nodes_are_the_inputs_objects(self, xception, append_calls):
+        # The default config checks 119 of the 145 result nodes (all 145
+        # before the carry). Each of the other 26 is the input's own node,
+        # and its kept shape and entry are the input's own objects.
+        out, _ = strategy2_insert_fire(xception, default_specs())
+        assert (len(append_calls), len(out.nodes)) == (119, 145)
+        checked_nodes = {id(n) for n in append_calls}
+        index = {n.id: i for i, n in enumerate(xception.nodes)}
+        carried = [(j, index[n.id]) for j, n in enumerate(out.nodes) if id(n) not in checked_nodes]
+        assert len(carried) == 145 - 119
+        entries = cndkit.graph.entries_of(xception)
+        for j, i in carried:
+            assert out.nodes[j] is xception.nodes[i]
+            assert out._shapes[j] is xception._shapes[i]
+            assert out._params[j] is entries[i]
+
     def test_untouched_nodes_kept(self, xception):
         out, _ = strategy2_insert_fire(xception, {"middle_flow/m5": FireModuleSpec(414, 600, 728)})
         before, after = ({n.id: n for n in g.nodes} for g in (xception, out))
@@ -827,17 +864,20 @@ class TestStrategy2:
 
 def _strategy2_table(graph, specs):
     """strategy2's report (None when it raised) and, when its walk built the
-    columns of its result, ``(result, table, before)``: ``result`` holds the
-    nodes the walk passed to ``check_append``, ``table`` is the rows of the
-    shapes and entries the walk handed to ``graph.checked``, the one column
-    writer, for its result (``params_after`` is their total) or the shape
-    error its walk raised, and ``before`` the input's entries by id, as
-    summed for ``params_before``."""
-    emitted, kept = [], []
+    columns of its result, ``(result, table, before)``: ``result`` is the
+    graph the walk handed to ``graph.checked``, the one column writer, or,
+    when its walk raised a shape error, the nodes it had placed (the ids it
+    had checked against) and the node it failed on; ``table`` is the rows of
+    the shapes and entries handed to ``checked`` (``params_after`` is their
+    total) or that shape error, and ``before`` the input's entries by id, as
+    summed for ``params_before``. Every result node that is not one of the
+    input's own node objects passed ``check_append``."""
+    emitted, kept, placed = [], [], {}
     real_append, real_checked = transforms.check_append, transforms.checked
 
     def append(ids, node):
         emitted.append(node)
+        placed["ids"] = ids  # the walk's result ids so far, carried nodes included
         real_append(ids, node)
 
     def keep(g, shapes, params):
@@ -856,18 +896,22 @@ def _strategy2_table(graph, specs):
         except CndkitError:
             report = None
     assert len(kept) <= 1
-    result = dataclasses.replace(graph, nodes=tuple(emitted))
     if kept:
-        kept_on, shapes, params = kept[0]
-        assert kept_on == result and len(shapes) == len(params) == len(result.nodes)
+        result, shapes, params = kept[0]
+        assert len(shapes) == len(params) == len(result.nodes)
         shape_of = dict(zip([n.id for n in result.nodes], shapes))
         table = [cndkit.analyzer.LayerRow(n, shape_of[n.inputs[0]] if n.inputs else None, s, p)
                  for n, s, p in zip(result.nodes, shapes, params)]
-    if table is None:
+    elif table is not None:  # the nodes the walk placed, then the one whose shape failed
+        own = {n.id: n for n in graph.nodes} | {n.id: n for n in emitted}
+        result = dataclasses.replace(graph, nodes=tuple(own[i] for i in placed["ids"]) + (emitted[-1],))
+    else:
         return report, None
+    inputs_own, appended = {id(n) for n in graph.nodes}, {id(n) for n in emitted}
+    assert all(id(n) in appended for n in result.nodes if id(n) not in inputs_own)
     before = graph._params
     if report is not None:
-        assert out is kept_on
+        assert out is result
         assert report.params_before == sum(e.total for e in before)
         assert report.params_after == sum(row.params.total for row in table)
     return report, (result, table, {e.node_id: e for e in before})
@@ -931,6 +975,22 @@ class TestStrategy2Table:
         assert table == expected
         if report is not None:  # else the result's endpoint checks failed
             assert report.params_after == count_params(out).total
+
+    def test_shape_error_matches_analyze_of_the_partial_result(self):
+        # The untagged Add after m1 reads the 48-wide fire and the 64-wide
+        # input. The walk's partial result holds the carried Input node, the
+        # fire and the Add, and analyze raises the walk's error on it.
+        graph = _graph(
+            LayerNode("in", Input()),
+            LayerNode("s1", SeparableConv2D(64, 3), ("in",), "flow/m1/sep1"),
+            LayerNode("sum", Add(), ("s1", "in")),
+            name="outside", input_shape=TensorShape(16, 16, 64), num_classes=2)
+        specs = {"flow/m1": FireModuleSpec(16, 32, 48)}
+        report, (out, table, _) = _strategy2_table(graph, specs)
+        assert report is None and isinstance(table, ShapeMismatchError)
+        assert out.nodes[0] is graph.nodes[0] and [n.id for n in out.nodes[-2:]] == [
+            "flow_m1_fire_expand3_act", "sum"]
+        self._check(graph, specs)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1))

@@ -111,6 +111,16 @@ class TestXception:
         assert report.total == XCEPTION_TOTAL
         assert round_params_millions(report.total) == 21.1
 
+    def test_imagenet_build_matches_the_published_size(self):
+        # Xception (Chollet 2017, arXiv:1610.02357) on 299x299x3 with 1,000
+        # classes: Keras Applications lists it at 22.9M params, the one figure
+        # here from outside cndkit. The exact counts are regression pins.
+        graph = build_xception(TensorShape(299, 299, 3), 1000)
+        report = count_params(graph)
+        assert round_params_millions(report.total) == 22.9
+        assert (report.total, report.total_trainable) == (22_910_480, 22_855_952)
+        assert flops_estimate(graph) == 8_357_403_496
+
     def test_macro_structure(self, xception):
         assert len(_module_conv_nodes(xception)) == 36
         assert len(group_modules(xception.nodes)) == 14
