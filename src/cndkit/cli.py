@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 
 from .errors import (
     CndkitError, ParseError, SchemaVersionError, capped, chunks, parse_json, printable, read_text,
+    unknown_keys,
 )
 
 if TYPE_CHECKING:
@@ -71,6 +72,9 @@ def _fire_spec_from_obj(obj, where: str) -> FireModuleSpec:
         raise ParseError(str(exc), field=where) from exc
 
 
+_CONFIG_KEYS = frozenset(("entry_fire", "middle_fire", "exit_filters"))
+
+
 def _load_optimized_config(path: str) -> OptimizedConfig:
     from . import zoo
     from .graph import check_size
@@ -78,6 +82,8 @@ def _load_optimized_config(path: str) -> OptimizedConfig:
     doc = parse_json(read_text(path), path)
     if not isinstance(doc, dict):
         raise ParseError("config must be a JSON object", field="<root>")
+    if not doc.keys() <= _CONFIG_KEYS:
+        raise unknown_keys("config keys", doc, _CONFIG_KEYS, "<root>")
     entry = doc.get("entry_fire")
     middle = doc.get("middle_fire")
     if not isinstance(entry, list) or not isinstance(middle, list):

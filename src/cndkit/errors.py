@@ -127,6 +127,12 @@ class ParseError(CndkitError):
         super().__init__(message + suffix)
 
 
+def unknown_keys(what: str, keys: Iterable[str], allowed: frozenset[str], field: str) -> ParseError:
+    """The ParseError at ``field`` naming, sorted, the ``keys`` not in
+    ``allowed``: a key a reader would skip is likely a misspelt one."""
+    return ParseError(f"unknown {what}: {capped(sorted(set(keys).difference(allowed)))}", field=field)
+
+
 class SchemaVersionError(CndkitError):
     """The serialized model declares a schema version we cannot read."""
 

@@ -154,22 +154,6 @@ class QuadrantConfig:
             raise MeasurementRangeError(f"memory_frontier={capped(mem)} must be positive and finite")
 
 
-def _parse_float(value: str, row: int, column: str) -> float:
-    try:
-        return float(value)
-    except ValueError as exc:
-        raise ParseError(f"cannot parse {capped(value)} as a number", row=row, column=column) from exc
-
-
-def _parse_optional(value: str, row: int, column: str, kind) -> float | int | None:
-    if not value:
-        return None
-    try:
-        return kind(value)
-    except ValueError as exc:
-        raise ParseError(f"cannot parse {capped(value)}", row=row, column=column) from exc
-
-
 def _lines(text: str) -> Iterator[str]:
     """The lines that iterating ``io.StringIO(text)`` gives, each with its
     ``"\n"``, cut one at a time instead of from a UCS-4 copy of the text."""
@@ -228,11 +212,15 @@ def load_measurements(text: str) -> list[ModelMeasurement]:
             ))
         except MeasurementRangeError as exc:
             raise MeasurementRangeError(f"row {row_num}: {exc}") from exc
-        except ValueError:  # a cell is not a number: the helpers name the first one
-            for column, cell in zip(CSV_HEADER[2:5], cells[2:5]):
-                _parse_float(cell, row_num, column)
-            for column, cell, kind in zip(CSV_HEADER[5:], cells[5:], (float, float, int)):
-                _parse_optional(cell, row_num, column, kind)
+        except ValueError:  # a cell is not a number: name the first one, in column order
+            for n in range(2, len(CSV_HEADER)):
+                cell, required = cells[n], n < 5  # train_acc, test_acc and avg_mem_mb
+                try:
+                    if cell or required:
+                        (int if CSV_HEADER[n] == "params" else float)(cell)
+                except ValueError as exc:
+                    raise ParseError(f"cannot parse {capped(cell)}{' as a number' if required else ''}",
+                                     row=row_num, column=CSV_HEADER[n]) from exc
             raise
     return records
 

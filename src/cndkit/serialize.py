@@ -8,7 +8,8 @@ Schema v1::
                 "inputs": [...], "tag": ... | null}, ...]}
 
 Attribute keys are exactly the attr names in each layer kind's row of
-``graph.KINDS``, its dataclass fields; unknown attrs are rejected. Nodes must
+``graph.KINDS``, its dataclass fields. An unknown document, node-entry or
+attr key is rejected; only ``tag`` may be left out. Nodes must
 be listed in dependency order (every input precedes its consumer), which
 serialize always produces. Output is byte-stable for a given graph.
 
@@ -27,13 +28,15 @@ from pathlib import Path
 
 from . import graph as g
 from .errors import (
-    CndkitError, ParseError, SchemaVersionError, capped, chunks, parse_json, read_text,
+    CndkitError, ParseError, SchemaVersionError, capped, chunks, parse_json, read_text, unknown_keys,
 )
 
 SCHEMA_VERSION = 1
 
 _KIND_BY_NAME = {cls.__name__: cls for cls in g.KIND_CLASSES}
 _ATTR_NAMES = {cls.__name__: frozenset(row.attrs) for cls, row in g.KINDS.items()}
+_DOCUMENT_KEYS = frozenset(("schema_version", "name", "input_shape", "num_classes", "metadata", "nodes"))
+_ENTRY_KEYS = frozenset(("id", "kind", "attrs", "inputs", "tag"))
 
 
 def _block(open_: str, close: str, items: list[str], indent: str) -> str:
@@ -111,11 +114,12 @@ def _parse_node(entry: dict, index: int, kinds: dict, ids: dict) -> g.LayerNode:
     each node id so far to itself, so an input names its source by that id's
     string.
 
-    Every entry gets every check, in one order. A value of its exact type
-    skips ``_expect``, the path that raises, and field names are built only
-    for an error. A kind is built, and its attrs checked, only for a key not
-    seen before: the key holds each value's type, as ``1`` and ``True``
-    compare equal but only one of them is a valid ``has_bias``."""
+    Every entry gets every check, in one order; a key left over once the
+    known ones are read is rejected. A value of its exact type skips
+    ``_expect``, the path that raises, and field names are built only for an
+    error. A kind is built, and its attrs checked, only for a key not seen
+    before: the key holds each value's type, as ``1`` and ``True`` compare
+    equal but only one of them is a valid ``has_bias``."""
     if not isinstance(entry, dict):
         raise ParseError("node entry must be an object", field=f"nodes[{index}]")
     node_id = entry.get("id")
@@ -133,10 +137,8 @@ def _parse_node(entry: dict, index: int, kinds: dict, ids: dict) -> g.LayerNode:
     if type(attrs) is not dict:
         attrs = _expect(entry, "attrs", dict, f"nodes[{index}].attrs")
     if not attrs.keys() <= _ATTR_NAMES[kind_name]:
-        unknown = sorted(set(attrs).difference(_ATTR_NAMES[kind_name]))
-        raise ParseError(
-            f"unknown attrs for {kind_name}: {capped(unknown)}", field=f"nodes[{index}].attrs"
-        )
+        raise unknown_keys(f"attrs for {kind_name}", attrs, _ATTR_NAMES[kind_name],
+                           f"nodes[{index}].attrs")
     inputs = entry.get("inputs")
     if type(inputs) is not list:
         inputs = _expect(entry, "inputs", list, f"nodes[{index}].inputs")
@@ -149,6 +151,8 @@ def _parse_node(entry: dict, index: int, kinds: dict, ids: dict) -> g.LayerNode:
     tag = entry.get("tag")
     if tag is not None and not isinstance(tag, str):
         raise ParseError("tag must be a string or null", field=f"nodes[{index}].tag")
+    if len(entry) != 4 + ("tag" in entry):  # id, kind, attrs and inputs are there by now
+        raise unknown_keys("keys", entry, _ENTRY_KEYS, f"nodes[{index}]")
     key = (kind_name, *attrs.items(), *map(type, attrs.values()))
     try:
         kind = kinds[key]
@@ -179,6 +183,8 @@ def deserialize(text: str) -> g.ModelGraph:
         raise SchemaVersionError(
             f"unsupported schema_version {capped(version)}, expected {SCHEMA_VERSION}"
         )
+    if not doc.keys() <= _DOCUMENT_KEYS:
+        raise unknown_keys("keys", doc, _DOCUMENT_KEYS, "<root>")
     name = _expect(doc, "name", str, "name")
     shape_raw = _expect(doc, "input_shape", list, "input_shape")
     if len(shape_raw) != 3 or not all(isinstance(v, int) and not isinstance(v, bool) for v in shape_raw):

@@ -320,12 +320,11 @@ def strategy2_insert_fire(
     to insert. Every other node of the module keeps its id and its wiring;
     the projection is resized to the new output width, or inserted where an
     identity residual no longer matches. One walk builds the result and its
-    kept columns. A node outside the targeted modules with no replaced or
-    reshaped input is carried: the input's object, shape and entry, unchecked,
-    as no added id is an input's and only a module's tail, which its fire
-    replaces, feeds outside it. Any other node passes ``check_append`` and
-    keeps its input's shape and entry if unchanged with no reshaped input, or
-    gets its kind's shape rule and ``node_entry``.
+    kept columns, with one keep rule: a node the walk does not rebuild (no
+    resize or rewire) with no reshaped input is kept, the input's object,
+    shape and entry, unchecked, as no added id is an input's and each node
+    left reads only nodes placed before it. Any other node passes
+    ``check_append`` and gets its kind's shape rule and ``node_entry``.
     """
     if not isinstance(specs, dict):
         raise ValidationError(
@@ -363,24 +362,20 @@ def strategy2_insert_fire(
     shared: dict[tuple[int, int, int], TensorShape] = {}
     moved: set[str] = set()  # ids whose shape is not their input shape, new ids included
 
-    def emit(node: LayerNode) -> None:
-        """Append ``node`` to the result, with its shape and entry."""
+    def emit(node: LayerNode, i: int | None) -> None:
+        """Append ``node``, built in place of the input's node ``i`` (None for
+        a new node), to the result, with its checked shape and entry."""
         check_append(shapes, node)
-        i = index.get(node.id)
-        if i is not None and graph.nodes[i] is node and moved.isdisjoint(node.inputs):
-            shapes[node.id], entry = shapes_in[i], entries[i]
-        else:
-            try:  # a shape rule reads only input_shape of its graph, which the result keeps
-                shape = shapes[node.id] = KINDS[type(node.kind)].shape(graph, node, shapes, shared)
-            except ShapeMismatchError as exc:
-                raise ResidualShapeBrokenError(
-                    f"fire insertion broke residual shapes in {capped(graph.name)}: {exc}"
-                ) from exc
-            if i is None or shape != shapes_in[i]:
-                moved.add(node.id)
-            entry = node_entry(node, shapes)
+        try:  # a shape rule reads only input_shape of its graph, which the result keeps
+            shape = shapes[node.id] = KINDS[type(node.kind)].shape(graph, node, shapes, shared)
+        except ShapeMismatchError as exc:
+            raise ResidualShapeBrokenError(
+                f"fire insertion broke residual shapes in {capped(graph.name)}: {exc}"
+            ) from exc
+        if i is None or shape != shapes_in[i]:
+            moved.add(node.id)
         nodes.append(node)
-        new_entries.append(entry)
+        new_entries.append(node_entry(node, shapes))
 
     def fresh(base: str, build) -> list[LayerNode]:
         """Emit and return the nodes ``build(made, prefix)`` appends to
@@ -392,7 +387,7 @@ def strategy2_insert_fire(
             build(made, base)
             if not any(node.id in index or node.id in shapes for node in made):
                 for node in made:
-                    emit(node)
+                    emit(node, None)
                 return made
             base += "_f"
 
@@ -400,11 +395,6 @@ def strategy2_insert_fire(
     # module's other nodes follow in stored order: a topological order still.
     for i, node in enumerate(graph.nodes):
         module = owner.get(node.id)
-        if module is None and moved.isdisjoint(node.inputs) and remap.keys().isdisjoint(node.inputs):
-            shapes[node.id] = shapes_in[i]  # carried, as the docstring says
-            nodes.append(node)
-            new_entries.append(entries[i])
-            continue
         if module is not None:
             spec = specs[module]
             module_input, stack, stack_out, stride = structures[module]
@@ -433,11 +423,18 @@ def strategy2_insert_fire(
                     made, prefix, res_kind, source, f"{module}/residual", activation=None))
                 changed.append(NodeChange(res[0].id, "(identity residual)", _describe(res_kind)))
                 node = LayerNode(node.id, node.kind, tuple(
-                    res[-1].id if i == module_input else i for i in node.inputs), node.tag)
-        emit(node if remap.keys().isdisjoint(node.inputs) else LayerNode(
-            node.id, node.kind, tuple([remap.get(i, i) for i in node.inputs]), node.tag))
+                    res[-1].id if src == module_input else src for src in node.inputs), node.tag)
+        if not remap.keys().isdisjoint(node.inputs):
+            node = LayerNode(node.id, node.kind, tuple([remap.get(src, src) for src in node.inputs]),
+                             node.tag)
+        if node is graph.nodes[i] and moved.isdisjoint(node.inputs):
+            shapes[node.id] = shapes_in[i]  # kept, as the docstring says
+            nodes.append(node)
+            new_entries.append(entries[i])
+        else:
+            emit(node, i)
 
-    # emit checked every node not carried; the walk's state goes before the final checks
+    # emit checked every node not kept; the walk's state goes before the final checks
     out_nodes, out_shapes, out_entries = tuple(nodes), tuple(shapes.values()), tuple(new_entries)
     del index, owner, shapes, moved, nodes, new_entries
     result = checked(dataclasses.replace(graph, nodes=out_nodes), out_shapes, out_entries)

@@ -730,11 +730,16 @@ class TestLongValuesAreCut:
         "fire-spec": ("specs", json.dumps({"entry_flow/m2": {"s1x1": LONG, "e1x1": 8, "e3x3": 8}}),
                       "", "(field 'entry_flow/m2')"),
         "spec-tag": ("specs", json.dumps({LONG: {"s1x1": 8}}), "", f"(field {capped(LONG)})"),
+        "entry-key": ("analyze", _model_with(lambda n: n[1].update({LONG: 1})),
+                      "", "(field 'nodes[1]')"),
+        "config-key": ("config", json.dumps({"entry_fire": [], "middle_fire": [], LONG: 1}),
+                       "", "(field '<root>')"),
     }
     COMMANDS = {
         "analyze": ["analyze", "--in", "{bad}"],
         "pareto": ["pareto", "--csv", "{bad}"],
         "specs": ["transform", "--in", "{model}", "--specs", "{bad}", "--out", "{out}"],
+        "config": ["build", "optimized-xception", "--config", "{bad}"],
     }
 
     @pytest.mark.parametrize("command, text, start, end", CASES.values(), ids=CASES)

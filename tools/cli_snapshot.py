@@ -92,6 +92,14 @@ def _conv_model(**attrs) -> str:
                        "num_classes": 10, "metadata": {}, "nodes": nodes})
 
 
+def _tags_model() -> str:
+    """``_conv_model`` with its conv entry's ``tag`` key misspelt ``tags``."""
+    doc = json.loads(_conv_model())
+    del doc["nodes"][1]["tag"]
+    doc["nodes"][1]["tags"] = "flow/m1/main"
+    return json.dumps(doc)
+
+
 # Inputs written to DIR before the calls, by file name.
 INPUTS = {
     "specs-default.json": _specs(_DEFAULT_FIRE),
@@ -103,6 +111,11 @@ INPUTS = {
     "config.json": json.dumps({"entry_fire": [_spec(w) for w in list(_DEFAULT_FIRE.values())[:3]],
                                "middle_fire": [_spec(w) for w in list(_DEFAULT_FIRE.values())[3:]]}),
     "config-bad.json": json.dumps({"entry_fire": [], "middle_fire": [{"s1x1": 1}]}),
+    # "exit_filter" for "exit_filters": an unknown key, not the default exit widths
+    "config-exit-filter.json": json.dumps({
+        "entry_fire": [_spec(w) for w in list(_DEFAULT_FIRE.values())[:3]],
+        "middle_fire": [_spec(w) for w in list(_DEFAULT_FIRE.values())[3:]],
+        "exit_filter": [512, 768, 1024, 1536]}),
     "control.json": _control_model(),
     "control.csv": CSV_HEADER + "".join(
         f'"{name}",run,90,{80 - i},{10 + i},,,\n' for i, name in enumerate(CONTROL_NAMES)),
@@ -129,6 +142,7 @@ INPUTS = {
     "kernel-5.json": _conv_model(kernel=5),
     "bias-1.json": _conv_model(has_bias=1),
     "schema-2.json": json.dumps({"schema_version": 2}),
+    "tags.json": _tags_model(),
 }
 
 CALLS: list[tuple[str, list[str]]] = [
@@ -193,6 +207,8 @@ CALLS: list[tuple[str, list[str]]] = [
     ("error-bias-1", ["analyze", "--in", "bias-1.json"]),
     ("error-schema", ["diff", "--a", "schema-2.json", "--b", "xception.json"]),
     ("error-config", ["build", "optimized-xception", "--config", "config-bad.json"]),
+    ("error-tags", ["analyze", "--in", "tags.json"]),
+    ("error-config-key", ["build", "optimized-xception", "--config", "config-exit-filter.json"]),
     ("error-memory-frontier", ["pareto", "--csv", "caltech101.csv", "--memory-frontier", "x"]),
     # help and usage errors (exit 0 and 2)
     ("help-main", ["--help"]),
